@@ -16,9 +16,9 @@ import sys
 from pathlib import Path
 
 from . import builders, lasso, oracle
-from .cords import CordFileError, format_rational, read_cord_file
-from .heights import HeightMap, WeightingError
-from .newick import NewickParseError, parse_newick, print_newick
+from .cords import format_rational, read_cord_file
+from .heights import HeightMap
+from .newick import parse_newick, print_newick
 from .tree import XTree
 
 _SCHEMA_VERSION = 1
@@ -29,7 +29,12 @@ def _load_tree(path: str):
 
 
 def _load_cords(path: str, tree: XTree):
-    cords, _ = read_cord_file(Path(path).read_text())
+    cords, distances = read_cord_file(Path(path).read_text())
+    if distances is not None:
+        raise ValueError(
+            "the cord file has a distance column, which this command does not use; "
+            "give one 'a b' pair per line"
+        )
     unknown = {lab for c in cords for lab in c} - tree.leaf_labels
     if unknown:
         raise ValueError(f"cord labels not in the tree: {sorted(unknown)}")
@@ -206,11 +211,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NewickParseError, CordFileError, WeightingError) as exc:
+    except (ValueError, OSError) as exc:  # parse, cord-file and weighting errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too deep or too large ({type(exc).__name__})", file=sys.stderr)
         return 2
 
 

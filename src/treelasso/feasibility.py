@@ -1,23 +1,26 @@
-"""Exact feasibility of linear systems that mix equalities and strict inequalities.
+"""Exact feasibility of difference-constraint systems with strict inequalities.
 
-Strictness is handled by slack maximization, never by floating tolerance:
-every strict constraint ``l > r`` becomes ``l - r >= eps`` for a fresh slack
-variable, eps is bounded above by 1, and eps is maximized with an exact
-rational simplex.  The system is strictly feasible exactly when the optimum
-is positive, and the optimal point then satisfies every strict constraint
-with margin eps.
+Every system the library builds bounds differences of heights: it identifies
+two variables (``x = y``), pins one (``x = c``), or bounds a difference
+(``x - y > c`` or ``x - y >= c``).  Such a system is a weighted digraph and
+is solved exactly as a longest-path problem, never with floating tolerance:
 
-Two exact preprocessing steps keep the common cases cheap:
+* identifications are merged with a union-find first, and a strict or
+  positive constraint that closes on itself after merging is infeasible;
+* pins and sign constraints are differences against one extra variable that
+  is fixed at zero, and a pin or difference with a nonzero constant becomes
+  two non-strict edges;
+* a constraint ``x - y >= c`` is an edge ``y -> x`` of weight ``(c, 0)``,
+  and ``x - y > c`` one of weight ``(c, 1)``: the second component counts
+  infinitesimals, so weights compare lexicographically;
+* longest paths are taken in topological order, with Bellman-Ford passes
+  only over the vertices that lie on or behind a cycle; a positive cycle
+  makes the system infeasible;
+* each longest-path value ``(a, b)`` becomes the rational ``a + b*eps``,
+  with ``eps <= 1`` chosen from every constraint's slack.
 
-* equalities that merely identify two variables (``x - y = 0``) or pin a
-  single variable are substituted out first;
-* when every remaining constraint is a two-variable difference
-  (``x - y > 0``), feasibility is equivalent to the acyclicity of the
-  difference digraph and a satisfying point comes from longest-path
-  layering, with no pivoting at all.
-
-Everything else runs through a two-phase simplex over ``fractions.Fraction``
-with Bland's rule, so termination and exactness hold unconditionally.
+One call returns both the verdict and the exact witness point.  Any other
+linear constraint is rejected with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -82,339 +85,143 @@ def linear_system(
     return StrictLinearSystem(vars_tuple, norm(equalities), norm(strict), nn)
 
 
-# --------------------------------------------------------------------------
-# presolve: identification classes and pins
-# --------------------------------------------------------------------------
+def _solve_differences(
+    n: int,
+    equal: Sequence[tuple[int, int, Fraction]],
+    greater: Sequence[tuple[int, int, Fraction, bool]],
+) -> list[Fraction] | None:
+    """Exact values for the variables ``0..n-1`` of a difference system, or None.
 
-
-class _Infeasible(Exception):
-    pass
-
-
-@dataclass
-class _Presolved:
-    find: dict  # variable -> class representative
-    pins: dict  # representative -> Fraction
-    equalities: list  # reduced, over unpinned representatives
-    stricts: list
-    nonneg: set  # unpinned nonneg representatives
-    reps: list  # all unpinned representatives, deterministic order
-
-
-def _presolve(system: StrictLinearSystem) -> _Presolved | None:
-    """Substitute out identifications and pins; None when already infeasible."""
-    parent: dict = {v: v for v in system.variables}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    pins: dict = {}
-
-    def reduce(coeffs: dict, rhs: Fraction) -> Constraint:
-        acc: dict = {}
-        for var, c in coeffs.items():
-            r = find(var)
-            if r in pins:
-                rhs -= c * pins[r]
-            else:
-                acc[r] = acc.get(r, _ZERO) + c
-        return ({r: c for r, c in acc.items() if c != 0}, rhs)
-
-    def pin(rep, value: Fraction) -> None:
-        if rep in pins:
-            if pins[rep] != value:
-                raise _Infeasible
-            return
-        pins[rep] = value
-
-    pending = list(system.equalities)
-    try:
-        changed = True
-        while changed:
-            changed = False
-            leftover = []
-            for coeffs, rhs in pending:
-                acc, r = reduce(coeffs, rhs)
-                if not acc:
-                    if r != 0:
-                        raise _Infeasible
-                    continue
-                if len(acc) == 1:
-                    ((var, c),) = acc.items()
-                    pin(var, r / c)
-                    changed = True
-                    continue
-                if len(acc) == 2 and r == 0:
-                    (v1, c1), (v2, c2) = acc.items()
-                    if c1 == -c2:
-                        r1, r2 = find(v1), find(v2)
-                        if r1 != r2:
-                            parent[r1] = r2
-                            if r1 in pins:
-                                pin(r2, pins.pop(r1))
-                        changed = True
-                        continue
-                leftover.append((acc, r))
-            pending = leftover
-
-        # nonneg must follow merged classes, and pinned values must obey it
-        nonneg = {find(v) for v in system.nonneg}
-        for rep in list(nonneg):
-            if rep in pins:
-                if pins[rep] < 0:
-                    raise _Infeasible
-                nonneg.discard(rep)
-
-        equalities = []
-        for coeffs, rhs in pending:
-            acc, r = reduce(coeffs, rhs)
-            if not acc:
-                if r != 0:
-                    raise _Infeasible
-                continue
-            equalities.append((acc, r))
-
-        stricts = []
-        for coeffs, rhs in system.strict_inequalities:
-            acc, r = reduce(coeffs, rhs)
-            if not acc:
-                if not 0 > r:
-                    raise _Infeasible
-                continue
-            stricts.append((acc, r))
-    except _Infeasible:
-        return None
-
-    find_map = {v: find(v) for v in system.variables}
-    reps = sorted(
-        {r for r in find_map.values() if r not in pins}, key=repr
-    )
-    return _Presolved(find_map, pins, equalities, stricts, nonneg, reps)
-
-
-def _assemble(presolved: _Presolved, rep_values: Mapping) -> dict:
-    out = {}
-    for var, rep in presolved.find.items():
-        if rep in presolved.pins:
-            out[var] = presolved.pins[rep]
-        else:
-            out[var] = rep_values.get(rep, _ZERO)
-    return out
-
-
-# --------------------------------------------------------------------------
-# fast path: pure difference systems
-# --------------------------------------------------------------------------
-
-
-def _difference_point(presolved: _Presolved) -> object:
-    """Longest-path layering for systems whose constraints are all x - y > 0.
-
-    Returns a satisfying assignment, None when a directed cycle makes the
-    system infeasible, or NotImplemented when the shape does not apply.
+    ``equal`` holds ``(x, y, c)`` meaning ``x - y = c``; ``greater`` holds
+    ``(x, y, c, strict)`` meaning ``x - y >= c``, or ``x - y > c`` when
+    ``strict`` is set.  Id ``n`` is a variable fixed at zero, so ``(x, n, c)``
+    pins ``x = c`` and ``(x, n, 0, False)`` keeps ``x`` nonnegative.
     """
-    if presolved.equalities:
-        return NotImplemented
-    edges = []
-    for coeffs, rhs in presolved.stricts:
-        if rhs != 0 or len(coeffs) != 2:
-            return NotImplemented
-        (v1, c1), (v2, c2) = coeffs.items()
-        if c1 != -c2:
-            return NotImplemented
-        edges.append((v1, v2) if c1 > 0 else (v2, v1))  # bigger -> smaller
+    # The finds are inlined path-halving loops: the oracle's rival scan makes
+    # hundreds of thousands of calls, most ending at the self-loop check.
+    parent = list(range(n + 1))
+    edges = greater
+    for x, y, c in equal:
+        if c:
+            if edges is greater:
+                edges = list(greater)
+            edges.append((x, y, c, False))
+            edges.append((y, x, -c, False))
+            continue
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[x] = y
 
-    adj: dict = {}
-    indeg: dict = {}
-    nodes = set()
-    for u, w in edges:
-        nodes.add(u)
-        nodes.add(w)
-        adj.setdefault(u, []).append(w)
-        indeg[w] = indeg.get(w, 0) + 1
-        indeg.setdefault(u, indeg.get(u, 0))
-    order = [u for u in nodes if indeg[u] == 0]
-    seen = 0
-    topo = []
-    queue = list(order)
+    out: dict[int, list] = {}  # lower class -> [(higher class, c, strict)]
+    indeg: dict[int, int] = {}
+    for x, y, c, strict in edges:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            if c > 0 or (strict and c == 0):
+                return None
+            continue
+        if y in out:
+            out[y].append((x, c, strict))
+        else:
+            out[y] = [(x, c, strict)]
+            indeg.setdefault(y, 0)
+        indeg[x] = indeg.get(x, 0) + 1
+
+    # longest paths under lexicographic (constant, strict count) weights
+    value = dict.fromkeys(indeg, (0, 0))
+    queue = [u for u, d in indeg.items() if d == 0]
     while queue:
         u = queue.pop()
-        topo.append(u)
-        seen += 1
-        for w in adj.get(u, ()):
+        a, b = value[u]
+        for w, c, s in out.get(u, ()):
+            cand = (a + c, b + s)
+            if cand > value[w]:
+                value[w] = cand
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    if seen != len(nodes):
-        return None  # directed cycle: strict order unsatisfiable
-
-    level: dict = {}
-    for u in reversed(topo):
-        level[u] = 1 + max((level[w] for w in adj.get(u, ())), default=-1)
-    values = {rep: Fraction(level.get(rep, 0)) for rep in presolved.reps}
-    return _assemble(presolved, values)
-
-
-# --------------------------------------------------------------------------
-# general path: two-phase exact simplex maximizing the strictness slack
-# --------------------------------------------------------------------------
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    for i, tr in enumerate(tableau):
-        if i != row and tr[col] != 0:
-            factor = tr[col]
-            prow = tableau[row]
-            tableau[i] = [x - factor * y for x, y in zip(tr, prow)]
-    basis[row] = col
-
-
-def _optimize(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: Sequence[Fraction],
-    allowed: int,
-) -> Fraction:
-    """Maximize cost.x over the tableau in place; Bland's rule throughout.
-
-    ``allowed`` bounds the entering columns (used to bar artificials in
-    phase two).  Returns the optimal objective value.
-    """
-    ncols = len(tableau[0]) - 1
-    while True:
-        duals = [cost[b] for b in basis]
-        enter = -1
-        for j in range(min(allowed, ncols)):
-            rc = cost[j] - sum(d * tr[j] for d, tr in zip(duals, tableau) if d != 0)
-            if rc > 0:
-                enter = j
+    rest = [u for u, d in indeg.items() if d]
+    if rest:  # on or behind a cycle: only these can still change
+        for _ in range(len(rest)):
+            changed = False
+            for u in rest:
+                a, b = value[u]
+                for w, c, s in out.get(u, ()):
+                    cand = (a + c, b + s)
+                    if cand > value[w]:
+                        value[w] = cand
+                        changed = True
+            if not changed:
                 break
-        if enter < 0:
-            return sum(d * tr[-1] for d, tr in zip(duals, tableau) if d != 0)
-        leave = -1
-        best: Fraction | None = None
-        for i, tr in enumerate(tableau):
-            a = tr[enter]
-            if a > 0:
-                ratio = tr[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise ArithmeticError("objective unbounded; the slack bound is missing")
-        _pivot(tableau, basis, leave, enter)
-
-
-def _simplex_point(presolved: _Presolved) -> dict | None:
-    """Maximize the strictness slack over the reduced system; None if infeasible."""
-    # column layout: decision vars (free ones split in two), eps, surplus vars
-    col_of: dict = {}
-    ncols = 0
-    for rep in presolved.reps:
-        if rep in presolved.nonneg:
-            col_of[rep] = (ncols,)
-            ncols += 1
         else:
-            col_of[rep] = (ncols, ncols + 1)
-            ncols += 2
-    eps_col = ncols
-    ncols += 1
-    n_strict = len(presolved.stricts)
-    surplus0 = ncols
-    ncols += n_strict + 1  # one per strict constraint, one for the eps bound
+            return None  # positive cycle
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # eps small enough that no constraint with real slack loses it
+    eps = _ONE
+    for y, targets in out.items():
+        ay, by = value[y]
+        for x, c, _ in targets:
+            ax, bx = value[x]
+            slack = ax - ay - c
+            if slack > 0 and by > bx:
+                eps = min(eps, Fraction(slack, by - bx + 1))
 
-    def blank() -> list[Fraction]:
-        return [_ZERO] * ncols
+    def lex(v: int) -> tuple:
+        while parent[v] != v:
+            v = parent[v]
+        return value.get(v, (0, 0))
 
-    for coeffs, r in presolved.equalities:
-        row = blank()
-        for rep, c in coeffs.items():
-            cols = col_of[rep]
-            row[cols[0]] += c
-            if len(cols) == 2:
-                row[cols[1]] -= c
-        rows.append(row)
-        rhs.append(r)
-    for k, (coeffs, r) in enumerate(presolved.stricts):
-        row = blank()
-        for rep, c in coeffs.items():
-            cols = col_of[rep]
-            row[cols[0]] += c
-            if len(cols) == 2:
-                row[cols[1]] -= c
-        row[eps_col] = Fraction(-1)
-        row[surplus0 + k] = Fraction(-1)
-        rows.append(row)
-        rhs.append(r)
-    bound = blank()
-    bound[eps_col] = _ONE
-    bound[surplus0 + n_strict] = _ONE
-    rows.append(bound)
-    rhs.append(_ONE)
+    az, bz = lex(n)  # shifted so that the zero variable is 0
+    points = []
+    for v in range(n):
+        a, b = lex(v)
+        points.append(a - az + (b - bz) * eps)
+    return points
 
-    # normalize right-hand sides to be nonnegative, then add artificials
-    m = len(rows)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    tableau = [rows[i] + [_ONE if j == i else _ZERO for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [ncols + i for i in range(m)]
 
-    cost_phase1 = [_ZERO] * ncols + [Fraction(-1)] * m
-    if _optimize(tableau, basis, cost_phase1, ncols + m) < 0:
-        return None
-
-    # drive leftover artificials out of the basis, dropping redundant rows
-    for i in range(m - 1, -1, -1):
-        if basis[i] >= ncols:
-            for j in range(ncols):
-                if tableau[i][j] != 0:
-                    _pivot(tableau, basis, i, j)
-                    break
-            else:
-                del tableau[i]
-                del basis[i]
-
-    cost_phase2 = [_ZERO] * ncols + [_ZERO] * m
-    cost_phase2[eps_col] = _ONE
-    eps_value = _optimize(tableau, basis, cost_phase2, ncols)
-    if eps_value <= 0:
-        return None
-
-    values = [_ZERO] * ncols
-    for i, b in enumerate(basis):
-        if b < ncols:
-            values[b] = tableau[i][-1]
-    rep_values = {}
-    for rep, cols in col_of.items():
-        if len(cols) == 1:
-            rep_values[rep] = values[cols[0]]
-        else:
-            rep_values[rep] = values[cols[0]] - values[cols[1]]
-    return _assemble(presolved, rep_values)
+def _difference(
+    coeffs: Mapping[Variable, Fraction], rhs: Fraction, ids: Mapping, zero: int
+) -> tuple[int, int, Fraction]:
+    """``(x, y, c)`` such that the constraint compares ``x - y`` with ``c``."""
+    terms = list(coeffs.items())
+    if not terms:
+        return zero, zero, rhs
+    if len(terms) == 1:
+        ((v, a),) = terms
+        x, y = ids[v], zero
+    elif len(terms) == 2 and terms[0][1] == -terms[1][1]:
+        (v, a), (w, _) = terms
+        x, y = ids[v], ids[w]
+    else:
+        lhs = " + ".join(f"{c}*{v}" for v, c in terms)
+        raise ValueError(f"not a difference constraint: {lhs} against {rhs}")
+    if a < 0:
+        x, y, a = y, x, -a
+    return x, y, rhs / a
 
 
 def strict_feasible(system: StrictLinearSystem) -> dict | None:
     """A rational point satisfying the whole system, or None when there is none.
 
     Every equality holds exactly, every strict inequality holds strictly and
-    every ``nonneg`` variable is >= 0 at the returned point.
+    every ``nonneg`` variable is >= 0 at the returned point.  Each constraint
+    must be a difference: one variable with any nonzero coefficient, or two
+    with equal and opposite coefficients; any other raises ``ValueError``.
     """
-    presolved = _presolve(system)
-    if presolved is None:
+    ids = {v: i for i, v in enumerate(system.variables)}
+    zero = len(ids)
+    equal = [_difference(c, r, ids, zero) for c, r in system.equalities]
+    greater = [
+        (*_difference(c, r, ids, zero), True) for c, r in system.strict_inequalities
+    ]
+    greater += [(ids[v], zero, _ZERO, False) for v in system.nonneg]
+    values = _solve_differences(zero, equal, greater)
+    if values is None:
         return None
-    point = _difference_point(presolved)
-    if point is not NotImplemented:
-        return point
-    return _simplex_point(presolved)
+    return dict(zip(system.variables, values))

@@ -112,10 +112,7 @@ def is_equidistant_lasso(tree: XTree, cords: Iterable[Cord]) -> bool:
     Holds exactly when every interior vertex is the last common vertex of
     some cord, i.e. every child-edge graph has at least one edge.
     """
-    _require_domain(tree)
-    checked = validate_cords(cords, tree.leaf_labels)
-    graphs = child_edge_graphs(tree, checked)
-    return bool(checked) and all(g.has_edge() for g in graphs.values())
+    return classify(tree, cords).equidistant
 
 
 def is_weak_lasso(tree: XTree, cords: Iterable[Cord]) -> bool:
@@ -129,10 +126,7 @@ def is_topological_lasso(tree: XTree, cords: Iterable[Cord]) -> bool:
     Holds exactly when the cord set is nonempty and every child-edge graph
     is a clique.
     """
-    _require_domain(tree)
-    checked = validate_cords(cords, tree.leaf_labels)
-    graphs = child_edge_graphs(tree, checked)
-    return bool(checked) and all(g.is_clique() for g in graphs.values())
+    return classify(tree, cords).topological
 
 
 def reduce_by_cherry(cords: Iterable[Cord], x: str, y: str) -> frozenset[Cord]:

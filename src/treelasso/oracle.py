@@ -12,12 +12,12 @@ fails to be an equidistant lasso when the same tree carries two distinct
 weightings fitting the cords.
 
 Rivals are scanned in canonical order and the first feasible violator is
-returned as a witness, so results are reproducible.  The scan decides
-feasibility through the same exact machinery as :func:`strict_feasible`
-(cord equalities only ever identify two heights, and properness is a set of
-two-variable strict differences, so feasibility reduces to acyclicity of the
-merged difference digraph); the full system route is kept for witness
-extraction and is cross-checked against the scan in the test suite.
+returned as a witness, so results are reproducible.  Cord equalities only
+ever identify two heights and properness is a set of strict height
+differences, so the scan hands each joint system straight to the exact
+difference-constraint engine behind :func:`strict_feasible`, over dense
+integer variable ids.  The engine's verdict and its exact point come from
+the same call: the point of the first feasible rival is the witness.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .cords import Cord, validate_cords
-from .feasibility import StrictLinearSystem, linear_system, strict_feasible
+from .feasibility import StrictLinearSystem, _solve_differences, linear_system
 from .heights import HeightMap
 from .tree import XTree
 
@@ -115,61 +115,26 @@ def enumerate_binary_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
 
 @lru_cache(maxsize=None)
 def _tables(tree: XTree):
-    """Dense per-tree tables: interior index, interior edges, leaf-pair lca index."""
+    """Dense per-tree tables over interior indices (canonical order).
+
+    Returns the properness edges as engine constraints ``(parent, child, 0,
+    True)``, the leaf-pair lca index, and the number of interior vertices.
+    """
     interior = tree.interior_vertices()
     index = {v: i for i, v in enumerate(interior)}
     edges = tuple(
-        (index[tree.parent(v)], index[v]) for v in interior if v != tree.root
+        (index[tree.parent(v)], index[v], 0, True) for v in interior if v != tree.root
     )
     lca_index = {}
     labels = sorted(tree.leaf_labels)
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
             lca_index[(a, b)] = index[tree.lca(a, b)]
-    return index, edges, lca_index, len(interior)
+    return edges, lca_index, len(interior)
 
 
-def _merged_acyclic(
-    size: int, edges: list[tuple[int, int]], merges: list[tuple[int, int]]
-) -> bool:
-    """Acyclicity of the strict-difference digraph after identifications.
-
-    ``edges`` are (higher, lower) height constraints; ``merges`` are
-    equalities.  Feasibility of the joint height system is exactly the
-    absence of a directed cycle among the merged classes.
-    """
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in merges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    adj: dict[int, list[int]] = {}
-    indeg: dict[int, int] = {}
-    for u, w in edges:
-        ru, rw = find(u), find(w)
-        if ru == rw:
-            return False
-        adj.setdefault(ru, []).append(rw)
-        indeg[rw] = indeg.get(rw, 0) + 1
-        indeg.setdefault(ru, indeg.get(ru, 0))
-    queue = [u for u, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        for w in adj.get(u, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(indeg)
+def _shifted(edges, offset: int) -> list:
+    return [(offset + a, offset + b, 0, True) for a, b, _, _ in edges]
 
 
 def joint_isometry_system(
@@ -225,20 +190,15 @@ class Witness:
     heights_rival: HeightMap
 
 
-def _heights_from_point(tree: XTree, point: dict, tag: str) -> HeightMap:
-    return HeightMap(
-        tree, {v: point[(tag, v)] for v in tree.interior_vertices()}
-    )
-
-
-def _rival_witness(tree: XTree, rival: XTree, cords: frozenset[Cord]) -> Witness:
-    point = strict_feasible(joint_isometry_system(tree, rival, cords))
-    if point is None:
-        raise AssertionError("scan found a feasible rival the full system rejects")
+def _witness(tree: XTree, rival: XTree, values: list) -> Witness:
+    """Read a witness off a solved joint system: tree heights, then rival heights."""
+    t_interior = tree.interior_vertices()
     return Witness(
         rival=rival,
-        heights_t=_heights_from_point(tree, point, "T"),
-        heights_rival=_heights_from_point(rival, point, "R"),
+        heights_t=HeightMap(tree, dict(zip(t_interior, values))),
+        heights_rival=HeightMap(
+            rival, dict(zip(rival.interior_vertices(), values[len(t_interior) :]))
+        ),
     )
 
 
@@ -253,8 +213,8 @@ def _rival_scan(
     skip,
     rival_sample: int | None,
     seed: int,
-) -> XTree | None:
-    """First rival in canonical order that is not skipped and fits the cords."""
+) -> Witness | None:
+    """The witness of the first rival in canonical order, not skipped, fitting the cords."""
     n = len(tree.leaf_labels)
     if rival_sample is None and n > _MAX_EXHAUSTIVE:
         raise ValueError(
@@ -266,17 +226,18 @@ def _rival_scan(
     if rival_sample is not None and rival_sample < len(rivals):
         picked = random.Random(seed).sample(rivals, rival_sample)
         rivals = tuple(sorted(picked, key=lambda t: t.canonical_newick()))
-    _, t_edges, t_lca, k1 = _tables(tree)
+    t_edges, t_lca, k1 = _tables(tree)
     cord_list = sorted(cords)
     t_side = [t_lca[c] for c in cord_list]
     for rival in rivals:
         if skip(rival):
             continue
-        _, r_edges, r_lca, k2 = _tables(rival)
-        edges = list(t_edges) + [(k1 + a, k1 + b) for a, b in r_edges]
-        merges = [(t_side[i], k1 + r_lca[c]) for i, c in enumerate(cord_list)]
-        if _merged_acyclic(k1 + k2, edges, merges):
-            return rival
+        r_edges, r_lca, k2 = _tables(rival)
+        greater = list(t_edges) + _shifted(r_edges, k1)
+        equal = [(t_side[i], k1 + r_lca[c], 0) for i, c in enumerate(cord_list)]
+        values = _solve_differences(k1 + k2, equal, greater)
+        if values is not None:
+            return _witness(tree, rival, values)
     return None
 
 
@@ -295,12 +256,10 @@ def oracle_weak(
     """
     _require_lasso_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    violator = _rival_scan(
+    witness = _rival_scan(
         tree, checked, skip=lambda r: r.refines(tree), rival_sample=rival_sample, seed=seed
     )
-    if violator is None:
-        return True, None
-    return False, _rival_witness(tree, violator, checked)
+    return witness is None, witness
 
 
 def oracle_topological(
@@ -316,33 +275,10 @@ def oracle_topological(
     """
     _require_lasso_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    violator = _rival_scan(
+    witness = _rival_scan(
         tree, checked, skip=lambda r: r == tree, rival_sample=rival_sample, seed=seed
     )
-    if violator is None:
-        return True, None
-    return False, _rival_witness(tree, violator, checked)
-
-
-def _equidistant_witness_system(
-    tree: XTree, cords: frozenset[Cord], vertex: int
-) -> StrictLinearSystem:
-    variables = [("T", v) for v in tree.interior_vertices()]
-    variables += [("R", v) for v in tree.interior_vertices()]
-    strict = []
-    for v in tree.interior_vertices():
-        p = tree.parent(v)
-        if p is not None:
-            strict.append(({("T", p): 1, ("T", v): -1}, 0))
-            strict.append(({("R", p): 1, ("R", v): -1}, 0))
-    strict.append(({("T", vertex): 1, ("R", vertex): -1}, 0))
-    equalities = []
-    for a, b in sorted(cords):
-        v = tree.lca(a, b)
-        equalities.append(({("T", v): 1, ("R", v): -1}, 0))
-    return linear_system(
-        variables, equalities=equalities, strict=strict, nonneg=variables
-    )
+    return witness is None, witness
 
 
 def oracle_equidistant(
@@ -356,20 +292,13 @@ def oracle_equidistant(
     """
     _require_lasso_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    index, edges, lca_index, k = _tables(tree)
-    both = list(edges) + [(k + a, k + b) for a, b in edges]
-    merges = [(lca_index[c], k + lca_index[c]) for c in sorted(checked)]
-    for v in tree.interior_vertices():
-        i = index[v]
-        if _merged_acyclic(2 * k, both + [(i, k + i)], merges):
-            point = strict_feasible(_equidistant_witness_system(tree, checked, v))
-            if point is None:
-                raise AssertionError("scan found a feasible split the full system rejects")
-            return False, Witness(
-                rival=tree,
-                heights_t=_heights_from_point(tree, point, "T"),
-                heights_rival=_heights_from_point(tree, point, "R"),
-            )
+    edges, lca_index, k = _tables(tree)
+    both = list(edges) + _shifted(edges, k)
+    equal = [(lca_index[c], k + lca_index[c], 0) for c in sorted(checked)]
+    for i in range(k):
+        values = _solve_differences(2 * k, equal, both + [(i, k + i, 0, True)])
+        if values is not None:
+            return False, _witness(tree, tree, values)
     return True, None
 
 

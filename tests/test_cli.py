@@ -144,3 +144,28 @@ def test_input_errors_exit_2(capsys, tree_file, cords_file, tmp_path):
 
     code, _, err = run(capsys, "build", "--tree", tree_file, "--kind", "bipartition")
     assert code == 2
+
+
+def test_deep_input_exits_2(capsys, tmp_path):
+    newick = "a0"
+    for i in range(1, 601):
+        newick = f"({newick},a{i})"
+    tree = tmp_path / "deep.nwk"
+    tree.write_text(newick + ";\n")
+    cords = tmp_path / "c.txt"
+    cords.write_text("a0 a1\n")
+    code, _, err = run(capsys, "classify", "--tree", str(tree), "--cords", str(cords))
+    assert code == 2
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_distance_column_rejected(capsys, tree_file, tmp_path):
+    cords = tmp_path / "dist.txt"
+    cords.write_text("a b 3/2\n")
+    weighted = tmp_path / "wt.nwk"
+    weighted.write_text("(((a:1,b:1):1,c:2):1,d:3);\n")
+    for command, tree in (("classify", tree_file), ("witness", tree_file), ("distances", weighted)):
+        extra = ["--kind", "weak"] if command == "witness" else []
+        code, out, err = run(capsys, command, "--tree", str(tree), "--cords", str(cords), *extra)
+        assert code == 2 and out == ""
+        assert "distance column" in err and "not use" in err

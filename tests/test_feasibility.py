@@ -1,4 +1,4 @@
-"""Exact strict feasibility: hand cases, a grid-search oracle, route agreement."""
+"""Exact strict feasibility: hand cases and grid-search oracles."""
 
 import random
 from fractions import Fraction
@@ -7,12 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import point_satisfies
-from treelasso.feasibility import (
-    _presolve,
-    _simplex_point,
-    linear_system,
-    strict_feasible,
-)
+from treelasso.feasibility import _solve_differences, linear_system, strict_feasible
 
 
 def test_open_interval():
@@ -36,11 +31,32 @@ def test_no_constraints_at_all():
 def test_equalities_only():
     sys_ = linear_system(
         ["x", "y"],
-        equalities=[({"x": 1, "y": 1}, 1), ({"x": 1, "y": -1}, Fraction(1, 2))],
+        equalities=[({"y": 1}, Fraction(1, 4)), ({"x": 1, "y": -1}, Fraction(1, 2))],
         nonneg=["x", "y"],
     )
     point = strict_feasible(sys_)
     assert point == {"x": Fraction(3, 4), "y": Fraction(1, 4)}
+
+
+def test_non_difference_constraints_rejected():
+    sys_ = linear_system(["x", "y"], equalities=[({"x": 1, "y": 1}, 1)])
+    with pytest.raises(ValueError, match="not a difference"):
+        strict_feasible(sys_)
+    sys2 = linear_system(["x", "y"], strict=[({"x": 2, "y": -1}, 0)])
+    with pytest.raises(ValueError, match="not a difference"):
+        strict_feasible(sys2)
+
+
+def test_scaled_differences_divided_through():
+    sys_ = linear_system(
+        ["x", "y"],
+        equalities=[({"x": -3}, -3)],
+        strict=[({"x": -2, "y": 2}, 1)],
+        nonneg=["y"],
+    )  # x = 1 and y - x > 1/2
+    point = strict_feasible(sys_)
+    assert point is not None and point["x"] == 1 and point["y"] > Fraction(3, 2)
+    assert point_satisfies(sys_, point)
 
 
 def test_identification_chains_and_pins():
@@ -99,79 +115,131 @@ def test_unknown_variables_rejected():
 
 # -- grid-search oracle -------------------------------------------------------
 #
-# Random three-variable systems inside the unit box; a brute-force scan of
-# all rational points with denominator <= 6 decides feasibility independently
-# of the simplex.  (Denominator 4 is provably too coarse for this family:
-# pinning x2 = x1 and x0 + x1 + x2 = 1 leaves only points with denominators
-# of at least 5 in some open cells, and seed 116 below hits such a cell.)
+# Random difference systems on three variables, each kept inside [-1, 1) by
+# differences against zero; a brute-force scan of the multiples of 1/8 in
+# [-1, 1] decides feasibility independently of the engine.  The grid is fine
+# enough: with constants in {0, +-1/2, +-1}, doubling every value makes the
+# constants integers, and a constraint then depends only on the integer parts
+# of the values and on the order of their fractional parts.  Three variables
+# and the zero have at most four distinct fractional parts, so replacing
+# each by its rank over four keeps every constraint and lands on the grid.
 
-GRID = sorted(
-    {Fraction(p, q) for q in range(1, 7) for p in range(0, q + 1)}
-)
+CONSTANTS = [Fraction(c, 2) for c in (0, 1, -1, 2, -2)]
 
 
-def _grid_feasible(system):
-    names = system.variables
-    for combo in product(GRID, repeat=len(names)):
-        point = dict(zip(names, combo))
-        if point_satisfies(system, point):
-            return point
+def _grid_feasible(rows):
+    """Brute force over the multiples of 1/8 in [-1, 1]^3.
+
+    ``rows`` hold (integer coefficients, rhs, relation) for ``=``, ``>`` or
+    ``>=``; they are checked on eight times the values, in integers.
+    """
+    scaled = [(a, b, c, int(8 * rhs), rel) for (a, b, c), rhs, rel in rows]
+    for x, y, z in product(range(-8, 9), repeat=3):
+        for a, b, c, rhs, rel in scaled:
+            lhs = a * x + b * y + c * z
+            if not (lhs == rhs if rel == "=" else lhs > rhs if rel == ">" else lhs >= rhs):
+                break
+        else:
+            return x, y, z
     return None
 
 
+def _system_rows(system):
+    def vector(coeffs):
+        return tuple(int(coeffs.get(n, 0)) for n in system.variables)
+
+    rows = [(vector(coeffs), rhs, "=") for coeffs, rhs in system.equalities]
+    rows += [(vector(coeffs), rhs, ">") for coeffs, rhs in system.strict_inequalities]
+    rows += [(vector({n: 1}), 0, ">=") for n in system.nonneg]
+    return rows
+
+
 def _random_system(seed):
+    """Pins, identifications, equalities with constants and strict
+    differences, some scaled by a coefficient; some variables nonnegative,
+    the others free."""
     rng = random.Random(seed)
     names = ["x0", "x1", "x2"]
+    nonneg = [n for n in names if rng.random() < 0.5]
     strict = [({n: -1}, Fraction(-1)) for n in names]  # keep x < 1
+    strict += [({n: 1}, Fraction(-1)) for n in names if n not in nonneg]  # and x > -1
     eqs = []
-    for _ in range(rng.randint(1, 3)):
-        chosen = rng.sample(names, rng.randint(1, 3))
-        coeffs = {n: rng.choice([-1, 1]) for n in chosen}
-        rhs = Fraction(rng.choice([0, 1, -1, Fraction(1, 2), Fraction(-1, 2)]))
-        if rng.random() < 0.3:
-            eqs.append((coeffs, rhs))
+    for _ in range(rng.randint(1, 4)):
+        a, b = rng.sample(names, 2)
+        k = rng.choice([1, -1, 2])
+        c = rng.choice(CONSTANTS)
+        roll = rng.random()
+        if roll < 0.15:
+            eqs.append(({a: k}, k * c))  # pin a = c
+        elif roll < 0.3:
+            eqs.append(({a: 1, b: -1}, 0))  # identification
+        elif roll < 0.45:
+            eqs.append(({a: k, b: -k}, k * c))
         else:
-            strict.append((coeffs, rhs))
-    return linear_system(names, equalities=eqs, strict=strict, nonneg=names)
+            strict.append(({a: k, b: -k}, k * c))  # a - b against c, either way
+    return linear_system(names, equalities=eqs, strict=strict, nonneg=nonneg)
 
 
 def test_agrees_with_grid_search_on_200_random_systems():
     feasible_count = 0
     for seed in range(200):
         system = _random_system(seed)
-        simplex_point = strict_feasible(system)
-        grid_point = _grid_feasible(system)
-        assert (simplex_point is None) == (grid_point is None), f"seed {seed}"
-        if simplex_point is not None:
-            assert point_satisfies(system, simplex_point), f"seed {seed}"
+        point = strict_feasible(system)
+        grid_point = _grid_feasible(_system_rows(system))
+        assert (point is None) == (grid_point is None), f"seed {seed}"
+        if point is not None:
+            assert point_satisfies(system, point), f"seed {seed}"
             feasible_count += 1
     assert 0 < feasible_count < 200  # the family exercises both outcomes
 
 
-# -- the two internal routes agree --------------------------------------------
-
-
-def _random_difference_system(seed):
+def _random_engine_system(seed):
+    """Strict and non-strict differences with constants, pins and
+    identifications, in the engine's own terms; id 3 is the zero."""
     rng = random.Random(seed)
-    names = [f"h{i}" for i in range(rng.randint(2, 6))]
-    strict = []
-    for _ in range(rng.randint(1, 7)):
-        a, b = rng.sample(names, 2)
-        strict.append(({a: 1, b: -1}, 0))
-    eqs = []
-    for _ in range(rng.randint(0, 2)):
-        a, b = rng.sample(names, 2)
-        eqs.append(({a: 1, b: -1}, 0))
-    return linear_system(names, equalities=eqs, strict=strict, nonneg=names)
+    greater = [(3, x, Fraction(-1), True) for x in range(3)]  # x < 1
+    greater += [(x, 3, Fraction(-1), False) for x in range(3)]  # x >= -1
+    equal = []
+    for _ in range(rng.randint(1, 5)):
+        x, y = rng.sample(range(4), 2)
+        c = rng.choice(CONSTANTS)
+        roll = rng.random()
+        if roll < 0.15:
+            equal.append((x, y, c))
+        elif roll < 0.3:
+            equal.append((x, y, Fraction(0)))
+        else:
+            greater.append((x, y, c, rng.random() < 0.5))
+    return equal, greater
 
 
-def test_layering_fast_path_matches_the_simplex():
-    for seed in range(300):
-        system = _random_difference_system(seed)
-        fast = strict_feasible(system)
-        presolved = _presolve(system)
-        slow = None if presolved is None else _simplex_point(presolved)
-        assert (fast is None) == (slow is None), f"seed {seed}"
-        if fast is not None:
-            assert point_satisfies(system, fast), f"seed {seed}"
-            assert point_satisfies(system, slow), f"seed {seed}"
+def _engine_rows(equal, greater):
+    def vector(x, y):
+        v = [0, 0, 0, 0]
+        v[x] += 1
+        v[y] -= 1
+        return tuple(v[:3])  # id 3 is the zero
+
+    rows = [(vector(x, y), c, "=") for x, y, c in equal]
+    rows += [(vector(x, y), c, ">" if strict else ">=") for x, y, c, strict in greater]
+    return rows
+
+
+def _holds(values, equal, greater):
+    v = list(values) + [0]
+    return all(v[x] - v[y] == c for x, y, c in equal) and all(
+        v[x] - v[y] > c if strict else v[x] - v[y] >= c for x, y, c, strict in greater
+    )
+
+
+def test_engine_agrees_with_grid_search_on_200_non_strict_systems():
+    feasible_count = 0
+    for seed in range(200):
+        equal, greater = _random_engine_system(seed)
+        values = _solve_differences(3, equal, greater)
+        grid_point = _grid_feasible(_engine_rows(equal, greater))
+        assert (values is None) == (grid_point is None), f"seed {seed}"
+        if values is not None:
+            assert _holds(values, equal, greater), f"seed {seed}"
+            feasible_count += 1
+    assert 0 < feasible_count < 200

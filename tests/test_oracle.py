@@ -16,7 +16,6 @@ from treelasso import (
     strict_feasible,
     verify_witness,
 )
-from treelasso.oracle import _merged_acyclic, _tables
 
 TRIPLET = XTree((("a", "b"), "c"))
 STAR3 = XTree(("a", "b", "c"))
@@ -113,18 +112,44 @@ def test_oracle_domain_guards():
 
 
 def test_scan_route_matches_full_system_route():
+    # each witness rival is the first rival in canonical order, not skipped,
+    # whose full joint system is feasible; no witness means no such rival
     trees = enumerate_xtrees(LABELS4)
     for t in trees[::3]:
-        _, t_edges, t_lca, k1 = _tables(t)
         for cords in all_cord_subsets(LABELS4)[::17]:
-            cord_list = sorted(cords)
-            for rival in trees[::3]:
-                _, r_edges, r_lca, k2 = _tables(rival)
-                edges = list(t_edges) + [(k1 + a, k1 + b) for a, b in r_edges]
-                merges = [(t_lca[c], k1 + r_lca[c]) for c in cord_list]
-                fast = _merged_acyclic(k1 + k2, edges, merges)
-                full = strict_feasible(joint_isometry_system(t, rival, cords))
-                assert fast == (full is not None)
+            for decide, skip in (
+                (oracle_weak, lambda r: r.refines(t)),
+                (oracle_topological, lambda r: r == t),
+            ):
+                _, witness = decide(t, cords)
+                first = next(
+                    (
+                        r
+                        for r in trees
+                        if not skip(r)
+                        and strict_feasible(joint_isometry_system(t, r, cords)) is not None
+                    ),
+                    None,
+                )
+                assert (None if witness is None else witness.rival) == first
+
+
+def test_every_four_leaf_witness_verifies():
+    decide = {
+        "equidistant": oracle_equidistant,
+        "weak": oracle_weak,
+        "topological": oracle_topological,
+    }
+    failures = 0
+    for t in enumerate_xtrees(LABELS4):
+        for cords in all_cord_subsets(LABELS4):
+            for kind, oracle in decide.items():
+                ok, witness = oracle(t, cords)
+                assert ok == (witness is None)
+                if not ok:
+                    assert verify_witness(t, cords, witness, kind)
+                    failures += 1
+    assert failures
 
 
 def test_oracle_side_implications():
