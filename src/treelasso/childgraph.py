@@ -104,16 +104,15 @@ def child_edge_graphs(
 
     Each cord contributes one edge, to the graph of its endpoints' last
     common vertex; cords whose paths merely pass through or avoid a vertex
-    leave its graph untouched.
+    leave its graph untouched.  One parent-pointer walk per cord finds that
+    vertex and the two children toward the endpoints.
     """
     checked = validate_cords(cords, tree.leaf_labels)
     adj: dict[int, dict[int, set[int]]] = {
         v: {c: set() for c in tree.children(v)} for v in tree.interior_vertices()
     }
     for a, b in checked:
-        v = tree.lca(a, b)
-        u = tree.child_toward(v, a)
-        w = tree.child_toward(v, b)
+        v, u, w = tree._meet(tree.leaf_vertex(a), tree.leaf_vertex(b))
         adj[v][u].add(w)
         adj[v][w].add(u)
     out: dict[int, ChildEdgeGraph] = {}

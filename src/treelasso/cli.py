@@ -51,10 +51,11 @@ def cmd_classify(args) -> int:
     report = lasso.classify(tree, cords)
     for kind in ("equidistant", "weak", "topological", "strong"):
         print(f"{kind:12s} {'yes' if getattr(report, kind) else 'no'}")
-    for kind, failing in report.failing_vertices.items():
-        if failing:
-            clades = " ".join(_clade(tree, v) for v in failing)
-            print(f"failing {kind}: {clades}")
+    names = {v: _clade(tree, v) for vs in report.failing_vertices.values() for v in vs}
+    failing = {kind: [names[v] for v in vs] for kind, vs in report.failing_vertices.items()}
+    for kind, clades in failing.items():
+        if clades:
+            print(f"failing {kind}: {' '.join(clades)}")
 
     payload = {
         "v": _SCHEMA_VERSION,
@@ -64,10 +65,7 @@ def cmd_classify(args) -> int:
         "weak": report.weak,
         "topological": report.topological,
         "strong": report.strong,
-        "failing": {
-            kind: [_clade(tree, v) for v in vs]
-            for kind, vs in report.failing_vertices.items()
-        },
+        "failing": failing,
     }
 
     status = 0

@@ -61,23 +61,40 @@ class _Parser:
         self.pos += 1
 
     def subtree(self):
-        """Returns (shape, weight | None) with shapes as nested label tuples."""
-        if self.peek() == "(":
-            self.pos += 1
-            children = [self.subtree()]
-            while self.peek() == ",":
+        """Parses one subtree with an explicit stack instead of recursion.
+
+        Returns (shape, records): the shape as nested label tuples, and one
+        record ``(leaf label | None, weight | None)`` per vertex in
+        post-order, so the root's record comes last and the record just
+        before an interior vertex's is that of its last child.
+        """
+        records: list[tuple[str | None, object]] = []
+        stack: list[list] = []  # the child shapes of each open interior vertex
+        while True:
+            if self.peek() == "(":
                 self.pos += 1
-                children.append(self.subtree())
-            if len(children) == 1:
-                raise self.error("unary vertex: an interior vertex needs >= 2 children")
-            self.expect(")")
-            return tuple(children), self.weight()
-        m = _LABEL_RE.match(self.text, self.pos)
-        if not m:
-            got = self.peek() or "end of input"
-            raise self.error(f"expected a leaf label or '(', found {got!r}")
-        self.pos = m.end()
-        return m.group(), self.weight()
+                stack.append([])
+                continue
+            m = _LABEL_RE.match(self.text, self.pos)
+            if not m:
+                got = self.peek() or "end of input"
+                raise self.error(f"expected a leaf label or '(', found {got!r}")
+            self.pos = m.end()
+            shape = label = m.group()
+            while True:
+                records.append((label, self.weight()))
+                if not stack:
+                    return shape, records
+                children = stack[-1]
+                children.append(shape)
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if len(children) == 1:
+                    raise self.error("unary vertex: an interior vertex needs >= 2 children")
+                self.expect(")")
+                stack.pop()
+                shape, label = tuple(children), None
 
     def weight(self):
         if self.peek() != ":":
@@ -99,59 +116,34 @@ def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
     on the root.
     """
     parser = _Parser(text)
-    top, root_weight = parser.subtree()
+    shape, records = parser.subtree()
     parser.expect(";")
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error("trailing characters after ';'")
-    if root_weight is not None:
+    if records[-1][1] is not None:
         raise NewickParseError("the root cannot carry a weight", text, 0)
 
-    def strip(node):
-        shape, _ = node
-        if isinstance(shape, str):
-            return shape
-        return tuple(strip(child) for child in shape)
-
     try:
-        tree = XTree(strip((top, None)))
+        tree = XTree(shape)
     except ValueError as exc:
         raise NewickParseError(str(exc), text, 0) from None
 
-    weights: dict[int, object] = {}
-    missing = []
-
-    def collect(node) -> frozenset[str]:
-        shape, w = node
-        if isinstance(shape, str):
-            leaves = frozenset((shape,))
-        else:
-            leaves = frozenset().union(*(collect(child) for child in shape))
-        vertex = _vertex_with_leaves(tree, leaves)
-        if w is None:
-            missing.append(vertex)
-        else:
-            weights[vertex] = w
-        return leaves
-
-    if isinstance(top, tuple):
-        for child in top:
-            collect(child)
-    if weights and missing:
+    edges = records[:-1]  # every vertex but the root has a parent edge
+    weighted = sum(w is not None for _, w in edges)
+    if weighted and weighted < len(edges):
         raise NewickParseError(
             "either every edge carries a weight or none does", text, 0
         )
-    if not weights:
+    if not weighted:
         return tree, None
+    # The canonical tree only reorders children, so a parsed vertex is its
+    # leaf, or the parent of the vertex parsed just before it (its last child).
+    vertex: list[int] = []
+    for label, _ in records:
+        vertex.append(tree.leaf_vertex(label) if label is not None else tree.parent(vertex[-1]))
+    weights = {vertex[i]: w for i, (_, w) in enumerate(edges)}
     return tree, EdgeWeighting(tree, weights)
-
-
-def _vertex_with_leaves(tree: XTree, leaves: frozenset[str]) -> int:
-    # Leaf sets identify vertices uniquely in trees without unary vertices.
-    for v in tree.vertices():
-        if tree.leaves_below(v) == leaves:
-            return v
-    raise AssertionError("parsed subtree does not map onto the canonical tree")
 
 
 def print_newick(tree: XTree, weighting: EdgeWeighting | None = None) -> str:
@@ -159,13 +151,23 @@ def print_newick(tree: XTree, weighting: EdgeWeighting | None = None) -> str:
     if weighting is not None and weighting.tree != tree:
         raise ValueError("weighting belongs to a different tree")
 
-    def fmt(v: int) -> str:
-        if tree.is_leaf(v):
-            body = tree.label(v)
-        else:
-            body = "(" + ",".join(fmt(c) for c in tree.children(v)) + ")"
-        if weighting is not None and v != tree.root:
-            body += ":" + format_rational(weighting.by_child[v])
-        return body
-
-    return fmt(tree.root) + ";"
+    parts: list[str] = []
+    stack: list[int | str] = [tree.root]  # vertices still to print, and closing text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        suffix = ""
+        if weighting is not None and item != tree.root:
+            suffix = ":" + format_rational(weighting.by_child[item])
+        if tree.is_leaf(item):
+            parts.append(tree.label(item) + suffix)
+            continue
+        parts.append("(")
+        stack.append(")" + suffix)
+        kids = tree.children(item)
+        for child in reversed(kids[1:]):
+            stack += (child, ",")
+        stack.append(kids[0])
+    return "".join(parts) + ";"

@@ -7,6 +7,14 @@ by their canonical encoding, vertex ids are assigned in preorder over that
 ordering, and two trees compare equal exactly when a root-preserving,
 label-fixing isomorphism exists between them.  Equal trees therefore have
 identical vertex numbering, which makes ids safe cache keys downstream.
+
+Last common vertices are found by walking parent pointers: the deeper of two
+vertices climbs to the other's depth, then both climb together until they
+meet.  One walk yields the meeting vertex and the child of it on each side,
+which is all a cord contributes to the child-edge graphs, so a cord costs
+O(depth) and no table over leaf pairs is ever built.  Construction,
+restriction and canonical keys use explicit stacks or preorder ids instead
+of recursion, so deep trees raise no ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -36,22 +44,39 @@ def _canonical(shape) -> tuple[str, object]:
 
     A shape is either a leaf label (str) or an iterable of two or more
     shapes.  Children are sorted by their canonical keys so that any two
-    isomorphic shapes normalize identically.
+    isomorphic shapes normalize identically.  The walk is a depth-first
+    post-order over an explicit stack, checking each node when it is first
+    reached, so errors are reported in left-to-right order.
     """
-    if isinstance(shape, str):
-        label = _check_label(shape)
-        return label, label
-    try:
-        entries = tuple(shape)
-    except TypeError:
-        raise ValueError(f"tree shape must be a label or an iterable, got {shape!r}")
-    if len(entries) == 0:
-        raise ValueError("interior vertex with no children")
-    if len(entries) == 1:
-        raise ValueError("unary interior vertex is not allowed")
-    pairs = sorted((_canonical(entry) for entry in entries), key=lambda p: p[0])
-    key = "(" + ",".join(p[0] for p in pairs) + ")"
-    return key, tuple(p[1] for p in pairs)
+    stack: list[tuple[tuple, list]] = []  # open vertices: (entries, finished child pairs)
+    node = shape
+    while True:
+        if isinstance(node, str):
+            label = _check_label(node)
+            done = (label, label)
+        else:
+            try:
+                entries = tuple(node)
+            except TypeError:
+                raise ValueError(f"tree shape must be a label or an iterable, got {node!r}")
+            if len(entries) == 0:
+                raise ValueError("interior vertex with no children")
+            if len(entries) == 1:
+                raise ValueError("unary interior vertex is not allowed")
+            stack.append((entries, []))
+            node = entries[0]
+            continue
+        while stack:
+            entries, pairs = stack[-1]
+            pairs.append(done)
+            if len(pairs) < len(entries):
+                node = entries[len(pairs)]
+                break
+            stack.pop()
+            pairs.sort(key=lambda p: p[0])
+            done = ("(" + ",".join(p[0] for p in pairs) + ")", tuple(p[1] for p in pairs))
+        else:
+            return done
 
 
 @dataclass(frozen=True)
@@ -90,22 +115,26 @@ class XTree:
     def __init__(self, shape) -> None:
         key, normalized = _canonical(shape)
         parent: list[int] = []
-        children: list[tuple[int, ...]] = []
+        children: list[list[int]] = []
         vlabel: list[str | None] = []
 
-        def emit(node, par: int) -> int:
+        # Preorder ids: children are pushed in reverse, so they pop in order.
+        stack = [(normalized, -1)]
+        while stack:
+            node, par = stack.pop()
             vid = len(parent)
             parent.append(par)
-            children.append(())
-            vlabel.append(node if isinstance(node, str) else None)
-            if not isinstance(node, str):
-                children[vid] = tuple(emit(child, vid) for child in node)
-            return vid
-
-        emit(normalized, -1)
+            children.append([])
+            if par >= 0:
+                children[par].append(vid)
+            if isinstance(node, str):
+                vlabel.append(node)
+            else:
+                vlabel.append(None)
+                stack.extend((child, vid) for child in reversed(node))
         self._key = key
         self._parent = tuple(parent)
-        self._children = tuple(children)
+        self._children = tuple(tuple(kids) for kids in children)
         self._vlabel = tuple(vlabel)
 
         leaf_id: dict[str, int] = {}
@@ -202,54 +231,40 @@ class XTree:
 
     # -- ancestry queries -----------------------------------------------------
 
-    def _lca_ids(self, u: int, v: int) -> int:
-        du, dv = self._depth[u], self._depth[v]
-        while du > dv:
-            u = self._parent[u]
-            du -= 1
-        while dv > du:
-            v = self._parent[v]
-            dv -= 1
-        while u != v:
-            u = self._parent[u]
-            v = self._parent[v]
-        return u
+    def _meet(self, u: int, w: int) -> tuple[int, int, int]:
+        """Walks up from vertices u and w to their last common vertex m.
 
-    @cached_property
-    def _lca_table(self) -> dict[tuple[str, str], int]:
-        table: dict[tuple[str, str], int] = {}
-        for a, b in combinations(sorted(self._leaf_id), 2):
-            table[(a, b)] = self._lca_ids(self._leaf_id[a], self._leaf_id[b])
-        return table
+        Returns (m, child of m toward u, child of m toward w); a side whose
+        vertex is m itself gets -1.
+        """
+        parent, depth = self._parent, self._depth
+        cu = cw = -1
+        du, dw = depth[u], depth[w]
+        while du > dw:
+            cu, u = u, parent[u]
+            du -= 1
+        while dw > du:
+            cw, w = w, parent[w]
+            dw -= 1
+        while u != w:
+            cu, u = u, parent[u]
+            cw, w = w, parent[w]
+        return u, cu, cw
 
     def lca(self, a: str, b: str) -> int:
         """Last common vertex of the root-to-``a`` and root-to-``b`` paths."""
         if a == b:
             raise ValueError("lca requires two distinct leaf labels")
-        self.leaf_vertex(a)
-        self.leaf_vertex(b)
-        key = (a, b) if a < b else (b, a)
-        return self._lca_table[key]
-
-    @cached_property
-    def _route(self) -> dict[tuple[int, str], int]:
-        # (ancestor vertex, leaf label) -> child of ancestor on the path to leaf
-        route: dict[tuple[int, str], int] = {}
-        for label, leaf in self._leaf_id.items():
-            w = leaf
-            p = self._parent[w]
-            while p >= 0:
-                route[(p, label)] = w
-                w = p
-                p = self._parent[w]
-        return route
+        return self._meet(self.leaf_vertex(a), self.leaf_vertex(b))[0]
 
     def child_toward(self, v: int, label: str) -> int:
         """The child of ``v`` whose subtree contains the leaf ``label``."""
-        try:
-            return self._route[(v, label)]
-        except KeyError:
-            raise ValueError(f"leaf {label!r} is not below vertex {v}") from None
+        leaf = self._leaf_id.get(label)
+        if leaf is not None and v in range(len(self._parent)):
+            meet, child, _ = self._meet(leaf, v)
+            if meet == v and child >= 0:
+                return child
+        raise ValueError(f"leaf {label!r} is not below vertex {v}")
 
     # -- restriction and triplets ---------------------------------------------
 
@@ -262,28 +277,34 @@ class XTree:
         if unknown:
             raise ValueError(f"labels not in this tree: {sorted(unknown)}")
 
-        def prune(v: int):
+        # Children have larger preorder ids than their parent, so a reverse
+        # sweep prunes every subtree before the vertex above it.
+        pruned: list[object] = [None] * len(self._parent)
+        for v in range(len(self._parent) - 1, -1, -1):
             lab = self._vlabel[v]
             if lab is not None:
-                return lab if lab in keep else None
-            kept = [r for r in (prune(c) for c in self._children[v]) if r is not None]
-            if not kept:
-                return None
+                pruned[v] = lab if lab in keep else None
+                continue
+            kept = [pruned[c] for c in self._children[v] if pruned[c] is not None]
             if len(kept) == 1:
-                return kept[0]
-            return tuple(kept)
-
-        return XTree(prune(0))
+                pruned[v] = kept[0]
+            elif kept:
+                pruned[v] = tuple(kept)
+        return XTree(pruned[0])
 
     @cached_property
     def _triplets(self) -> frozenset[Triplet]:
-        table = self._lca_table
         depth = self._depth
+        leaf_id = self._leaf_id
+        labels = sorted(leaf_id)
+        meet_depth = {}
+        for a, b in combinations(labels, 2):
+            meet_depth[(a, b)] = depth[self._meet(leaf_id[a], leaf_id[b])[0]]
         out = []
-        for a, b, c in combinations(sorted(self._leaf_id), 3):
-            dab = depth[table[(a, b)]]
-            dac = depth[table[(a, c)]]
-            dbc = depth[table[(b, c)]]
+        for a, b, c in combinations(labels, 3):
+            dab = meet_depth[(a, b)]
+            dac = meet_depth[(a, c)]
+            dbc = meet_depth[(b, c)]
             top = max(dab, dac, dbc)
             if dab == dac == dbc:
                 continue

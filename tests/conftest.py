@@ -88,14 +88,23 @@ def leaf_path_edges(tree: XTree, a: str, b: str) -> list[tuple[int, int]]:
     return edges
 
 
+def brute_child_edge_pairs(tree: XTree, cords) -> dict[int, set[frozenset[int]]]:
+    """Per vertex, the child-edge pairs joined by some cord's path, straight
+    off the paths: a path uses two child edges of a vertex only at its top."""
+    out: dict[int, set[frozenset[int]]] = {}
+    for a, b in cords:
+        below: dict[int, list[int]] = {}
+        for p, c in leaf_path_edges(tree, a, b):
+            below.setdefault(p, []).append(c)
+        for p, children_of_p in below.items():
+            if len(children_of_p) == 2:
+                out.setdefault(p, set()).add(frozenset(children_of_p))
+    return out
+
+
 def brute_linked_child_edges(tree: XTree, cords, v: int) -> set[frozenset[int]]:
     """Child-edge pairs of v joined by some cord's path, straight off the paths."""
-    out = set()
-    for a, b in cords:
-        children_of_v = [c for (p, c) in leaf_path_edges(tree, a, b) if p == v]
-        if len(children_of_v) == 2:
-            out.add(frozenset(children_of_v))
-    return out
+    return brute_child_edge_pairs(tree, cords).get(v, set())
 
 
 # -- restriction-based triplet oracle ----------------------------------------
@@ -152,6 +161,34 @@ def bearded_caterpillar(k: int, length: int, prefix: str = "x") -> XTree:
     for _ in range(length - 1):
         shape = tuple([shape] + [next(labels) for _ in range(k - 1)])
     return XTree(shape)
+
+
+def random_shape(n: int, seed: int, prefix: str = "t"):
+    """A seeded random multifurcating shape on labels prefix0 .. prefix{n-1}:
+    runs of two to four adjacent nodes are grouped until one node is left."""
+    rng = random.Random(seed)
+    nodes: list = [f"{prefix}{i}" for i in range(n)]
+    rng.shuffle(nodes)
+    while len(nodes) > 1:
+        k = min(len(nodes), rng.choice((2, 2, 3, 4)))
+        i = rng.randrange(len(nodes) - k + 1)
+        nodes[i : i + k] = [tuple(nodes[i : i + k])]
+    return nodes[0]
+
+
+def random_xtree(n: int, seed: int, prefix: str = "t") -> XTree:
+    return XTree(random_shape(n, seed, prefix))
+
+
+def random_cords(tree: XTree, count: int, seed: int) -> frozenset[tuple[str, str]]:
+    """``count`` distinct seeded random cords on the tree's leaves."""
+    rng = random.Random(seed)
+    labels = sorted(tree.leaf_labels)
+    out: set[tuple[str, str]] = set()
+    while len(out) < count:
+        a, b = sorted(rng.sample(labels, 2))
+        out.add((a, b))
+    return frozenset(out)
 
 
 def seeded_cord_sets(labels, per_tree: int, tree_index: int):

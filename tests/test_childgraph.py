@@ -2,7 +2,16 @@
 
 import pytest
 
-from conftest import LABELS4, all_cord_subsets, brute_linked_child_edges
+from conftest import (
+    LABELS4,
+    all_cord_subsets,
+    bearded_caterpillar,
+    brute_child_edge_pairs,
+    brute_linked_child_edges,
+    leaf_path_edges,
+    random_cords,
+    random_xtree,
+)
 from treelasso import (
     XTree,
     build_child_edge_graph,
@@ -149,3 +158,45 @@ def test_dot_export_mentions_every_node_and_edge():
     assert '"i" [shape=box];' in dot
     assert '"{a,b,c,d,e,f,g,h}" [shape=ellipse];' in dot
     assert '"{a,b,c,d,e,f,g,h}" -- "i";' in dot  # the a-i cord meets at the root
+
+
+# Random multifurcating trees of 300 leaves, and bearded caterpillars up to
+# depth 99, where each cord's walk is long.
+SCALE_TREES = [("random", 300, seed) for seed in range(3)] + [
+    ("bearded", k, length) for k, length in ((2, 99), (3, 40), (5, 20))
+]
+
+
+@pytest.mark.parametrize("kind, size, arg", SCALE_TREES)
+def test_meet_walk_matches_path_walking_oracle_at_scale(kind, size, arg):
+    tree = random_xtree(size, arg) if kind == "random" else bearded_caterpillar(size, arg)
+    labels = sorted(tree.leaf_labels)
+    cords = random_cords(tree, 3 * len(labels), seed=len(labels))
+
+    # lca: the one vertex whose two child edges the leaf-to-leaf path uses
+    for a, b in cords:
+        edges = leaf_path_edges(tree, a, b)
+        top = min(tree.depth(p) for p, _ in edges)
+        (v, _), (w, _) = [e for e in edges if tree.depth(e[0]) == top]
+        assert tree.lca(a, b) == tree.lca(b, a) == v == w
+
+    # child_toward: every leaf against every proper ancestor, by walking up
+    for a in labels:
+        w = tree.leaf_vertex(a)
+        with pytest.raises(ValueError):
+            tree.child_toward(w, a)
+        while tree.parent(w) is not None:
+            assert tree.child_toward(tree.parent(w), a) == w
+            w = tree.parent(w)
+        for u in tree.children(tree.root):
+            if a not in tree.leaves_below(u) and not tree.is_leaf(u):
+                with pytest.raises(ValueError):
+                    tree.child_toward(u, a)
+
+    expected = brute_child_edge_pairs(tree, cords)
+    graphs = child_edge_graphs(tree, cords)
+    assert sorted(graphs) == list(tree.interior_vertices())
+    for v, g in graphs.items():
+        assert g.nodes == tree.children(v)
+        pairs = {frozenset((u, w)) for u in g.nodes for w in g.adjacency[u]}
+        assert pairs == expected.get(v, set())

@@ -1,10 +1,12 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from treelasso import HeightMap, cord_set, parse_newick
+from conftest import random_cords, random_xtree
+from treelasso import HeightMap, cli, cord_set, format_cord_file, parse_newick, print_newick
 from treelasso.cli import main
 
 
@@ -146,7 +148,7 @@ def test_input_errors_exit_2(capsys, tree_file, cords_file, tmp_path):
     assert code == 2
 
 
-def test_deep_input_exits_2(capsys, tmp_path):
+def test_deep_caterpillar_classifies(capsys, tmp_path):
     newick = "a0"
     for i in range(1, 601):
         newick = f"({newick},a{i})"
@@ -154,9 +156,61 @@ def test_deep_input_exits_2(capsys, tmp_path):
     tree.write_text(newick + ";\n")
     cords = tmp_path / "c.txt"
     cords.write_text("a0 a1\n")
-    code, _, err = run(capsys, "classify", "--tree", str(tree), "--cords", str(cords))
-    assert code == 2
-    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    code, out, err = run(capsys, "classify", "--tree", str(tree), "--cords", str(cords))
+    assert code == 0 and err == ""
+    payload = json.loads(out.strip().splitlines()[-1])
+    # one cord meets only at the cherry {a0, a1}: the 599 vertices above fail
+    assert [payload[k] for k in ("equidistant", "weak", "topological", "strong")] == [False] * 4
+    assert [len(payload["failing"][k]) for k in ("equidistant", "weak", "topological")] == [599] * 3
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_recursion_and_memory_errors_exit_2(capsys, monkeypatch, tree_file, cords_file, error):
+    def load(path):
+        raise error()
+
+    monkeypatch.setattr(cli, "_load_tree", load)
+    code, out, err = run(capsys, "classify", "--tree", tree_file, "--cords", cords_file)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and error.__name__ in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_deep_caterpillar_round_trip(capsys, tmp_path):
+    # 2000 nested levels, already in canonical child order, and one cord
+    # meeting at each interior vertex: a strong lasso on a binary tree.
+    n = 2000
+    text = "(" * n + "a0" + "".join(f",a{i})" for i in range(1, n + 1)) + ";"
+    tree_path = tmp_path / "deep.nwk"
+    tree_path.write_text(text + "\n")
+    cords = tmp_path / "c.txt"
+    cords.write_text("".join(f"a{i - 1} a{i}\n" for i in range(1, n + 1)))
+
+    tree, _ = parse_newick(text)
+    code, out, err = run(capsys, "classify", "--tree", str(tree_path), "--cords", str(cords))
+    assert code == 0 and err == ""
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["equidistant"] is True and payload["strong"] is True
+    assert payload["tree"] == tree.canonical_newick() == text
+    assert print_newick(tree) == text
+
+
+def test_classify_memory_stays_linear(capsys, tmp_path):
+    # An all-pairs LCA table over these 2000 leaves would peak near 200 MB.
+    tree = random_xtree(2000, 0)
+    tree_path = tmp_path / "t.nwk"
+    tree_path.write_text(tree.canonical_newick() + "\n")
+    cords = tmp_path / "c.txt"
+    cords.write_text(format_cord_file(random_cords(tree, 3 * 2000, seed=1)))
+    tracemalloc.start()
+    try:
+        code = main(["classify", "--tree", str(tree_path), "--cords", str(cords)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 40 * 2**20, f"classify peaked at {peak / 2**20:.1f} MB"
 
 
 def test_distance_column_rejected(capsys, tree_file, tmp_path):

@@ -1,10 +1,11 @@
 """Newick parsing/printing and the cord file format."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import LABELS5
+from conftest import LABELS5, random_shape
 from treelasso import (
     HeightMap,
     NegativeWeightError,
@@ -101,6 +102,39 @@ def test_weighted_round_trip_preserves_rationals():
         tree2, weights2 = parse_newick(text)
         assert tree2 == t
         assert HeightMap.from_edge_weights(weights2) == hm
+
+
+def test_weights_land_on_the_vertex_with_the_same_leaf_set():
+    # Distinct weights (7k+1)/7, which never reduce, so each ":p/7" occurs
+    # once in the text; children are shuffled out of canonical order, so a
+    # weight on the wrong vertex cannot go unnoticed.
+    rng = random.Random(3)
+    expected: dict[frozenset[str], Fraction] = {}
+
+    def render(node) -> tuple[str, frozenset[str]]:
+        if isinstance(node, str):
+            return node, frozenset((node,))
+        parts = []
+        leaves: frozenset[str] = frozenset()
+        for child in rng.sample(node, len(node)):
+            body, below = render(child)
+            weight = Fraction(7 * len(expected) + 1, 7)
+            expected[below] = weight
+            parts.append(f"{body}:{weight}")
+            leaves |= below
+        return "(" + ",".join(parts) + ")", leaves
+
+    text = render(random_shape(300, 3, prefix="w"))[0] + ";"
+    tree, weighting = parse_newick(text)
+    assert len(expected) == tree.n_vertices - 1
+    for v in tree.vertices():
+        if v != tree.root:
+            assert weighting.by_child[v] == expected[tree.leaves_below(v)]
+
+    for leaves in (frozenset(("w7",)), max(expected, key=len)):
+        partial = text.replace(f":{expected[leaves]}", "", 1)
+        with pytest.raises(NewickParseError, match="either every edge carries a weight"):
+            parse_newick(partial)
 
 
 def test_print_weighting_must_match_tree():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import LABELS4, LABELS5, triplets_by_restriction
+from conftest import LABELS4, LABELS5, random_xtree, triplets_by_restriction
 from treelasso import XTree, enumerate_binary_xtrees, enumerate_xtrees
 from treelasso.tree import triplet
 
@@ -69,6 +69,12 @@ def test_triplets_match_restriction_oracle():
         triplet("b", "c", "d"),
     }
     for t in enumerate_xtrees(LABELS4):
+        assert t.triplets() == triplets_by_restriction(t)
+
+
+def test_triplets_match_restriction_oracle_on_seeded_trees():
+    for seed in range(40):
+        t = random_xtree(7 + seed % 2, seed)
         assert t.triplets() == triplets_by_restriction(t)
 
 
