@@ -107,7 +107,13 @@ def child_edge_graphs(
     leave its graph untouched.  One parent-pointer walk per cord finds that
     vertex and the two children toward the endpoints.
     """
-    checked = validate_cords(cords, tree.leaf_labels)
+    return _child_edge_graphs(tree, validate_cords(cords, tree.leaf_labels))
+
+
+def _child_edge_graphs(
+    tree: XTree, checked: frozenset[Cord]
+) -> dict[int, ChildEdgeGraph]:
+    """:func:`child_edge_graphs` for a cord set already checked against the tree."""
     adj: dict[int, dict[int, set[int]]] = {
         v: {c: set() for c in tree.children(v)} for v in tree.interior_vertices()
     }

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .childgraph import child_edge_graphs
+from .childgraph import _child_edge_graphs
 from .cords import Cord, cord, cord_set, validate_cords
 from .tree import XTree
 
@@ -67,7 +67,7 @@ def classify(tree: XTree, cords: Iterable[Cord]) -> LassoReport:
     """Full classification of a cord set against one tree."""
     _require_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    graphs = child_edge_graphs(tree, checked)
+    graphs = _child_edge_graphs(tree, checked)
 
     eq_fail = tuple(v for v in tree.interior_vertices() if not graphs[v].has_edge())
     topo_fail = tuple(v for v in tree.interior_vertices() if not graphs[v].is_clique())

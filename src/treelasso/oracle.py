@@ -18,6 +18,21 @@ differences, so the scan hands each joint system straight to the exact
 difference-constraint engine behind :func:`strict_feasible`, over dense
 integer variable ids.  The engine's verdict and its exact point come from
 the same call: the point of the first feasible rival is the witness.
+
+The scan reads its rivals from one table per leaf set, built once, with a
+row per enumerated tree in canonical order.  A row holds the tree's
+properness edges with its heights placed at ids ``K..``, ``K`` = (number of
+leaves) - 1, so any reference tree fits below them; the interior index of
+each cord's meeting vertex, in :func:`all_cords` order; and two flattened
+m x m cord-order bitmasks over the m leaf pairs: bit ``i*m + j`` of the
+first says cord i meets at a proper ancestor of where cord j meets, and of
+the second that cord j meets at an ancestor of, or at, where cord i meets.
+Both are read off each vertex's leaf set, as the cords with both ends in it.  If a pair of the given cords
+meets strictly higher in one tree and weakly lower in the other, the two
+cord equalities close a strict cycle through the properness edges, so the
+rival is infeasible; each decision masks the reference tree's bitmasks with
+its cord pairs once and rejects such a rival with two integer ANDs.  Every
+other rival still goes to the engine.
 """
 
 from __future__ import annotations
@@ -25,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .cords import Cord, validate_cords
@@ -190,14 +205,16 @@ class Witness:
     heights_rival: HeightMap
 
 
-def _witness(tree: XTree, rival: XTree, values: list) -> Witness:
-    """Read a witness off a solved joint system: tree heights, then rival heights."""
-    t_interior = tree.interior_vertices()
+def _witness(tree: XTree, rival: XTree, values: list, offset: int) -> Witness:
+    """Read a witness off a solved joint system: tree heights, then rival heights.
+
+    The tree's heights start at id 0 and the rival's at id ``offset``.
+    """
     return Witness(
         rival=rival,
-        heights_t=HeightMap(tree, dict(zip(t_interior, values))),
+        heights_t=HeightMap(tree, dict(zip(tree.interior_vertices(), values))),
         heights_rival=HeightMap(
-            rival, dict(zip(rival.interior_vertices(), values[len(t_interior) :]))
+            rival, dict(zip(rival.interior_vertices(), values[offset:]))
         ),
     )
 
@@ -205,6 +222,72 @@ def _witness(tree: XTree, rival: XTree, values: list) -> Witness:
 def _require_lasso_domain(tree: XTree) -> None:
     if len(tree.leaf_labels) < 3:
         raise ValueError("lasso oracles need at least 3 leaves")
+
+
+@dataclass(frozen=True)
+class _RivalTable:
+    """Every tree on one leaf set, as rows the rival scan reads without rebuilding.
+
+    ``rows`` lists ``(tree, edges, meets, above, below)`` per enumerated tree
+    in canonical order: properness edges as engine constraints on ids shifted
+    by ``offset``, the interior index of each cord's meeting vertex, and the
+    two flattened cord-order bitmasks (see the module docstring).
+    """
+
+    offset: int
+    cord_index: dict[Cord, int]
+    rows: tuple[tuple[XTree, tuple, tuple[int, ...], int, int], ...]
+    row_of: dict[XTree, int]
+
+
+@lru_cache(maxsize=None)
+def _rival_table(labels: tuple[str, ...]) -> _RivalTable:
+    """The rival table of a sorted leaf set, built once per process."""
+    trees = _enumerate(labels)
+    offset = len(labels) - 1
+    cord_index = {c: i for i, c in enumerate(combinations(labels, 2))}
+    m = len(cord_index)
+    inside = {}  # leaf set -> cords with both ends in it
+    for size in range(len(labels) + 1):
+        for subset in combinations(labels, size):
+            inside[frozenset(subset)] = sum(
+                1 << cord_index[c] for c in combinations(subset, 2)
+            )
+    members = {}  # cord bitmask -> (its cord indices, their row bits i*m)
+    rows = []
+    for tree in trees:
+        interior = tree.interior_vertices()
+        within = {v: inside[tree.leaves_below(v)] for v in interior}
+        index = {}
+        edges = []
+        meets = [0] * m
+        upward = {}  # vertex -> cords meeting at it or at an ancestor
+        above = below = 0
+        for k, v in enumerate(interior):  # preorder: parents first
+            index[v] = k
+            p = tree.parent(v)
+            if k:
+                edges.append((offset + index[p], offset + k, 0, True))
+            under = 0
+            for c in tree.children(v):
+                under |= within.get(c, 0)
+            here = within[v] & ~under
+            up = upward[v] = here | upward.get(p, 0)
+            if here not in members:
+                bits = [i for i in range(m) if here >> i & 1]
+                members[here] = (bits, sum(1 << (i * m) for i in bits))
+            bits, spread = members[here]
+            for i in bits:
+                meets[i] = k
+            above |= under * spread
+            below |= up * spread
+        rows.append((tree, tuple(edges), tuple(meets), above, below))
+    return _RivalTable(
+        offset=offset,
+        cord_index=cord_index,
+        rows=tuple(rows),
+        row_of={tree: r for r, tree in enumerate(trees)},
+    )
 
 
 def _rival_scan(
@@ -215,6 +298,8 @@ def _rival_scan(
     seed: int,
 ) -> Witness | None:
     """The witness of the first rival in canonical order, not skipped, fitting the cords."""
+    if rival_sample is not None and rival_sample < 1:
+        raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
     n = len(tree.leaf_labels)
     if rival_sample is None and n > _MAX_EXHAUSTIVE:
         raise ValueError(
@@ -222,22 +307,30 @@ def _rival_scan(
             f"(>{_MAX_EXHAUSTIVE}); pass rival_sample for a sampled, "
             f"non-exhaustive answer"
         )
-    rivals = enumerate_xtrees(sorted(tree.leaf_labels))
-    if rival_sample is not None and rival_sample < len(rivals):
-        picked = random.Random(seed).sample(rivals, rival_sample)
-        rivals = tuple(sorted(picked, key=lambda t: t.canonical_newick()))
-    t_edges, t_lca, k1 = _tables(tree)
-    cord_list = sorted(cords)
-    t_side = [t_lca[c] for c in cord_list]
-    for rival in rivals:
-        if skip(rival):
+    table = _rival_table(_check_enumeration_domain(tree.leaf_labels))
+    rows = table.rows
+    if rival_sample is not None and rival_sample < len(rows):
+        picked = random.Random(seed).sample(range(len(rows)), rival_sample)
+        rows = [rows[r] for r in sorted(picked)]
+    k = table.offset
+    _, t_edges, t_meets, t_above, t_below = table.rows[table.row_of[tree]]
+    t_edges = tuple((a - k, b - k, 0, True) for a, b, _, _ in t_edges)
+    index = [table.cord_index[c] for c in sorted(cords)]
+    m = len(table.cord_index)
+    mask = spread = 0
+    for i in index:
+        mask |= 1 << i
+        spread |= 1 << (i * m)
+    pairs = spread * mask  # bit i*m + j for every pair of given cords
+    t_above &= pairs
+    t_below &= pairs
+    for rival, edges, meets, above, below in rows:
+        if t_above & below or t_below & above or skip(rival):
             continue
-        r_edges, r_lca, k2 = _tables(rival)
-        greater = list(t_edges) + _shifted(r_edges, k1)
-        equal = [(t_side[i], k1 + r_lca[c], 0) for i, c in enumerate(cord_list)]
-        values = _solve_differences(k1 + k2, equal, greater)
+        equal = [(t_meets[i], k + meets[i], 0) for i in index]
+        values = _solve_differences(2 * k, equal, t_edges + edges)
         if values is not None:
-            return _witness(tree, rival, values)
+            return _witness(tree, rival, values, k)
     return None
 
 
@@ -251,8 +344,9 @@ def oracle_weak(
     """Does every tree fitting the cord distances refine this one?  By definition.
 
     Exhaustive over all rivals up to 5 leaves.  With ``rival_sample`` set, a
-    random rival subset is scanned instead (allowed up to 6 leaves): a False
-    answer is still certain, a True answer is sampled, not exhaustive.
+    random subset of ``rival_sample`` rivals (at least 1) is scanned instead,
+    allowed up to 6 leaves: a False answer is still certain, a True answer is
+    sampled, not exhaustive.
     """
     _require_lasso_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
@@ -298,7 +392,7 @@ def oracle_equidistant(
     for i in range(k):
         values = _solve_differences(2 * k, equal, both + [(i, k + i, 0, True)])
         if values is not None:
-            return False, _witness(tree, tree, values)
+            return False, _witness(tree, tree, values, k)
     return True, None
 
 

@@ -1,8 +1,18 @@
 """Definition-level oracle: enumeration, joint systems, witnesses, route agreement."""
 
+import random
+from itertools import combinations
+
 import pytest
 
-from conftest import LABELS4, LABELS5, all_cord_subsets, count_binary_xtrees, count_xtrees
+from conftest import (
+    LABELS4,
+    LABELS5,
+    all_cord_subsets,
+    count_binary_xtrees,
+    count_xtrees,
+    random_cords,
+)
 from treelasso import (
     XTree,
     all_cords,
@@ -16,6 +26,8 @@ from treelasso import (
     strict_feasible,
     verify_witness,
 )
+from treelasso import oracle
+from treelasso.oracle import _rival_table
 
 TRIPLET = XTree((("a", "b"), "c"))
 STAR3 = XTree(("a", "b", "c"))
@@ -111,27 +123,138 @@ def test_oracle_domain_guards():
     assert not ok and verify_witness(six, frozenset(), witness, "topological")
 
 
+def test_rival_sample_below_one_rejected():
+    for decide in (oracle_weak, oracle_topological):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="rival_sample must be at least 1"):
+                decide(T4, frozenset(), rival_sample=bad)
+
+
+def _first_fitting(t, cords, rivals, skip):
+    """The first rival, not skipped, whose full joint system is feasible."""
+    return next(
+        (
+            r
+            for r in rivals
+            if not skip(r)
+            and strict_feasible(joint_isometry_system(t, r, cords)) is not None
+        ),
+        None,
+    )
+
+
 def test_scan_route_matches_full_system_route():
     # each witness rival is the first rival in canonical order, not skipped,
     # whose full joint system is feasible; no witness means no such rival
-    trees = enumerate_xtrees(LABELS4)
-    for t in trees[::3]:
+    cases = []
+    trees4 = enumerate_xtrees(LABELS4)
+    for t in trees4[::3]:
         for cords in all_cord_subsets(LABELS4)[::17]:
+            cases.append((t, cords, trees4, {}))
+    trees5 = enumerate_xtrees(LABELS5)
+    rng = random.Random(5)
+    for t in rng.sample(trees5, 6):
+        for size in (2, 4, 6, 9):
+            cases.append((t, random_cords(t, size, rng.randrange(10**6)), trees5, {}))
+    # sampled mode: the scan runs over the sampled rivals in canonical order
+    trees6 = enumerate_xtrees("abcdef")
+    for seed in range(4):
+        t = trees6[seed * 611]
+        picked = random.Random(seed).sample(trees6, 40)
+        rivals = sorted(picked, key=lambda r: r.canonical_newick())
+        for size in (3, 7, 11):
+            cords = random_cords(t, size, seed * 31 + size)
+            cases.append((t, cords, rivals, {"rival_sample": 40, "seed": seed}))
+    found = 0
+    for t, cords, rivals, sampling in cases:
+        for decide, skip in (
+            (oracle_weak, lambda r: r.refines(t)),
+            (oracle_topological, lambda r: r == t),
+        ):
+            _, witness = decide(t, cords, **sampling)
+            first = _first_fitting(t, cords, rivals, skip)
+            assert (None if witness is None else witness.rival) == first
+            found += first is not None
+    assert 0 < found < 2 * len(cases)
+
+
+def _order_conflicts(t, r):
+    """Cord pairs met strictly higher in one tree and weakly lower in the other.
+
+    Written against leaf sets: a vertex lies on or above another exactly when
+    its leaf set contains the other's.
+    """
+    pool = sorted(all_cords(t.leaf_labels))
+    meets = [
+        (t.leaves_below(t.lca(*c)), r.leaves_below(r.lca(*c))) for c in pool
+    ]
+    out = []
+    for (i, (ti, ri)), (j, (tj, rj)) in combinations(enumerate(meets), 2):
+        if (ti > tj and ri <= rj) or (ri > rj and ti <= tj) or (
+            tj > ti and rj <= ri
+        ) or (rj > ri and tj <= ti):
+            out.append((pool[i], pool[j]))
+    return out
+
+
+def _pairwise_rejects(t, r, cords):
+    """The scan's two-AND test, read off the rival table."""
+    table = _rival_table(tuple(sorted(t.leaf_labels)))
+    m = len(table.cord_index)
+    index = [table.cord_index[c] for c in cords]
+    pairs = sum(1 << (i * m + j) for i in index for j in index)
+    _, _, _, t_above, t_below = table.rows[table.row_of[t]]
+    _, _, _, above, below = table.rows[table.row_of[r]]
+    return bool(t_above & pairs & below or t_below & pairs & above)
+
+
+def test_pairwise_order_test_rejects_only_infeasible_rivals():
+    # every four-leaf (tree, rival, cord subset): the table's test rejects
+    # exactly the pairs with a cord-order conflict, and each rejected joint
+    # system is infeasible
+    trees = enumerate_xtrees(LABELS4)
+    rejected = 0
+    for t in trees:
+        for r in trees:
+            conflicts = _order_conflicts(t, r)
+            for cords in all_cord_subsets(LABELS4):
+                expected = any(c in cords and d in cords for c, d in conflicts)
+                assert _pairwise_rejects(t, r, cords) == expected
+                if expected:
+                    assert strict_feasible(joint_isometry_system(t, r, cords)) is None
+                    rejected += 1
+    assert rejected
+
+
+def test_scan_calls_the_engine_only_past_the_pairwise_test(monkeypatch):
+    # the engine sees, in canonical order, exactly the rivals that are neither
+    # skipped nor in cord-order conflict, up to the first feasible one
+    engine = oracle._solve_differences
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(oracle, "_solve_differences", counted)
+    trees = enumerate_xtrees(LABELS4)
+    for t in trees[::2]:
+        conflicts = {r: _order_conflicts(t, r) for r in trees}
+        for cords in all_cord_subsets(LABELS4)[::5]:
             for decide, skip in (
                 (oracle_weak, lambda r: r.refines(t)),
                 (oracle_topological, lambda r: r == t),
             ):
-                _, witness = decide(t, cords)
-                first = next(
-                    (
-                        r
-                        for r in trees
-                        if not skip(r)
-                        and strict_feasible(joint_isometry_system(t, r, cords)) is not None
-                    ),
-                    None,
-                )
-                assert (None if witness is None else witness.rival) == first
+                expected = 0
+                for r in trees:
+                    if skip(r) or any(c in cords and d in cords for c, d in conflicts[r]):
+                        continue
+                    expected += 1
+                    if strict_feasible(joint_isometry_system(t, r, cords)) is not None:
+                        break
+                calls.clear()
+                decide(t, cords)
+                assert len(calls) == expected
 
 
 def test_every_four_leaf_witness_verifies():
