@@ -59,8 +59,12 @@ class Bipartition:
             raise ValueError("the two sides of a bipartition must be disjoint")
 
 
-def _representative(tree: XTree, child: int) -> str:
-    return min(tree.leaves_below(child))
+def _representatives(tree: XTree) -> list[str]:
+    """The smallest leaf label below each vertex, in one reverse-preorder sweep."""
+    low = list(tree._vlabel)  # each leaf is its own representative
+    for v in reversed(tree.interior_vertices()):
+        low[v] = min([low[c] for c in tree.children(v)])
+    return low
 
 
 def min_equidistant_lasso(tree: XTree) -> frozenset[Cord]:
@@ -71,9 +75,10 @@ def min_equidistant_lasso(tree: XTree) -> frozenset[Cord]:
     possible size for an equidistant lasso.
     """
     _require(tree)
+    low = _representatives(tree)
     out = set()
     for v in tree.interior_vertices():
-        reps = sorted(_representative(tree, c) for c in tree.children(v))
+        reps = sorted(low[c] for c in tree.children(v))
         out.add(cord(reps[0], reps[1]))
     return frozenset(out)
 
@@ -85,9 +90,10 @@ def min_topological_lasso(tree: XTree) -> frozenset[Cord]:
     the size is the sum over interior vertices of (children choose 2).
     """
     _require(tree)
+    low = _representatives(tree)
     out = set()
     for v in tree.interior_vertices():
-        reps = sorted(_representative(tree, c) for c in tree.children(v))
+        reps = sorted(low[c] for c in tree.children(v))
         for a, b in combinations(reps, 2):
             out.add(cord(a, b))
     return frozenset(out)
@@ -103,27 +109,22 @@ def min_weak_lasso(tree: XTree) -> frozenset[Cord]:
     _require(tree)
     if tree.is_star():
         return frozenset()
-    pc_parents = {v for v, _ in tree.pseudo_cherries()}
+    low = _representatives(tree)
     out = set()
     for v in tree.interior_vertices():
-        if v in pc_parents:
-            leaves = sorted(tree.leaves_below(v))
-            for a, b in zip(leaves, leaves[1:]):
+        leaf_reps = sorted(
+            tree.label(c) for c in tree.children(v) if tree.is_leaf(c)
+        )
+        sub_reps = sorted(low[c] for c in tree.children(v) if not tree.is_leaf(c))
+        if not sub_reps:  # all children are leaves, off a star: a pseudo-cherry parent
+            for a, b in zip(leaf_reps, leaf_reps[1:]):
                 out.add(cord(a, b))
-        else:
-            leaf_reps = sorted(
-                tree.label(c) for c in tree.children(v) if tree.is_leaf(c)
-            )
-            sub_reps = sorted(
-                _representative(tree, c)
-                for c in tree.children(v)
-                if not tree.is_leaf(c)
-            )
-            for a, b in combinations(sub_reps, 2):
+            continue
+        for a, b in combinations(sub_reps, 2):
+            out.add(cord(a, b))
+        for a in leaf_reps:
+            for b in sub_reps:
                 out.add(cord(a, b))
-            for a in leaf_reps:
-                for b in sub_reps:
-                    out.add(cord(a, b))
     return frozenset(out)
 
 

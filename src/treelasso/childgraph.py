@@ -107,28 +107,41 @@ def child_edge_graphs(
     leave its graph untouched.  One parent-pointer walk per cord finds that
     vertex and the two children toward the endpoints.
     """
-    return _child_edge_graphs(tree, validate_cords(cords, tree.leaf_labels))
+    checked = validate_cords(cords, tree.leaf_labels)
+    return _child_edge_graphs(tree, checked, tree.interior_vertices())
+
+
+def _child_pairs(tree: XTree, checked: frozenset[Cord]) -> set[tuple[int, int, int]]:
+    """The distinct graph edges a checked cord set makes, as ``(v, u, w)``.
+
+    A cord is the edge ``u < w`` of the graph at its endpoints' last common
+    vertex v, between the two children of v toward the endpoints.
+    """
+    meet, leaf = tree._meet, tree.leaf_vertex
+    out = set()
+    for a, b in checked:
+        v, u, w = meet(leaf(a), leaf(b))
+        out.add((v, u, w) if u < w else (v, w, u))
+    return out
 
 
 def _child_edge_graphs(
-    tree: XTree, checked: frozenset[Cord]
+    tree: XTree, checked: frozenset[Cord], vertices: Iterable[int]
 ) -> dict[int, ChildEdgeGraph]:
-    """:func:`child_edge_graphs` for a cord set already checked against the tree."""
-    adj: dict[int, dict[int, set[int]]] = {
-        v: {c: set() for c in tree.children(v)} for v in tree.interior_vertices()
-    }
-    for a, b in checked:
-        v, u, w = tree._meet(tree.leaf_vertex(a), tree.leaf_vertex(b))
-        adj[v][u].add(w)
-        adj[v][w].add(u)
+    """The graphs of the given interior vertices, for an already checked cord set."""
+    adj = {v: {c: set() for c in tree.children(v)} for v in vertices}
+    for v, u, w in _child_pairs(tree, checked):
+        if v in adj:
+            adj[v][u].add(w)
+            adj[v][w].add(u)
     out: dict[int, ChildEdgeGraph] = {}
-    for v in tree.interior_vertices():
+    for v, linked in adj.items():
         kids = tree.children(v)
         out[v] = ChildEdgeGraph(
             tree=tree,
             owner=v,
             nodes=kids,
-            adjacency={c: frozenset(adj[v][c]) for c in kids},
+            adjacency={c: frozenset(linked[c]) for c in kids},
             leaf_edges=frozenset(c for c in kids if tree.is_leaf(c)),
             subtree_edges=frozenset(c for c in kids if not tree.is_leaf(c)),
         )
@@ -141,4 +154,5 @@ def build_child_edge_graph(
     """The child-edge graph of one interior vertex for the given cord set."""
     if tree.is_leaf(vertex):
         raise ValueError(f"vertex {vertex} is a leaf; child-edge graphs need an interior vertex")
-    return child_edge_graphs(tree, cords)[vertex]
+    checked = validate_cords(cords, tree.leaf_labels)
+    return _child_edge_graphs(tree, checked, (vertex,))[vertex]

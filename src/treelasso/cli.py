@@ -42,7 +42,7 @@ def _load_cords(path: str, tree: XTree):
 
 
 def _clade(tree: XTree, v: int) -> str:
-    return "{" + ",".join(sorted(tree.leaves_below(v))) + "}"
+    return "{" + ",".join(sorted(tree._leaves(v))) + "}"
 
 
 def cmd_classify(args) -> int:

@@ -14,6 +14,15 @@ from the child-edge graphs of the interior vertices:
 
 The star tree is corralled by every cord set, the empty set included, and is
 handled separately from the rich/connected conditions.
+
+:func:`classify` decides all four in one counting pass, without building the
+graphs.  Each cord is one edge, at its endpoints' last common vertex, so the
+distinct edges give per-vertex counts, and a vertex with k children, s of
+them interior, has at least one edge when its count is > 0, is a clique when
+its count is C(k, 2), and is rich when C(s, 2) + s * (k - s) of its edges
+touch an interior child.  Connectivity needs a union-find over the children,
+and only at pseudo-cherry parents.  :class:`~treelasso.childgraph.ChildEdgeGraph`
+stays as the on-demand view of one vertex's graph.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .childgraph import _child_edge_graphs
+from .childgraph import _child_pairs
 from .cords import Cord, cord, cord_set, validate_cords
 from .tree import XTree
 
@@ -64,33 +73,41 @@ def _require_domain(tree: XTree) -> None:
 
 
 def classify(tree: XTree, cords: Iterable[Cord]) -> LassoReport:
-    """Full classification of a cord set against one tree."""
+    """Full classification of a cord set against one tree, in one counting pass."""
     _require_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    graphs = _child_edge_graphs(tree, checked)
+    edges = [0] * tree.n_vertices  # distinct child pairs joined at each vertex
+    leaf_pairs: dict[int, list[tuple[int, int]]] = {}  # ... of two leaves, per vertex
+    for v, u, w in _child_pairs(tree, checked):
+        edges[v] += 1
+        if tree.is_leaf(u) and tree.is_leaf(w):
+            leaf_pairs.setdefault(v, []).append((u, w))
 
-    eq_fail = tuple(v for v in tree.interior_vertices() if not graphs[v].has_edge())
-    topo_fail = tuple(v for v in tree.interior_vertices() if not graphs[v].is_clique())
+    star = tree.is_star()
+    eq_fail, topo_fail, weak_fail = [], [], []
+    for v in tree.interior_vertices():
+        kids = tree.children(v)
+        k = len(kids)
+        s = sum(not tree.is_leaf(c) for c in kids)
+        if not edges[v]:
+            eq_fail.append(v)
+        if edges[v] != k * (k - 1) // 2:
+            topo_fail.append(v)
+        if star:
+            # Every cord set, the empty set included, corrals the star tree.
+            continue
+        if s:
+            # Rich: every pair with an interior child is joined.
+            if edges[v] - len(leaf_pairs.get(v, ())) != s * (s - 1) // 2 + s * (k - s):
+                weak_fail.append(v)
+        elif not _connected(kids, leaf_pairs.get(v, ())):
+            # All children are leaves and the tree is no star: v is a
+            # pseudo-cherry parent.
+            weak_fail.append(v)
+
     equidistant = bool(checked) and not eq_fail
     topological = bool(checked) and not topo_fail
-
-    if tree.is_star():
-        # Every cord set, the empty set included, corrals the star tree.
-        weak = True
-        weak_fail: tuple[int, ...] = ()
-    else:
-        pc_parents = {v for v, _ in tree.pseudo_cherries()}
-        fails = []
-        for v in tree.interior_vertices():
-            g = graphs[v]
-            if v in pc_parents:
-                if not g.is_connected():
-                    fails.append(v)
-            elif not g.is_rich():
-                fails.append(v)
-        weak_fail = tuple(fails)
-        weak = bool(checked) and not weak_fail
-
+    weak = star or (bool(checked) and not weak_fail)
     if weak and checked and not equidistant:
         raise AssertionError("a nonempty weak lasso must be an equidistant lasso")
     return LassoReport(
@@ -99,11 +116,30 @@ def classify(tree: XTree, cords: Iterable[Cord]) -> LassoReport:
         topological=topological,
         strong=equidistant and topological,
         failing_vertices={
-            "equidistant": eq_fail,
-            "weak": weak_fail,
-            "topological": topo_fail,
+            "equidistant": tuple(eq_fail),
+            "weak": tuple(weak_fail),
+            "topological": tuple(topo_fail),
         },
     )
+
+
+def _connected(nodes: tuple[int, ...], pairs: Iterable[tuple[int, int]]) -> bool:
+    """Whether the pairs connect the nodes: a union-find that counts merges."""
+    root = {u: u for u in nodes}
+
+    def find(u: int) -> int:
+        while root[u] != u:
+            root[u] = root[root[u]]  # path halving
+            u = root[u]
+        return u
+
+    merges = 0
+    for u, w in pairs:
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            root[ru] = rw
+            merges += 1
+    return merges == len(nodes) - 1
 
 
 def is_equidistant_lasso(tree: XTree, cords: Iterable[Cord]) -> bool:
@@ -173,15 +209,10 @@ def reduction_check(
         raise ValueError(f"{x!r} and {y!r} are not in a common pseudo-cherry")
     if kind == "weak" and not checked:
         raise ValueError("the weak-lasso reduction requires a nonempty cord set")
-    predicate = {
-        "equidistant": is_equidistant_lasso,
-        "weak": is_weak_lasso,
-        "topological": is_topological_lasso,
-    }[kind]
     xy = cord(x, y)
-    lhs = predicate(tree, checked)
-    rhs = xy in checked and predicate(
-        tree, reduce_by_cherry(checked, x, y) | {xy}
+    lhs = getattr(classify(tree, checked), kind)
+    rhs = xy in checked and getattr(
+        classify(tree, reduce_by_cherry(checked, x, y) | {xy}), kind
     )
     return lhs == rhs
 

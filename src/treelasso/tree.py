@@ -8,6 +8,12 @@ ordering, and two trees compare equal exactly when a root-preserving,
 label-fixing isomorphism exists between them.  Equal trees therefore have
 identical vertex numbering, which makes ids safe cache keys downstream.
 
+Every subtree is a contiguous run of preorder ids, so a tree keeps, per
+vertex, only the id of its last descendant.  Leaf sets are not stored per
+vertex: :meth:`XTree.leaves_below` reads the labels off that range when
+asked, and the leaf-label set X is stored once.  A tree therefore takes
+O(n) memory at any depth.
+
 Last common vertices are found by walking parent pointers: the deeper of two
 vertices climbs to the other's depth, then both climb together until they
 meet.  One walk yields the meeting vertex and the child of it on each side,
@@ -150,23 +156,17 @@ class XTree:
             depth[vid] = depth[parent[vid]] + 1
         self._depth = tuple(depth)
 
-        below: list[frozenset[str]] = [frozenset()] * len(parent)
+        self._leaf_labels = frozenset(leaf_id)
+
+        # A vertex's descendants are the preorder ids v .. last[v]; the last
+        # child comes last in preorder, so its range ends the parent's.
+        last = list(range(len(parent)))
         for vid in range(len(parent) - 1, -1, -1):
-            if vlabel[vid] is not None:
-                below[vid] = frozenset((vlabel[vid],))
-            else:
-                acc: set[str] = set()
-                for c in children[vid]:
-                    acc |= below[c]
-                below[vid] = frozenset(acc)
-        self._below = tuple(below)
+            if children[vid]:
+                last[vid] = last[children[vid][-1]]
+        self._last = tuple(last)
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def from_nested(cls, shape) -> "XTree":
-        """Alias for the constructor, for symmetry with other factories."""
-        return cls(shape)
 
     @classmethod
     def star(cls, labels: Iterable[str]) -> "XTree":
@@ -186,7 +186,7 @@ class XTree:
     @property
     def leaf_labels(self) -> frozenset[str]:
         """The leaf-label set X."""
-        return self._below[0]
+        return self._leaf_labels
 
     def vertices(self) -> range:
         return range(len(self._parent))
@@ -227,7 +227,13 @@ class XTree:
 
     def leaves_below(self, v: int) -> frozenset[str]:
         """Labels of the leaves that are descendants of ``v`` (itself, for a leaf)."""
-        return self._below[v]
+        return frozenset(self._leaves(v))
+
+    def _leaves(self, v: int) -> list[str]:
+        """The leaf labels in ``v``'s preorder range, in preorder."""
+        # Labels are nonempty strings, so filtering on truth drops the
+        # interior vertices' None.
+        return list(filter(None, self._vlabel[v : self._last[v] + 1]))
 
     # -- ancestry queries -----------------------------------------------------
 
@@ -343,18 +349,12 @@ class XTree:
     def pseudo_cherries(self) -> tuple[tuple[int, frozenset[str]], ...]:
         """All (parent vertex, leaf set) pairs where the leaf set is a maximal
         proper subset of X whose members all share that parent."""
-        out = []
-        for v in self._interior:
-            if all(self._vlabel[c] is not None for c in self._children[v]):
-                leaves = self._below[v]
-                if leaves != self.leaf_labels:
-                    out.append((v, leaves))
-        return tuple(out)
-
-    def interior_minus(self) -> frozenset[int]:
-        """Interior vertices that are not the parent of a pseudo-cherry."""
-        pc_parents = {v for v, _ in self.pseudo_cherries()}
-        return frozenset(self._interior) - pc_parents
+        # Only the root has every leaf below it.
+        return tuple(
+            (v, self.leaves_below(v))
+            for v in self._interior
+            if v != 0 and all(self._vlabel[c] is not None for c in self._children[v])
+        )
 
     def is_binary(self) -> bool:
         """True iff every interior vertex has exactly two children."""

@@ -163,21 +163,22 @@ def bearded_caterpillar(k: int, length: int, prefix: str = "x") -> XTree:
     return XTree(shape)
 
 
-def random_shape(n: int, seed: int, prefix: str = "t"):
+def random_shape(n: int, seed: int, prefix: str = "t", binary: bool = False):
     """A seeded random multifurcating shape on labels prefix0 .. prefix{n-1}:
-    runs of two to four adjacent nodes are grouped until one node is left."""
+    runs of two to four adjacent nodes (always two if ``binary``) are
+    grouped until one node is left."""
     rng = random.Random(seed)
     nodes: list = [f"{prefix}{i}" for i in range(n)]
     rng.shuffle(nodes)
     while len(nodes) > 1:
-        k = min(len(nodes), rng.choice((2, 2, 3, 4)))
+        k = 2 if binary else min(len(nodes), rng.choice((2, 2, 3, 4)))
         i = rng.randrange(len(nodes) - k + 1)
         nodes[i : i + k] = [tuple(nodes[i : i + k])]
     return nodes[0]
 
 
-def random_xtree(n: int, seed: int, prefix: str = "t") -> XTree:
-    return XTree(random_shape(n, seed, prefix))
+def random_xtree(n: int, seed: int, prefix: str = "t", binary: bool = False) -> XTree:
+    return XTree(random_shape(n, seed, prefix, binary))
 
 
 def random_cords(tree: XTree, count: int, seed: int) -> frozenset[tuple[str, str]]:

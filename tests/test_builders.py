@@ -3,7 +3,7 @@
 import pytest
 from math import comb
 
-from conftest import LABELS4, LABELS5, bearded_caterpillar, leaf_path_edges
+from conftest import LABELS4, LABELS5, bearded_caterpillar, leaf_path_edges, random_xtree
 from treelasso import (
     Bipartition,
     CircularOrdering,
@@ -23,6 +23,7 @@ from treelasso import (
     min_weak_lasso,
     random_cord_set,
 )
+from treelasso.builders import _representatives
 
 CAT = XTree(((("a", "b"), "c"), "d"))
 T4 = XTree((("a", "b", "c"), "d"))
@@ -83,6 +84,11 @@ def test_builders_are_removal_minimal_on_small_trees():
                 continue
             for dropped in out:
                 assert not check(t, out - {dropped})
+
+
+def test_representatives_are_the_smallest_leaf_below():
+    for t in (random_xtree(300, 5), random_xtree(300, 6, binary=True), bearded_caterpillar(3, 40)):
+        assert _representatives(t) == [min(t.leaves_below(v)) for v in t.vertices()]
 
 
 def test_circular_order_examples():

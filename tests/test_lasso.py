@@ -1,12 +1,23 @@
 """Lasso classification from child-edge graphs, reductions, diagnostics."""
 
+import random
+from itertools import combinations
+
 import pytest
 
-from conftest import LABELS4, all_cord_subsets
+from conftest import (
+    LABELS4,
+    all_cord_subsets,
+    bearded_caterpillar,
+    brute_child_edge_pairs,
+    random_cords,
+    random_xtree,
+)
 from treelasso import (
     LassoReport,
     XTree,
     all_cords,
+    child_edge_graphs,
     classify,
     cord_graph,
     cord_set,
@@ -16,6 +27,9 @@ from treelasso import (
     is_equidistant_lasso,
     is_topological_lasso,
     is_weak_lasso,
+    min_equidistant_lasso,
+    min_topological_lasso,
+    min_weak_lasso,
     reduce_by_cherry,
     reduction_check,
 )
@@ -116,6 +130,136 @@ def test_small_leaf_sets_rejected():
         classify(XTree(("a", "b")), frozenset())
     with pytest.raises(ValueError):
         is_weak_lasso(XTree(("a", "b")), frozenset())
+
+
+def failing_by_graphs(tree, cords):
+    """Failing vertices per kind, from the ChildEdgeGraph predicates."""
+    graphs = child_edge_graphs(tree, cords)
+    pc_parents = {v for v, _ in tree.pseudo_cherries()}
+    interior = tree.interior_vertices()
+    weak = () if tree.is_star() else tuple(
+        v
+        for v in interior
+        if not (graphs[v].is_connected() if v in pc_parents else graphs[v].is_rich())
+    )
+    return {
+        "equidistant": tuple(v for v in interior if not graphs[v].has_edge()),
+        "weak": weak,
+        "topological": tuple(v for v in interior if not graphs[v].is_clique()),
+    }
+
+
+def failing_by_paths(tree, cords):
+    """Failing vertices per kind, from child-edge pairs found by path walking."""
+    linked = brute_child_edge_pairs(tree, cords)
+    out = {"equidistant": [], "weak": [], "topological": []}
+    for v in tree.interior_vertices():
+        kids = tree.children(v)
+        have = linked.get(v, set())
+        every = {frozenset(p) for p in combinations(kids, 2)}
+        if not have:
+            out["equidistant"].append(v)
+        if have != every:
+            out["topological"].append(v)
+        if tree.is_star():
+            continue
+        if any(not tree.is_leaf(k) for k in kids):
+            rich = {p for p in every if any(not tree.is_leaf(k) for k in p)}
+            if not rich <= have:
+                out["weak"].append(v)
+        else:  # a pseudo-cherry parent: flood fill from its first child
+            reached, grown = {kids[0]}, True
+            while grown:
+                grown = False
+                for p in have:
+                    if len(p & reached) == 1:
+                        reached |= p
+                        grown = True
+            if len(reached) < len(kids):
+                out["weak"].append(v)
+    return {kind: tuple(vs) for kind, vs in out.items()}
+
+
+def cord_families(tree, seed):
+    """Random sparse and dense cord sets, one random cord per vertex, the
+    minimum builders' sets, and each of those with one cord removed."""
+    rng = random.Random(seed)
+    n = len(tree.leaf_labels)
+    per_vertex = set()
+    for v in tree.interior_vertices():
+        u, w = rng.sample(tree.children(v), 2)
+        per_vertex.add(tuple(sorted((
+            rng.choice(sorted(tree.leaves_below(u))),
+            rng.choice(sorted(tree.leaves_below(w))),
+        ))))
+    families = [
+        random_cords(tree, n, seed),
+        random_cords(tree, min(3 * n, n * (n - 1) // 2), seed + 1),
+        frozenset(per_vertex),
+        min_equidistant_lasso(tree),
+        min_topological_lasso(tree),
+        min_weak_lasso(tree),
+    ]
+    for cords in families[2:]:
+        if cords:
+            families.append(cords - {rng.choice(sorted(cords))})
+    return families
+
+
+def disconnected_pseudo_cherry_cases():
+    """Pseudo-cherries of three to five leaves, some left in pieces by the
+    cords: (tree, cords, the leaf sets of the disconnected ones)."""
+    tree = XTree((("a", "b", "c", "d"), ("e", "f", "g"), ("h", ("i", "j", "k", "l", "m")), "n"))
+    cover = c(("a", "e"), ("a", "h"), ("a", "n"), ("e", "h"), ("e", "n"), ("h", "n"), ("h", "i"))
+    abcd, efg, ijklm = frozenset("abcd"), frozenset("efg"), frozenset("ijklm")
+    return [
+        (tree, cover | c(("a", "b"), ("c", "d"), ("e", "f"), ("i", "j"), ("k", "l"), ("l", "m")),
+         {abcd, efg, ijklm}),
+        (tree, cover | c(("a", "b"), ("b", "c"), ("e", "f"), ("f", "g"), ("i", "m")),
+         {abcd, ijklm}),
+        (tree, cover | c(("a", "d"), ("b", "c"), ("b", "d"), ("e", "g"), ("i", "j"), ("j", "k"),
+                          ("k", "l"), ("l", "m")),
+         {efg}),
+    ]
+
+
+# Labels starting with "!" sort before "(", so those trees list leaf
+# children before interior ones, unlike the others.
+DIFFERENTIAL_TREES = [
+    *(("random", 300, seed) for seed in range(3)),
+    *(("binary", 300, seed) for seed in range(2)),
+    ("bang", 300, 3),
+    *(("bearded", k, length) for k, length in ((2, 99), (3, 40), (5, 20))),
+    *(("star", n, 0) for n in (3, 7, 40)),
+]
+
+
+@pytest.mark.parametrize("kind, size, arg", DIFFERENTIAL_TREES)
+def test_counting_pass_matches_graphs_and_path_oracle(kind, size, arg):
+    if kind in ("random", "binary"):
+        tree = random_xtree(size, arg, binary=kind == "binary")
+    elif kind == "bang":
+        tree = random_xtree(size, arg, prefix="!t")
+    elif kind == "bearded":
+        tree = bearded_caterpillar(size, arg)
+    else:
+        tree = XTree.star(f"s{i}" for i in range(size))
+    for cords in cord_families(tree, size + arg):
+        report = classify(tree, cords)
+        assert report.failing_vertices == failing_by_graphs(tree, cords)
+        assert report.failing_vertices == failing_by_paths(tree, cords)
+        for flag, failing in report.failing_vertices.items():
+            vacuous = flag == "weak" and tree.is_star()
+            assert getattr(report, flag) == (vacuous or (bool(cords) and not failing))
+
+
+def test_counting_pass_on_disconnected_pseudo_cherries():
+    for tree, cords, disconnected in disconnected_pseudo_cherry_cases():
+        report = classify(tree, cords)
+        assert {tree.leaves_below(v) for v in report.failing_vertices["weak"]} == disconnected
+        assert report.equidistant and not report.weak
+        assert report.failing_vertices == failing_by_graphs(tree, cords)
+        assert report.failing_vertices == failing_by_paths(tree, cords)
 
 
 def test_reduce_by_cherry():

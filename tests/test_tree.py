@@ -1,9 +1,17 @@
 """Structural queries on rooted leaf-labeled trees."""
 
+import tracemalloc
+
 import pytest
 
-from conftest import LABELS4, LABELS5, random_xtree, triplets_by_restriction
-from treelasso import XTree, enumerate_binary_xtrees, enumerate_xtrees
+from conftest import (
+    LABELS4,
+    LABELS5,
+    bearded_caterpillar,
+    random_xtree,
+    triplets_by_restriction,
+)
+from treelasso import XTree, enumerate_binary_xtrees, enumerate_xtrees, parse_newick
 from treelasso.tree import triplet
 
 CAT = XTree(((("a", "b"), "c"), "d"))
@@ -29,6 +37,61 @@ def test_leaves_below():
     assert CAT.leaves_below(CAT.lca("a", "b")) == frozenset("ab")
     assert CAT.leaves_below(CAT.root) == frozenset("abcd")
     assert CAT.leaves_below(CAT.leaf_vertex("c")) == frozenset("c")
+
+
+def brute_leaves(t, v):
+    """Leaf labels below v, by walking children() from v."""
+    out, stack = set(), [v]
+    while stack:
+        u = stack.pop()
+        if t.is_leaf(u):
+            out.add(t.label(u))
+        else:
+            stack.extend(t.children(u))
+    return frozenset(out)
+
+
+def assert_leaf_queries_match_brute(t, vertices):
+    for v in vertices:
+        assert t.leaves_below(v) == brute_leaves(t, v)
+    assert t.leaf_labels == brute_leaves(t, t.root)
+    # a pseudo-cherry parent: a non-root vertex whose children are all leaves
+    expected = tuple(
+        (v, frozenset(t.label(c) for c in t.children(v)))
+        for v in t.interior_vertices()
+        if v != t.root and all(t.is_leaf(c) for c in t.children(v))
+    )
+    assert t.pseudo_cherries() == expected
+
+
+LEAF_QUERY_TREES = [
+    *(random_xtree(300, seed) for seed in range(3)),
+    bearded_caterpillar(2, 99),
+    bearded_caterpillar(4, 25),
+    XTree.star(f"s{i}" for i in range(12)),
+    XTree("a"),
+    *enumerate_xtrees(LABELS5),
+]
+
+
+def test_leaf_ranges_match_brute_recomputation():
+    for t in LEAF_QUERY_TREES:
+        assert_leaf_queries_match_brute(t, t.vertices())
+
+
+def test_deep_caterpillar_parse_retains_linear_memory():
+    # Per-vertex leaf sets would hold O(n * depth) labels here: 349 MB.
+    n = 4000
+    text = "(" * n + "a0" + "".join(f",a{i})" for i in range(1, n + 1)) + ";"
+    tracemalloc.start()
+    try:
+        tree, _ = parse_newick(text)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 20 * 2**20, f"the parsed tree retains {retained / 2**20:.1f} MB"
+    assert tree.n_vertices == 2 * n + 1
+    assert_leaf_queries_match_brute(tree, range(0, tree.n_vertices, 97))
 
 
 def test_restrict_examples():
@@ -143,10 +206,13 @@ def test_every_non_star_tree_has_a_pseudo_cherry():
 
 
 def test_interior_minus():
+    def interior_minus(t):
+        return set(t.interior_vertices()) - {v for v, _ in t.pseudo_cherries()}
+
     mid = CAT.lca("a", "c")
-    assert CAT.interior_minus() == {CAT.root, mid}
-    assert STAR3.interior_minus() == {STAR3.root}
-    assert BAL.interior_minus() == {BAL.root}
+    assert interior_minus(CAT) == {CAT.root, mid}
+    assert interior_minus(STAR3) == {STAR3.root}
+    assert interior_minus(BAL) == {BAL.root}
 
 
 def test_is_binary_is_star():
