@@ -11,6 +11,7 @@ definition-level check), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -155,7 +156,9 @@ def cmd_distances(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="treelasso",
         description="Decide whether partial leaf distances pin down an equidistant rooted tree.",

@@ -11,6 +11,14 @@ Unary vertices are rejected, a weight is either present on every edge or on
 none, and the root carries no weight (it has no parent edge).  Decimals are
 converted exactly (power-of-ten denominators), so parse/print round-trips
 preserve rationals bit for bit.
+
+The parser reads the text in one pass, with no recursion, into post-order
+records (leaf label or None, child record ids, weight) and hands them to
+the tree's one construction path, which tells it each record's vertex, so
+every weight lands on its vertex directly.  A label is a maximal run of
+characters that are neither whitespace nor one of ``(),:;``, which is
+exactly what :class:`~treelasso.tree.XTree` accepts, so parsed labels are
+not checked again.
 """
 
 from __future__ import annotations
@@ -19,12 +27,14 @@ import re
 
 from .cords import format_rational, parse_rational
 from .heights import EdgeWeighting
-from .tree import XTree
+from .tree import _LABEL_RE, XTree
 
 __all__ = ["NewickParseError", "parse_newick", "print_newick"]
 
-_LABEL_RE = re.compile(r"[^\s(),:;]+")
 _WEIGHT_RE = re.compile(r"-?\d+(?:\.\d+)?(?:/\d+)?")
+# The parser tests str.isspace() and then skips with \s+: the two agree on
+# every code point (the tests check), so a skip always advances.
+_WS_RE = re.compile(r"\s+")
 
 
 class NewickParseError(ValueError):
@@ -38,74 +48,96 @@ class NewickParseError(ValueError):
         self.column = column
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
+def _found(text: str, pos: int) -> str:
+    return repr(text[pos] if pos < len(text) else "end of input")
 
-    def error(self, message: str) -> NewickParseError:
-        return NewickParseError(message, self.text, self.pos)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _records(text: str) -> tuple[list[str | None], list, dict]:
+    """Reads Newick text into post-order records in one pass.
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            got = self.peek() or "end of input"
-            raise self.error(f"expected {ch!r}, found {got!r}")
-        self.pos += 1
-
-    def subtree(self):
-        """Parses one subtree with an explicit stack instead of recursion.
-
-        Returns (shape, records): the shape as nested label tuples, and one
-        record ``(leaf label | None, weight | None)`` per vertex in
-        post-order, so the root's record comes last and the record just
-        before an interior vertex's is that of its last child.
-        """
-        records: list[tuple[str | None, object]] = []
-        stack: list[list] = []  # the child shapes of each open interior vertex
+    Returns two parallel lists, one entry per vertex, children before
+    parents: the leaf label or None, and the child record ids (``()`` for a
+    leaf).  The root comes last.  The third result maps each record that
+    carries a weight to that weight.  Whitespace may stand between any two
+    tokens; it is skipped only where some is present.
+    """
+    labels: list[str | None] = []
+    kids: list = []
+    weights: dict = {}
+    open_ids: list[list[int]] = []  # the finished children of each open interior vertex
+    end = len(text)
+    ws, label_at, weight_at = _WS_RE.match, _LABEL_RE.match, _WEIGHT_RE.match
+    pos = 0
+    while True:
+        # A subtree: any number of '(' and then a leaf label.
+        ch = text[pos] if pos < end else ""
         while True:
-            if self.peek() == "(":
-                self.pos += 1
-                stack.append([])
-                continue
-            m = _LABEL_RE.match(self.text, self.pos)
-            if not m:
-                got = self.peek() or "end of input"
-                raise self.error(f"expected a leaf label or '(', found {got!r}")
-            self.pos = m.end()
-            shape = label = m.group()
-            while True:
-                records.append((label, self.weight()))
-                if not stack:
-                    return shape, records
-                children = stack[-1]
-                children.append(shape)
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                if len(children) == 1:
-                    raise self.error("unary vertex: an interior vertex needs >= 2 children")
-                self.expect(")")
-                stack.pop()
-                shape, label = tuple(children), None
+            if ch == "(":
+                open_ids.append([])
+                pos += 1
+            elif ch.isspace():
+                pos = ws(text, pos).end()
+            else:
+                break
+            ch = text[pos] if pos < end else ""
+        m = label_at(text, pos)
+        if m is None:
+            raise NewickParseError(
+                f"expected a leaf label or '(', found {_found(text, pos)}", text, pos
+            )
+        pos = m.end()
+        labels.append(m.group())
+        kids.append(())
+        # After a subtree: its weight, then ',' to a sibling or ')' to close
+        # its parent, which is itself a finished subtree.
+        while True:
+            ch = text[pos] if pos < end else ""
+            if ch.isspace():
+                pos = ws(text, pos).end()
+                ch = text[pos] if pos < end else ""
+            if ch == ":":
+                pos += 1
+                if pos < end and text[pos].isspace():
+                    pos = ws(text, pos).end()
+                m = weight_at(text, pos)
+                if m is None:
+                    raise NewickParseError(
+                        "expected a decimal or p/q weight after ':'", text, pos
+                    )
+                pos = m.end()
+                weights[len(labels) - 1] = parse_rational(m.group())
+                ch = text[pos] if pos < end else ""
+                if ch.isspace():
+                    pos = ws(text, pos).end()
+                    ch = text[pos] if pos < end else ""
+            if not open_ids:
+                break
+            siblings = open_ids[-1]
+            siblings.append(len(labels) - 1)
+            if ch == ",":
+                pos += 1
+                break
+            if len(siblings) == 1:
+                raise NewickParseError(
+                    "unary vertex: an interior vertex needs >= 2 children", text, pos
+                )
+            if ch != ")":
+                raise NewickParseError(f"expected ')', found {_found(text, pos)}", text, pos)
+            pos += 1
+            open_ids.pop()
+            labels.append(None)
+            kids.append(siblings)
+        if not open_ids:
+            break
 
-    def weight(self):
-        if self.peek() != ":":
-            return None
-        self.pos += 1
-        self.skip_ws()
-        m = _WEIGHT_RE.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected a decimal or p/q weight after ':'")
-        self.pos = m.end()
-        return parse_rational(m.group())
+    if ch != ";":
+        raise NewickParseError(f"expected ';', found {_found(text, pos)}", text, pos)
+    pos += 1
+    if pos < end and text[pos].isspace():
+        pos = ws(text, pos).end()
+    if pos != end:
+        raise NewickParseError("trailing characters after ';'", text, pos)
+    return labels, kids, weights
 
 
 def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
@@ -115,35 +147,22 @@ def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
     unary vertices, duplicate labels, partially weighted input, or a weight
     on the root.
     """
-    parser = _Parser(text)
-    shape, records = parser.subtree()
-    parser.expect(";")
-    parser.skip_ws()
-    if parser.pos != len(text):
-        raise parser.error("trailing characters after ';'")
-    if records[-1][1] is not None:
+    labels, kids, weights = _records(text)
+    edges = len(labels) - 1  # every vertex but the root, which comes last, has a parent edge
+    if edges in weights:
         raise NewickParseError("the root cannot carry a weight", text, 0)
-
     try:
-        tree = XTree(shape)
+        tree, vertex = XTree._from_records(labels, kids)
     except ValueError as exc:
         raise NewickParseError(str(exc), text, 0) from None
 
-    edges = records[:-1]  # every vertex but the root has a parent edge
-    weighted = sum(w is not None for _, w in edges)
-    if weighted and weighted < len(edges):
+    if 0 < len(weights) < edges:
         raise NewickParseError(
             "either every edge carries a weight or none does", text, 0
         )
-    if not weighted:
+    if not weights:
         return tree, None
-    # The canonical tree only reorders children, so a parsed vertex is its
-    # leaf, or the parent of the vertex parsed just before it (its last child).
-    vertex: list[int] = []
-    for label, _ in records:
-        vertex.append(tree.leaf_vertex(label) if label is not None else tree.parent(vertex[-1]))
-    weights = {vertex[i]: w for i, (_, w) in enumerate(edges)}
-    return tree, EdgeWeighting(tree, weights)
+    return tree, EdgeWeighting(tree, {vertex[r]: w for r, w in weights.items()})
 
 
 def print_newick(tree: XTree, weighting: EdgeWeighting | None = None) -> str:

@@ -8,6 +8,14 @@ ordering, and two trees compare equal exactly when a root-preserving,
 label-fixing isomorphism exists between them.  Equal trees therefore have
 identical vertex numbering, which makes ids safe cache keys downstream.
 
+Every tree is built one way: from post-order records, one per vertex
+(leaf label or None, and child record ids).  ``XTree(shape)`` flattens its
+nested shape into records and the Newick parser emits them directly.  One
+bottom-up sweep builds canonical keys, sorting each vertex's children by
+key and dropping the children's keys once their parent's is built, so a
+deep tree holds O(n) key characters at a time; one top-down sweep numbers
+the vertices in preorder.
+
 Every subtree is a contiguous run of preorder ids, so a tree keeps, per
 vertex, only the id of its last descendant.  Leaf sets are not stored per
 vertex: :meth:`XTree.leaves_below` reads the labels off that range when
@@ -25,6 +33,7 @@ of recursion, so deep trees raise no ``RecursionError``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -32,34 +41,39 @@ from typing import Iterable
 
 __all__ = ["Triplet", "XTree", "triplet"]
 
-_FORBIDDEN = set("(),:;")
+# A leaf label: nonempty, without whitespace or any of the Newick
+# delimiters "(),:;".  The Newick parser matches labels with this pattern,
+# so every label it reads is valid.
+_LABEL_RE = re.compile(r"[^\s(),:;]+")
 
 
 def _check_label(label: object) -> str:
     if not isinstance(label, str) or not label:
         raise ValueError(f"leaf label must be a nonempty string, got {label!r}")
-    if any(ch.isspace() or ch in _FORBIDDEN for ch in label):
+    if _LABEL_RE.fullmatch(label) is None:
         raise ValueError(
             f"invalid leaf label {label!r}: whitespace and '(),:;' are reserved"
         )
     return label
 
 
-def _canonical(shape) -> tuple[str, object]:
-    """Return (canonical key, normalized shape) for a nested tree description.
+def _shape_records(shape) -> tuple[list[str | None], list]:
+    """Flattens a nested tree description into post-order records.
 
     A shape is either a leaf label (str) or an iterable of two or more
-    shapes.  Children are sorted by their canonical keys so that any two
-    isomorphic shapes normalize identically.  The walk is a depth-first
-    post-order over an explicit stack, checking each node when it is first
-    reached, so errors are reported in left-to-right order.
+    shapes.  Record i is a leaf label and ``()``, or ``None`` and the list
+    of its children's record ids in the shape's order.  The walk is a
+    depth-first post-order over an explicit stack, checking each node when
+    it is first reached, so errors are reported in left-to-right order.
     """
-    stack: list[tuple[tuple, list]] = []  # open vertices: (entries, finished child pairs)
+    labels: list[str | None] = []
+    kids: list = []
+    stack: list[tuple[tuple, list[int]]] = []  # open vertices: (entries, finished child ids)
     node = shape
     while True:
         if isinstance(node, str):
-            label = _check_label(node)
-            done = (label, label)
+            labels.append(_check_label(node))
+            kids.append(())
         else:
             try:
                 entries = tuple(node)
@@ -73,16 +87,16 @@ def _canonical(shape) -> tuple[str, object]:
             node = entries[0]
             continue
         while stack:
-            entries, pairs = stack[-1]
-            pairs.append(done)
-            if len(pairs) < len(entries):
-                node = entries[len(pairs)]
+            entries, ids = stack[-1]
+            ids.append(len(labels) - 1)
+            if len(ids) < len(entries):
+                node = entries[len(ids)]
                 break
             stack.pop()
-            pairs.sort(key=lambda p: p[0])
-            done = ("(" + ",".join(p[0] for p in pairs) + ")", tuple(p[1] for p in pairs))
+            labels.append(None)
+            kids.append(ids)
         else:
-            return done
+            return labels, kids
 
 
 @dataclass(frozen=True)
@@ -119,52 +133,83 @@ class XTree:
     """
 
     def __init__(self, shape) -> None:
-        key, normalized = _canonical(shape)
-        parent: list[int] = []
-        children: list[list[int]] = []
-        vlabel: list[str | None] = []
+        self._build(*_shape_records(shape))
 
-        # Preorder ids: children are pushed in reverse, so they pop in order.
-        stack = [(normalized, -1)]
-        while stack:
-            node, par = stack.pop()
-            vid = len(parent)
-            parent.append(par)
-            children.append([])
-            if par >= 0:
-                children[par].append(vid)
-            if isinstance(node, str):
-                vlabel.append(node)
-            else:
-                vlabel.append(None)
-                stack.extend((child, vid) for child in reversed(node))
-        self._key = key
+    @classmethod
+    def _from_records(cls, labels: list[str | None], kids: list) -> tuple["XTree", list[int]]:
+        """The tree of post-order records, and the vertex id of each record.
+
+        Records are as :func:`_shape_records` makes them; labels are not
+        checked again, so the caller vouches for them.  ``kids`` is sorted in place.
+        """
+        tree = cls.__new__(cls)
+        return tree, tree._build(labels, kids)
+
+    def _build(self, labels: list[str | None], kids: list) -> list[int]:
+        """Fills the tree from post-order records; returns each record's vertex id."""
+        n = len(labels)
+        # Canonical keys, children first: a leaf's key is its label, and an
+        # interior vertex's is its children's keys, sorted, in parentheses.
+        # A child's key is dropped once its parent's is built, so a deep
+        # tree never holds more than O(n) key characters at once.  A subtree
+        # is a run of records ending at its root; first[r] is where it starts.
+        key: list[str | None] = list(labels)
+        first = list(range(n))
+        for r in range(n):
+            ks = kids[r]
+            if ks:
+                first[r] = first[ks[0]]
+                ks.sort(key=key.__getitem__)
+                key[r] = "(" + ",".join([key[c] for c in ks]) + ")"
+                for c in ks:
+                    key[c] = None
+
+        # Preorder ids over the sorted children: parents come before their
+        # children in reverse post-order, and a vertex's first child takes
+        # the id after it, each later child the id after its elder
+        # sibling's subtree.
+        vid = [0] * n
+        parent = [-1] * n
+        children: list[tuple[int, ...]] = [()] * n
+        vlabel: list[str | None] = [None] * n
+        depth = [0] * n
+        last = [0] * n  # a vertex's descendants are the ids v .. last[v]
+        for r in range(n - 1, -1, -1):
+            v = vid[r]
+            last[v] = v + r - first[r]
+            ks = kids[r]
+            if not ks:
+                vlabel[v] = labels[r]
+                continue
+            d = depth[v] + 1
+            u = v + 1
+            ids = []
+            for c in ks:
+                vid[c] = u
+                parent[u] = v
+                depth[u] = d
+                ids.append(u)
+                u += c - first[c] + 1
+            children[v] = tuple(ids)
+
+        leaf_id = {lab: v for v, lab in enumerate(vlabel) if lab is not None}
+        if len(leaf_id) < n - labels.count(None):
+            seen: set[str] = set()
+            for lab in vlabel:
+                if lab is not None:
+                    if lab in seen:
+                        raise ValueError(f"duplicate leaf label {lab!r}")
+                    seen.add(lab)
+
+        self._key = key[n - 1]
         self._parent = tuple(parent)
-        self._children = tuple(tuple(kids) for kids in children)
+        self._children = tuple(children)
         self._vlabel = tuple(vlabel)
-
-        leaf_id: dict[str, int] = {}
-        for vid, lab in enumerate(vlabel):
-            if lab is not None:
-                if lab in leaf_id:
-                    raise ValueError(f"duplicate leaf label {lab!r}")
-                leaf_id[lab] = vid
         self._leaf_id = leaf_id
-
-        depth = [0] * len(parent)
-        for vid in range(1, len(parent)):
-            depth[vid] = depth[parent[vid]] + 1
         self._depth = tuple(depth)
-
         self._leaf_labels = frozenset(leaf_id)
-
-        # A vertex's descendants are the preorder ids v .. last[v]; the last
-        # child comes last in preorder, so its range ends the parent's.
-        last = list(range(len(parent)))
-        for vid in range(len(parent) - 1, -1, -1):
-            if children[vid]:
-                last[vid] = last[children[vid][-1]]
         self._last = tuple(last)
+        return vid
 
     # -- construction helpers -------------------------------------------------
 

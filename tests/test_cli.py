@@ -81,6 +81,33 @@ def test_build_circular_seed_determinism(capsys, tree_file):
     assert outs[0] == outs[1]
 
 
+def test_shared_parser_carries_no_state_between_calls(capsys, tree_file, cords_file):
+    # main() reuses one parser per process: an option given to one call
+    # must not reach the next.
+    assert cli.build_parser() is cli.build_parser()
+
+    code, out, _ = run(capsys, "classify", "--tree", tree_file, "--cords", cords_file, "--oracle")
+    assert code == 0 and "oracle" in json.loads(out.strip().splitlines()[-1])
+    code, out, _ = run(capsys, "classify", "--tree", tree_file, "--cords", cords_file)
+    assert code == 0 and "oracle" not in json.loads(out.strip().splitlines()[-1])
+
+    code, seeded, _ = run(capsys, "build", "--tree", tree_file, "--kind", "circular", "--seed", "3")
+    assert code == 0
+    code, out, _ = run(capsys, "build", "--tree", tree_file, "--kind", "circular")
+    assert code == 0
+    # seed=None takes the canonical child order; seed 3 embeds this tree otherwise
+    assert sorted(out.splitlines()) == ["a b", "a d", "b c", "c d"] != sorted(seeded.splitlines())
+    assert cli.build_parser().parse_args(["build", "--tree", tree_file, "--kind", "circular"]).seed is None
+
+    codes = []
+    for argv in (["classify", "--tree", tree_file], ["classify", "--tree", tree_file]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        codes.append(exc.value.code)
+    assert codes == [2, 2]
+    assert "--cords" in capsys.readouterr().err
+
+
 def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--leaves", "a,b,c")
     assert code == 0

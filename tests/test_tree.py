@@ -1,5 +1,7 @@
 """Structural queries on rooted leaf-labeled trees."""
 
+import re
+import sys
 import tracemalloc
 
 import pytest
@@ -12,7 +14,7 @@ from conftest import (
     triplets_by_restriction,
 )
 from treelasso import XTree, enumerate_binary_xtrees, enumerate_xtrees, parse_newick
-from treelasso.tree import triplet
+from treelasso.tree import _LABEL_RE, triplet
 
 CAT = XTree(((("a", "b"), "c"), "d"))
 STAR3 = XTree(("a", "b", "c"))
@@ -86,10 +88,12 @@ def test_deep_caterpillar_parse_retains_linear_memory():
     tracemalloc.start()
     try:
         tree, _ = parse_newick(text)
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert retained < 20 * 2**20, f"the parsed tree retains {retained / 2**20:.1f} MB"
+    # Keeping every subtree's canonical key until the end would peak near 61 MB.
+    assert peak < 10 * 2**20, f"parsing peaked at {peak / 2**20:.1f} MB"
     assert tree.n_vertices == 2 * n + 1
     assert_leaf_queries_match_brute(tree, range(0, tree.n_vertices, 97))
 
@@ -233,6 +237,38 @@ def test_invalid_shapes_rejected():
         XTree(("a:", "c"))  # reserved character
     with pytest.raises(ValueError):
         XTree(("", "c"))  # empty label
+
+
+def test_shape_errors_come_in_left_to_right_order():
+    # Each node is checked when the walk first reaches it; duplicates are
+    # reported at their first repeat in canonical preorder.
+    cases = [
+        ((("a",), "b c"), "unary interior vertex is not allowed"),
+        (("b c", ("a",)), "invalid leaf label 'b c': whitespace and '(),:;' are reserved"),
+        ((("a", "x y"), ("a", "b")), "invalid leaf label 'x y'"),
+        (("a", "", ("b",)), "leaf label must be a nonempty string, got ''"),
+        ((5, ("a",)), "tree shape must be a label or an iterable, got 5"),
+        (["a", ["b", "c", []]], "interior vertex with no children"),
+        ((("b", "b"), ("a", "a")), "duplicate leaf label 'a'"),
+        ((("z", "z"), "y", ("y", "x")), "duplicate leaf label 'z'"),
+    ]
+    for shape, message in cases:
+        with pytest.raises(ValueError) as err:
+            XTree(shape)
+        assert str(err.value).startswith(message), shape
+
+
+def test_label_pattern_rejects_exactly_whitespace_and_delimiters():
+    # The Newick parser reads labels with _LABEL_RE and skips whitespace
+    # where str.isspace() says so, then trusts both without _check_label:
+    # that is sound only while re's \s and str.isspace() agree everywhere.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = {ch for ch in everything if ch.isspace()}
+    assert set(re.findall(r"\s", everything)) == spaces
+    assert set(_LABEL_RE.sub("", everything)) == spaces | set("(),:;")
+    for ch in sorted(spaces) + list("(),:;"):
+        with pytest.raises(ValueError, match="reserved"):
+            XTree((f"a{ch}b", "c"))
 
 
 def test_child_toward():
