@@ -17,7 +17,8 @@ is solved exactly as a longest-path problem, never with floating tolerance:
   only over the vertices that lie on or behind a cycle; a positive cycle
   makes the system infeasible;
 * each longest-path value ``(a, b)`` becomes the rational ``a + b*eps``,
-  with ``eps <= 1`` chosen from every constraint's slack.
+  with ``eps = p/q <= 1`` chosen from every constraint's slack and kept as
+  two integers, so each point is built as one ``Fraction(a*q + b*p, q)``.
 
 One call returns both the verdict and the exact witness point.  Any other
 linear constraint is rejected with ``ValueError``.
@@ -35,7 +36,6 @@ Variable = Hashable
 Constraint = tuple[dict, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,10 @@ def _solve_differences(
     ``(x, y, c, strict)`` meaning ``x - y >= c``, or ``x - y > c`` when
     ``strict`` is set.  Id ``n`` is a variable fixed at zero, so ``(x, n, c)``
     pins ``x = c`` and ``(x, n, 0, False)`` keeps ``x`` nonnegative.
+
+    Every returned value is a ``Fraction``.  With integer constants, as in
+    all the oracle's systems, each is built from one integer numerator over
+    the integer denominator of ``eps``, with no rational arithmetic.
     """
     # The finds are inlined path-halving loops: the oracle's rival scan makes
     # hundreds of thousands of calls, most ending at the self-loop check.
@@ -162,15 +166,17 @@ def _solve_differences(
         else:
             return None  # positive cycle
 
-    # eps small enough that no constraint with real slack loses it
-    eps = _ONE
+    # eps = p/q small enough that no constraint with real slack loses it
+    p = q = 1
     for y, targets in out.items():
         ay, by = value[y]
         for x, c, _ in targets:
             ax, bx = value[x]
             slack = ax - ay - c
             if slack > 0 and by > bx:
-                eps = min(eps, Fraction(slack, by - bx + 1))
+                d = slack.denominator * (by - bx + 1)
+                if slack.numerator * q < p * d:
+                    p, q = slack.numerator, d
 
     def lex(v: int) -> tuple:
         while parent[v] != v:
@@ -181,7 +187,8 @@ def _solve_differences(
     points = []
     for v in range(n):
         a, b = lex(v)
-        points.append(a - az + (b - bz) * eps)
+        num = (a - az) * q + (b - bz) * p
+        points.append(Fraction(num) if q == 1 else Fraction(num, q))
     return points
 
 

@@ -97,19 +97,25 @@ class HeightMap:
     heights: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
+        # exact comparisons on numerators and denominators: a Fraction's
+        # denominator is positive, so signs and orders read off cross-products
         h = {v: _as_fraction(x) for v, x in self.heights.items()}
-        if set(h) != set(self.tree.interior_vertices()):
+        tree = self.tree
+        interior = tree.interior_vertices()
+        if len(h) != len(interior) or not all(map(h.__contains__, interior)):
             raise ValueError("heights must cover exactly the interior vertices")
         for v, x in h.items():
-            if x < 0:
+            if x.numerator < 0:
                 raise ValueError(f"height of vertex {v} is negative: {x}")
-        for v in self.tree.interior_vertices():
-            p = self.tree.parent(v)
-            if p is not None and h[v] >= h[p]:
-                raise ValueError(
-                    f"heights must strictly decrease along interior edges "
-                    f"({p} -> {v}: {h[p]} -> {h[v]})"
-                )
+        for v in interior:
+            p = tree.parent(v)
+            if p is not None:
+                x, y = h[v], h[p]
+                if x.numerator * y.denominator >= y.numerator * x.denominator:
+                    raise ValueError(
+                        f"heights must strictly decrease along interior edges "
+                        f"({p} -> {v}: {y} -> {x})"
+                    )
         object.__setattr__(self, "heights", h)
 
     def __hash__(self) -> int:

@@ -27,12 +27,22 @@ each cord's meeting vertex, in :func:`all_cords` order; and two flattened
 m x m cord-order bitmasks over the m leaf pairs: bit ``i*m + j`` of the
 first says cord i meets at a proper ancestor of where cord j meets, and of
 the second that cord j meets at an ancestor of, or at, where cord i meets.
-Both are read off each vertex's leaf set, as the cords with both ends in it.  If a pair of the given cords
-meets strictly higher in one tree and weakly lower in the other, the two
-cord equalities close a strict cycle through the properness edges, so the
-rival is infeasible; each decision masks the reference tree's bitmasks with
-its cord pairs once and rejects such a rival with two integer ANDs.  Every
-other rival still goes to the engine.
+Both are read off each vertex's leaf set, as the cords with both ends in
+it.  If a pair of the given cords meets strictly higher in one tree and
+weakly lower in the other, the two cord equalities close a strict cycle
+through the properness edges, so the rival is infeasible; each decision
+masks the reference tree's bitmasks with its cord pairs once and rejects
+such a rival with two integer ANDs.  Every other rival still goes to the
+engine.
+
+The equidistant decision needs no rivals, so it reads only per-tree tables
+and works on trees of any size.  It puts two copies of the tree's heights
+side by side, ties them with one equality per vertex where a given cord
+meets, and asks the engine, vertex by vertex, for the first copy to sit
+strictly above the second.  At a vertex where a cord meets, that strict
+edge and the equality close a strict self-loop, so the engine could only
+answer None; those vertices are skipped and the first feasible vertex, the
+verdict and the witness are unchanged.
 """
 
 from __future__ import annotations
@@ -132,24 +142,24 @@ def enumerate_binary_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
 def _tables(tree: XTree):
     """Dense per-tree tables over interior indices (canonical order).
 
-    Returns the properness edges as engine constraints ``(parent, child, 0,
-    True)``, the leaf-pair lca index, and the number of interior vertices.
+    Returns the properness edges of two copies of the tree as engine
+    constraints ``(parent, child, 0, True)``, the second copy's ids shifted
+    by ``k``; the leaf-pair lca index; and ``k``, the number of interior
+    vertices.
     """
     interior = tree.interior_vertices()
+    k = len(interior)
     index = {v: i for i, v in enumerate(interior)}
-    edges = tuple(
-        (index[tree.parent(v)], index[v], 0, True) for v in interior if v != tree.root
+    edges = [(index[tree.parent(v)], index[v]) for v in interior if v != tree.root]
+    both = tuple((a, b, 0, True) for a, b in edges) + tuple(
+        (k + a, k + b, 0, True) for a, b in edges
     )
     lca_index = {}
     labels = sorted(tree.leaf_labels)
     for i, a in enumerate(labels):
         for b in labels[i + 1 :]:
             lca_index[(a, b)] = index[tree.lca(a, b)]
-    return edges, lca_index, len(interior)
-
-
-def _shifted(edges, offset: int) -> list:
-    return [(offset + a, offset + b, 0, True) for a, b, _, _ in edges]
+    return both, lca_index, k
 
 
 def joint_isometry_system(
@@ -382,15 +392,20 @@ def oracle_equidistant(
 
     False exactly when, for some interior vertex, two valid height vectors
     on the same tree agree on every cord's meeting height yet differ at that
-    vertex; the witness carries such a pair of weightings.
+    vertex; the witness carries such a pair of weightings.  Vertices where a
+    given cord meets are never tried: the cords pin them equal in both
+    vectors, so they cannot differ there.  The tables are per tree, so any
+    number of leaves is allowed.
     """
     _require_lasso_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    edges, lca_index, k = _tables(tree)
-    both = list(edges) + _shifted(edges, k)
-    equal = [(lca_index[c], k + lca_index[c], 0) for c in sorted(checked)]
+    both, lca_index, k = _tables(tree)
+    met = {lca_index[c] for c in checked}
+    equal = [(i, k + i, 0) for i in sorted(met)]
     for i in range(k):
-        values = _solve_differences(2 * k, equal, both + [(i, k + i, 0, True)])
+        if i in met:  # x_i = x_{k+i} and x_i > x_{k+i}: a strict self-loop
+            continue
+        values = _solve_differences(2 * k, equal, both + ((i, k + i, 0, True),))
         if values is not None:
             return False, _witness(tree, tree, values, k)
     return True, None

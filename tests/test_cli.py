@@ -142,6 +142,23 @@ def test_witness_none(capsys, tree_file, cords_file):
     assert out.strip() == "none"
 
 
+def test_equidistant_witness_past_the_enumeration_cap(capsys, tmp_path):
+    tree = tmp_path / "t8.nwk"
+    tree.write_text("((((a,b),c),(d,e)),((f,g),h));\n")
+    cords = tmp_path / "c.txt"
+    cords.write_text("a c\nc e\n")
+    code, out, _ = run(
+        capsys, "witness", "--tree", str(tree), "--cords", str(cords), "--kind", "equidistant"
+    )
+    assert code == 0
+    first, second = out.strip().splitlines()
+    t1, w1 = parse_newick(first)
+    t2, w2 = parse_newick(second)
+    assert t1 == t2 and w1 != w2
+    h1, h2 = HeightMap.from_edge_weights(w1), HeightMap.from_edge_weights(w2)
+    assert h1.is_l_isometric(h2, cord_set([("a", "c"), ("c", "e")]))
+
+
 def test_distances(capsys, tmp_path):
     tree = tmp_path / "wt.nwk"
     tree.write_text("((a:1,b:1):2,c:3);\n")

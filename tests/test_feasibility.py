@@ -1,5 +1,6 @@
 """Exact strict feasibility: hand cases and grid-search oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -243,3 +244,45 @@ def test_engine_agrees_with_grid_search_on_200_non_strict_systems():
             assert _holds(values, equal, greater), f"seed {seed}"
             feasible_count += 1
     assert 0 < feasible_count < 200
+
+
+# Digests of the engine's exact outputs, recorded before the points were
+# built from integer numerators: each value must keep its value and its type.
+ENGINE_200_SHA256 = "5b89d8e83e93dc1daacc804b0d970d01f765d08a496d79e4264b21cadfbc8711"
+STRICT_200_SHA256 = "7409dae22dae770907a630bcacf80d01e1bda33d97a60607854ec6043bc844f2"
+
+
+def _digest(outputs) -> str:
+    return hashlib.sha256(repr(outputs).encode()).hexdigest()
+
+
+def test_engine_outputs_match_the_recorded_corpus():
+    engine = [_solve_differences(3, *_random_engine_system(seed)) for seed in range(200)]
+    assert _digest(engine) == ENGINE_200_SHA256
+    strict = [strict_feasible(_random_system(seed)) for seed in range(200)]
+    assert _digest(strict) == STRICT_200_SHA256
+
+
+@pytest.mark.parametrize(
+    "n, equal, greater, expected",
+    [
+        # 0 < x0 <= 1: eps = 1/2
+        (2, [], [(0, 2, Fraction(0), True), (2, 0, Fraction(-1), False)], [Fraction(1, 2), 0]),
+        # 0 < x0 <= 1/3: eps = 1/6, from a fractional slack
+        (2, [], [(0, 2, Fraction(0), True), (2, 0, Fraction(-1, 3), False)], [Fraction(1, 6), 0]),
+        # 1 >= x0 > x1 > 0 with integer constants: eps = 1/3
+        (2, [], [(0, 1, 0, True), (1, 2, 0, True), (2, 0, -1, False)], [Fraction(2, 3), Fraction(1, 3)]),
+        # a constant identification and a fractional pin
+        (
+            3,
+            [(1, 2, Fraction(1, 2))],
+            [(0, 1, 0, True), (3, 0, Fraction(-5, 2), False), (2, 3, 0, True)],
+            [Fraction(11, 6), Fraction(7, 6), Fraction(2, 3)],
+        ),
+    ],
+)
+def test_engine_points_with_eps_below_one(n, equal, greater, expected):
+    values = _solve_differences(n, equal, greater)
+    assert values == expected
+    assert all(type(v) is Fraction for v in values)
+    assert _holds(values, equal, greater)

@@ -80,6 +80,59 @@ def test_height_map_validation():
         HeightMap(CHERRY3, {CHERRY3.root: 1.5, cherry: 0.5})  # floats rejected
 
 
+CAT4 = XTree(((("a", "b"), "c"), "d"))  # root 0 above 1 above 2
+
+
+@pytest.mark.parametrize(
+    "tree, heights, error, message",
+    [
+        (CHERRY3, {0: Fraction(1), 1: Fraction(-1)}, ValueError,
+         "height of vertex 1 is negative: -1"),
+        (CHERRY3, {0: Fraction(1), 1: Fraction(1)}, ValueError,
+         "heights must strictly decrease along interior edges (0 -> 1: 1 -> 1)"),
+        (CHERRY3, {0: Fraction(1), 1: Fraction(2)}, ValueError,
+         "heights must strictly decrease along interior edges (0 -> 1: 1 -> 2)"),
+        (CHERRY3, {0: Fraction(1)}, ValueError,
+         "heights must cover exactly the interior vertices"),
+        (CHERRY3, {0: Fraction(3), 1: Fraction(1), 4: Fraction(0)}, ValueError,
+         "heights must cover exactly the interior vertices"),  # a leaf
+        (CHERRY3, {0: Fraction(3), 99: Fraction(1)}, ValueError,
+         "heights must cover exactly the interior vertices"),
+        (CHERRY3, {0: 1.5, 1: Fraction(1, 2)}, TypeError,
+         "edge weights and heights must be exact rationals, not floats"),
+        # two faults: the first check in order reports
+        (CHERRY3, {1: 0.5}, TypeError,
+         "edge weights and heights must be exact rationals, not floats"),
+        (CHERRY3, {0: Fraction(-1)}, ValueError,
+         "heights must cover exactly the interior vertices"),
+        (CAT4, {0: Fraction(-1), 1: Fraction(-2), 2: Fraction(5)}, ValueError,
+         "height of vertex 0 is negative: -1"),
+        (CAT4, {0: Fraction(1), 1: Fraction(3), 2: Fraction(-3, 2)}, ValueError,
+         "height of vertex 2 is negative: -3/2"),
+        (CAT4, {0: 1, 1: Fraction(2), 2: Fraction(2)}, ValueError,
+         "heights must strictly decrease along interior edges (0 -> 1: 1 -> 2)"),
+        (CAT4, {2: Fraction(1), 1: Fraction(2), 0: Fraction(2)}, ValueError,
+         "heights must strictly decrease along interior edges (0 -> 1: 2 -> 2)"),
+        (CAT4, {2: Fraction(3), 1: Fraction(2), 0: Fraction(1)}, ValueError,
+         "heights must strictly decrease along interior edges (0 -> 1: 1 -> 2)"),
+    ],
+)
+def test_height_map_errors_match_recorded_messages(tree, heights, error, message):
+    with pytest.raises(error) as raised:
+        HeightMap(tree, heights)
+    assert str(raised.value) == message
+
+
+def test_height_map_accepts_mixed_exact_input():
+    hm = HeightMap(CAT4, {0: 3, 1: Fraction(5, 2), 2: Fraction(1, 3)})
+    assert hm.heights == {0: Fraction(3), 1: Fraction(5, 2), 2: Fraction(1, 3)}
+    assert all(type(x) is Fraction for x in hm.heights.values())
+    # close values still order exactly
+    HeightMap(CAT4, {0: Fraction(10**20 + 1, 10**20), 1: 1, 2: Fraction(10**20 - 1, 10**20)})
+    with pytest.raises(ValueError):
+        HeightMap(CAT4, {0: 1, 1: Fraction(10**20 + 1, 10**20), 2: 0})
+
+
 def test_leaf_distance_examples():
     star = HeightMap(STAR3, {STAR3.root: Fraction(1)})
     assert {star.leaf_distance(a, b) for a, b in [("a", "b"), ("a", "c"), ("b", "c")]} == {Fraction(2)}

@@ -1,6 +1,8 @@
 """Definition-level oracle: enumeration, joint systems, witnesses, route agreement."""
 
+import hashlib
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -20,6 +22,8 @@ from treelasso import (
     enumerate_binary_xtrees,
     enumerate_xtrees,
     joint_isometry_system,
+    linear_system,
+    min_equidistant_lasso,
     oracle_equidistant,
     oracle_topological,
     oracle_weak,
@@ -291,3 +295,130 @@ def test_witness_kind_validation():
     _, witness = oracle_equidistant(T4, frozenset())
     with pytest.raises(ValueError):
         verify_witness(T4, frozenset(), witness, "strong")
+
+
+def _decision_rows(trees, cord_sets):
+    """Every verdict, witness rival and witness height (value and type)."""
+    rows = []
+    for t in trees:
+        for cords in cord_sets:
+            for kind, decide in (
+                ("weak", oracle_weak),
+                ("topological", oracle_topological),
+                ("equidistant", oracle_equidistant),
+            ):
+                ok, w = decide(t, cords)
+                if w is None:
+                    rows.append((kind, ok, None))
+                else:
+                    rows.append((
+                        kind,
+                        ok,
+                        w.rival.canonical_newick(),
+                        sorted(w.heights_t.heights.items()),
+                        sorted(w.heights_rival.heights.items()),
+                    ))
+    return rows
+
+
+# Recorded before the equidistant scan skipped met vertices and the engine
+# built its points from integer numerators.
+FOUR_LEAF_DECISIONS_SHA256 = "9cd2d2b99ebf5d8b74f48e8054e65f5a466d161ac068e4764356b16338e70cb4"
+
+
+def test_four_leaf_decisions_match_the_recorded_corpus():
+    rows = _decision_rows(enumerate_xtrees(LABELS4), all_cord_subsets(LABELS4))
+    assert len(rows) == 26 * 64 * 3
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FOUR_LEAF_DECISIONS_SHA256
+
+
+def _equidistant_reference(t, cords, i):
+    """Two proper height vectors of ``t`` agreeing on every cord, the first
+    strictly above the second at interior vertex ``i``, through the generic
+    route; None when there are none."""
+    interior = t.interior_vertices()
+    variables = [(side, v) for side in "TR" for v in interior]
+    strict = [
+        ({(side, t.parent(v)): 1, (side, v): -1}, 0)
+        for side in "TR"
+        for v in interior
+        if v != t.root
+    ]
+    strict.append(({("T", i): 1, ("R", i): -1}, 0))
+    equalities = [({("T", t.lca(a, b)): 1, ("R", t.lca(a, b)): -1}, 0) for a, b in cords]
+    return strict_feasible(
+        linear_system(variables, equalities=equalities, strict=strict, nonneg=variables)
+    )
+
+
+def test_equidistant_matches_every_vertex_reference_and_skips_met_vertices(monkeypatch):
+    # the reference tries every interior vertex in order; the oracle's engine
+    # sees only the vertices where no given cord meets, up to the first
+    # feasible one, and its verdict and witness equal the reference's
+    engine = oracle._solve_differences
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(oracle, "_solve_differences", counted)
+    cases = [(t, c) for t in enumerate_xtrees(LABELS4) for c in all_cord_subsets(LABELS4)]
+    rng = random.Random(8)
+    for t in rng.sample(enumerate_xtrees(LABELS5), 40):
+        for size in (0, 2, 4, 6, 9):
+            cases.append((t, random_cords(t, size, rng.randrange(10**6))))
+    skipped = 0
+    for t, cords in cases:
+        met = {t.lca(a, b) for a, b in cords}
+        expected_calls, point = 0, None
+        for i in t.interior_vertices():
+            point = _equidistant_reference(t, cords, i)
+            if i in met:
+                assert point is None  # the skip is exact
+                skipped += 1
+                continue
+            expected_calls += 1
+            if point is not None:
+                break
+        calls.clear()
+        ok, witness = oracle_equidistant(t, cords)
+        assert len(calls) == expected_calls
+        assert ok == (point is None)
+        if point is not None:
+            interior = t.interior_vertices()
+            assert witness.rival == t
+            assert witness.heights_t.heights == {v: point[("T", v)] for v in interior}
+            assert witness.heights_rival.heights == {v: point[("R", v)] for v in interior}
+    assert skipped
+
+
+def test_a_non_proper_engine_point_is_never_returned(monkeypatch):
+    # witnesses are validated as height maps: an engine point that breaks
+    # properness raises instead of coming back as a witness
+    monkeypatch.setattr(oracle, "_solve_differences", lambda n, equal, greater: [Fraction(0)] * n)
+    for decide in (oracle_weak, oracle_topological, oracle_equidistant):
+        with pytest.raises(ValueError, match="strictly decrease"):
+            decide(T4, frozenset())
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        ((("a", "b"), ("c", "d")), (("e", "f"), "g")),
+        (((("a", "b"), "c"), ("d", "e", "f")), ("g", "h")),
+    ],
+)
+def test_equidistant_oracle_has_no_leaf_cap(shape):
+    # the equidistant oracle reads no rival table, so it decides trees past
+    # the enumeration cap and leaves the rival tables alone
+    t = XTree(shape)
+    tables = _rival_table.cache_info().currsize
+    lasso = min_equidistant_lasso(t)
+    assert oracle_equidistant(t, lasso) == (True, None)
+    for c in sorted(lasso):
+        fewer = lasso - {c}
+        ok, witness = oracle_equidistant(t, fewer)
+        assert not ok
+        assert verify_witness(t, fewer, witness, "equidistant")
+    assert _rival_table.cache_info().currsize == tables
