@@ -46,10 +46,19 @@ def _clade(tree: XTree, v: int) -> str:
     return "{" + ",".join(sorted(tree._leaves(v))) + "}"
 
 
+_ORACLES = {
+    "equidistant": oracle.oracle_equidistant,
+    "weak": oracle.oracle_weak,
+    "topological": oracle.oracle_topological,
+}
+
+
 def cmd_classify(args) -> int:
     tree, _ = _load_tree(args.tree)
     cords = _load_cords(args.cords, tree)
     report = lasso.classify(tree, cords)
+    if args.oracle:  # decided before any output, so an oracle error prints no partial report
+        checks = {kind: decide(tree, cords)[0] for kind, decide in _ORACLES.items()}
     for kind in ("equidistant", "weak", "topological", "strong"):
         print(f"{kind:12s} {'yes' if getattr(report, kind) else 'no'}")
     names = {v: _clade(tree, v) for vs in report.failing_vertices.values() for v in vs}
@@ -71,11 +80,6 @@ def cmd_classify(args) -> int:
 
     status = 0
     if args.oracle:
-        checks = {
-            "equidistant": oracle.oracle_equidistant(tree, cords)[0],
-            "weak": oracle.oracle_weak(tree, cords)[0],
-            "topological": oracle.oracle_topological(tree, cords)[0],
-        }
         agree = all(checks[k] == getattr(report, k) for k in checks)
         payload["oracle"] = {**checks, "agree": agree}
         if not agree:
@@ -131,12 +135,7 @@ def cmd_enumerate(args) -> int:
 def cmd_witness(args) -> int:
     tree, _ = _load_tree(args.tree)
     cords = _load_cords(args.cords, tree)
-    runner = {
-        "equidistant": oracle.oracle_equidistant,
-        "weak": oracle.oracle_weak,
-        "topological": oracle.oracle_topological,
-    }[args.kind]
-    _, witness = runner(tree, cords)
+    _, witness = _ORACLES[args.kind](tree, cords)
     if witness is None:
         print("none")
     else:
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle",
         action="store_true",
-        help="cross-check against the definition-level decision (<= 5 leaves)",
+        help="cross-check against the definition-level decision (<= 6 leaves)",
     )
     p.set_defaults(func=cmd_classify)
 
@@ -195,9 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="exhibit two weightings behind a lasso failure")
     p.add_argument("--tree", required=True)
     p.add_argument("--cords", required=True)
-    p.add_argument(
-        "--kind", required=True, choices=["equidistant", "weak", "topological"]
-    )
+    p.add_argument("--kind", required=True, choices=list(_ORACLES))
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("distances", help="cord distances induced by a weighted tree")

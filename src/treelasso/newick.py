@@ -104,8 +104,11 @@ def _records(text: str) -> tuple[list[str | None], list, dict]:
                     raise NewickParseError(
                         "expected a decimal or p/q weight after ':'", text, pos
                     )
+                try:
+                    weights[len(labels) - 1] = parse_rational(m.group())
+                except ValueError as exc:  # "1.5/2", "1/0"
+                    raise NewickParseError(str(exc), text, pos) from None
                 pos = m.end()
-                weights[len(labels) - 1] = parse_rational(m.group())
                 ch = text[pos] if pos < end else ""
                 if ch.isspace():
                     pos = ws(text, pos).end()

@@ -12,7 +12,11 @@ fails to be an equidistant lasso when the same tree carries two distinct
 weightings fitting the cords.
 
 Rivals are scanned in canonical order and the first feasible violator is
-returned as a witness, so results are reproducible.  Cord equalities only
+returned as a witness, so results are reproducible.  The weak and
+topological decisions share one scan, which differs between them only in
+which rivals it skips, and which covers every rival on each leaf set the
+enumeration accepts: up to 6 leaves, or 2752 trees.  An explicit
+``rival_sample`` scans a seeded subset instead.  Cord equalities only
 ever identify two heights and properness is a set of strict height
 differences, so the scan hands each joint system straight to the exact
 difference-constraint engine behind :func:`strict_feasible`, over dense
@@ -47,6 +51,7 @@ verdict and the witness are unchanged.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,7 +75,6 @@ __all__ = [
 ]
 
 _MAX_LEAVES = 6
-_MAX_EXHAUSTIVE = 5
 
 
 # --------------------------------------------------------------------------
@@ -302,21 +306,21 @@ def _rival_table(labels: tuple[str, ...]) -> _RivalTable:
 
 def _rival_scan(
     tree: XTree,
-    cords: frozenset[Cord],
+    cords: Iterable[Cord],
     skip,
     rival_sample: int | None,
     seed: int,
-) -> Witness | None:
-    """The witness of the first rival in canonical order, not skipped, fitting the cords."""
+) -> tuple[bool, Witness | None]:
+    """The weak and topological decisions, which differ only in ``skip``.
+
+    Scans the rivals in canonical order for the first one with
+    ``skip(rival, tree)`` false whose joint system with the tree is
+    feasible; it is the witness, and the verdict is that there is none.
+    """
+    _require_lasso_domain(tree)
+    checked = validate_cords(cords, tree.leaf_labels)
     if rival_sample is not None and rival_sample < 1:
         raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
-    n = len(tree.leaf_labels)
-    if rival_sample is None and n > _MAX_EXHAUSTIVE:
-        raise ValueError(
-            f"leaf set too large for exhaustive rival enumeration "
-            f"(>{_MAX_EXHAUSTIVE}); pass rival_sample for a sampled, "
-            f"non-exhaustive answer"
-        )
     table = _rival_table(_check_enumeration_domain(tree.leaf_labels))
     rows = table.rows
     if rival_sample is not None and rival_sample < len(rows):
@@ -325,7 +329,7 @@ def _rival_scan(
     k = table.offset
     _, t_edges, t_meets, t_above, t_below = table.rows[table.row_of[tree]]
     t_edges = tuple((a - k, b - k, 0, True) for a, b, _, _ in t_edges)
-    index = [table.cord_index[c] for c in sorted(cords)]
+    index = [table.cord_index[c] for c in sorted(checked)]
     m = len(table.cord_index)
     mask = spread = 0
     for i in index:
@@ -335,13 +339,13 @@ def _rival_scan(
     t_above &= pairs
     t_below &= pairs
     for rival, edges, meets, above, below in rows:
-        if t_above & below or t_below & above or skip(rival):
+        if t_above & below or t_below & above or skip(rival, tree):
             continue
         equal = [(t_meets[i], k + meets[i], 0) for i in index]
         values = _solve_differences(2 * k, equal, t_edges + edges)
         if values is not None:
-            return _witness(tree, rival, values, k)
-    return None
+            return False, _witness(tree, rival, values, k)
+    return True, None
 
 
 def oracle_weak(
@@ -353,17 +357,11 @@ def oracle_weak(
 ) -> tuple[bool, Witness | None]:
     """Does every tree fitting the cord distances refine this one?  By definition.
 
-    Exhaustive over all rivals up to 5 leaves.  With ``rival_sample`` set, a
-    random subset of ``rival_sample`` rivals (at least 1) is scanned instead,
-    allowed up to 6 leaves: a False answer is still certain, a True answer is
-    sampled, not exhaustive.
+    Exhaustive over all rivals, up to 6 leaves.  With ``rival_sample`` set,
+    a seeded random subset of ``rival_sample`` rivals (at least 1) is
+    scanned instead: a False answer is still certain, a True answer is not.
     """
-    _require_lasso_domain(tree)
-    checked = validate_cords(cords, tree.leaf_labels)
-    witness = _rival_scan(
-        tree, checked, skip=lambda r: r.refines(tree), rival_sample=rival_sample, seed=seed
-    )
-    return witness is None, witness
+    return _rival_scan(tree, cords, XTree.refines, rival_sample, seed)
 
 
 def oracle_topological(
@@ -375,14 +373,9 @@ def oracle_topological(
 ) -> tuple[bool, Witness | None]:
     """Is the tree shape forced up to equivalence?  Decided by definition.
 
-    Same sampling contract as :func:`oracle_weak`.
+    Same rivals and ``rival_sample`` contract as :func:`oracle_weak`.
     """
-    _require_lasso_domain(tree)
-    checked = validate_cords(cords, tree.leaf_labels)
-    witness = _rival_scan(
-        tree, checked, skip=lambda r: r == tree, rival_sample=rival_sample, seed=seed
-    )
-    return witness is None, witness
+    return _rival_scan(tree, cords, operator.eq, rival_sample, seed)
 
 
 def oracle_equidistant(
@@ -415,8 +408,7 @@ def verify_witness(
     tree: XTree, cords: Iterable[Cord], witness: Witness, kind: str
 ) -> bool:
     """Re-check a witness: valid weightings, cord distances match, claim violated."""
-    checked = validate_cords(cords, tree.leaf_labels)
-    if not witness.heights_t.is_l_isometric(witness.heights_rival, checked):
+    if not witness.heights_t.is_l_isometric(witness.heights_rival, cords):
         return False
     if kind == "equidistant":
         return witness.rival == tree and (

@@ -20,6 +20,7 @@ from treelasso.tree import Triplet, triplet
 LABELS3 = ("a", "b", "c")
 LABELS4 = ("a", "b", "c", "d")
 LABELS5 = ("a", "b", "c", "d", "e")
+LABELS6 = ("a", "b", "c", "d", "e", "f")
 
 
 # -- counting oracles (independent of the enumeration code) -----------------

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per exit criterion, exact agreement everywhere.
 
 Each criterion prints its own pass/fail line on the real stdout (bypassing
-pytest capture) so a plain ``pytest -v`` run shows the eleven verdicts.
+pytest capture) so a plain ``pytest -v`` run shows the twelve verdicts.
 """
 
 import random
@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     LABELS4,
     LABELS5,
+    LABELS6,
     all_cord_subsets,
     count_binary_xtrees,
     count_xtrees,
@@ -42,6 +43,7 @@ from treelasso import (
     oracle_weak,
     random_proper_heights,
     reduction_check,
+    verify_witness,
 )
 from treelasso.feasibility import linear_system, strict_feasible
 from treelasso.tree import triplet
@@ -295,3 +297,29 @@ def test_c11_enumeration_counts_against_independent_recursion():
     assert [count_xtrees(n) for n in (3, 4, 5)] == [4, 26, 236]
     assert [count_binary_xtrees(n) for n in (3, 4, 5)] == [3, 15, 105]
     announce("PASS  criterion 11: enumeration counts 4/26/236 and 3/15/105 match the recursion")
+
+
+def test_c12_six_leaf_sweep():
+    # every six-leaf tree with one seeded cord set: the oracle decides each
+    # kind exhaustively, and each False verdict comes with a witness that
+    # re-verifies
+    decide = {
+        "equidistant": oracle_equidistant,
+        "weak": oracle_weak,
+        "topological": oracle_topological,
+    }
+    trees = enumerate_xtrees(LABELS6)
+    verdicts = {kind: [0, 0] for kind in decide}  # [False, True] counts
+    for index, t in enumerate(trees):
+        cords = next(seeded_cord_sets(LABELS6, 1, index))
+        report = classify(t, cords)
+        for kind, oracle in decide.items():
+            ok, witness = oracle(t, cords)
+            assert ok == getattr(report, kind), (t, cords, kind)
+            assert (witness is None) == ok
+            if not ok:
+                assert verify_witness(t, cords, witness, kind)
+            verdicts[kind][ok] += 1
+    assert len(trees) == count_xtrees(6) == 2752
+    assert all(no and yes for no, yes in verdicts.values())
+    announce(f"PASS  criterion 12: six-leaf sweep, {len(trees)} instances x 3 kinds, exact agreement, every witness verified")

@@ -142,6 +142,40 @@ def test_witness_none(capsys, tree_file, cords_file):
     assert out.strip() == "none"
 
 
+def test_oracle_commands_at_six_leaves(capsys, tmp_path):
+    tree = tmp_path / "t6.nwk"
+    tree.write_text("((a,b),(c,d),(e,f));\n")
+    strong = tmp_path / "strong.txt"
+    strong.write_text("a b\na c\na e\nc d\nc e\ne f\n")
+    code, out, err = run(capsys, "classify", "--tree", str(tree), "--cords", str(strong), "--oracle")
+    assert code == 0 and err == ""
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["strong"] is True
+    assert payload["oracle"] == {"equidistant": True, "weak": True, "topological": True, "agree": True}
+
+    pairs = [("a", "b"), ("c", "d"), ("e", "f"), ("a", "c")]
+    cords = tmp_path / "c.txt"
+    cords.write_text(format_cord_file(cord_set(pairs)))
+    code, out, _ = run(capsys, "witness", "--tree", str(tree), "--cords", str(cords), "--kind", "weak")
+    assert code == 0
+    first, second = out.strip().splitlines()
+    t1, w1 = parse_newick(first)
+    t2, w2 = parse_newick(second)
+    h1, h2 = HeightMap.from_edge_weights(w1), HeightMap.from_edge_weights(w2)
+    assert h1.is_l_isometric(h2, cord_set(pairs))
+    assert not t2.refines(t1)
+
+
+def test_classify_oracle_past_the_cap_prints_only_the_error(capsys, tmp_path, cords_file):
+    # the oracle decides before any output: seven leaves exit 2 with no report
+    tree = tmp_path / "t7.nwk"
+    tree.write_text("(((a,b),c),((d,e),(f,g)));\n")
+    code, out, err = run(capsys, "classify", "--tree", str(tree), "--cords", cords_file, "--oracle")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "2..6 leaves, got 7" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_equidistant_witness_past_the_enumeration_cap(capsys, tmp_path):
     tree = tmp_path / "t8.nwk"
     tree.write_text("((((a,b),c),(d,e)),((f,g),h));\n")

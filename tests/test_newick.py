@@ -109,6 +109,10 @@ BAD_TEXTS = [
     ('(,a);', 1, 2, "expected a leaf label or '(', found ','"),
     ('(a,b)\u2003\u2003;\u2003!', 1, 10, "trailing characters after ';'"),
     ('(a:1 ,b:1 ) ;  ;', 1, 16, "trailing characters after ';'"),
+    # the weight pattern takes these whole, but they name no rational
+    ('(a:1.5/2,b:1);', 1, 4, "not a rational number: '1.5/2'"),
+    ('(a:1/0,b:1);', 1, 4, "not a rational number: '1/0'"),
+    ('(a:1,\n b: 3/0);', 2, 5, "not a rational number: '3/0'"),
 ]
 
 

@@ -118,13 +118,27 @@ def test_oracle_topological_examples():
 def test_oracle_domain_guards():
     with pytest.raises(ValueError):
         oracle_weak(XTree(("a", "b")), frozenset())
+    # six leaves decide exhaustively
     six = XTree(tuple("abcdef"))
-    with pytest.raises(ValueError):
-        oracle_weak(six, frozenset())
-    # sampled mode is allowed at six leaves and labeled as non-exhaustive
+    assert oracle_weak(six, frozenset()) == (True, None)
+    ok, witness = oracle_topological(six, frozenset())
+    assert not ok and verify_witness(six, frozenset(), witness, "topological")
+    # a 25-rival sample can miss every violating rival; the full scan cannot
+    t6 = XTree(((("a", "b"), "c"), (("d", "e"), "f")))
+    cords = cord_set([("a", "c"), ("b", "c"), ("b", "e"), ("c", "d"), ("d", "e"), ("d", "f")])
+    ok, witness = oracle_weak(t6, cords)
+    assert not ok and verify_witness(t6, cords, witness, "weak")
+    assert oracle_weak(t6, cords, rival_sample=25, seed=1) == (True, None)
+    # sampled mode still works at six leaves
     assert oracle_weak(six, frozenset(), rival_sample=25, seed=1)[0]
     ok, witness = oracle_topological(six, frozenset(), rival_sample=25, seed=1)
     assert not ok and verify_witness(six, frozenset(), witness, "topological")
+    # seven leaves are past the enumeration, sampled or not
+    seven = XTree(tuple("abcdefg"))
+    for decide in (oracle_weak, oracle_topological):
+        for sampling in ({}, {"rival_sample": 25, "seed": 1}):
+            with pytest.raises(ValueError, match=r"2\.\.6 leaves, got 7"):
+                decide(seven, frozenset(), **sampling)
 
 
 def test_rival_sample_below_one_rejected():
