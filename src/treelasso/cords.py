@@ -9,7 +9,7 @@ positive rational distance and ``#`` starting a comment.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable
 
 __all__ = [
@@ -50,14 +50,31 @@ def all_cords(labels: Iterable[str]) -> frozenset[Cord]:
 
 
 def validate_cords(cords: Iterable[tuple[str, str]], labels: Iterable[str]) -> frozenset[Cord]:
-    """Normalize ``cords`` and require every endpoint to belong to ``labels``."""
-    known = set(labels)
+    """Normalize ``cords`` and require every endpoint to belong to ``labels``.
+
+    A cord set that is already normal (a frozenset of sorted pairs of
+    labels, as every function here returns) comes back as it is.
+    """
+    known = labels if isinstance(labels, (set, frozenset)) else set(labels)
+    if type(cords) is frozenset and _is_normal(cords, known):
+        return cords
     out = cord_set(cords)
     for a, b in out:
         if a not in known or b not in known:
             missing = a if a not in known else b
             raise ValueError(f"cord label {missing!r} is not a leaf of this tree")
     return out
+
+
+def _is_normal(cords: frozenset, known: set | frozenset) -> bool:
+    """True if every member of ``cords`` is a sorted 2-tuple of labels in ``known``."""
+    try:
+        for c in cords:
+            if type(c) is not tuple or len(c) != 2 or not c[0] < c[1]:
+                return False
+    except TypeError:  # unorderable ends: the normalizing path reports them
+        return False
+    return known.issuperset(chain.from_iterable(cords))
 
 
 def parse_rational(text: str) -> Fraction:

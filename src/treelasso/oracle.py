@@ -24,20 +24,30 @@ integer variable ids.  The engine's verdict and its exact point come from
 the same call: the point of the first feasible rival is the witness.
 
 The scan reads its rivals from one table per leaf set, built once, with a
-row per enumerated tree in canonical order.  A row holds the tree's
-properness edges with its heights placed at ids ``K..``, ``K`` = (number of
-leaves) - 1, so any reference tree fits below them; the interior index of
-each cord's meeting vertex, in :func:`all_cords` order; and two flattened
-m x m cord-order bitmasks over the m leaf pairs: bit ``i*m + j`` of the
-first says cord i meets at a proper ancestor of where cord j meets, and of
-the second that cord j meets at an ancestor of, or at, where cord i meets.
-Both are read off each vertex's leaf set, as the cords with both ends in
-it.  If a pair of the given cords meets strictly higher in one tree and
-weakly lower in the other, the two cord equalities close a strict cycle
-through the properness edges, so the rival is infeasible; each decision
-masks the reference tree's bitmasks with its cord pairs once and rejects
-such a rival with two integer ANDs.  Every other rival still goes to the
-engine.
+row per enumerated tree in canonical order; bit r of every mask below
+stands for row r.  A row holds the tree's properness edges with its
+heights placed at ids ``K..``, ``K`` = (number of leaves) - 1, so any
+reference tree fits below them; the interior index of each cord's meeting
+vertex, in :func:`all_cords` order; and two kinds of row mask.
+
+* Conflict masks.  A tree puts the meeting vertices of two cords in one of
+  four relations: the first strictly above the second, strictly below it,
+  at the same vertex, or apart.  If one tree has a pair strictly ordered
+  and the other has it equal or ordered the other way, the two cord
+  equalities close a strict cycle through the properness edges, so the
+  joint system is infeasible; "apart" conflicts with nothing.  A row keeps,
+  per cord pair, the mask of rows in conflict with its own relation.  The
+  relations are read off each vertex's leaf set: the cords meeting at a
+  vertex and those meeting below it.
+* Refiner masks.  A row keeps the mask of rows whose trees refine it: the
+  AND, over its clusters, of the rows that have that cluster, since a tree
+  refines another exactly when it has all of the other's clusters.
+
+A decision starts from every row, removes the refiner mask (weak) or the
+tree's own bit (topological), removes the OR of the tree's conflict masks
+over the pairs of given cords, keeps only the sampled rows if asked, and
+hands the surviving rows, lowest bit first, to the engine.  Each tree's
+row and its unshifted edges are looked up once per process.
 
 The equidistant decision needs no rivals, so it reads only per-tree tables
 and works on trees of any size.  It puts two copies of the tree's heights
@@ -46,12 +56,13 @@ meets, and asks the engine, vertex by vertex, for the first copy to sit
 strictly above the second.  At a vertex where a cord meets, that strict
 edge and the equality close a strict self-loop, so the engine could only
 answer None; those vertices are skipped and the first feasible vertex, the
-verdict and the witness are unchanged.
+verdict and the witness are unchanged.  Each cord's meeting vertex is
+walked the first time a decision asks for it and remembered per tree, so
+no table over all leaf pairs is built.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -142,14 +153,27 @@ def enumerate_binary_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
 # --------------------------------------------------------------------------
 
 
+class _MeetIndex(dict):
+    """Cord -> interior index of its meeting vertex in one tree, walked on first use."""
+
+    def __init__(self, tree: XTree, index: dict[int, int]) -> None:
+        super().__init__()
+        self._tree = tree
+        self._index = index
+
+    def __missing__(self, c: Cord) -> int:
+        i = self[c] = self._index[self._tree.lca(*c)]
+        return i
+
+
 @lru_cache(maxsize=None)
 def _tables(tree: XTree):
     """Dense per-tree tables over interior indices (canonical order).
 
     Returns the properness edges of two copies of the tree as engine
     constraints ``(parent, child, 0, True)``, the second copy's ids shifted
-    by ``k``; the leaf-pair lca index; and ``k``, the number of interior
-    vertices.
+    by ``k``; the meeting-vertex index of each cord, filled as cords are
+    asked for; and ``k``, the number of interior vertices.
     """
     interior = tree.interior_vertices()
     k = len(interior)
@@ -158,12 +182,7 @@ def _tables(tree: XTree):
     both = tuple((a, b, 0, True) for a, b in edges) + tuple(
         (k + a, k + b, 0, True) for a, b in edges
     )
-    lca_index = {}
-    labels = sorted(tree.leaf_labels)
-    for i, a in enumerate(labels):
-        for b in labels[i + 1 :]:
-            lca_index[(a, b)] = index[tree.lca(a, b)]
-    return both, lca_index, k
+    return both, _MeetIndex(tree, index), k
 
 
 def joint_isometry_system(
@@ -242,16 +261,29 @@ def _require_lasso_domain(tree: XTree) -> None:
 class _RivalTable:
     """Every tree on one leaf set, as rows the rival scan reads without rebuilding.
 
-    ``rows`` lists ``(tree, edges, meets, above, below)`` per enumerated tree
-    in canonical order: properness edges as engine constraints on ids shifted
-    by ``offset``, the interior index of each cord's meeting vertex, and the
-    two flattened cord-order bitmasks (see the module docstring).
+    ``rows`` lists ``(tree, edges, meets, conflicts, refiners)`` per
+    enumerated tree in canonical order: properness edges as engine
+    constraints on ids shifted by ``offset``, the interior index of each
+    cord's meeting vertex, the conflict mask of each cord pair (see the
+    module docstring), and the mask of rows whose trees refine this one.
+    Bit r of a mask stands for row r.  Cord pair (i, j), i < j, is entry
+    ``pair_base[i] + j`` of ``conflicts``.
     """
 
     offset: int
     cord_index: dict[Cord, int]
-    rows: tuple[tuple[XTree, tuple, tuple[int, ...], int, int], ...]
+    pair_base: tuple[int, ...]
+    rows: tuple[tuple[XTree, tuple, tuple[int, ...], tuple[int, ...], int], ...]
     row_of: dict[XTree, int]
+
+
+# The relation of cord pair (i, j), i < j, in one tree, by where the two
+# cords meet: apart (neither vertex lies on or above the other), cord i
+# strictly above cord j, strictly below it, or at the same vertex.
+_APART, _ABOVE, _BELOW, _EQUAL = range(4)
+# Rows whose relation is ``rel``, read off a column of relation bytes as a
+# binary numeral, row 0 last.
+_ROWS_WITH = [b"0" * rel + b"1" + b"0" * (255 - rel) for rel in range(4)]
 
 
 @lru_cache(maxsize=None)
@@ -261,86 +293,142 @@ def _rival_table(labels: tuple[str, ...]) -> _RivalTable:
     offset = len(labels) - 1
     cord_index = {c: i for i, c in enumerate(combinations(labels, 2))}
     m = len(cord_index)
+    n_pairs = m * (m - 1) // 2
+    pair_base = tuple(i * m - i * (i + 3) // 2 - 1 for i in range(m))
     inside = {}  # leaf set -> cords with both ends in it
     for size in range(len(labels) + 1):
         for subset in combinations(labels, size):
             inside[frozenset(subset)] = sum(
                 1 << cord_index[c] for c in combinations(subset, 2)
             )
-    members = {}  # cord bitmask -> (its cord indices, their row bits i*m)
+    members = {}  # cord bitmask -> its cord indices
+    related = {}  # (cords meeting at a vertex, cords below it) -> their pairs' relation bytes
     rows = []
-    for tree in trees:
+    relations = []  # per row, one relation byte per cord pair
+    clusters = []  # per row, the cord masks of its non-root interior vertices
+    containing = {}  # cord mask of a cluster -> rows whose trees have that cluster
+    for r, tree in enumerate(trees):
         interior = tree.interior_vertices()
         within = {v: inside[tree.leaves_below(v)] for v in interior}
         index = {}
         edges = []
         meets = [0] * m
-        upward = {}  # vertex -> cords meeting at it or at an ancestor
-        above = below = 0
+        relation = 0
         for k, v in enumerate(interior):  # preorder: parents first
             index[v] = k
-            p = tree.parent(v)
             if k:
-                edges.append((offset + index[p], offset + k, 0, True))
+                edges.append((offset + index[tree.parent(v)], offset + k, 0, True))
+                containing[within[v]] = containing.get(within[v], 0) | 1 << r
             under = 0
             for c in tree.children(v):
                 under |= within.get(c, 0)
             here = within[v] & ~under
-            up = upward[v] = here | upward.get(p, 0)
             if here not in members:
-                bits = [i for i in range(m) if here >> i & 1]
-                members[here] = (bits, sum(1 << (i * m) for i in bits))
-            bits, spread = members[here]
-            for i in bits:
+                members[here] = [i for i in range(m) if here >> i & 1]
+            for i in members[here]:
                 meets[i] = k
-            above |= under * spread
-            below |= up * spread
-        rows.append((tree, tuple(edges), tuple(meets), above, below))
+            if (here, under) not in related:
+                related[here, under] = _relation_bytes(
+                    members[here], [j for j in range(m) if under >> j & 1], pair_base
+                )
+            relation |= related[here, under]
+        rows.append((tree, tuple(edges), tuple(meets)))
+        relations.append(relation.to_bytes(n_pairs, "little"))
+        clusters.append([within[v] for v in interior[1:]])
+    # Column p of the relation bytes holds pair p's relation in every row;
+    # it maps each row to the rows in conflict with that relation.
+    flat = b"".join(relations)
+    columns = []
+    for p in range(n_pairs):
+        column = flat[p::n_pairs]
+        above, below, equal = (
+            int(column[::-1].translate(_ROWS_WITH[rel]), 2)
+            for rel in (_ABOVE, _BELOW, _EQUAL)
+        )
+        conflict = (0, below | equal, above | equal, above | below)
+        columns.append([conflict[rel] for rel in column])
+    per_row = list(zip(*columns)) or [()] * len(trees)  # two leaves: no pairs
+    everyone = (1 << len(trees)) - 1
+    table_rows = []
+    for (tree, edges, meets), conflicts, own in zip(rows, per_row, clusters):
+        refiners = everyone
+        for cluster in own:
+            refiners &= containing[cluster]
+        table_rows.append((tree, edges, meets, conflicts, refiners))
     return _RivalTable(
         offset=offset,
         cord_index=cord_index,
-        rows=tuple(rows),
+        pair_base=pair_base,
+        rows=tuple(table_rows),
         row_of={tree: r for r, tree in enumerate(trees)},
     )
+
+
+def _relation_bytes(here: list[int], under: list[int], pair_base) -> int:
+    """The relations fixed at one vertex, as an integer of one byte per cord pair.
+
+    ``here`` are the cords meeting at the vertex and ``under`` those meeting
+    strictly below it; every other pair's byte is 0 (apart).
+    """
+    out = 0
+    for a, i in enumerate(here):
+        for j in here[a + 1 :]:
+            out |= _EQUAL << 8 * (pair_base[i] + j)
+        for j in under:
+            if i < j:
+                out |= _ABOVE << 8 * (pair_base[i] + j)
+            else:
+                out |= _BELOW << 8 * (pair_base[j] + i)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _row_of(tree: XTree) -> tuple[_RivalTable, int, tuple]:
+    """The tree's rival table, its row, and its properness edges at ids ``0..``."""
+    table = _rival_table(_check_enumeration_domain(tree.leaf_labels))
+    r = table.row_of[tree]
+    k = table.offset
+    return table, r, tuple((a - k, b - k, 0, True) for a, b, _, _ in table.rows[r][1])
 
 
 def _rival_scan(
     tree: XTree,
     cords: Iterable[Cord],
-    skip,
+    weak: bool,
     rival_sample: int | None,
     seed: int,
 ) -> tuple[bool, Witness | None]:
-    """The weak and topological decisions, which differ only in ``skip``.
+    """The weak and topological decisions, which differ only in the rows skipped.
 
-    Scans the rivals in canonical order for the first one with
-    ``skip(rival, tree)`` false whose joint system with the tree is
-    feasible; it is the witness, and the verdict is that there is none.
+    The weak scan skips the rivals that refine the tree, the topological
+    one only the tree itself.  Of the remaining rivals, those in conflict
+    with the tree on a pair of given cords are dropped as a whole mask; the
+    rest are handed to the engine in canonical order, and the first
+    feasible one is the witness.  The verdict is that there is none.
     """
     _require_lasso_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
     if rival_sample is not None and rival_sample < 1:
         raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
-    table = _rival_table(_check_enumeration_domain(tree.leaf_labels))
+    table, r, t_edges = _row_of(tree)
     rows = table.rows
+    _, _, t_meets, conflicts, refiners = rows[r]
+    bad = refiners if weak else 1 << r
+    index = sorted(map(table.cord_index.__getitem__, checked))
+    pair_base = table.pair_base
+    for a, i in enumerate(index):
+        base = pair_base[i]
+        for j in index[a + 1 :]:
+            bad |= conflicts[base + j]
+    alive = ((1 << len(rows)) - 1) & ~bad
     if rival_sample is not None and rival_sample < len(rows):
         picked = random.Random(seed).sample(range(len(rows)), rival_sample)
-        rows = [rows[r] for r in sorted(picked)]
+        alive &= sum(1 << p for p in picked)
     k = table.offset
-    _, t_edges, t_meets, t_above, t_below = table.rows[table.row_of[tree]]
-    t_edges = tuple((a - k, b - k, 0, True) for a, b, _, _ in t_edges)
-    index = [table.cord_index[c] for c in sorted(checked)]
-    m = len(table.cord_index)
-    mask = spread = 0
-    for i in index:
-        mask |= 1 << i
-        spread |= 1 << (i * m)
-    pairs = spread * mask  # bit i*m + j for every pair of given cords
-    t_above &= pairs
-    t_below &= pairs
-    for rival, edges, meets, above, below in rows:
-        if t_above & below or t_below & above or skip(rival, tree):
-            continue
+    while alive:
+        low = alive & -alive
+        alive ^= low
+        rival, edges, meets, _, _ = rows[low.bit_length() - 1]
         equal = [(t_meets[i], k + meets[i], 0) for i in index]
         values = _solve_differences(2 * k, equal, t_edges + edges)
         if values is not None:
@@ -361,7 +449,7 @@ def oracle_weak(
     a seeded random subset of ``rival_sample`` rivals (at least 1) is
     scanned instead: a False answer is still certain, a True answer is not.
     """
-    return _rival_scan(tree, cords, XTree.refines, rival_sample, seed)
+    return _rival_scan(tree, cords, True, rival_sample, seed)
 
 
 def oracle_topological(
@@ -375,7 +463,7 @@ def oracle_topological(
 
     Same rivals and ``rival_sample`` contract as :func:`oracle_weak`.
     """
-    return _rival_scan(tree, cords, operator.eq, rival_sample, seed)
+    return _rival_scan(tree, cords, False, rival_sample, seed)
 
 
 def oracle_equidistant(
@@ -392,8 +480,8 @@ def oracle_equidistant(
     """
     _require_lasso_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    both, lca_index, k = _tables(tree)
-    met = {lca_index[c] for c in checked}
+    both, meet_index, k = _tables(tree)
+    met = {meet_index[c] for c in checked}
     equal = [(i, k + i, 0) for i in sorted(met)]
     for i in range(k):
         if i in met:  # x_i = x_{k+i} and x_i > x_{k+i}: a strict self-loop

@@ -382,12 +382,42 @@ class XTree:
     def refines(self, other: "XTree") -> bool:
         """True iff ``other`` can be obtained from this tree by collapsing edges.
 
-        Equivalent formulation: every triplet of ``other`` is a triplet of
-        this tree.  Every tree refines itself.
+        Equivalent formulations: every cluster (leaf set below a vertex) of
+        ``other`` is a cluster of this tree; every triplet of ``other`` is a
+        triplet of this tree.  Every tree refines itself.
+
+        Ranking this tree's leaves in preorder makes each of its clusters an
+        interval of ranks.  One bottom-up sweep over ``other`` finds each
+        cluster's lowest and highest rank and its size; the cluster is one
+        of this tree's when it fills its rank interval and that interval
+        belongs to a vertex here.  O(n) time and memory.
         """
         if self.leaf_labels != other.leaf_labels:
             raise ValueError("trees are on different leaf sets")
-        return other._triplets <= self._triplets
+        rank: dict[str, int] = {}
+        before = []  # before[v]: leaves with preorder ids below v
+        for lab in self._vlabel:
+            before.append(len(rank))
+            if lab is not None:
+                rank[lab] = len(rank)
+        before.append(len(rank))
+        last = self._last
+        runs = {(before[v], before[last[v] + 1] - 1) for v in self._interior}
+        n = len(other._vlabel)
+        lo, hi, size = [len(rank)] * n, [-1] * n, [0] * n
+        for v in range(n - 1, -1, -1):  # children before parents
+            lab = other._vlabel[v]
+            if lab is not None:
+                lo[v] = hi[v] = rank[lab]
+                size[v] = 1
+            elif hi[v] - lo[v] + 1 != size[v] or (lo[v], hi[v]) not in runs:
+                return False
+            p = other._parent[v]
+            if p >= 0:
+                lo[p] = min(lo[p], lo[v])
+                hi[p] = max(hi[p], hi[v])
+                size[p] += size[v]
+        return True
 
     # -- degenerate-shape queries -----------------------------------------------
 

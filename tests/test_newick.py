@@ -20,7 +20,7 @@ from treelasso import (
     random_proper_heights,
     read_cord_file,
 )
-from treelasso.cords import CordFileError
+from treelasso.cords import CordFileError, validate_cords
 
 
 def test_parse_caterpillar():
@@ -351,3 +351,50 @@ def test_cord_file_errors():
         read_cord_file("a b 0\n")  # distance must be positive
     with pytest.raises(CordFileError):
         read_cord_file("a b 1\nc d\n")  # mixed distance columns
+
+
+def _normalizing_validate(cords, labels):
+    """``validate_cords`` as it was before normal sets were passed through."""
+    known = set(labels)
+    out = cord_set(cords)
+    for a, b in out:
+        if a not in known or b not in known:
+            missing = a if a not in known else b
+            raise ValueError(f"cord label {missing!r} is not a leaf of this tree")
+    return out
+
+
+def test_validate_cords_passes_normal_sets_through_and_keeps_every_error():
+    labels = frozenset("abcd")
+    normal = cord_set([("a", "b"), ("c", "d"), ("a", "d")])
+    assert validate_cords(normal, labels) is normal
+    assert validate_cords(frozenset(), labels) == frozenset()
+    corpus = [
+        normal,
+        [("b", "a"), ("c", "d")],
+        {("a", "b")},
+        frozenset({("b", "a")}),
+        frozenset({"ab", ("c", "d")}),  # a two-letter string unpacks to a pair
+        frozenset({("a", "z")}),
+        frozenset({("0", "a")}),  # sorts first but is no leaf
+        frozenset({("a", "a")}),
+        frozenset({("a", "b", "c")}),
+        frozenset({("a",)}),
+        frozenset({("a", 1)}),
+        frozenset({(1, 2)}),
+        frozenset({1}),
+        [("a", "b"), ("a", "e")],
+    ]
+    for cords in corpus:
+        for known in (labels, set(labels), "abcd", ["a", "b", "c", "d"]):
+            try:
+                expected = ("ok", _normalizing_validate(cords, known))
+            except Exception as exc:  # the exception type and message are the contract
+                expected = (type(exc), str(exc))
+            try:
+                got = ("ok", validate_cords(cords, known))
+            except Exception as exc:
+                got = (type(exc), str(exc))
+            assert got == expected, cords
+            if got[0] == "ok":
+                assert all(type(c) is tuple for c in got[1])

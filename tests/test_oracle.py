@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,10 +12,12 @@ import pytest
 from conftest import (
     LABELS4,
     LABELS5,
+    LABELS6,
     all_cord_subsets,
     count_binary_xtrees,
     count_xtrees,
     random_cords,
+    random_xtree,
 )
 from treelasso import (
     XTree,
@@ -216,14 +220,13 @@ def _order_conflicts(t, r):
 
 
 def _pairwise_rejects(t, r, cords):
-    """The scan's two-AND test, read off the rival table."""
+    """The scan's conflict test, read off the rival table: the rival's bit in
+    the tree's conflict mask of some pair of the given cords."""
     table = _rival_table(tuple(sorted(t.leaf_labels)))
-    m = len(table.cord_index)
-    index = [table.cord_index[c] for c in cords]
-    pairs = sum(1 << (i * m + j) for i in index for j in index)
-    _, _, _, t_above, t_below = table.rows[table.row_of[t]]
-    _, _, _, above, below = table.rows[table.row_of[r]]
-    return bool(t_above & pairs & below or t_below & pairs & above)
+    conflicts = table.rows[table.row_of[t]][3]
+    bit = 1 << table.row_of[r]
+    index = sorted(table.cord_index[c] for c in cords)
+    return any(conflicts[table.pair_base[i] + j] & bit for i, j in combinations(index, 2))
 
 
 def test_pairwise_order_test_rejects_only_infeasible_rivals():
@@ -242,6 +245,30 @@ def test_pairwise_order_test_rejects_only_infeasible_rivals():
                     assert strict_feasible(joint_isometry_system(t, r, cords)) is None
                     rejected += 1
     assert rejected
+
+
+def test_refiner_masks_match_refines():
+    # bit s of row r's refiner mask says that tree s refines tree r: every
+    # ordered pair of five-leaf trees, and seeded six-leaf trees against
+    # every tree, as the refined tree and as the refining one
+    table5 = _rival_table(LABELS5)
+    trees5 = [row[0] for row in table5.rows]
+    for row in table5.rows:
+        assert [row[4] >> s & 1 for s in range(len(trees5))] == [
+            rival.refines(row[0]) for rival in trees5
+        ]
+    table6 = _rival_table(LABELS6)
+    trees6 = [row[0] for row in table6.rows]
+    refiners = [row[4] for row in table6.rows]
+    refining = 0
+    for r in random.Random(66).sample(range(len(trees6)), 12):
+        t = trees6[r]
+        assert [refiners[r] >> s & 1 for s in range(len(trees6))] == [
+            rival.refines(t) for rival in trees6
+        ]
+        assert [mask >> r & 1 for mask in refiners] == [t.refines(u) for u in trees6]
+        refining += refiners[r].bit_count()
+    assert refining > 12
 
 
 def test_scan_calls_the_engine_only_past_the_pairwise_test(monkeypatch):
@@ -436,3 +463,24 @@ def test_equidistant_oracle_has_no_leaf_cap(shape):
         assert not ok
         assert verify_witness(t, fewer, witness, "equidistant")
     assert _rival_table.cache_info().currsize == tables
+
+
+def test_equidistant_decision_at_2000_leaves_reads_only_the_given_cords():
+    # a seeded 2000-leaf tree with its minimum equidistant lasso and with
+    # one cord fewer: the meeting vertices are walked per given cord, so no
+    # table over all leaf pairs is built
+    t = random_xtree(2000, 17)
+    lasso = min_equidistant_lasso(t)
+    fewer = lasso - {min(lasso)}
+    start = time.process_time()
+    tracemalloc.start()
+    try:
+        assert oracle_equidistant(t, lasso) == (True, None)
+        ok, witness = oracle_equidistant(t, fewer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    elapsed = time.process_time() - start
+    assert not ok and verify_witness(t, fewer, witness, "equidistant")
+    assert peak < 10 * 2**20
+    assert elapsed < 1

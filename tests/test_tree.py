@@ -1,7 +1,9 @@
 """Structural queries on rooted leaf-labeled trees."""
 
+import random
 import re
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from conftest import (
     LABELS4,
     LABELS5,
+    LABELS6,
     bearded_caterpillar,
     random_xtree,
     triplets_by_restriction,
@@ -191,6 +194,67 @@ def test_refines_is_a_partial_order_on_four_leaves():
             for t3 in trees:
                 if t1.refines(t2) and t2.refines(t3):
                     assert t1.refines(t3)
+
+
+def _collapsed(t, drop):
+    """``t`` with the interior vertices in ``drop`` contracted into their parents."""
+    shapes = {}  # vertex -> the child shapes it hands its parent
+    for v in reversed(t.vertices()):
+        if t.is_leaf(v):
+            shapes[v] = [t.label(v)]
+        else:
+            kids = [s for c in t.children(v) for s in shapes.pop(c)]
+            shapes[v] = kids if v in drop else [tuple(kids)]
+    return XTree(shapes[t.root][0])
+
+
+def _clusters(t):
+    return {t.leaves_below(v) for v in t.vertices()}
+
+
+def _collapse_some(t, rng):
+    inner = [v for v in t.interior_vertices() if v != t.root]
+    return _collapsed(t, set(rng.sample(inner, rng.randrange(len(inner) + 1))))
+
+
+def test_refines_matches_triplet_containment():
+    # every ordered pair of five-leaf trees, a seeded sample of six-leaf
+    # pairs, and six-leaf trees against copies with edges collapsed
+    trees5 = enumerate_xtrees(LABELS5)
+    pairs = [(a, b) for a in trees5 for b in trees5]
+    trees6 = enumerate_xtrees(LABELS6)
+    rng = random.Random(61)
+    pairs += [(rng.choice(trees6), rng.choice(trees6)) for _ in range(5000)]
+    pairs += [(t, _collapse_some(t, rng)) for t in rng.sample(trees6, 300)]
+    refining = 0
+    for a, b in pairs:
+        got = a.refines(b)
+        assert got == (b.triplets() <= a.triplets()), (a, b)
+        refining += got
+    assert 0 < refining < len(pairs)
+
+
+def test_refines_is_linear_at_200_leaves():
+    # two seeded 200-leaf trees, each against itself, the other, and a copy
+    # of itself with edges collapsed: fast, small, and equal to cluster-set
+    # containment (the triplet sets are O(n^3) to build at this size)
+    rng = random.Random(200)
+    t1, t2 = random_xtree(200, 1), random_xtree(200, 2, binary=True)
+    pairs = [(t1, t1), (t1, t2), (t2, t1), (t1, _collapse_some(t1, rng)), (t2, _collapse_some(t2, rng))]
+    start = time.process_time()
+    fast = [a.refines(b) for a, b in pairs]
+    elapsed = time.process_time() - start
+    tracemalloc.start()
+    try:
+        for a, b in pairs:
+            a.refines(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 5 * 2**20
+    assert fast == [True, False, False, True, True]
+    assert fast == [_clusters(b) <= _clusters(a) for a, b in pairs]
 
 
 def test_pseudo_cherries():
