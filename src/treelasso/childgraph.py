@@ -81,11 +81,11 @@ class ChildEdgeGraph:
 
     def to_dot(self) -> str:
         """DOT text for diagnostics; leaf edges are boxes, subtree edges ellipses."""
+        tree = self.tree
+        clades = tree._clade_names(c for c in self.nodes if not tree.is_leaf(c))
 
         def name(child: int) -> str:
-            if self.tree.is_leaf(child):
-                return self.tree.label(child)
-            return "{" + ",".join(sorted(self.tree.leaves_below(child))) + "}"
+            return tree.label(child) if tree.is_leaf(child) else clades[child]
 
         lines = ["graph child_edges {"]
         for u in self.nodes:
@@ -104,7 +104,7 @@ def child_edge_graphs(
 
     Each cord contributes one edge, to the graph of its endpoints' last
     common vertex; cords whose paths merely pass through or avoid a vertex
-    leave its graph untouched.  One parent-pointer walk per cord finds that
+    leave its graph untouched.  One heavy-path meet per cord finds that
     vertex and the two children toward the endpoints.
     """
     checked = validate_cords(cords, tree.leaf_labels)

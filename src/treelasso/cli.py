@@ -42,10 +42,6 @@ def _load_cords(path: str, tree: XTree):
     return cords
 
 
-def _clade(tree: XTree, v: int) -> str:
-    return "{" + ",".join(sorted(tree._leaves(v))) + "}"
-
-
 _ORACLES = {
     "equidistant": oracle.oracle_equidistant,
     "weak": oracle.oracle_weak,
@@ -61,7 +57,7 @@ def cmd_classify(args) -> int:
         checks = {kind: decide(tree, cords)[0] for kind, decide in _ORACLES.items()}
     for kind in ("equidistant", "weak", "topological", "strong"):
         print(f"{kind:12s} {'yes' if getattr(report, kind) else 'no'}")
-    names = {v: _clade(tree, v) for vs in report.failing_vertices.values() for v in vs}
+    names = tree._clade_names(v for vs in report.failing_vertices.values() for v in vs)
     failing = {kind: [names[v] for v in vs] for kind, vs in report.failing_vertices.items()}
     for kind, clades in failing.items():
         if clades:

@@ -57,13 +57,15 @@ strictly above the second.  At a vertex where a cord meets, that strict
 edge and the equality close a strict self-loop, so the engine could only
 answer None; those vertices are skipped and the first feasible vertex, the
 verdict and the witness are unchanged.  Each cord's meeting vertex is
-walked the first time a decision asks for it and remembered per tree, so
-no table over all leaf pairs is built.
+found the first time a decision asks for it and remembered per tree, so
+no table over all leaf pairs is built; the per-tree tables are dropped
+with their tree.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -154,19 +156,28 @@ def enumerate_binary_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
 
 
 class _MeetIndex(dict):
-    """Cord -> interior index of its meeting vertex in one tree, walked on first use."""
+    """Cord -> interior index of its meeting vertex in one tree, found on first use.
+
+    The tree is held weakly, so the tables that hold the index do not keep
+    their tree alive; they are dropped before it is gone.
+    """
 
     def __init__(self, tree: XTree, index: dict[int, int]) -> None:
         super().__init__()
-        self._tree = tree
+        self._tree = weakref.ref(tree)
         self._index = index
 
     def __missing__(self, c: Cord) -> int:
-        i = self[c] = self._index[self._tree.lca(*c)]
+        i = self[c] = self._index[self._tree().lca(*c)]
         return i
 
 
-@lru_cache(maxsize=None)
+# Per-tree tables by tree id.  A finalizer drops a tree's entry when the
+# tree is collected, before its id can be reused, so a process that decides
+# many large trees keeps the tables of the live ones only.
+_TABLES: dict[int, tuple] = {}
+
+
 def _tables(tree: XTree):
     """Dense per-tree tables over interior indices (canonical order).
 
@@ -175,6 +186,9 @@ def _tables(tree: XTree):
     by ``k``; the meeting-vertex index of each cord, filled as cords are
     asked for; and ``k``, the number of interior vertices.
     """
+    out = _TABLES.get(id(tree))
+    if out is not None:
+        return out
     interior = tree.interior_vertices()
     k = len(interior)
     index = {v: i for i, v in enumerate(interior)}
@@ -182,7 +196,9 @@ def _tables(tree: XTree):
     both = tuple((a, b, 0, True) for a, b in edges) + tuple(
         (k + a, k + b, 0, True) for a, b in edges
     )
-    return both, _MeetIndex(tree, index), k
+    out = _TABLES[id(tree)] = (both, _MeetIndex(tree, index), k)
+    weakref.finalize(tree, _TABLES.pop, id(tree))
+    return out
 
 
 def joint_isometry_system(

@@ -22,13 +22,15 @@ vertex: :meth:`XTree.leaves_below` reads the labels off that range when
 asked, and the leaf-label set X is stored once.  A tree therefore takes
 O(n) memory at any depth.
 
-Last common vertices are found by walking parent pointers: the deeper of two
-vertices climbs to the other's depth, then both climb together until they
-meet.  One walk yields the meeting vertex and the child of it on each side,
-which is all a cord contributes to the child-edge graphs, so a cord costs
-O(depth) and no table over leaf pairs is ever built.  Construction,
-restriction and canonical keys use explicit stacks or preorder ids instead
-of recursion, so deep trees raise no ``RecursionError``.
+Last common vertices are found on heavy paths, which the top-down sweep
+fills: each vertex keeps its largest child and the head of the path of
+largest children through it.  Two vertices jump from path head to path
+head until they share a path, O(log n) jumps at any depth, and the jumps
+also give the child of the meeting vertex on each side, which is all a
+cord contributes to the child-edge graphs.  No table over leaf pairs is
+ever built.  Construction, restriction and canonical keys use explicit
+stacks or preorder ids instead of recursion, so deep trees raise no
+``RecursionError``.
 """
 
 from __future__ import annotations
@@ -174,6 +176,13 @@ class XTree:
         vlabel: list[str | None] = [None] * n
         depth = [0] * n
         last = [0] * n  # a vertex's descendants are the ids v .. last[v]
+        # Heavy paths: a vertex's heavy child is its largest child (the
+        # first in canonical order on ties), and head[v] is the top of the
+        # path of heavy children through v.  Every other child starts a path
+        # of its own and holds at most half its parent's subtree, so a root
+        # path crosses O(log n) paths.
+        heavy = [-1] * n
+        head = list(range(n))
         for r in range(n - 1, -1, -1):
             v = vid[r]
             last[v] = v + r - first[r]
@@ -184,13 +193,18 @@ class XTree:
             d = depth[v] + 1
             u = v + 1
             ids = []
+            big = 0
             for c in ks:
                 vid[c] = u
                 parent[u] = v
                 depth[u] = d
                 ids.append(u)
-                u += c - first[c] + 1
+                size = c - first[c] + 1
+                if size > big:
+                    big, heavy[v] = size, u
+                u += size
             children[v] = tuple(ids)
+            head[heavy[v]] = head[v]
 
         leaf_id = {lab: v for v, lab in enumerate(vlabel) if lab is not None}
         if len(leaf_id) < n - labels.count(None):
@@ -209,6 +223,8 @@ class XTree:
         self._depth = tuple(depth)
         self._leaf_labels = frozenset(leaf_id)
         self._last = tuple(last)
+        self._heavy = tuple(heavy)
+        self._head = tuple(head)
         return vid
 
     # -- construction helpers -------------------------------------------------
@@ -280,26 +296,62 @@ class XTree:
         # interior vertices' None.
         return list(filter(None, self._vlabel[v : self._last[v] + 1]))
 
+    def _clade_names(self, vertices: Iterable[int]) -> dict[int, str]:
+        """``{a,b,...}``, the sorted leaf labels below each vertex, for a batch of vertices.
+
+        Vertices are named in descending preorder, so every named descendant
+        of a vertex is named before it.  A vertex's labels are the sorted
+        lists of its nearest named descendants plus the leaves in its range
+        outside them, and ``list.sort`` merges those sorted runs, so nested
+        clades on a deep tree are not each sorted from scratch.
+        """
+        vlabel, last = self._vlabel, self._last
+        names = {}
+        # Named vertices whose nearest named ancestor is not named yet,
+        # with their sorted labels; the smallest id is on top.
+        tops: list[tuple[int, list[str]]] = []
+        for v in sorted(set(vertices), reverse=True):
+            end = last[v]
+            labels: list[str] = []
+            start = v
+            while tops and tops[-1][0] <= end:
+                w, run = tops.pop()
+                labels += filter(None, vlabel[start:w])
+                labels += run
+                start = last[w] + 1
+            labels += filter(None, vlabel[start : end + 1])
+            labels.sort()
+            names[v] = "{" + ",".join(labels) + "}"
+            tops.append((v, labels))
+        return names
+
     # -- ancestry queries -----------------------------------------------------
 
     def _meet(self, u: int, w: int) -> tuple[int, int, int]:
-        """Walks up from vertices u and w to their last common vertex m.
+        """The last common vertex m of vertices u and w, by heavy-path jumps.
 
         Returns (m, child of m toward u, child of m toward w); a side whose
-        vertex is m itself gets -1.
+        vertex is m itself gets -1.  While u and w lie on different heavy
+        paths, the side whose path starts deeper jumps from its path's head
+        to the head's parent; once both share a path, the shallower vertex
+        is m.  The child toward a side that jumped onto m's path is the head
+        it last jumped from, and toward a side below m on that path it is
+        m's heavy child.
         """
-        parent, depth = self._parent, self._depth
+        parent, depth, head = self._parent, self._depth, self._head
         cu = cw = -1
-        du, dw = depth[u], depth[w]
-        while du > dw:
-            cu, u = u, parent[u]
-            du -= 1
-        while dw > du:
-            cw, w = w, parent[w]
-            dw -= 1
-        while u != w:
-            cu, u = u, parent[u]
-            cw, w = w, parent[w]
+        hu, hw = head[u], head[w]
+        while hu != hw:
+            if depth[hu] > depth[hw]:
+                cu, u = hu, parent[hu]
+                hu = head[u]
+            else:
+                cw, w = hw, parent[hw]
+                hw = head[w]
+        if depth[u] < depth[w]:
+            return u, cu, self._heavy[u]
+        if depth[w] < depth[u]:
+            return w, self._heavy[w], cw
         return u, cu, cw
 
     def lca(self, a: str, b: str) -> int:

@@ -89,6 +89,40 @@ def leaf_path_edges(tree: XTree, a: str, b: str) -> list[tuple[int, int]]:
     return edges
 
 
+def walk_meet(tree: XTree, u: int, w: int) -> tuple[int, int, int]:
+    """The last common vertex m of vertices u and w by walking parent
+    pointers: the deeper side climbs to the other's depth, then both climb
+    together.  Returns (m, child of m toward u, child of m toward w), with
+    -1 for a side that is m itself.  The reference for ``XTree._meet``."""
+    parent, depth = tree._parent, tree._depth
+    cu = cw = -1
+    du, dw = depth[u], depth[w]
+    while du > dw:
+        cu, u = u, parent[u]
+        du -= 1
+    while dw > du:
+        cw, w = w, parent[w]
+        dw -= 1
+    while u != w:
+        cu, u = u, parent[u]
+        cw, w = w, parent[w]
+    return u, cu, cw
+
+
+def walked_child_pairs(tree: XTree, cords) -> set[tuple[int, int, int]]:
+    """``_child_pairs`` by parent-pointer walks: (v, u, w), u < w, per cord."""
+    out = set()
+    for a, b in cords:
+        v, u, w = walk_meet(tree, tree.leaf_vertex(a), tree.leaf_vertex(b))
+        out.add((v, min(u, w), max(u, w)))
+    return out
+
+
+def clade_by_sorting(tree: XTree, v: int) -> str:
+    """A vertex's CLI name, its whole leaf set sorted from scratch."""
+    return "{" + ",".join(sorted(tree.leaves_below(v))) + "}"
+
+
 def brute_child_edge_pairs(tree: XTree, cords) -> dict[int, set[frozenset[int]]]:
     """Per vertex, the child-edge pairs joined by some cord's path, straight
     off the paths: a path uses two child edges of a vertex only at its top."""

@@ -1,9 +1,13 @@
 """Child-edge graphs: construction against a path-walking oracle, predicates."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from conftest import (
     LABELS4,
+    LABELS5,
     all_cord_subsets,
     bearded_caterpillar,
     brute_child_edge_pairs,
@@ -11,6 +15,8 @@ from conftest import (
     leaf_path_edges,
     random_cords,
     random_xtree,
+    walk_meet,
+    walked_child_pairs,
 )
 from treelasso import (
     XTree,
@@ -19,6 +25,7 @@ from treelasso import (
     cord_set,
     enumerate_xtrees,
 )
+from treelasso.childgraph import _child_pairs
 
 T4 = XTree((("a", "b", "c"), "d"))
 PC4 = T4.lca("a", "b")  # parent of the pseudo-cherry {a, b, c}
@@ -200,3 +207,64 @@ def test_meet_walk_matches_path_walking_oracle_at_scale(kind, size, arg):
         assert g.nodes == tree.children(v)
         pairs = {frozenset((u, w)) for u in g.nodes for w in g.adjacency[u]}
         assert pairs == expected.get(v, set())
+
+
+def test_meets_match_the_parent_walk_on_every_small_tree():
+    for t in enumerate_xtrees(LABELS4) + enumerate_xtrees(LABELS5):
+        labels = sorted(t.leaf_labels)
+        for u in t.vertices():
+            for w in t.vertices():
+                assert t._meet(u, w) == walk_meet(t, u, w)
+        for a, b in combinations(labels, 2):
+            expected = walk_meet(t, t.leaf_vertex(a), t.leaf_vertex(b))[0]
+            assert t.lca(a, b) == t.lca(b, a) == expected
+        for v in t.vertices():
+            for a in labels:
+                meet, child, _ = walk_meet(t, t.leaf_vertex(a), v)
+                if meet == v and child >= 0:
+                    assert t.child_toward(v, a) == child
+                else:
+                    with pytest.raises(ValueError):
+                        t.child_toward(v, a)
+        every = frozenset(combinations(labels, 2))
+        assert _child_pairs(t, every) == walked_child_pairs(t, every)
+
+
+def caterpillar(depth: int) -> XTree:
+    shape = "c0"
+    for i in range(1, depth + 1):
+        shape = (shape, f"c{i}")
+    return XTree(shape)
+
+
+@pytest.mark.parametrize("kind, size, arg", SCALE_TREES + [("caterpillar", 2000, 0)])
+def test_meets_match_the_parent_walk_at_scale(kind, size, arg):
+    if kind == "random":
+        tree = random_xtree(size, arg)
+    elif kind == "bearded":
+        tree = bearded_caterpillar(size, arg)
+    else:
+        tree = caterpillar(size)
+    labels = sorted(tree.leaf_labels)
+    cords = random_cords(tree, min(len(labels), 500), seed=len(labels))
+    for a, b in cords:
+        u, w = tree.leaf_vertex(a), tree.leaf_vertex(b)
+        expected = walk_meet(tree, u, w)
+        assert tree._meet(u, w) == expected
+        assert tree._meet(w, u) == (expected[0], expected[2], expected[1])
+        assert tree.lca(a, b) == tree.lca(b, a) == expected[0]
+    assert _child_pairs(tree, cords) == walked_child_pairs(tree, cords)
+
+    # any two vertices, ancestor pairs and equal pairs included
+    rng = random.Random(size)
+    n = tree.n_vertices
+    for _ in range(500):
+        u, w = rng.randrange(n), rng.randrange(n)
+        assert tree._meet(u, w) == walk_meet(tree, u, w)
+
+    # child_toward: sampled leaves against every proper ancestor, by walking up
+    for a in rng.sample(labels, min(len(labels), 40)):
+        w = tree.leaf_vertex(a)
+        while tree.parent(w) is not None:
+            assert tree.child_toward(tree.parent(w), a) == w
+            w = tree.parent(w)

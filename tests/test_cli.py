@@ -1,12 +1,22 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import json
+import random
+import time
 import tracemalloc
 
 import pytest
 
-from conftest import random_cords, random_xtree
-from treelasso import HeightMap, cli, cord_set, format_cord_file, parse_newick, print_newick
+from conftest import bearded_caterpillar, clade_by_sorting, random_cords, random_xtree
+from treelasso import (
+    HeightMap,
+    XTree,
+    cli,
+    cord_set,
+    format_cord_file,
+    parse_newick,
+    print_newick,
+)
 from treelasso.cli import main
 
 
@@ -289,6 +299,86 @@ def test_classify_memory_stays_linear(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert peak < 40 * 2**20, f"classify peaked at {peak / 2**20:.1f} MB"
+
+
+def caterpillar_text(depth: int) -> str:
+    """A caterpillar of the given depth, in canonical child order."""
+    return "(" * depth + "a0" + "".join(f",a{i})" for i in range(1, depth + 1)) + ";"
+
+
+def test_classify_cpu_is_depth_independent(capsys, tmp_path):
+    # A 20,000-deep caterpillar with one seeded cord per interior vertex.
+    # A parent-pointer walk per cord costs O(depth) and took about 5 s of
+    # CPU on a 2-vCPU host; heavy-path meets take a few jumps per cord.
+    n = 20_000
+    tree_path = tmp_path / "deep.nwk"
+    tree_path.write_text(caterpillar_text(n) + "\n")
+    rng = random.Random(1)
+    cords = tmp_path / "c.txt"
+    cords.write_text("".join(f"a{rng.randrange(i)} a{i}\n" for i in range(1, n + 1)))
+    start = time.process_time()
+    code = main(["classify", "--tree", str(tree_path), "--cords", str(cords)])
+    elapsed = time.process_time() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert [payload[k] for k in ("equidistant", "weak", "topological", "strong")] == [True] * 4
+    assert elapsed < 2, f"classify took {elapsed:.2f} s of CPU"
+
+
+NAMING_TREES = {
+    "caterpillar": lambda: parse_newick(caterpillar_text(300))[0],
+    "bearded-3": lambda: bearded_caterpillar(3, 40),
+    "bearded-5": lambda: bearded_caterpillar(5, 20),
+    "random": lambda: random_xtree(300, 4),
+}
+
+
+@pytest.mark.parametrize("shape", NAMING_TREES)
+def test_failing_clades_match_per_vertex_sorting(capsys, monkeypatch, tmp_path, shape):
+    tree = NAMING_TREES[shape]()
+    tree_path = tmp_path / "t.nwk"
+    tree_path.write_text(tree.canonical_newick() + "\n")
+    interior = tree.interior_vertices()
+
+    def first_leaf(v):
+        return min(tree.leaves_below(v))
+
+    # one cord per interior vertex, between its first two children
+    per_vertex = {
+        v: tuple(sorted(map(first_leaf, tree.children(v)[:2]))) for v in interior
+    }
+    chain = [max(interior, key=tree.depth)]  # the deepest vertex and its ancestors
+    while tree.parent(chain[-1]) is not None:
+        chain.append(tree.parent(chain[-1]))
+    cord_sets = {
+        # no equidistant failures
+        "per-vertex": (set(per_vertex.values()), set()),
+        # every seventh vertex fails
+        "sparse": ({c for v, c in per_vertex.items() if v % 7}, {v for v in interior if not v % 7}),
+        # the nested clades of one root path fail
+        "nested": ({c for v, c in per_vertex.items() if v not in chain}, set(chain)),
+        # every interior vertex fails
+        "empty": (set(), set(interior)),
+        "dense": (random_cords(tree, 3 * len(tree.leaf_labels), seed=2), None),
+    }
+
+    def reference(self, vertices):
+        return {v: clade_by_sorting(self, v) for v in vertices}
+
+    for name, (cords, eq_failing) in cord_sets.items():
+        cords_path = tmp_path / f"{name}.txt"
+        cords_path.write_text(format_cord_file(cords))
+        argv = ("classify", "--tree", str(tree_path), "--cords", str(cords_path))
+        code, out, err = run(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(XTree, "_clade_names", reference)
+            ref_code, ref_out, _ = run(capsys, *argv)
+        assert code == ref_code == 0 and err == ""
+        assert out == ref_out, name
+        if eq_failing is not None:
+            failing = json.loads(out.strip().splitlines()[-1])["failing"]["equidistant"]
+            assert failing == [clade_by_sorting(tree, v) for v in sorted(eq_failing)], name
 
 
 def test_distance_column_rejected(capsys, tree_file, tmp_path):

@@ -1,10 +1,12 @@
 """Definition-level oracle: enumeration, joint systems, witnesses, route agreement."""
 
+import gc
 import hashlib
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -484,3 +486,26 @@ def test_equidistant_decision_at_2000_leaves_reads_only_the_given_cords():
     assert not ok and verify_witness(t, fewer, witness, "equidistant")
     assert peak < 10 * 2**20
     assert elapsed < 1
+
+
+def test_equidistant_tables_are_dropped_with_their_trees():
+    # 20 seeded 2000-leaf trees, each decided once with its minimum
+    # equidistant lasso and then dropped: the per-tree tables and meet memos
+    # go with them.  A cache keyed by tree kept every tree and its tables.
+    cases = [(t, min_equidistant_lasso(t)) for t in map(partial(random_xtree, 2000), range(20))]
+    gc.collect()
+    held = len(oracle._TABLES)  # tables of trees that other tests keep alive
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t, lasso in cases:
+            assert oracle_equidistant(t, lasso) == (True, None)
+        tables = tracemalloc.get_traced_memory()[0] - before
+        del cases, t, lasso
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(oracle._TABLES) == held
+    assert tables > 2**20  # the tables were built
+    assert retained < 2**16, f"{retained / 2**20:.2f} MB retained after the trees were dropped"

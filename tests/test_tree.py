@@ -13,6 +13,7 @@ from conftest import (
     LABELS5,
     LABELS6,
     bearded_caterpillar,
+    clade_by_sorting,
     random_xtree,
     triplets_by_restriction,
 )
@@ -82,6 +83,22 @@ LEAF_QUERY_TREES = [
 def test_leaf_ranges_match_brute_recomputation():
     for t in LEAF_QUERY_TREES:
         assert_leaf_queries_match_brute(t, t.vertices())
+
+
+def test_clade_names_match_per_vertex_sorting():
+    # every vertex, none, nested chains and seeded subsets, leaves included
+    rng = random.Random(3)
+    for t in LEAF_QUERY_TREES:
+        everyone = list(t.vertices())
+        deepest = max(everyone, key=t.depth)
+        chain = [deepest]
+        while t.parent(chain[-1]) is not None:
+            chain.append(t.parent(chain[-1]))
+        picks = [everyone, [], chain, t.interior_vertices()]
+        picks += [rng.sample(everyone, rng.randint(1, len(everyone))) for _ in range(3)]
+        for vertices in picks:
+            names = t._clade_names(iter(vertices))
+            assert names == {v: clade_by_sorting(t, v) for v in vertices}
 
 
 def test_deep_caterpillar_parse_retains_linear_memory():
