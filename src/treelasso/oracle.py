@@ -158,8 +158,8 @@ def enumerate_binary_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
 class _MeetIndex(dict):
     """Cord -> interior index of its meeting vertex in one tree, found on first use.
 
-    The tree is held weakly, so the tables that hold the index do not keep
-    their tree alive; they are dropped before it is gone.
+    The tree is held weakly, so the per-tree tables that hold the index
+    do not keep their own tree alive.
     """
 
     def __init__(self, tree: XTree, index: dict[int, int]) -> None:
