@@ -12,7 +12,6 @@ from treelasso import (
     circular_lasso,
     circular_order,
     classify,
-    is_weak_lasso,
     min_equidistant_lasso,
     min_topological_lasso,
     min_weak_lasso,
@@ -44,7 +43,7 @@ print(f"minimum topological lasso ({len(topo)} = {expected} cords):", show(topo)
 weak = min_weak_lasso(tree)
 print(f"minimum weak lasso ({len(weak)} cords):", show(weak))
 for dropped in sorted(weak):
-    assert not is_weak_lasso(tree, weak - {dropped})
+    assert not classify(tree, weak - {dropped}).weak
 print("removal-minimal: dropping any cord breaks the corral\n")
 
 # Circular lassos: consecutive leaves of a planar embedding.  Always an

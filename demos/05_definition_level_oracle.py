@@ -13,10 +13,10 @@ Run:  python3 demos/05_definition_level_oracle.py
 
 from treelasso import (
     XTree,
+    classify,
     cord_set,
     enumerate_binary_xtrees,
     enumerate_xtrees,
-    is_weak_lasso,
     joint_isometry_system,
     oracle_topological,
     oracle_weak,
@@ -39,7 +39,7 @@ print("cords:", " ".join(a + b for a, b in sorted(cords)))
 # The characterization says this is not a weak lasso (leaf c dangles); the
 # oracle agrees and produces an explicit counterexample: a non-refining
 # rival tree plus two weightings with identical distances on every cord.
-print("characterization says weak:", is_weak_lasso(tree, cords))
+print("characterization says weak:", classify(tree, cords).weak)
 ok, witness = oracle_weak(tree, cords)
 print("oracle says weak:          ", ok)
 print("witness, same cord distances, not a refinement:")

@@ -35,9 +35,6 @@ from .feasibility import StrictLinearSystem, linear_system, strict_feasible
 from .heights import (
     EdgeWeighting,
     HeightMap,
-    NegativeWeightError,
-    NotEquidistantError,
-    NotProperError,
     WeightingError,
     random_proper_heights,
 )
@@ -46,9 +43,6 @@ from .lasso import (
     classify,
     cord_graph,
     is_covering,
-    is_equidistant_lasso,
-    is_topological_lasso,
-    is_weak_lasso,
     reduce_by_cherry,
     reduction_check,
 )
@@ -74,10 +68,7 @@ __all__ = [
     "EdgeWeighting",
     "HeightMap",
     "LassoReport",
-    "NegativeWeightError",
     "NewickParseError",
-    "NotEquidistantError",
-    "NotProperError",
     "StrictLinearSystem",
     "Triplet",
     "WeightingError",
@@ -97,9 +88,6 @@ __all__ = [
     "enumerate_xtrees",
     "format_cord_file",
     "is_covering",
-    "is_equidistant_lasso",
-    "is_topological_lasso",
-    "is_weak_lasso",
     "joint_isometry_system",
     "linear_system",
     "min_equidistant_lasso",

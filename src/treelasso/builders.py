@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .cords import Cord, all_cords, cord
+from .lasso import _require_domain
 from .tree import XTree
 
 __all__ = [
@@ -74,7 +75,7 @@ def min_equidistant_lasso(tree: XTree) -> frozenset[Cord]:
     lexicographically smallest child representatives), which is the minimum
     possible size for an equidistant lasso.
     """
-    _require(tree)
+    _require_domain(tree)
     low = _representatives(tree)
     out = set()
     for v in tree.interior_vertices():
@@ -89,7 +90,7 @@ def min_topological_lasso(tree: XTree) -> frozenset[Cord]:
     Realizes the clique condition at every vertex with the fewest cords:
     the size is the sum over interior vertices of (children choose 2).
     """
-    _require(tree)
+    _require_domain(tree)
     low = _representatives(tree)
     out = set()
     for v in tree.interior_vertices():
@@ -106,7 +107,7 @@ def min_weak_lasso(tree: XTree) -> frozenset[Cord]:
     minus one cords); every other interior vertex gets the representative
     cords realizing the subtree-edge clique plus all leaf-to-subtree pairs.
     """
-    _require(tree)
+    _require_domain(tree)
     if tree.is_star():
         return frozenset()
     low = _representatives(tree)
@@ -173,8 +174,3 @@ def random_cord_set(labels: Iterable[str], k: int, seed: int) -> frozenset[Cord]
     if k < 0 or k > len(pool):
         raise ValueError(f"cannot sample {k} cords from {len(pool)} available")
     return frozenset(random.Random(seed).sample(pool, k))
-
-
-def _require(tree: XTree) -> None:
-    if len(tree.leaf_labels) < 3:
-        raise ValueError("lasso constructions need at least 3 leaves")

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import builders, lasso, oracle
-from .cords import format_rational, read_cord_file
+from .cords import format_cord_file, read_cord_file
 from .heights import HeightMap
 from .newick import parse_newick, print_newick
 from .tree import XTree
@@ -108,8 +108,7 @@ def cmd_build(args) -> int:
         if sides[0] | sides[1] != tree.leaf_labels:
             raise ValueError("partition sides must cover the leaf set exactly")
         cords = builders.bipartition_lasso(builders.Bipartition(*sides))
-    for a, b in sorted(cords):
-        print(a, b)
+    sys.stdout.write(format_cord_file(cords))
     return 0
 
 
@@ -146,8 +145,7 @@ def cmd_distances(args) -> int:
         raise ValueError("distances needs a weighted tree (every edge ':weight')")
     heights = HeightMap.from_edge_weights(weighting)
     cords = _load_cords(args.cords, tree)
-    for a, b in sorted(cords):
-        print(a, b, format_rational(heights.leaf_distance(a, b)))
+    sys.stdout.write(format_cord_file(cords, {c: heights.leaf_distance(*c) for c in cords}))
     return 0
 
 

@@ -18,7 +18,10 @@ is solved exactly as a longest-path problem, never with floating tolerance:
   makes the system infeasible;
 * each longest-path value ``(a, b)`` becomes the rational ``a + b*eps``,
   with ``eps = p/q <= 1`` chosen from every constraint's slack and kept as
-  two integers, so each point is built as one ``Fraction(a*q + b*p, q)``.
+  two integers, so each point is built as one ``Fraction(a*q + b*p, q)``;
+* :func:`strict_feasible` first multiplies every constant by the lcm of
+  their denominators, so the paths are summed over integers, and divides
+  the point back.
 
 One call returns both the verdict and the exact witness point.  Any other
 linear constraint is rejected with ``ValueError``.
@@ -28,14 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
 __all__ = ["StrictLinearSystem", "linear_system", "strict_feasible"]
 
 Variable = Hashable
 Constraint = tuple[dict, Fraction]
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -89,6 +91,7 @@ def _solve_differences(
     n: int,
     equal: Sequence[tuple[int, int, Fraction]],
     greater: Sequence[tuple[int, int, Fraction, bool]],
+    scale: int = 1,
 ) -> list[Fraction] | None:
     """Exact values for the variables ``0..n-1`` of a difference system, or None.
 
@@ -97,9 +100,12 @@ def _solve_differences(
     ``strict`` is set.  Id ``n`` is a variable fixed at zero, so ``(x, n, c)``
     pins ``x = c`` and ``(x, n, 0, False)`` keeps ``x`` nonnegative.
 
-    Every returned value is a ``Fraction``.  With integer constants, as in
-    all the oracle's systems, each is built from one integer numerator over
-    the integer denominator of ``eps``, with no rational arithmetic.
+    Every returned value is a ``Fraction``.  With integer constants each is
+    built from one integer numerator over the integer denominator of
+    ``eps``, with no rational arithmetic.  The constants may be the true
+    ones times ``scale``: the system is then solved in units of
+    ``1/scale``, with ``eps`` capped at ``scale`` in place of 1, and each
+    value divided back, so the point is the one the true constants give.
     """
     # The finds are inlined path-halving loops: the oracle calls the engine
     # once per witness, 4939 feasible calls on the 7788 decisions of the
@@ -168,7 +174,7 @@ def _solve_differences(
             return None  # positive cycle
 
     # eps = p/q small enough that no constraint with real slack loses it
-    p = q = 1
+    p, q = scale, 1
     for y, targets in out.items():
         ay, by = value[y]
         for x, c, _ in targets:
@@ -185,11 +191,12 @@ def _solve_differences(
         return value.get(v, (0, 0))
 
     az, bz = lex(n)  # shifted so that the zero variable is 0
+    den = q * scale
     points = []
     for v in range(n):
         a, b = lex(v)
         num = (a - az) * q + (b - bz) * p
-        points.append(Fraction(num) if q == 1 else Fraction(num, q))
+        points.append(Fraction(num) if den == 1 else Fraction(num, den))
     return points
 
 
@@ -211,7 +218,7 @@ def _difference(
         raise ValueError(f"not a difference constraint: {lhs} against {rhs}")
     if a < 0:
         x, y, a = y, x, -a
-    return x, y, rhs / a
+    return x, y, rhs if a == 1 else Fraction(rhs, a)
 
 
 def strict_feasible(system: StrictLinearSystem) -> dict | None:
@@ -228,8 +235,17 @@ def strict_feasible(system: StrictLinearSystem) -> dict | None:
     greater = [
         (*_difference(c, r, ids, zero), True) for c, r in system.strict_inequalities
     ]
-    greater += [(ids[v], zero, _ZERO, False) for v in system.nonneg]
-    values = _solve_differences(zero, equal, greater)
+    # scaled by the lcm of the denominators, every constant is an integer
+    scale = lcm(
+        *(c.denominator for _, _, c in equal), *(g[2].denominator for g in greater)
+    )
+    equal = [(x, y, c.numerator * (scale // c.denominator)) for x, y, c in equal]
+    greater = [
+        (x, y, c.numerator * (scale // c.denominator), strict)
+        for x, y, c, strict in greater
+    ]
+    greater += [(ids[v], zero, 0, False) for v in system.nonneg]
+    values = _solve_differences(zero, equal, greater, scale)
     if values is None:
         return None
     return dict(zip(system.variables, values))

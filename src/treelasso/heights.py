@@ -25,9 +25,6 @@ from .tree import XTree
 __all__ = [
     "EdgeWeighting",
     "HeightMap",
-    "NegativeWeightError",
-    "NotEquidistantError",
-    "NotProperError",
     "WeightingError",
     "random_proper_heights",
 ]
@@ -35,18 +32,6 @@ __all__ = [
 
 class WeightingError(ValueError):
     """An edge-weighting violates the equidistant/proper contract."""
-
-
-class NegativeWeightError(WeightingError):
-    """Some edge carries a negative weight."""
-
-
-class NotProperError(WeightingError):
-    """Some interior edge carries weight <= 0."""
-
-
-class NotEquidistantError(WeightingError):
-    """Two leaves below the same vertex sit at different distances from it."""
 
 
 def _as_fraction(value) -> Fraction:
@@ -141,19 +126,18 @@ class HeightMap:
     def from_edge_weights(cls, weighting: EdgeWeighting) -> "HeightMap":
         """Recover heights from per-edge weights, validating the contract.
 
-        Raises :class:`NegativeWeightError` if any weight is negative,
-        :class:`NotProperError` if an interior edge has weight <= 0, and
-        :class:`NotEquidistantError` if two leaves below some vertex end up
-        at different distances from it.
+        Raises :class:`WeightingError` if any weight is negative, if an
+        interior edge has weight <= 0, or if two leaves below some vertex
+        end up at different distances from it; the message says which.
         """
         t = weighting.tree
         w = weighting.by_child
         for v, value in w.items():
             if value < 0:
-                raise NegativeWeightError(f"edge into vertex {v} has weight {value}")
+                raise WeightingError(f"edge into vertex {v} has weight {value}")
         for v in t.interior_vertices():
             if v != t.root and w[v] <= 0:
-                raise NotProperError(f"interior edge into vertex {v} has weight {w[v]}")
+                raise WeightingError(f"interior edge into vertex {v} has weight {w[v]}")
         heights: dict[int, Fraction] = {}
         for v in reversed(t.interior_vertices()):
             candidates = set()
@@ -161,7 +145,7 @@ class HeightMap:
                 below = Fraction(0) if t.is_leaf(c) else heights[c]
                 candidates.add(w[c] + below)
             if len(candidates) > 1:
-                raise NotEquidistantError(
+                raise WeightingError(
                     f"leaves below vertex {v} are at distances {sorted(candidates)} from it"
                 )
             heights[v] = candidates.pop()

@@ -23,6 +23,11 @@ its count is C(k, 2), and is rich when C(s, 2) + s * (k - s) of its edges
 touch an interior child.  Connectivity needs a union-find over the children,
 and only at pseudo-cherry parents.  :class:`~treelasso.childgraph.ChildEdgeGraph`
 stays as the on-demand view of one vertex's graph.
+
+:func:`classify` is the one way to ask any of the four questions: read the
+flag off its :class:`LassoReport`, as ``classify(tree, cords).weak``, and
+call it once when several kinds of one instance are wanted.  ``strong`` is
+not stored; the report derives it from the other two flags.
 """
 
 from __future__ import annotations
@@ -39,9 +44,6 @@ __all__ = [
     "classify",
     "cord_graph",
     "is_covering",
-    "is_equidistant_lasso",
-    "is_topological_lasso",
-    "is_weak_lasso",
     "reduce_by_cherry",
     "reduction_check",
 ]
@@ -56,20 +58,22 @@ class LassoReport:
     equidistant: bool
     weak: bool
     topological: bool
-    strong: bool
     failing_vertices: Mapping[str, tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        # Internal consistency of the four flags; violations indicate a bug.
-        if self.strong != (self.equidistant and self.topological):
-            raise ValueError("strong must equal equidistant AND topological")
-        if self.topological and not self.weak:
+        if self.topological and not self.weak:  # a bug if it ever fires
             raise ValueError("a topological lasso is always a weak lasso")
+
+    @property
+    def strong(self) -> bool:
+        """A strong lasso is both an equidistant and a topological lasso."""
+        return self.equidistant and self.topological
 
 
 def _require_domain(tree: XTree) -> None:
+    """The paper's domain, |X| >= 3, shared by classification, builders and oracles."""
     if len(tree.leaf_labels) < 3:
-        raise ValueError("lasso classification needs at least 3 leaves")
+        raise ValueError("lasso questions need at least 3 leaves")
 
 
 def classify(tree: XTree, cords: Iterable[Cord]) -> LassoReport:
@@ -114,7 +118,6 @@ def classify(tree: XTree, cords: Iterable[Cord]) -> LassoReport:
         equidistant=equidistant,
         weak=weak,
         topological=topological,
-        strong=equidistant and topological,
         failing_vertices={
             "equidistant": tuple(eq_fail),
             "weak": tuple(weak_fail),
@@ -140,29 +143,6 @@ def _connected(nodes: tuple[int, ...], pairs: Iterable[tuple[int, int]]) -> bool
             root[ru] = rw
             merges += 1
     return merges == len(nodes) - 1
-
-
-def is_equidistant_lasso(tree: XTree, cords: Iterable[Cord]) -> bool:
-    """Does the cord set force a unique equidistant proper weighting?
-
-    Holds exactly when every interior vertex is the last common vertex of
-    some cord, i.e. every child-edge graph has at least one edge.
-    """
-    return classify(tree, cords).equidistant
-
-
-def is_weak_lasso(tree: XTree, cords: Iterable[Cord]) -> bool:
-    """Does every tree fitting the cord distances refine this tree?"""
-    return classify(tree, cords).weak
-
-
-def is_topological_lasso(tree: XTree, cords: Iterable[Cord]) -> bool:
-    """Does the cord set force the tree shape up to equivalence?
-
-    Holds exactly when the cord set is nonempty and every child-edge graph
-    is a clique.
-    """
-    return classify(tree, cords).topological
 
 
 def reduce_by_cherry(cords: Iterable[Cord], x: str, y: str) -> frozenset[Cord]:

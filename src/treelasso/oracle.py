@@ -74,6 +74,7 @@ from typing import Iterable, Iterator, Sequence
 from .cords import Cord, validate_cords
 from .feasibility import StrictLinearSystem, _solve_differences, linear_system
 from .heights import HeightMap
+from .lasso import _require_domain
 from .tree import XTree
 
 __all__ = [
@@ -268,11 +269,6 @@ def _witness(tree: XTree, rival: XTree, values: list, offset: int) -> Witness:
     )
 
 
-def _require_lasso_domain(tree: XTree) -> None:
-    if len(tree.leaf_labels) < 3:
-        raise ValueError("lasso oracles need at least 3 leaves")
-
-
 @dataclass(frozen=True)
 class _RivalTable:
     """Every tree on one leaf set, as rows the rival scan reads without rebuilding.
@@ -422,7 +418,7 @@ def _rival_scan(
     rest are handed to the engine in canonical order, and the first
     feasible one is the witness.  The verdict is that there is none.
     """
-    _require_lasso_domain(tree)
+    _require_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
     if rival_sample is not None and rival_sample < 1:
         raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
@@ -494,7 +490,7 @@ def oracle_equidistant(
     vectors, so they cannot differ there.  The tables are per tree, so any
     number of leaves is allowed.
     """
-    _require_lasso_domain(tree)
+    _require_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
     both, meet_index, k = _tables(tree)
     met = {meet_index[c] for c in checked}
@@ -511,7 +507,13 @@ def oracle_equidistant(
 def verify_witness(
     tree: XTree, cords: Iterable[Cord], witness: Witness, kind: str
 ) -> bool:
-    """Re-check a witness: valid weightings, cord distances match, claim violated."""
+    """Re-check a witness: valid weightings, cord distances match, claim violated.
+
+    The first weighting must be on ``tree`` and the second on the witness's
+    rival; heights on any other tree prove nothing about these two.
+    """
+    if witness.heights_t.tree != tree or witness.heights_rival.tree != witness.rival:
+        return False
     if not witness.heights_t.is_l_isometric(witness.heights_rival, cords):
         return False
     if kind == "equidistant":

@@ -32,9 +32,6 @@ from treelasso import (
     enumerate_binary_xtrees,
     enumerate_xtrees,
     is_covering,
-    is_equidistant_lasso,
-    is_topological_lasso,
-    is_weak_lasso,
     min_equidistant_lasso,
     min_topological_lasso,
     min_weak_lasso,
@@ -61,11 +58,8 @@ def sweep4():
     records = []
     for t in enumerate_xtrees(LABELS4):
         for cords in all_cord_subsets(LABELS4):
-            combinatorial = (
-                is_equidistant_lasso(t, cords),
-                is_weak_lasso(t, cords),
-                is_topological_lasso(t, cords),
-            )
+            report = classify(t, cords)
+            combinatorial = (report.equidistant, report.weak, report.topological)
             oracle = (
                 oracle_equidistant(t, cords)[0],
                 oracle_weak(t, cords)[0],
@@ -99,11 +93,12 @@ def test_c04_five_leaf_spot_check():
     for index, t in enumerate(enumerate_xtrees(LABELS5)):
         for cords in seeded_cord_sets(LABELS5, 200, index):
             instances += 1
-            if is_equidistant_lasso(t, cords) != oracle_equidistant(t, cords)[0]:
+            report = classify(t, cords)
+            if report.equidistant != oracle_equidistant(t, cords)[0]:
                 mismatches += 1
-            if is_weak_lasso(t, cords) != oracle_weak(t, cords)[0]:
+            if report.weak != oracle_weak(t, cords)[0]:
                 mismatches += 1
-            if is_topological_lasso(t, cords) != oracle_topological(t, cords)[0]:
+            if report.topological != oracle_topological(t, cords)[0]:
                 mismatches += 1
     assert mismatches == 0
     announce(f"PASS  criterion 4: five-leaf spot check, {instances} instances x 3 kinds, exact agreement")
@@ -159,20 +154,20 @@ def test_c07_builder_guarantees():
 
         eq = min_equidistant_lasso(t)
         assert len(eq) == len(interior)
-        assert is_equidistant_lasso(t, eq) and oracle_equidistant(t, eq)[0]
+        assert classify(t, eq).equidistant and oracle_equidistant(t, eq)[0]
         for dropped in eq:
-            assert not is_equidistant_lasso(t, eq - {dropped})
+            assert not classify(t, eq - {dropped}).equidistant
 
         topo = min_topological_lasso(t)
         assert len(topo) == sum(comb(len(t.children(v)), 2) for v in interior)
-        assert is_topological_lasso(t, topo) and oracle_topological(t, topo)[0]
+        assert classify(t, topo).topological and oracle_topological(t, topo)[0]
         for dropped in topo:
-            assert not is_topological_lasso(t, topo - {dropped})
+            assert not classify(t, topo - {dropped}).topological
 
         weak = min_weak_lasso(t)
-        assert is_weak_lasso(t, weak) and oracle_weak(t, weak)[0]
+        assert classify(t, weak).weak and oracle_weak(t, weak)[0]
         for dropped in weak:
-            assert not is_weak_lasso(t, weak - {dropped})
+            assert not classify(t, weak - {dropped}).weak
     announce(f"PASS  criterion 7: builder sizes, lasso status and removal-minimality on {len(trees)} trees")
 
 
@@ -193,9 +188,9 @@ def test_c08_circular_and_bipartition_constructions():
     for labels in (("a", "b", "c"), LABELS4, LABELS5):
         universe = set(labels)
         for t in enumerate_xtrees(labels):
-            lc = circular_lasso(circular_order(t))
-            assert is_equidistant_lasso(t, lc)
-            assert is_topological_lasso(t, lc) == _circular_topological_condition(t)
+            report = classify(t, circular_lasso(circular_order(t)))
+            assert report.equidistant
+            assert report.topological == _circular_topological_condition(t)
             checked += 1
 
             cherries = [leaves for _, leaves in t.pseudo_cherries()]
@@ -205,11 +200,11 @@ def test_c08_circular_and_bipartition_constructions():
                     b = frozenset(universe - a)
                     if not all(pc & a and pc & b for pc in cherries):
                         continue
-                    cords = bipartition_lasso(Bipartition(a, b))
-                    assert is_weak_lasso(t, cords)
-                    assert is_equidistant_lasso(t, cords)
+                    report = classify(t, bipartition_lasso(Bipartition(a, b)))
+                    assert report.weak
+                    assert report.equidistant
                     if t.is_star():
-                        assert not is_topological_lasso(t, cords)
+                        assert not report.topological
                     checked += 1
     announce(f"PASS  criterion 8: circular and bipartition constructions, {checked} checks, zero violations")
 

@@ -12,12 +12,10 @@ from treelasso import (
     bipartition_lasso,
     circular_lasso,
     circular_order,
+    classify,
     cord_graph,
     cord_set,
     enumerate_xtrees,
-    is_equidistant_lasso,
-    is_topological_lasso,
-    is_weak_lasso,
     min_equidistant_lasso,
     min_topological_lasso,
     min_weak_lasso,
@@ -36,7 +34,7 @@ def test_min_equidistant_examples():
     for t in enumerate_xtrees(LABELS4):
         out = min_equidistant_lasso(t)
         assert len(out) == len(t.interior_vertices())
-        assert is_equidistant_lasso(t, out)
+        assert classify(t, out).equidistant
         if t.is_binary():
             assert len(out) == len(t.leaf_labels) - 1
 
@@ -51,16 +49,16 @@ def test_min_topological_examples():
             out = min_topological_lasso(t)
             expected = sum(comb(len(t.children(v)), 2) for v in t.interior_vertices())
             assert len(out) == expected
-            assert is_topological_lasso(t, out)
+            assert classify(t, out).topological
 
 
 def test_min_weak_examples():
     assert min_weak_lasso(T4) == cord_set([("a", "b"), ("b", "c"), ("a", "d")])
     assert min_weak_lasso(STAR3) == frozenset()
-    assert is_weak_lasso(STAR3, frozenset())
-    assert not is_topological_lasso(T4, min_weak_lasso(T4))
+    assert classify(STAR3, frozenset()).weak
+    assert not classify(T4, min_weak_lasso(T4)).topological
     for t in enumerate_xtrees(LABELS5):
-        assert is_weak_lasso(t, min_weak_lasso(t))
+        assert classify(t, min_weak_lasso(t)).weak
 
 
 def test_min_weak_on_bearded_caterpillars():
@@ -69,21 +67,21 @@ def test_min_weak_on_bearded_caterpillars():
         assert all(len(t.children(v)) == k for v in t.interior_vertices())
         out = min_weak_lasso(t)
         assert len(out) == (k - 1) * len(t.interior_vertices())
-        assert is_weak_lasso(t, out)
+        assert classify(t, out).weak
 
 
 def test_builders_are_removal_minimal_on_small_trees():
     for t in enumerate_xtrees(LABELS4):
-        for build, check in [
-            (min_equidistant_lasso, is_equidistant_lasso),
-            (min_topological_lasso, is_topological_lasso),
-            (min_weak_lasso, is_weak_lasso),
+        for build, kind in [
+            (min_equidistant_lasso, "equidistant"),
+            (min_topological_lasso, "topological"),
+            (min_weak_lasso, "weak"),
         ]:
             out = build(t)
             if t.is_star() and build is min_weak_lasso:
                 continue
             for dropped in out:
-                assert not check(t, out - {dropped})
+                assert not getattr(classify(t, out - {dropped}), kind)
 
 
 def test_representatives_are_the_smallest_leaf_below():
@@ -120,7 +118,7 @@ def test_circular_lasso_examples():
 def test_circular_lasso_is_always_equidistant():
     for labels in (("a", "b", "c"), LABELS4, LABELS5):
         for t in enumerate_xtrees(labels):
-            assert is_equidistant_lasso(t, circular_lasso(circular_order(t)))
+            assert classify(t, circular_lasso(circular_order(t))).equidistant
 
 
 def _circular_topological_condition(t: XTree) -> bool:
@@ -136,11 +134,11 @@ def _circular_topological_condition(t: XTree) -> bool:
 
 
 def test_circular_lasso_topological_exactly_on_near_binary_trees():
-    assert is_topological_lasso(STAR3, circular_lasso(circular_order(STAR3)))
+    assert classify(STAR3, circular_lasso(circular_order(STAR3))).topological
     for labels in (("a", "b", "c"), LABELS4, LABELS5):
         for t in enumerate_xtrees(labels):
             lc = circular_lasso(circular_order(t))
-            assert is_topological_lasso(t, lc) == _circular_topological_condition(t)
+            assert classify(t, lc).topological == _circular_topological_condition(t)
 
 
 def test_bipartition_examples():
@@ -167,19 +165,19 @@ def test_bipartition_meeting_every_pseudo_cherry_corrals():
                     b = frozenset(universe - a)
                     if not all(pc & a and pc & b for pc in cherries):
                         continue
-                    cords = bipartition_lasso(Bipartition(a, b))
-                    assert is_weak_lasso(t, cords)
-                    assert is_equidistant_lasso(t, cords)
+                    report = classify(t, bipartition_lasso(Bipartition(a, b)))
+                    assert report.weak
+                    assert report.equidistant
 
 
 def test_bipartition_on_star_is_weak_but_never_topological():
     star5 = XTree(tuple(LABELS5))
     for a in ("a", "ab", "abc"):
         bp = Bipartition(frozenset(a), frozenset(set(LABELS5) - set(a)))
-        cords = bipartition_lasso(bp)
-        assert is_weak_lasso(star5, cords)
-        assert is_equidistant_lasso(star5, cords)
-        assert not is_topological_lasso(star5, cords)
+        report = classify(star5, bipartition_lasso(bp))
+        assert report.weak
+        assert report.equidistant
+        assert not report.topological
 
 
 def test_random_cord_set():

@@ -4,11 +4,17 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
 from conftest import point_satisfies
-from treelasso.feasibility import _solve_differences, linear_system, strict_feasible
+from treelasso.feasibility import (
+    StrictLinearSystem,
+    _solve_differences,
+    linear_system,
+    strict_feasible,
+)
 
 
 def test_open_interval():
@@ -286,3 +292,39 @@ def test_engine_points_with_eps_below_one(n, equal, greater, expected):
     assert values == expected
     assert all(type(v) is Fraction for v in values)
     assert _holds(values, equal, greater)
+
+
+@pytest.mark.parametrize("extra", [1, 3, 10])
+def test_scaled_engine_gives_the_unscaled_points(extra):
+    # constants times any common multiple of their denominators, solved in
+    # units of 1/scale, give back exactly the point of the true constants
+    for seed in range(200):
+        equal, greater = _random_engine_system(seed)
+        scale = extra * lcm(
+            *(c.denominator for _, _, c in equal), *(g[2].denominator for g in greater)
+        )
+        scaled = _solve_differences(
+            3,
+            [(x, y, int(c * scale)) for x, y, c in equal],
+            [(x, y, int(c * scale), strict) for x, y, c, strict in greater],
+            scale,
+        )
+        plain = _solve_differences(3, equal, greater)
+        assert scaled == plain, f"seed {seed}"
+        assert scaled is None or all(type(v) is Fraction for v in scaled)
+
+
+@pytest.mark.parametrize(
+    "equalities, strict, expected",
+    [
+        ((({"x": 1}, 1),), (({"x": 2, "y": -2}, 1),), {"x": 1, "y": 0}),
+        # 1 > x > y >= 0: the slack of x < 1 sets eps
+        ((), (({"x": 1, "y": -1}, 0), ({"x": -1}, -1)), {"x": Fraction(1, 2), "y": 0}),
+    ],
+)
+def test_integer_constants_stay_exact(equalities, strict, expected):
+    # built without linear_system, a system may carry plain ints
+    system = StrictLinearSystem(("x", "y"), equalities, strict, frozenset({"y"}))
+    point = strict_feasible(system)
+    assert point == expected
+    assert all(type(v) is Fraction for v in point.values())

@@ -10,13 +10,11 @@ from conftest import LABELS4, LABELS5
 from treelasso import (
     EdgeWeighting,
     HeightMap,
-    NegativeWeightError,
-    NotEquidistantError,
-    NotProperError,
     XTree,
     cord_set,
     enumerate_xtrees,
     random_proper_heights,
+    WeightingError,
 )
 from treelasso.tree import triplet
 
@@ -52,11 +50,11 @@ def test_from_edge_weights_recovers_heights():
 
 def test_from_edge_weights_errors():
     cherry = CHERRY3.lca("a", "b")
-    with pytest.raises(NotEquidistantError):
+    with pytest.raises(WeightingError, match="leaves below vertex .* are at distances"):
         HeightMap.from_edge_weights(weights_of(CHERRY3, {"a": 1, "b": 2, "c": 3, cherry: 2}))
-    with pytest.raises(NotProperError):
+    with pytest.raises(WeightingError, match="interior edge into vertex .* has weight 0"):
         HeightMap.from_edge_weights(weights_of(CHERRY3, {"a": 1, "b": 1, "c": 1, cherry: 0}))
-    with pytest.raises(NegativeWeightError):
+    with pytest.raises(WeightingError, match="^edge into vertex .* has weight -1"):
         HeightMap.from_edge_weights(weights_of(CHERRY3, {"a": -1, "b": 1, "c": 3, cherry: 2}))
 
 

@@ -24,12 +24,12 @@ from treelasso import (
     enumerate_binary_xtrees,
     enumerate_xtrees,
     is_covering,
-    is_equidistant_lasso,
-    is_topological_lasso,
-    is_weak_lasso,
     min_equidistant_lasso,
     min_topological_lasso,
     min_weak_lasso,
+    oracle_equidistant,
+    oracle_topological,
+    oracle_weak,
     reduce_by_cherry,
     reduction_check,
 )
@@ -44,28 +44,26 @@ def c(*pairs):
 
 
 def test_equidistant_examples():
-    assert not is_equidistant_lasso(CAT, frozenset())
-    assert is_equidistant_lasso(STAR3, c(("a", "b")))
-    assert is_equidistant_lasso(CAT, c(("a", "b"), ("a", "c"), ("a", "d")))
-    assert not is_equidistant_lasso(CAT, c(("a", "b"), ("a", "c")))
+    assert not classify(CAT, frozenset()).equidistant
+    assert classify(STAR3, c(("a", "b"))).equidistant
+    assert classify(CAT, c(("a", "b"), ("a", "c"), ("a", "d"))).equidistant
+    assert not classify(CAT, c(("a", "b"), ("a", "c"))).equidistant
 
 
 def test_weak_examples():
-    assert is_weak_lasso(STAR3, frozenset())
-    assert is_weak_lasso(XTree(("a", "b", "c", "d")), c(("a", "c")))
-    assert is_weak_lasso(T4, c(("a", "b"), ("b", "c"), ("a", "d")))
-    assert not is_weak_lasso(T4, c(("a", "b"), ("a", "d")))
-    assert not is_weak_lasso(T4, frozenset())
+    assert classify(STAR3, frozenset()).weak
+    assert classify(XTree(("a", "b", "c", "d")), c(("a", "c"))).weak
+    assert classify(T4, c(("a", "b"), ("b", "c"), ("a", "d"))).weak
+    assert not classify(T4, c(("a", "b"), ("a", "d"))).weak
+    assert not classify(T4, frozenset()).weak
 
 
 def test_topological_examples():
-    assert is_topological_lasso(STAR3, all_cords("abc"))
+    assert classify(STAR3, all_cords("abc")).topological
     for missing_one in all_cords("abc"):
-        assert not is_topological_lasso(
-            STAR3, all_cords("abc") - {missing_one}
-        )
-    assert is_topological_lasso(CAT, c(("a", "b"), ("a", "c"), ("a", "d")))
-    assert not is_topological_lasso(T4, c(("a", "b"), ("b", "c"), ("a", "d")))
+        assert not classify(STAR3, all_cords("abc") - {missing_one}).topological
+    assert classify(CAT, c(("a", "b"), ("a", "c"), ("a", "d"))).topological
+    assert not classify(T4, c(("a", "b"), ("b", "c"), ("a", "d"))).topological
 
 
 def test_classify_example_report():
@@ -120,16 +118,25 @@ def test_adding_cords_never_breaks_a_lasso():
 
 def test_report_rejects_inconsistent_flags():
     with pytest.raises(ValueError):
-        LassoReport(True, True, True, False, {})
-    with pytest.raises(ValueError):
-        LassoReport(True, False, True, True, {})
+        LassoReport(True, False, True, {})
+    assert LassoReport(True, True, False, {}).strong is False
+    assert LassoReport(True, True, True, {}).strong is True
 
 
 def test_small_leaf_sets_rejected():
-    with pytest.raises(ValueError):
-        classify(XTree(("a", "b")), frozenset())
-    with pytest.raises(ValueError):
-        is_weak_lasso(XTree(("a", "b")), frozenset())
+    # classification, the builders and the oracles share one domain guard
+    two = XTree(("a", "b"))
+    for ask in (
+        lambda: classify(two, frozenset()),
+        lambda: min_equidistant_lasso(two),
+        lambda: min_topological_lasso(two),
+        lambda: min_weak_lasso(two),
+        lambda: oracle_equidistant(two, frozenset()),
+        lambda: oracle_weak(two, frozenset()),
+        lambda: oracle_topological(two, frozenset()),
+    ):
+        with pytest.raises(ValueError, match="at least 3 leaves"):
+            ask()
 
 
 def failing_by_graphs(tree, cords):

@@ -9,7 +9,6 @@ import pytest
 from conftest import LABELS5, random_shape
 from treelasso import (
     HeightMap,
-    NegativeWeightError,
     NewickParseError,
     XTree,
     cord_set,
@@ -19,6 +18,7 @@ from treelasso import (
     print_newick,
     random_proper_heights,
     read_cord_file,
+    WeightingError,
 )
 from treelasso.cords import CordFileError, validate_cords
 
@@ -142,7 +142,7 @@ def test_partial_weights_rejected():
 
 def test_negative_weights_parse_but_fail_validation():
     _, weights = parse_newick("((a:-1,b:-1):2,c:1);")
-    with pytest.raises(NegativeWeightError):
+    with pytest.raises(WeightingError, match="^edge into vertex .* has weight -1"):
         HeightMap.from_edge_weights(weights)
 
 

@@ -22,6 +22,7 @@ from conftest import (
     random_xtree,
 )
 from treelasso import (
+    Witness,
     XTree,
     all_cords,
     cord_set,
@@ -33,6 +34,7 @@ from treelasso import (
     oracle_equidistant,
     oracle_topological,
     oracle_weak,
+    random_proper_heights,
     strict_feasible,
     verify_witness,
 )
@@ -332,6 +334,24 @@ def test_oracle_side_implications():
                 assert weak
             if weak and cords:
                 assert eq
+
+
+def test_witness_on_the_wrong_tree_is_rejected():
+    # The cords are all six, so the tree is a strong lasso and no witness
+    # can exist; heights that sit on another tree than the one they claim
+    # would otherwise pass every distance check.
+    t = XTree(((("a", "b"), "c"), "d"))
+    rival = XTree(((("a", "c"), "b"), "d"))
+    cords = all_cords(LABELS4)
+    on_rival = random_proper_heights(rival, 1)
+    on_t = random_proper_heights(t, 1)
+    for witness in (
+        Witness(rival=rival, heights_t=on_rival, heights_rival=on_rival),
+        Witness(rival=rival, heights_t=on_t, heights_rival=on_t),
+        Witness(rival=t, heights_t=on_rival, heights_rival=on_rival),
+    ):
+        for kind in ("equidistant", "weak", "topological"):
+            assert not verify_witness(t, cords, witness, kind)
 
 
 def test_witness_kind_validation():

@@ -1,0 +1,35 @@
+"""The package's public names: a rename or a removal fails here, not downstream."""
+
+import treelasso
+
+PUBLIC = {
+    # trees, cords and their text forms
+    "XTree", "Triplet", "triplet", "Cord", "CordFileError", "cord", "cord_set", "all_cords",
+    "read_cord_file", "format_cord_file", "NewickParseError", "parse_newick", "print_newick",
+    # weightings
+    "EdgeWeighting", "HeightMap", "WeightingError", "random_proper_heights",
+    # the combinatorial route: one classification pass
+    "ChildEdgeGraph", "build_child_edge_graph", "child_edge_graphs",
+    "LassoReport", "classify", "cord_graph", "is_covering", "reduce_by_cherry", "reduction_check",
+    # constructions
+    "Bipartition", "CircularOrdering", "bipartition_lasso", "circular_lasso", "circular_order",
+    "min_equidistant_lasso", "min_topological_lasso", "min_weak_lasso", "random_cord_set",
+    # the definition-level route
+    "StrictLinearSystem", "linear_system", "strict_feasible",
+    "Witness", "enumerate_binary_xtrees", "enumerate_xtrees", "joint_isometry_system",
+    "oracle_equidistant", "oracle_topological", "oracle_weak", "verify_witness",
+}
+
+
+def test_public_names_are_exactly_the_expected_46():
+    assert len(PUBLIC) == 46
+    assert len(treelasso.__all__) == len(set(treelasso.__all__))
+    assert set(treelasso.__all__) == PUBLIC
+
+
+def test_every_public_name_imports():
+    for name in sorted(PUBLIC):
+        assert getattr(treelasso, name) is not None, name
+    namespace: dict = {}
+    exec("from treelasso import *", namespace)
+    assert PUBLIC <= set(namespace)
