@@ -15,7 +15,6 @@ from treelasso import (
     XTree,
     classify,
     cord_set,
-    enumerate_binary_xtrees,
     enumerate_xtrees,
     joint_isometry_system,
     oracle_topological,
@@ -28,7 +27,7 @@ from treelasso import (
 # Every tree on a leaf set, one per equivalence class, canonical order.
 for labels in (["a", "b", "c"], ["a", "b", "c", "d"], ["a", "b", "c", "d", "e"]):
     trees = enumerate_xtrees(labels)
-    binary = enumerate_binary_xtrees(labels)
+    binary = [t for t in trees if t.is_binary()]
     print(f"{len(labels)} leaves: {len(trees):3d} trees, {len(binary):3d} binary")
 
 tree = XTree((("a", "b", "c"), "d"))

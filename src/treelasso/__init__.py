@@ -10,102 +10,21 @@ leaf sets by enumerating rival trees and solving exact rational systems with
 strict inequalities.
 """
 
-from .builders import (
-    Bipartition,
-    CircularOrdering,
-    bipartition_lasso,
-    circular_lasso,
-    circular_order,
-    min_equidistant_lasso,
-    min_topological_lasso,
-    min_weak_lasso,
-    random_cord_set,
-)
-from .childgraph import ChildEdgeGraph, build_child_edge_graph, child_edge_graphs
-from .cords import (
-    Cord,
-    CordFileError,
-    all_cords,
-    cord,
-    cord_set,
-    format_cord_file,
-    read_cord_file,
-)
-from .feasibility import StrictLinearSystem, linear_system, strict_feasible
-from .heights import (
-    EdgeWeighting,
-    HeightMap,
-    WeightingError,
-    random_proper_heights,
-)
-from .lasso import (
-    LassoReport,
-    classify,
-    cord_graph,
-    is_covering,
-    reduce_by_cherry,
-    reduction_check,
-)
-from .newick import NewickParseError, parse_newick, print_newick
-from .oracle import (
-    Witness,
-    enumerate_binary_xtrees,
-    enumerate_xtrees,
-    joint_isometry_system,
-    oracle_equidistant,
-    oracle_topological,
-    oracle_weak,
-    verify_witness,
-)
-from .tree import Triplet, XTree, triplet
+from . import builders, childgraph, cords, feasibility, heights, lasso, newick, oracle, tree
+from .builders import *
+from .childgraph import *
+from .cords import *
+from .feasibility import *
+from .heights import *
+from .lasso import *
+from .newick import *
+from .oracle import *
+from .tree import *
 
-__all__ = [
-    "Bipartition",
-    "ChildEdgeGraph",
-    "CircularOrdering",
-    "Cord",
-    "CordFileError",
-    "EdgeWeighting",
-    "HeightMap",
-    "LassoReport",
-    "NewickParseError",
-    "StrictLinearSystem",
-    "Triplet",
-    "WeightingError",
-    "Witness",
-    "XTree",
-    "all_cords",
-    "bipartition_lasso",
-    "build_child_edge_graph",
-    "child_edge_graphs",
-    "circular_lasso",
-    "circular_order",
-    "classify",
-    "cord",
-    "cord_graph",
-    "cord_set",
-    "enumerate_binary_xtrees",
-    "enumerate_xtrees",
-    "format_cord_file",
-    "is_covering",
-    "joint_isometry_system",
-    "linear_system",
-    "min_equidistant_lasso",
-    "min_topological_lasso",
-    "min_weak_lasso",
-    "oracle_equidistant",
-    "oracle_topological",
-    "oracle_weak",
-    "parse_newick",
-    "print_newick",
-    "random_cord_set",
-    "random_proper_heights",
-    "read_cord_file",
-    "reduce_by_cherry",
-    "reduction_check",
-    "strict_feasible",
-    "triplet",
-    "verify_witness",
-]
+__all__ = sorted(
+    name
+    for module in (builders, childgraph, cords, feasibility, heights, lasso, newick, oracle, tree)
+    for name in module.__all__
+)
 
 __version__ = "0.1.0"

@@ -114,11 +114,9 @@ def cmd_build(args) -> int:
 
 def cmd_enumerate(args) -> int:
     labels = [s for s in args.leaves.split(",") if s]
-    trees = (
-        oracle.enumerate_binary_xtrees(labels)
-        if args.binary
-        else oracle.enumerate_xtrees(labels)
-    )
+    trees = oracle.enumerate_xtrees(labels)
+    if args.binary:
+        trees = [t for t in trees if t.is_binary()]
     if args.count_only:
         print(len(trees))
     else:

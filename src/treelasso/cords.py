@@ -19,10 +19,7 @@ __all__ = [
     "cord",
     "cord_set",
     "format_cord_file",
-    "format_rational",
-    "parse_rational",
     "read_cord_file",
-    "validate_cords",
 ]
 
 Cord = tuple[str, str]

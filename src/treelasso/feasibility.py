@@ -24,7 +24,8 @@ is solved exactly as a longest-path problem, never with floating tolerance:
   the point back.
 
 One call returns both the verdict and the exact witness point.  Any other
-linear constraint is rejected with ``ValueError``.
+linear constraint is rejected with ``ValueError``, and a float coefficient
+or constant with ``TypeError``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,15 @@ class StrictLinearSystem:
     nonneg: frozenset = frozenset()
 
 
+def _as_fraction(value, what: str) -> Fraction:
+    """``value`` as an exact ``Fraction``; a float raises ``TypeError`` naming ``what``."""
+    if type(value) is Fraction:  # not isinstance: Fraction's ABC check is slow
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be exact rationals, not floats")
+    return Fraction(value)
+
+
 def linear_system(
     variables: Iterable[Variable],
     *,
@@ -62,7 +72,10 @@ def linear_system(
     strict: Iterable[tuple[Mapping[Variable, object], object]] = (),
     nonneg: Iterable[Variable] = (),
 ) -> StrictLinearSystem:
-    """Build a system, normalizing all coefficients to exact fractions."""
+    """Build a system, normalizing all coefficients to exact fractions.
+
+    Floats are rejected with ``TypeError``: they are not exact.
+    """
     vars_tuple = tuple(variables)
     known = set(vars_tuple)
     if len(known) != len(vars_tuple):
@@ -75,10 +88,10 @@ def linear_system(
             for var, c in coeffs.items():
                 if var not in known:
                     raise ValueError(f"constraint mentions unknown variable {var!r}")
-                c = Fraction(c)
+                c = _as_fraction(c, "coefficients and constants")
                 if c != 0:
                     cleaned[var] = c
-            out.append((cleaned, Fraction(rhs)))
+            out.append((cleaned, _as_fraction(rhs, "coefficients and constants")))
         return tuple(out)
 
     nn = frozenset(nonneg)

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .cords import validate_cords
+from .feasibility import _as_fraction
 from .tree import XTree
 
 __all__ = [
@@ -32,14 +33,6 @@ __all__ = [
 
 class WeightingError(ValueError):
     """An edge-weighting violates the equidistant/proper contract."""
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, float):
-        raise TypeError("edge weights and heights must be exact rationals, not floats")
-    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -56,7 +49,9 @@ class EdgeWeighting:
     by_child: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        weights = {v: _as_fraction(w) for v, w in self.by_child.items()}
+        weights = {
+            v: _as_fraction(w, "edge weights and heights") for v, w in self.by_child.items()
+        }
         expected = set(self.tree.vertices()) - {self.tree.root}
         if set(weights) != expected:
             raise ValueError("weighting must cover exactly the non-root vertices")
@@ -84,7 +79,7 @@ class HeightMap:
     def __post_init__(self) -> None:
         # exact comparisons on numerators and denominators: a Fraction's
         # denominator is positive, so signs and orders read off cross-products
-        h = {v: _as_fraction(x) for v, x in self.heights.items()}
+        h = {v: _as_fraction(x, "edge weights and heights") for v, x in self.heights.items()}
         tree = self.tree
         interior = tree.interior_vertices()
         if len(h) != len(interior) or not all(map(h.__contains__, interior)):

@@ -23,8 +23,8 @@ difference-constraint engine behind :func:`strict_feasible`, over dense
 integer variable ids.  The engine's verdict and its exact point come from
 the same call: the point of the first feasible rival is the witness.
 
-The scan reads its rivals from one table per leaf set, built once, with a
-row per enumerated tree in canonical order; bit r of every mask below
+The scan reads its rivals from one table per leaf set, built on first use,
+with a row per enumerated tree in canonical order; bit r of every mask below
 stands for row r.  A row holds the tree's properness edges with its
 heights placed at ids ``K..``, ``K`` = (number of leaves) - 1, so any
 reference tree fits below them; the interior index of each cord's meeting
@@ -47,7 +47,14 @@ A decision starts from every row, removes the refiner mask (weak) or the
 tree's own bit (topological), removes the OR of the tree's conflict masks
 over the pairs of given cords, keeps only the sampled rows if asked, and
 hands the surviving rows, lowest bit first, to the engine.  Each tree's
-row and its unshifted edges are looked up once per process.
+row and its unshifted edges are looked up once and remembered.
+
+The enumerated trees and the rival tables of the last four leaf sets asked
+for (``_KEPT_LEAF_SETS``) are kept, a six-leaf set taking about 11 MB.  An
+older set is dropped, with the remembered rows of every tree, and rebuilt
+if it is asked for again, so a process that decides trees on many leaf
+sets holds the tables of a few only.  The shape memo behind an
+enumeration lives for that enumeration alone.
 
 The equidistant decision needs no rivals, so it reads only per-tree tables
 and works on trees of any size.  It puts two copies of the tree's heights
@@ -74,12 +81,11 @@ from typing import Iterable, Iterator, Sequence
 from .cords import Cord, validate_cords
 from .feasibility import StrictLinearSystem, _solve_differences, linear_system
 from .heights import HeightMap
-from .lasso import _require_domain
+from .lasso import KINDS, _require_domain
 from .tree import XTree
 
 __all__ = [
     "Witness",
-    "enumerate_binary_xtrees",
     "enumerate_xtrees",
     "joint_isometry_system",
     "oracle_equidistant",
@@ -89,6 +95,7 @@ __all__ = [
 ]
 
 _MAX_LEAVES = 6
+_KEPT_LEAF_SETS = 4  # leaf sets whose trees and rival table are kept
 
 
 # --------------------------------------------------------------------------
@@ -108,19 +115,24 @@ def _set_partitions(items: tuple) -> Iterator[list[list]]:
         yield [[first]] + part
 
 
-@lru_cache(maxsize=None)
-def _shapes(labels: tuple[str, ...]) -> tuple:
-    """Every tree shape on ``labels`` (nested-tuple form), one per equivalence class."""
+def _shapes(labels: tuple[str, ...], memo: dict) -> tuple:
+    """Every tree shape on ``labels`` (nested-tuple form), one per equivalence class.
+
+    ``memo`` holds the shapes of the sub-label sets met so far.
+    """
     if len(labels) == 1:
         return (labels[0],)
+    if labels in memo:
+        return memo[labels]
     out = []
     for blocks in _set_partitions(labels):
         if len(blocks) < 2:
             continue
-        options = [_shapes(tuple(sorted(b))) for b in blocks]
+        options = [_shapes(tuple(sorted(b)), memo) for b in blocks]
         for combo in product(*options):
             out.append(tuple(combo))
-    return tuple(out)
+    out = memo[labels] = tuple(out)
+    return out
 
 
 def _check_enumeration_domain(labels: Sequence[str]) -> tuple[str, ...]:
@@ -134,9 +146,9 @@ def _check_enumeration_domain(labels: Sequence[str]) -> tuple[str, ...]:
     return ordered
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_KEPT_LEAF_SETS)
 def _enumerate(labels: tuple[str, ...]) -> tuple[XTree, ...]:
-    trees = [XTree(shape) for shape in _shapes(labels)]
+    trees = [XTree(shape) for shape in _shapes(labels, {})]
     trees.sort(key=lambda t: t.canonical_newick())
     return tuple(trees)
 
@@ -144,11 +156,6 @@ def _enumerate(labels: tuple[str, ...]) -> tuple[XTree, ...]:
 def enumerate_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
     """Every tree on the label set, one per equivalence class, canonical order."""
     return _enumerate(_check_enumeration_domain(tuple(labels)))
-
-
-def enumerate_binary_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
-    """The binary trees on the label set, filtered out of the full enumeration."""
-    return tuple(t for t in enumerate_xtrees(labels) if t.is_binary())
 
 
 # --------------------------------------------------------------------------
@@ -215,17 +222,14 @@ def joint_isometry_system(
     if tree.leaf_labels != rival.leaf_labels:
         raise ValueError("trees are on different leaf sets")
     checked = validate_cords(cords, tree.leaf_labels)
-    variables = [("T", v) for v in tree.interior_vertices()]
-    variables += [("R", v) for v in rival.interior_vertices()]
+    variables = []
     strict = []
-    for v in tree.interior_vertices():
-        p = tree.parent(v)
-        if p is not None:
-            strict.append(({("T", p): 1, ("T", v): -1}, 0))
-    for v in rival.interior_vertices():
-        p = rival.parent(v)
-        if p is not None:
-            strict.append(({("R", p): 1, ("R", v): -1}, 0))
+    for tag, t in (("T", tree), ("R", rival)):
+        for v in t.interior_vertices():
+            variables.append((tag, v))
+            p = t.parent(v)
+            if p is not None:
+                strict.append(({(tag, p): 1, (tag, v): -1}, 0))
     equalities = []
     for a, b in sorted(checked):
         equalities.append(
@@ -298,9 +302,26 @@ _APART, _ABOVE, _BELOW, _EQUAL = range(4)
 _ROWS_WITH = [b"0" * rel + b"1" + b"0" * (255 - rel) for rel in range(4)]
 
 
-@lru_cache(maxsize=None)
+# The rival tables of the last few leaf sets asked for, least recent first.
+_RIVAL_TABLES: dict[tuple[str, ...], _RivalTable] = {}
+
+
 def _rival_table(labels: tuple[str, ...]) -> _RivalTable:
-    """The rival table of a sorted leaf set, built once per process."""
+    """The rival table of a sorted leaf set, kept among the last few asked for.
+
+    Dropping a table clears :func:`_row_of`, whose entries hold their table.
+    """
+    table = _RIVAL_TABLES.pop(labels, None)
+    if table is None:
+        if len(_RIVAL_TABLES) == _KEPT_LEAF_SETS:
+            del _RIVAL_TABLES[next(iter(_RIVAL_TABLES))]
+            _row_of.cache_clear()
+        table = _build_rival_table(labels)
+    _RIVAL_TABLES[labels] = table
+    return table
+
+
+def _build_rival_table(labels: tuple[str, ...]) -> _RivalTable:
     trees = _enumerate(labels)
     offset = len(labels) - 1
     cord_index = {c: i for i, c in enumerate(combinations(labels, 2))}
@@ -396,7 +417,10 @@ def _relation_bytes(here: list[int], under: list[int], pair_base) -> int:
 
 @lru_cache(maxsize=None)
 def _row_of(tree: XTree) -> tuple[_RivalTable, int, tuple]:
-    """The tree's rival table, its row, and its properness edges at ids ``0..``."""
+    """The tree's rival table, its row, and its properness edges at ids ``0..``.
+
+    Cleared whenever :func:`_rival_table` drops a table.
+    """
     table = _rival_table(_check_enumeration_domain(tree.leaf_labels))
     r = table.row_of[tree]
     k = table.offset
@@ -510,8 +534,11 @@ def verify_witness(
     """Re-check a witness: valid weightings, cord distances match, claim violated.
 
     The first weighting must be on ``tree`` and the second on the witness's
-    rival; heights on any other tree prove nothing about these two.
+    rival; heights on any other tree prove nothing about these two.  An
+    unknown ``kind`` raises ``ValueError`` whatever the witness.
     """
+    if kind not in KINDS:
+        raise ValueError(f"unknown witness kind {kind!r}")
     if witness.heights_t.tree != tree or witness.heights_rival.tree != witness.rival:
         return False
     if not witness.heights_t.is_l_isometric(witness.heights_rival, cords):
@@ -522,6 +549,4 @@ def verify_witness(
         )
     if kind == "weak":
         return not witness.rival.refines(tree)
-    if kind == "topological":
-        return not tree.is_equivalent(witness.rival)
-    raise ValueError(f"unknown witness kind {kind!r}")
+    return not tree.is_equivalent(witness.rival)

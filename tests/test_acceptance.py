@@ -29,7 +29,6 @@ from treelasso import (
     circular_lasso,
     circular_order,
     classify,
-    enumerate_binary_xtrees,
     enumerate_xtrees,
     is_covering,
     min_equidistant_lasso,
@@ -106,13 +105,13 @@ def test_c04_five_leaf_spot_check():
 
 def test_c05_binary_trees_collapse_the_hierarchy():
     checked = 0
-    for t in enumerate_binary_xtrees(LABELS4):
+    for t in filter(XTree.is_binary, enumerate_xtrees(LABELS4)):
         for cords in all_cord_subsets(LABELS4):
             report = classify(t, cords)
             assert report.equidistant == report.weak == report.topological
             assert report.strong == report.equidistant
             checked += 1
-    for index, t in enumerate(enumerate_binary_xtrees(LABELS5)):
+    for index, t in enumerate(filter(XTree.is_binary, enumerate_xtrees(LABELS5))):
         for cords in seeded_cord_sets(LABELS5, 200, 1000 + index):
             report = classify(t, cords)
             assert report.equidistant == report.weak == report.topological
@@ -285,7 +284,7 @@ def test_c10_covering_necessity(sweep4):
 def test_c11_enumeration_counts_against_independent_recursion():
     for n, labels in [(3, ("a", "b", "c")), (4, LABELS4), (5, LABELS5)]:
         trees = enumerate_xtrees(labels)
-        binaries = enumerate_binary_xtrees(labels)
+        binaries = [t for t in trees if t.is_binary()]
         assert len(trees) == count_xtrees(n)
         assert len(binaries) == count_binary_xtrees(n)
         assert len({t.canonical_newick() for t in trees}) == len(trees)

@@ -113,6 +113,14 @@ def test_merge_induced_cycle_infeasible():
     assert strict_feasible(sys_) is None
 
 
+@pytest.mark.parametrize("where", ["equalities", "strict"])
+def test_float_coefficients_and_constants_rejected(where):
+    # floats are not exact: 0.1 would be stored as 3602879701896397/2**55
+    for constraint in (({"x": 0.5}, 0), ({"x": 1}, 0.1)):
+        with pytest.raises(TypeError, match="must be exact rationals, not floats"):
+            linear_system(["x"], nonneg=["x"], **{where: [constraint]})
+
+
 def test_unknown_variables_rejected():
     with pytest.raises(ValueError):
         linear_system(["x"], strict=[({"y": 1}, 0)])

@@ -21,7 +21,6 @@ from treelasso import (
     classify,
     cord_graph,
     cord_set,
-    enumerate_binary_xtrees,
     enumerate_xtrees,
     is_covering,
     min_equidistant_lasso,
@@ -97,7 +96,7 @@ def test_classify_flags_are_internally_consistent_everywhere():
 
 
 def test_binary_trees_collapse_the_hierarchy():
-    for t in enumerate_binary_xtrees(LABELS4):
+    for t in filter(XTree.is_binary, enumerate_xtrees(LABELS4)):
         for cords in all_cord_subsets(LABELS4):
             report = classify(t, cords)
             assert report.equidistant == report.topological == report.weak

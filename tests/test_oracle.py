@@ -26,7 +26,6 @@ from treelasso import (
     XTree,
     all_cords,
     cord_set,
-    enumerate_binary_xtrees,
     enumerate_xtrees,
     joint_isometry_system,
     linear_system,
@@ -49,7 +48,8 @@ T4 = XTree((("a", "b", "c"), "d"))
 def test_enumeration_counts_match_partition_recursion():
     for n, labels in [(3, ("a", "b", "c")), (4, LABELS4), (5, LABELS5)]:
         assert len(enumerate_xtrees(labels)) == count_xtrees(n)
-        assert len(enumerate_binary_xtrees(labels)) == count_binary_xtrees(n)
+        binaries = [t for t in enumerate_xtrees(labels) if t.is_binary()]
+        assert len(binaries) == count_binary_xtrees(n)
     assert [count_xtrees(n) for n in (3, 4, 5)] == [4, 26, 236]
     assert [count_binary_xtrees(n) for n in (3, 4, 5)] == [3, 15, 105]
 
@@ -77,6 +77,21 @@ def test_joint_system_examples():
     assert strict_feasible(joint_isometry_system(TRIPLET, STAR3, full3)) is None
     # a single cherry cord does not
     assert strict_feasible(joint_isometry_system(TRIPLET, STAR3, cord_set([("a", "b")]))) is not None
+    # the tree's heights and properness edges come first, then the rival's,
+    # each in interior preorder; the cord equalities follow sorted cords
+    tree = [("T", 0), ("T", 1), ("T", 2)]
+    rival = [("R", 0), ("R", 1)]
+    cat = XTree(((("a", "b"), "c"), "d"))
+    assert joint_isometry_system(cat, T4, cord_set([("c", "d"), ("a", "b")])) == linear_system(
+        tree + rival,
+        equalities=[({("T", 2): 1, ("R", 1): -1}, 0), ({("T", 0): 1, ("R", 0): -1}, 0)],
+        strict=[
+            ({("T", 0): 1, ("T", 1): -1}, 0),
+            ({("T", 1): 1, ("T", 2): -1}, 0),
+            ({("R", 0): 1, ("R", 1): -1}, 0),
+        ],
+        nonneg=tree + rival,
+    )
 
 
 def test_joint_system_requires_same_leaf_set():
@@ -358,6 +373,24 @@ def test_witness_kind_validation():
     _, witness = oracle_equidistant(T4, frozenset())
     with pytest.raises(ValueError):
         verify_witness(T4, frozenset(), witness, "strong")
+    # the kind is checked first: a witness whose heights sit on another
+    # tree, whose rival heights sit on another tree, or whose cord
+    # distances differ raises as a valid witness does, not False
+    t = XTree(((("a", "b"), "c"), "d"))
+    ab = cord_set([("a", "b")])
+    _, witness = oracle_weak(t, ab)
+    rival = witness.rival
+    failing = [
+        (Witness(rival, random_proper_heights(rival, 1), witness.heights_rival), ab),
+        (Witness(rival, witness.heights_t, random_proper_heights(t, 1)), ab),
+        (witness, cord_set([("a", "c")])),
+    ]
+    for w, cords in failing:
+        assert not verify_witness(t, cords, w, "weak")
+    assert verify_witness(t, ab, witness, "weak")
+    for w, cords in failing + [(witness, ab)]:
+        with pytest.raises(ValueError, match="unknown witness kind 'bogus'"):
+            verify_witness(t, cords, w, "bogus")
 
 
 def _decision_rows(trees, cord_sets):
@@ -476,7 +509,7 @@ def test_equidistant_oracle_has_no_leaf_cap(shape):
     # the equidistant oracle reads no rival table, so it decides trees past
     # the enumeration cap and leaves the rival tables alone
     t = XTree(shape)
-    tables = _rival_table.cache_info().currsize
+    tables = list(oracle._RIVAL_TABLES)
     lasso = min_equidistant_lasso(t)
     assert oracle_equidistant(t, lasso) == (True, None)
     for c in sorted(lasso):
@@ -484,7 +517,7 @@ def test_equidistant_oracle_has_no_leaf_cap(shape):
         ok, witness = oracle_equidistant(t, fewer)
         assert not ok
         assert verify_witness(t, fewer, witness, "equidistant")
-    assert _rival_table.cache_info().currsize == tables
+    assert list(oracle._RIVAL_TABLES) == tables
 
 
 def test_equidistant_decision_at_2000_leaves_reads_only_the_given_cords():
@@ -529,3 +562,24 @@ def test_equidistant_tables_are_dropped_with_their_trees():
     assert len(oracle._TABLES) == held
     assert tables > 2**20  # the tables were built
     assert retained < 2**16, f"{retained / 2**20:.2f} MB retained after the trees were dropped"
+
+
+def test_rival_tables_of_a_few_leaf_sets_only_are_kept():
+    # one weak decision on each of 16 distinct five-leaf label sets: the
+    # trees, rival tables and remembered rows of the older sets are
+    # dropped.  Caches without a bound kept all 16 sets, about 11 MB.
+    leaf_sets = [tuple(f"{x}{i}" for x in "abcde") for i in range(16)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a, b, c, d, e in leaf_sets:
+            ok, _ = oracle_weak(XTree((((a, b), c), (d, e))), [(a, b), (d, e)])
+            assert not ok
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 5 * 2**20, f"{retained / 2**20:.2f} MB retained"
+    assert len(oracle._RIVAL_TABLES) == oracle._KEPT_LEAF_SETS
+    assert list(oracle._RIVAL_TABLES)[-1] == leaf_sets[-1]

@@ -1,6 +1,21 @@
 """The package's public names: a rename or a removal fails here, not downstream."""
 
+from itertools import combinations
+
 import treelasso
+from treelasso import (
+    builders,
+    childgraph,
+    cords,
+    feasibility,
+    heights,
+    lasso,
+    newick,
+    oracle,
+    tree,
+)
+
+MODULES = (builders, childgraph, cords, feasibility, heights, lasso, newick, oracle, tree)
 
 PUBLIC = {
     # trees, cords and their text forms
@@ -16,13 +31,13 @@ PUBLIC = {
     "min_equidistant_lasso", "min_topological_lasso", "min_weak_lasso", "random_cord_set",
     # the definition-level route
     "StrictLinearSystem", "linear_system", "strict_feasible",
-    "Witness", "enumerate_binary_xtrees", "enumerate_xtrees", "joint_isometry_system",
+    "Witness", "enumerate_xtrees", "joint_isometry_system",
     "oracle_equidistant", "oracle_topological", "oracle_weak", "verify_witness",
 }
 
 
-def test_public_names_are_exactly_the_expected_46():
-    assert len(PUBLIC) == 46
+def test_public_names_are_exactly_the_expected_45():
+    assert len(PUBLIC) == 45
     assert len(treelasso.__all__) == len(set(treelasso.__all__))
     assert set(treelasso.__all__) == PUBLIC
 
@@ -33,3 +48,14 @@ def test_every_public_name_imports():
     namespace: dict = {}
     exec("from treelasso import *", namespace)
     assert PUBLIC <= set(namespace)
+
+
+def test_the_module_lists_are_the_only_list():
+    # each public name is listed once, in the __all__ of the module that
+    # defines it, and the package's __all__ is their union
+    for a, b in combinations(MODULES, 2):
+        assert not set(a.__all__) & set(b.__all__), (a.__name__, b.__name__)
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(module, name) is getattr(treelasso, name), (module.__name__, name)
+    assert set(treelasso.__all__) == {name for m in MODULES for name in m.__all__}
