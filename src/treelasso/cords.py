@@ -37,8 +37,21 @@ def cord(a: str, b: str) -> Cord:
 
 
 def cord_set(pairs: Iterable[tuple[str, str]]) -> frozenset[Cord]:
-    """Normalize an iterable of label pairs into a cord set."""
-    return frozenset(cord(a, b) for a, b in pairs)
+    """Normalize an iterable of label pairs into a cord set.
+
+    An item that is not a pair of string labels raises ``ValueError``
+    naming it.
+    """
+    out = set()
+    for item in pairs:
+        try:
+            a, b = item
+        except (TypeError, ValueError):
+            a = b = None
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise ValueError(f"a cord is a pair of leaf labels, got {item!r}")
+        out.add(cord(a, b))
+    return frozenset(out)
 
 
 def all_cords(labels: Iterable[str]) -> frozenset[Cord]:

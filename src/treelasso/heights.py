@@ -77,24 +77,30 @@ class HeightMap:
     heights: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        # exact comparisons on numerators and denominators: a Fraction's
-        # denominator is positive, so signs and orders read off cross-products
-        h = {v: _as_fraction(x, "edge weights and heights") for v, x in self.heights.items()}
+        # exact comparisons on numerators and denominators, each read once: a
+        # Fraction's denominator is positive, so signs and orders read off
+        # cross-products
+        h = dict(self.heights)
+        if set(map(type, h.values())) != {Fraction}:
+            h = {v: _as_fraction(x, "edge weights and heights") for v, x in h.items()}
         tree = self.tree
         interior = tree.interior_vertices()
         if len(h) != len(interior) or not all(map(h.__contains__, interior)):
             raise ValueError("heights must cover exactly the interior vertices")
-        for v, x in h.items():
-            if x.numerator < 0:
-                raise ValueError(f"height of vertex {v} is negative: {x}")
+        ratio = {v: x.as_integer_ratio() for v, x in h.items()}
+        for v, (a, _) in ratio.items():
+            if a < 0:
+                raise ValueError(f"height of vertex {v} is negative: {h[v]}")
+        parent = tree._parent
         for v in interior:
-            p = tree.parent(v)
-            if p is not None:
-                x, y = h[v], h[p]
-                if x.numerator * y.denominator >= y.numerator * x.denominator:
+            p = parent[v]
+            if p >= 0:
+                a, b = ratio[v]
+                c, d = ratio[p]
+                if a * d >= c * b:
                     raise ValueError(
                         f"heights must strictly decrease along interior edges "
-                        f"({p} -> {v}: {y} -> {x})"
+                        f"({p} -> {v}: {h[p]} -> {h[v]})"
                     )
         object.__setattr__(self, "heights", h)
 
@@ -102,7 +108,12 @@ class HeightMap:
         return hash((self.tree, tuple(sorted(self.heights.items()))))
 
     def height(self, v: int) -> Fraction:
-        """Height of a vertex; leaves are at height zero."""
+        """Height of a vertex; leaves are at height zero.
+
+        An id that is not a vertex of the tree raises ``ValueError``.
+        """
+        if not (isinstance(v, int) and 0 <= v < self.tree.n_vertices):
+            raise ValueError(f"{v!r} is not a vertex of this tree")
         if self.tree.is_leaf(v):
             return Fraction(0)
         return self.heights[v]
@@ -155,9 +166,10 @@ class HeightMap:
         if self.tree.leaf_labels != other.tree.leaf_labels:
             raise ValueError("height maps are over different leaf sets")
         checked = validate_cords(cords, self.tree.leaf_labels)
-        return all(
-            self.leaf_distance(a, b) == other.leaf_distance(a, b) for a, b in checked
-        )
+        # equal meeting heights are equal distances: no doubling needed
+        t, h = self.tree, self.heights
+        r, g = other.tree, other.heights
+        return all(h[t.lca(a, b)] == g[r.lca(a, b)] for a, b in checked)
 
 
 def random_proper_heights(tree: XTree, seed: int) -> HeightMap:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from typing import Sequence
 
 from treelasso import XTree
 from treelasso.tree import Triplet, triplet
@@ -172,6 +173,112 @@ def point_satisfies(system, point) -> bool:
         if not value(coeffs) > rhs:
             return False
     return all(point[v] >= 0 for v in system.nonneg)
+
+
+# -- reference difference engine ---------------------------------------------
+
+
+def reference_solve_differences(
+    n: int,
+    equal: Sequence[tuple[int, int, Fraction]],
+    greater: Sequence[tuple[int, int, Fraction, bool]],
+    scale: int = 1,
+) -> list[Fraction] | None:
+    """The difference-constraint engine as it was before integer points
+    reused shared ``Fraction``s and all-zero constants skipped the ``eps``
+    pass: dict-based classes, finds by path halving on every edge, and one
+    new ``Fraction`` per value.  Same contract as
+    ``treelasso.feasibility._solve_differences``, which must return equal
+    lists of ``Fraction``s on every system.
+    """
+    parent = list(range(n + 1))
+    edges = greater
+    for x, y, c in equal:
+        if c:
+            if edges is greater:
+                edges = list(greater)
+            edges.append((x, y, c, False))
+            edges.append((y, x, -c, False))
+            continue
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x != y:
+            parent[x] = y
+
+    out: dict[int, list] = {}  # lower class -> [(higher class, c, strict)]
+    indeg: dict[int, int] = {}
+    for x, y, c, strict in edges:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            if c > 0 or (strict and c == 0):
+                return None
+            continue
+        if y in out:
+            out[y].append((x, c, strict))
+        else:
+            out[y] = [(x, c, strict)]
+            indeg.setdefault(y, 0)
+        indeg[x] = indeg.get(x, 0) + 1
+
+    # longest paths under lexicographic (constant, strict count) weights
+    value = dict.fromkeys(indeg, (0, 0))
+    queue = [u for u, d in indeg.items() if d == 0]
+    while queue:
+        u = queue.pop()
+        a, b = value[u]
+        for w, c, s in out.get(u, ()):
+            cand = (a + c, b + s)
+            if cand > value[w]:
+                value[w] = cand
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    rest = [u for u, d in indeg.items() if d]
+    if rest:  # on or behind a cycle: only these can still change
+        for _ in range(len(rest)):
+            changed = False
+            for u in rest:
+                a, b = value[u]
+                for w, c, s in out.get(u, ()):
+                    cand = (a + c, b + s)
+                    if cand > value[w]:
+                        value[w] = cand
+                        changed = True
+            if not changed:
+                break
+        else:
+            return None  # positive cycle
+
+    # eps = p/q small enough that no constraint with real slack loses it
+    p, q = scale, 1
+    for y, targets in out.items():
+        ay, by = value[y]
+        for x, c, _ in targets:
+            ax, bx = value[x]
+            slack = ax - ay - c
+            if slack > 0 and by > bx:
+                d = slack.denominator * (by - bx + 1)
+                if slack.numerator * q < p * d:
+                    p, q = slack.numerator, d
+
+    def lex(v: int) -> tuple:
+        while parent[v] != v:
+            v = parent[v]
+        return value.get(v, (0, 0))
+
+    az, bz = lex(n)  # shifted so that the zero variable is 0
+    den = q * scale
+    points = []
+    for v in range(n):
+        a, b = lex(v)
+        num = (a - az) * q + (b - bz) * p
+        points.append(Fraction(num) if den == 1 else Fraction(num, den))
+    return points
 
 
 # -- misc ---------------------------------------------------------------------

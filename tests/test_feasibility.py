@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from conftest import point_satisfies
+from conftest import point_satisfies, reference_solve_differences
 from treelasso.feasibility import (
     StrictLinearSystem,
     _solve_differences,
@@ -275,6 +275,29 @@ def test_engine_outputs_match_the_recorded_corpus():
     assert _digest(engine) == ENGINE_200_SHA256
     strict = [strict_feasible(_random_system(seed)) for seed in range(200)]
     assert _digest(strict) == STRICT_200_SHA256
+
+
+def test_engine_matches_the_reference_engine_on_200_random_systems():
+    # the same lists, value for value and type for type, with Fraction
+    # constants and with the constants scaled to integers by scale > 1
+    feasible = 0
+    for seed in range(200):
+        equal, greater = _random_engine_system(seed)
+        base = lcm(*(c.denominator for _, _, c in equal), *(g[2].denominator for g in greater))
+        runs = [(equal, greater, 1)]
+        for scale in (2 * base, 6 * base):
+            runs.append((
+                [(x, y, int(c * scale)) for x, y, c in equal],
+                [(x, y, int(c * scale), strict) for x, y, c, strict in greater],
+                scale,
+            ))
+        for eq, gr, scale in runs:
+            got = _solve_differences(3, eq, gr, scale)
+            assert got == reference_solve_differences(3, eq, gr, scale), f"seed {seed}"
+            if got is not None:
+                assert all(type(v) is Fraction for v in got), f"seed {seed}"
+                feasible += 1
+    assert 0 < feasible < 600
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,29 @@ def test_height_map_accepts_mixed_exact_input():
         HeightMap(CAT4, {0: 1, 1: Fraction(10**20 + 1, 10**20), 2: 0})
 
 
+def test_height_map_keeps_its_own_copy_of_the_heights():
+    given = {0: Fraction(3), 1: Fraction(2), 2: Fraction(1, 2)}
+    hm = HeightMap(CAT4, given)
+    given[2] = Fraction(5)
+    assert hm.heights == {0: Fraction(3), 1: Fraction(2), 2: Fraction(1, 2)}
+
+    class Rational(Fraction):
+        pass
+
+    # a Fraction subclass is stored as a plain Fraction, as any exact input is
+    hm = HeightMap(CAT4, {0: Fraction(3), 1: Fraction(2), 2: Rational(1, 2)})
+    assert all(type(x) is Fraction for x in hm.heights.values())
+
+
+@pytest.mark.parametrize("v", [-1, -3, -5, 7, 100, 1.0, "0", None])
+def test_height_rejects_ids_that_are_not_vertices(v):
+    # negative ids used to index from the end and answer for a leaf
+    hm = HeightMap(CAT4, {0: Fraction(3), 1: Fraction(2), 2: Fraction(1)})
+    with pytest.raises(ValueError) as raised:
+        hm.height(v)
+    assert str(raised.value) == f"{v!r} is not a vertex of this tree"
+
+
 def test_leaf_distance_examples():
     star = HeightMap(STAR3, {STAR3.root: Fraction(1)})
     assert {star.leaf_distance(a, b) for a, b in [("a", "b"), ("a", "c"), ("b", "c")]} == {Fraction(2)}

@@ -11,9 +11,12 @@ from treelasso import (
     HeightMap,
     NewickParseError,
     XTree,
+    classify,
     cord_set,
     enumerate_xtrees,
     format_cord_file,
+    oracle_equidistant,
+    oracle_weak,
     parse_newick,
     print_newick,
     random_proper_heights,
@@ -398,3 +401,24 @@ def test_validate_cords_passes_normal_sets_through_and_keeps_every_error():
             assert got == expected, cords
             if got[0] == "ok":
                 assert all(type(c) is tuple for c in got[1])
+
+
+@pytest.mark.parametrize(
+    "cords, item",
+    [
+        ("ab", "'a'"),  # a string is an iterable of one-letter items
+        ([("a", "b", "c")], "('a', 'b', 'c')"),
+        ([("a",)], "('a',)"),
+        ([("a", 1)], "('a', 1)"),
+        ([("a", "b"), 5], "5"),
+        ([(1, 2)], "(1, 2)"),
+    ],
+)
+def test_malformed_cords_name_the_offending_item(cords, item):
+    t = XTree(((("a", "b"), "c"), "d"))
+    for decide in (classify, oracle_weak, oracle_equidistant):
+        with pytest.raises(ValueError) as raised:
+            decide(t, cords)
+        assert str(raised.value) == f"a cord is a pair of leaf labels, got {item}"
+    with pytest.raises(ValueError, match="two distinct labels"):
+        classify(t, [("a", "a")])

@@ -20,6 +20,7 @@ from conftest import (
     count_xtrees,
     random_cords,
     random_xtree,
+    reference_solve_differences,
 )
 from treelasso import (
     Witness,
@@ -487,6 +488,34 @@ def test_equidistant_matches_every_vertex_reference_and_skips_met_vertices(monke
             assert witness.heights_t.heights == {v: point[("T", v)] for v in interior}
             assert witness.heights_rival.heights == {v: point[("R", v)] for v in interior}
     assert skipped
+
+
+def test_every_oracle_engine_call_matches_the_reference_engine(monkeypatch):
+    # every engine call of the three decisions, on all 4-leaf trees with all
+    # cord subsets and on 40 seeded 5-leaf trees with a cord set of each
+    # size, returns the reference engine's list, value for value and type
+    # for type.  The masks leave the engine feasible rivals only, so the
+    # infeasible answers are compared in test_feasibility.py.
+    engine = oracle._solve_differences
+    calls = []
+
+    def compared(n, equal, greater):
+        got = engine(n, equal, greater)
+        assert got == reference_solve_differences(n, equal, greater), (n, equal, greater)
+        assert got is None or all(type(v) is Fraction for v in got)
+        calls.append(n)
+        return got
+
+    monkeypatch.setattr(oracle, "_solve_differences", compared)
+    cases = [(t, c) for t in enumerate_xtrees(LABELS4) for c in all_cord_subsets(LABELS4)]
+    rng = random.Random(7)
+    pool = sorted(all_cords(LABELS5))
+    for t in rng.sample(enumerate_xtrees(LABELS5), 40):
+        cases += [(t, frozenset(rng.sample(pool, k))) for k in range(len(pool) + 1)]
+    for t, cords in cases:
+        for decide in (oracle_weak, oracle_topological, oracle_equidistant):
+            decide(t, cords)
+    assert len(calls) > 4000
 
 
 def test_a_non_proper_engine_point_is_never_returned(monkeypatch):
