@@ -14,11 +14,11 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
-from . import builders, lasso, oracle
+from . import lasso
 from .cords import format_cord_file, read_cord_file
-from .heights import HeightMap
 from .newick import parse_newick, print_newick
 from .tree import XTree
 
@@ -36,17 +36,17 @@ def _load_cords(path: str, tree: XTree):
             "the cord file has a distance column, which this command does not use; "
             "give one 'a b' pair per line"
         )
-    unknown = {lab for c in cords for lab in c} - tree.leaf_labels
-    if unknown:
+    if not tree.leaf_labels.issuperset(chain.from_iterable(cords)):
+        unknown = set(chain.from_iterable(cords)) - tree.leaf_labels
         raise ValueError(f"cord labels not in the tree: {sorted(unknown)}")
     return cords
 
 
-_ORACLES = {
-    "equidistant": oracle.oracle_equidistant,
-    "weak": oracle.oracle_weak,
-    "topological": oracle.oracle_topological,
-}
+def _oracle(kind: str):
+    """The definition-level decision of one kind; the oracle loads on first use."""
+    from . import oracle
+
+    return getattr(oracle, f"oracle_{kind}")
 
 
 def cmd_classify(args) -> int:
@@ -54,7 +54,7 @@ def cmd_classify(args) -> int:
     cords = _load_cords(args.cords, tree)
     report = lasso.classify(tree, cords)
     if args.oracle:  # decided before any output, so an oracle error prints no partial report
-        checks = {kind: decide(tree, cords)[0] for kind, decide in _ORACLES.items()}
+        checks = {kind: _oracle(kind)(tree, cords)[0] for kind in lasso.KINDS}
     for kind in ("equidistant", "weak", "topological", "strong"):
         print(f"{kind:12s} {'yes' if getattr(report, kind) else 'no'}")
     names = tree._clade_names(v for vs in report.failing_vertices.values() for v in vs)
@@ -86,6 +86,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from . import builders
+
     tree, _ = _load_tree(args.tree)
     if args.kind == "equidistant":
         cords = builders.min_equidistant_lasso(tree)
@@ -113,6 +115,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import oracle
+
     labels = [s for s in args.leaves.split(",") if s]
     trees = oracle.enumerate_xtrees(labels)
     if args.binary:
@@ -128,7 +132,7 @@ def cmd_enumerate(args) -> int:
 def cmd_witness(args) -> int:
     tree, _ = _load_tree(args.tree)
     cords = _load_cords(args.cords, tree)
-    _, witness = _ORACLES[args.kind](tree, cords)
+    _, witness = _oracle(args.kind)(tree, cords)
     if witness is None:
         print("none")
     else:
@@ -138,6 +142,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_distances(args) -> int:
+    from .heights import HeightMap
+
     tree, weighting = _load_tree(args.tree)
     if weighting is None:
         raise ValueError("distances needs a weighted tree (every edge ':weight')")
@@ -186,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="exhibit two weightings behind a lasso failure")
     p.add_argument("--tree", required=True)
     p.add_argument("--cords", required=True)
-    p.add_argument("--kind", required=True, choices=list(_ORACLES))
+    p.add_argument("--kind", required=True, choices=lasso.KINDS)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("distances", help="cord distances induced by a weighted tree")

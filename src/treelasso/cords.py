@@ -30,7 +30,10 @@ class CordFileError(ValueError):
 
 
 def cord(a: str, b: str) -> Cord:
-    """Normalize an unordered pair of distinct labels to a sorted tuple."""
+    """Normalize an unordered pair of distinct string labels to a sorted tuple."""
+    if not (isinstance(a, str) and isinstance(b, str)):
+        bad = b if isinstance(a, str) else a
+        raise ValueError(f"a cord label must be a string, got {bad!r}")
     if a == b:
         raise ValueError(f"a cord needs two distinct labels, got {a!r} twice")
     return (a, b) if a < b else (b, a)

@@ -24,10 +24,13 @@ not checked again.
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 from .cords import format_rational, parse_rational
-from .heights import EdgeWeighting
 from .tree import _LABEL_RE, XTree
+
+if TYPE_CHECKING:
+    from .heights import EdgeWeighting
 
 __all__ = ["NewickParseError", "parse_newick", "print_newick"]
 
@@ -165,6 +168,8 @@ def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
         )
     if not weights:
         return tree, None
+    from .heights import EdgeWeighting  # loaded only for weighted text
+
     return tree, EdgeWeighting(tree, {vertex[r]: w for r, w in weights.items()})
 
 

@@ -1,0 +1,109 @@
+"""What each entry point imports: the classify path never loads the oracle side.
+
+Every check runs in a fresh interpreter, since this test process has long
+since imported every module of the package.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFERRED = ["treelasso.builders", "treelasso.feasibility", "treelasso.heights", "treelasso.oracle"]
+
+
+def run_fresh(code: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_classify_loads_no_deferred_module_and_nothing_during_the_call(tmp_path):
+    (tmp_path / "t.nwk").write_text("((a,b),(c,(d,e)));\n")
+    (tmp_path / "c.txt").write_text("a b\nc d\nd e\n")
+    out = run_fresh(
+        """
+        import contextlib, io, sys
+        import treelasso.cli as cli
+        # The parser is built on the first call, and argparse's gettext then
+        # loads ``locale``; everything else a call needs is loaded by now.
+        cli.build_parser()
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert cli.main(["classify", "--tree", sys.argv[1], "--cords", sys.argv[2]]) == 0
+        assert set(sys.modules) == before, sorted(set(sys.modules) ^ before)
+        print(sorted(m for m in sys.modules if m.startswith("treelasso.")))
+        print(stdout.getvalue().splitlines()[0])
+        """,
+        str(tmp_path / "t.nwk"), str(tmp_path / "c.txt"),
+    )
+    loaded, first_line = out.splitlines()
+    assert not set(DEFERRED) & set(eval(loaded))
+    assert first_line.split() == ["equidistant", "no"]
+
+
+def test_from_package_import_cli_loads_no_deferred_module():
+    out = run_fresh(
+        """
+        import sys
+        from treelasso import cli, lasso
+        print(sorted(m for m in sys.modules if m.startswith("treelasso.")))
+        """
+    )
+    assert not set(DEFERRED) & set(eval(out))
+
+
+def test_weighted_newick_still_returns_an_edge_weighting():
+    out = run_fresh(
+        """
+        from treelasso import parse_newick, print_newick
+        tree, weighting = parse_newick("((a:1,b:1):1/2,c:3/2);")
+        print(type(weighting).__module__, type(weighting).__name__)
+        print(print_newick(tree, weighting), parse_newick("((a,b),c);")[1])
+        """
+    )
+    assert out.split() == ["treelasso.heights", "EdgeWeighting", "((a:1,b:1):1/2,c:3/2);", "None"]
+
+
+def test_deferred_names_and_modules_load_on_first_access():
+    out = run_fresh(
+        """
+        import sys
+        import treelasso
+        assert "treelasso.oracle" not in sys.modules
+        assert treelasso.oracle_weak is sys.modules["treelasso.oracle"].oracle_weak
+        assert "treelasso.builders" not in sys.modules  # found before builders is searched
+        assert treelasso.oracle is sys.modules["treelasso.oracle"]
+        assert treelasso.builders.min_weak_lasso is treelasso.min_weak_lasso
+        assert set(treelasso.__all__) <= set(dir(treelasso))
+        namespace = {}
+        exec("from treelasso import *", namespace)
+        assert set(treelasso.__all__) <= set(namespace), set(treelasso.__all__) - set(namespace)
+        for name in ("no_such_name", "_private", "__wrapped__"):
+            try:
+                getattr(treelasso, name)
+            except AttributeError as exc:
+                assert repr(name) in str(exc)
+            else:
+                raise AssertionError(name)
+        print(len(treelasso.__all__), len(set(treelasso.__all__)))
+        """
+    )
+    assert out.split() == ["45", "45"]
+
+
+def test_star_import_in_a_fresh_process_loads_every_public_name():
+    out = run_fresh(
+        """
+        from treelasso import *
+        print(oracle_weak.__module__, min_weak_lasso.__module__, HeightMap.__module__, strict_feasible.__module__)
+        """
+    )
+    assert out.split() == ["treelasso.oracle", "treelasso.builders", "treelasso.heights", "treelasso.feasibility"]

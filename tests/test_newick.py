@@ -23,7 +23,7 @@ from treelasso import (
     read_cord_file,
     WeightingError,
 )
-from treelasso.cords import CordFileError, validate_cords
+from treelasso.cords import CordFileError, cord, validate_cords
 
 
 def test_parse_caterpillar():
@@ -422,3 +422,12 @@ def test_malformed_cords_name_the_offending_item(cords, item):
         assert str(raised.value) == f"a cord is a pair of leaf labels, got {item}"
     with pytest.raises(ValueError, match="two distinct labels"):
         classify(t, [("a", "a")])
+
+
+@pytest.mark.parametrize(
+    "a, b, label", [(1, 2, "1"), ("a", 1, "1"), (None, "a", "None"), (b"a", "b", "b'a'"), (3, 3, "3")]
+)
+def test_cord_rejects_a_label_that_is_not_a_string(a, b, label):
+    with pytest.raises(ValueError) as raised:
+        cord(a, b)
+    assert str(raised.value) == f"a cord label must be a string, got {label}"
