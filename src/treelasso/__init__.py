@@ -30,7 +30,6 @@ from .tree import *
 
 # In dependency order, so a name is found without loading a module it does not need.
 _DEFERRED = ("feasibility", "heights", "oracle", "builders")
-_EAGER = (childgraph, cords, lasso, newick, tree)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     """Loads a submodule, or the deferred module that exports ``name``, on first access."""
     if name == "__all__":
-        modules = _EAGER + tuple(map(__getattr__, _DEFERRED))
+        modules = (childgraph, cords, lasso, newick, tree, *map(__getattr__, _DEFERRED))
         globals()[name] = value = sorted(n for m in modules for n in m.__all__)
         return value
     if not name.startswith("_"):
