@@ -7,6 +7,13 @@ with one endpoint under each child edge.  Child edges are identified by
 their child vertex id.  Nodes split into leaf edges (child is a leaf) and
 subtree edges (child is interior); "rich" means the subtree edges form a
 clique and every leaf edge is joined to every subtree edge.
+
+Cords become edges in one place, :func:`_child_pairs`, which
+:func:`~treelasso.lasso.classify`, :func:`child_edge_graphs` and
+:func:`build_child_edge_graph` all call: one label lookup per end and one
+heavy-path meet per cord.  Well-formed cords are not normalized first; any
+other input is handed to :func:`~treelasso.cords.validate_cords`, so it is
+rejected with the same error as everywhere else.
 """
 
 from __future__ import annotations
@@ -107,30 +114,49 @@ def child_edge_graphs(
     leave its graph untouched.  One heavy-path meet per cord finds that
     vertex and the two children toward the endpoints.
     """
-    checked = validate_cords(cords, tree.leaf_labels)
-    return _child_edge_graphs(tree, checked, tree.interior_vertices())
+    return _child_edge_graphs(tree, _child_pairs(tree, cords), tree.interior_vertices())
 
 
-def _child_pairs(tree: XTree, checked: frozenset[Cord]) -> set[tuple[int, int, int]]:
-    """The distinct graph edges a checked cord set makes, as ``(v, u, w)``.
+def _child_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:
+    """The distinct graph edges a cord set makes, as ``(v, u, w)``.
 
     A cord is the edge ``u < w`` of the graph at its endpoints' last common
-    vertex v, between the two children of v toward the endpoints.
+    vertex v, between the two children of v toward the endpoints.  Every
+    cord makes one edge, so the set is empty exactly when the cord set is.
+
+    This is the one place where cords become edges, and it takes the
+    caller's cords as given: each end is resolved by one lookup in the
+    tree's label index, which is the label check.  An item that does not
+    unpack to two distinct leaf labels sends the whole input to
+    :func:`~treelasso.cords.validate_cords`, which raises the error the
+    caller would get from it; a one-shot iterable is read into a list first.
     """
-    meet, leaf = tree._meet, tree.leaf_vertex
+    if not isinstance(cords, (frozenset, set, list, tuple)):
+        cords = list(cords)
+    try:
+        return _meet_pairs(tree, cords)
+    except (TypeError, ValueError, KeyError):
+        return _meet_pairs(tree, validate_cords(cords, tree.leaf_labels))
+
+
+def _meet_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:
+    """The pass itself; a malformed cord raises TypeError, ValueError or KeyError."""
+    leaf, meet = tree._leaf_id, tree._meet
     out = set()
-    for a, b in checked:
-        v, u, w = meet(leaf(a), leaf(b))
+    for a, b in cords:
+        if a == b:
+            raise ValueError("a cord needs two distinct labels")
+        v, u, w = meet(leaf[a], leaf[b])
         out.add((v, u, w) if u < w else (v, w, u))
     return out
 
 
 def _child_edge_graphs(
-    tree: XTree, checked: frozenset[Cord], vertices: Iterable[int]
+    tree: XTree, pairs: set[tuple[int, int, int]], vertices: Iterable[int]
 ) -> dict[int, ChildEdgeGraph]:
-    """The graphs of the given interior vertices, for an already checked cord set."""
+    """The graphs of the given interior vertices, from the cords' ``_child_pairs``."""
     adj = {v: {c: set() for c in tree.children(v)} for v in vertices}
-    for v, u, w in _child_pairs(tree, checked):
+    for v, u, w in pairs:
         if v in adj:
             adj[v][u].add(w)
             adj[v][w].add(u)
@@ -154,5 +180,4 @@ def build_child_edge_graph(
     """The child-edge graph of one interior vertex for the given cord set."""
     if tree.is_leaf(vertex):
         raise ValueError(f"vertex {vertex} is a leaf; child-edge graphs need an interior vertex")
-    checked = validate_cords(cords, tree.leaf_labels)
-    return _child_edge_graphs(tree, checked, (vertex,))[vertex]
+    return _child_edge_graphs(tree, _child_pairs(tree, cords), (vertex,))[vertex]

@@ -3,11 +3,18 @@
 A cord stands for one known pairwise distance.  Cords are normalized to
 sorted 2-tuples; cord sets are frozensets of those.  The text format is one
 cord per line, ``labelA labelB``, with an optional third column holding a
-positive rational distance and ``#`` starting a comment.
+positive rational distance and ``#`` starting a comment.  A distance is
+written as a Newick edge weight is: an integer, a decimal, or ``p/q``.
+
+:func:`validate_cords` is the normalizing check the oracle and the height
+code run on their cord inputs.  The combinatorial route does not call it on
+well-formed input: :func:`~treelasso.childgraph._child_pairs` checks labels
+as it resolves them, and hands only malformed input to it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Iterable
@@ -23,6 +30,10 @@ __all__ = [
 ]
 
 Cord = tuple[str, str]
+
+# An exact rational as both input formats write it: an integer, a decimal,
+# or p/q.  The Newick parser matches edge weights with this pattern too.
+_RATIONAL_RE = re.compile(r"-?\d+(?:\.\d+)?(?:/\d+)?")
 
 
 class CordFileError(ValueError):
@@ -91,14 +102,20 @@ def _is_normal(cords: frozenset, known: set | frozenset) -> bool:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational: an integer, a decimal, or ``p/q``."""
+    """Parse an exact rational: an integer, a decimal, or ``p/q``.
+
+    The text must match the Newick weight pattern, so both input formats
+    read the same numbers: ``1_0``, ``1e3``, ``+1`` and ``.5`` are rejected.
+    """
     text = text.strip()
+    if _RATIONAL_RE.fullmatch(text) is None:
+        raise ValueError(f"not a rational number: {text!r}")
     try:
         if "/" in text:
             num, den = text.split("/")
             return Fraction(int(num), int(den))
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # "1.5/2", "1/0"
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
@@ -112,15 +129,44 @@ def read_cord_file(text: str) -> tuple[frozenset[Cord], dict[Cord, Fraction] | N
 
     ``distances`` is None when no line carries a third column; a file must
     either give a distance on every cord line or on none.
+
+    A file of two-column lines is read in one bulk pass: every nonblank
+    line is normalized in one set comprehension, and the file is good when
+    the set holds one distinct cord per nonblank line.  The line-by-line
+    loop runs only to read a distance column, or to find and name the first
+    bad line.
     """
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    try:
+        # A self-pair normalizes to None.  The pairs are not kept as a list:
+        # a list per line costs memory, and cyclic-GC passes, at 10^5 lines.
+        cords = {
+            (a, b) if a < b else (b, a) if b < a else None
+            for a, b in filter(None, map(str.split, lines))
+        }
+    except ValueError:  # a line of other than two columns
+        pass
+    else:
+        # Counting every nonempty line as a cord line can only overcount: a
+        # blank line of spaces, or a duplicate in either order, leaves the
+        # set smaller, and the loop below sorts it out.
+        if None not in cords and len(cords) == len(lines) - lines.count(""):
+            del lines  # before the copy, which would otherwise raise the peak
+            return frozenset(cords), None
+    return _read_cord_lines(lines)
+
+
+def _read_cord_lines(lines: list[str]) -> tuple[frozenset[Cord], dict[Cord, Fraction] | None]:
+    """The line-by-line reader, for comment-free lines: distances, and errors by line."""
     cords: set[Cord] = set()
     distances: dict[Cord, Fraction] = {}
     saw_bare = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) not in (2, 3):
             raise CordFileError(f"line {lineno}: expected 2 or 3 columns, got {len(fields)}")
         try:

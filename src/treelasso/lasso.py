@@ -20,9 +20,15 @@ graphs.  Each cord is one edge, at its endpoints' last common vertex, so the
 distinct edges give per-vertex counts, and a vertex with k children, s of
 them interior, has at least one edge when its count is > 0, is a clique when
 its count is C(k, 2), and is rich when C(s, 2) + s * (k - s) of its edges
-touch an interior child.  Connectivity needs a union-find over the children,
-and only at pseudo-cherry parents.  :class:`~treelasso.childgraph.ChildEdgeGraph`
-stays as the on-demand view of one vertex's graph.
+touch an interior child.  The cords become edges in one pass, in
+:func:`~treelasso.childgraph._child_pairs`, which also checks their labels;
+the per-vertex pass then reads the tree's child and label arrays directly.
+Connectivity matters only at pseudo-cherry parents, and is decided by the
+count first: fewer than k - 1 edges leave a parent disconnected, and a
+clique (every cherry with its one edge) is connected, so only the rest run a
+union-find over their children.
+:class:`~treelasso.childgraph.ChildEdgeGraph` stays as the on-demand view of
+one vertex's graph.
 
 :func:`classify` is the one way to ask any of the four questions: read the
 flag off its :class:`LassoReport`, as ``classify(tree, cords).weak``, and
@@ -79,40 +85,44 @@ def _require_domain(tree: XTree) -> None:
 def classify(tree: XTree, cords: Iterable[Cord]) -> LassoReport:
     """Full classification of a cord set against one tree, in one counting pass."""
     _require_domain(tree)
-    checked = validate_cords(cords, tree.leaf_labels)
-    edges = [0] * tree.n_vertices  # distinct child pairs joined at each vertex
+    pairs = _child_pairs(tree, cords)  # empty exactly when the cord set is
+    children, vlabel = tree._children, tree._vlabel
+    edges = [0] * len(vlabel)  # distinct child pairs joined at each vertex
     leaf_pairs: dict[int, list[tuple[int, int]]] = {}  # ... of two leaves, per vertex
-    for v, u, w in _child_pairs(tree, checked):
+    for v, u, w in pairs:
         edges[v] += 1
-        if tree.is_leaf(u) and tree.is_leaf(w):
+        if vlabel[u] is not None and vlabel[w] is not None:
             leaf_pairs.setdefault(v, []).append((u, w))
 
     star = tree.is_star()
     eq_fail, topo_fail, weak_fail = [], [], []
     for v in tree.interior_vertices():
-        kids = tree.children(v)
+        kids = children[v]
         k = len(kids)
-        s = sum(not tree.is_leaf(c) for c in kids)
-        if not edges[v]:
+        e = edges[v]
+        if not e:
             eq_fail.append(v)
-        if edges[v] != k * (k - 1) // 2:
-            topo_fail.append(v)
+        if e == k * (k - 1) // 2:
+            continue  # a clique is rich, and connected
+        topo_fail.append(v)
         if star:
             # Every cord set, the empty set included, corrals the star tree.
             continue
+        s = [vlabel[c] for c in kids].count(None)  # interior children
         if s:
             # Rich: every pair with an interior child is joined.
-            if edges[v] - len(leaf_pairs.get(v, ())) != s * (s - 1) // 2 + s * (k - s):
+            if e - len(leaf_pairs.get(v, ())) != s * (s - 1) // 2 + s * (k - s):
                 weak_fail.append(v)
-        elif not _connected(kids, leaf_pairs.get(v, ())):
-            # All children are leaves and the tree is no star: v is a
-            # pseudo-cherry parent.
+        # All children are leaves and the tree is no star: v is a
+        # pseudo-cherry parent, which fewer than k - 1 pairs cannot connect.
+        elif e < k - 1 or not _connected(kids, leaf_pairs[v]):
             weak_fail.append(v)
 
-    equidistant = bool(checked) and not eq_fail
-    topological = bool(checked) and not topo_fail
-    weak = star or (bool(checked) and not weak_fail)
-    if weak and checked and not equidistant:
+    nonempty = bool(pairs)
+    equidistant = nonempty and not eq_fail
+    topological = nonempty and not topo_fail
+    weak = star or (nonempty and not weak_fail)
+    if weak and nonempty and not equidistant:
         raise AssertionError("a nonempty weak lasso must be an equidistant lasso")
     return LassoReport(
         equidistant=equidistant,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING
 
-from .cords import format_rational, parse_rational
+from .cords import _RATIONAL_RE, format_rational, parse_rational
 from .tree import _LABEL_RE, XTree
 
 if TYPE_CHECKING:
@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 
 __all__ = ["NewickParseError", "parse_newick", "print_newick"]
 
-_WEIGHT_RE = re.compile(r"-?\d+(?:\.\d+)?(?:/\d+)?")
 # The parser tests str.isspace() and then skips with \s+: the two agree on
 # every code point (the tests check), so a skip always advances.
 _WS_RE = re.compile(r"\s+")
@@ -69,7 +68,7 @@ def _records(text: str) -> tuple[list[str | None], list, dict]:
     weights: dict = {}
     open_ids: list[list[int]] = []  # the finished children of each open interior vertex
     end = len(text)
-    ws, label_at, weight_at = _WS_RE.match, _LABEL_RE.match, _WEIGHT_RE.match
+    ws, label_at, weight_at = _WS_RE.match, _LABEL_RE.match, _RATIONAL_RE.match
     pos = 0
     while True:
         # A subtree: any number of '(' and then a leaf label.

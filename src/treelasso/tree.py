@@ -59,6 +59,10 @@ def _check_label(label: object) -> str:
     return label
 
 
+def _not_a_vertex(v: object) -> ValueError:
+    return ValueError(f"{v!r} is not a vertex of this tree")
+
+
 def _shape_records(shape) -> tuple[list[str | None], list]:
     """Flattens a nested tree description into post-order records.
 
@@ -162,7 +166,7 @@ class XTree:
             if ks:
                 first[r] = first[ks[0]]
                 ks.sort(key=key.__getitem__)
-                key[r] = "(" + ",".join([key[c] for c in ks]) + ")"
+                key[r] = f"({','.join([key[c] for c in ks])})"  # one copy of the keys
                 for c in ks:
                     key[c] = None
 
@@ -252,25 +256,38 @@ class XTree:
     def vertices(self) -> range:
         return range(len(self._parent))
 
+    # The accessors below take a vertex id, 0 <= v < n_vertices; any other
+    # id, a negative one included, raises ValueError.
+
     def children(self, v: int) -> tuple[int, ...]:
-        return self._children[v]
+        if isinstance(v, int) and 0 <= v < len(self._parent):
+            return self._children[v]
+        raise _not_a_vertex(v)
 
     def parent(self, v: int) -> int | None:
         """Parent id of ``v``, or None for the root."""
-        p = self._parent[v]
-        return None if p < 0 else p
+        if isinstance(v, int) and 0 <= v < len(self._parent):
+            p = self._parent[v]
+            return None if p < 0 else p
+        raise _not_a_vertex(v)
 
     def depth(self, v: int) -> int:
-        return self._depth[v]
+        if isinstance(v, int) and 0 <= v < len(self._parent):
+            return self._depth[v]
+        raise _not_a_vertex(v)
 
     def is_leaf(self, v: int) -> bool:
-        return self._vlabel[v] is not None
+        if isinstance(v, int) and 0 <= v < len(self._parent):
+            return self._vlabel[v] is not None
+        raise _not_a_vertex(v)
 
     def label(self, v: int) -> str:
-        lab = self._vlabel[v]
-        if lab is None:
+        if isinstance(v, int) and 0 <= v < len(self._parent):
+            lab = self._vlabel[v]
+            if lab is not None:
+                return lab
             raise ValueError(f"vertex {v} is interior and has no leaf label")
-        return lab
+        raise _not_a_vertex(v)
 
     def leaf_vertex(self, label: str) -> int:
         try:
@@ -280,7 +297,7 @@ class XTree:
 
     @cached_property
     def _interior(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices() if self._vlabel[v] is None)
+        return tuple([v for v, lab in enumerate(self._vlabel) if lab is None])
 
     def interior_vertices(self) -> tuple[int, ...]:
         """All non-leaf vertex ids, in canonical (preorder) order."""
@@ -288,7 +305,9 @@ class XTree:
 
     def leaves_below(self, v: int) -> frozenset[str]:
         """Labels of the leaves that are descendants of ``v`` (itself, for a leaf)."""
-        return frozenset(self._leaves(v))
+        if isinstance(v, int) and 0 <= v < len(self._parent):
+            return frozenset(self._leaves(v))
+        raise _not_a_vertex(v)
 
     def _leaves(self, v: int) -> list[str]:
         """The leaf labels in ``v``'s preorder range, in preorder."""

@@ -281,6 +281,70 @@ def reference_solve_differences(
     return points
 
 
+# -- cord inputs --------------------------------------------------------------
+
+
+# Cord inputs on the labels a-d, well-formed and not: each must be taken or
+# rejected exactly as ``validate_cords`` takes or rejects it.
+CORD_CORPUS = (
+    [("b", "a"), ("c", "d")],
+    {("a", "b")},
+    frozenset({("b", "a")}),
+    frozenset({"ab", ("c", "d")}),  # a two-letter string unpacks to a pair
+    frozenset({("a", "z")}),
+    frozenset({("0", "a")}),  # sorts first but is no leaf
+    frozenset({("a", "a")}),
+    frozenset({("a", "b", "c")}),
+    frozenset({("a",)}),
+    frozenset({("a", 1)}),
+    frozenset({(1, 2)}),
+    frozenset({1}),
+    [("a", "b"), ("a", "e")],
+)
+
+
+# -- reference cord-file reader ---------------------------------------------
+
+
+def reference_read_cord_file(text: str):
+    """``treelasso.cords.read_cord_file`` as it was before the bulk pass: each
+    line is stripped of its comment and normalized through ``cord()`` in turn.
+    The same contract: equal ``(cords, distances)``, or a ``CordFileError``
+    with an equal message."""
+    from treelasso.cords import CordFileError, cord, parse_rational
+
+    cords: set = set()
+    distances: dict = {}
+    saw_bare = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) not in (2, 3):
+            raise CordFileError(f"line {lineno}: expected 2 or 3 columns, got {len(fields)}")
+        try:
+            c = cord(fields[0], fields[1])
+        except ValueError as exc:
+            raise CordFileError(f"line {lineno}: {exc}") from None
+        if c in cords:
+            raise CordFileError(f"line {lineno}: duplicate cord {c[0]} {c[1]}")
+        cords.add(c)
+        if len(fields) == 3:
+            try:
+                d = parse_rational(fields[2])
+            except ValueError as exc:
+                raise CordFileError(f"line {lineno}: {exc}") from None
+            if d <= 0:
+                raise CordFileError(f"line {lineno}: distance must be positive, got {d}")
+            distances[c] = d
+        else:
+            saw_bare = True
+    if distances and saw_bare:
+        raise CordFileError("mixed lines: distances must appear on every cord or on none")
+    return frozenset(cords), (distances if distances else None)
+
+
 # -- misc ---------------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    CORD_CORPUS,
     LABELS4,
     all_cord_subsets,
     bearded_caterpillar,
@@ -17,6 +18,7 @@ from treelasso import (
     LassoReport,
     XTree,
     all_cords,
+    build_child_edge_graph,
     child_edge_graphs,
     classify,
     cord_graph,
@@ -32,6 +34,8 @@ from treelasso import (
     reduce_by_cherry,
     reduction_check,
 )
+from treelasso import childgraph, cords as cords_module, lasso
+from treelasso.cords import validate_cords
 
 CAT = XTree(((("a", "b"), "c"), "d"))
 T4 = XTree((("a", "b", "c"), "d"))
@@ -257,6 +261,97 @@ def test_counting_pass_matches_graphs_and_path_oracle(kind, size, arg):
         for flag, failing in report.failing_vertices.items():
             vacuous = flag == "weak" and tree.is_star()
             assert getattr(report, flag) == (vacuous or (bool(cords) and not failing))
+
+
+class Label(str):
+    """A str subclass: its instances are labels all the same."""
+
+
+# Factories of fresh cord inputs on the labels a-d, since a generator can
+# be read only once.
+CONTRACT_INPUTS = [(repr(cords), lambda cords=cords: cords) for cords in CORD_CORPUS] + [
+    ("generator", lambda: (p for p in [("b", "a"), ("c", "d")])),
+    ("bad generator", lambda: (p for p in [("a", "b"), ("a", 5)])),
+    ("empty generator", lambda: iter(())),
+    ("duplicates", lambda: [("a", "b"), ("b", "a"), ("a", "b")]),
+    ("set", lambda: {("a", "c"), ("b", "d")}),
+    ("connecting", lambda: [("a", "b"), ("b", "c"), ("a", "d")]),
+    ("string item", lambda: ["ab", ("c", "d")]),
+    ("frozenset item", lambda: [frozenset({"c", "a"}), ("b", "d")]),
+    ("one-label frozenset item", lambda: [frozenset({"a"})]),
+    ("str subclass", lambda: [(Label("a"), "b"), ("c", Label("d"))]),
+    ("str subclass self-pair", lambda: [(Label("a"), "a")]),
+    ("unhashable label", lambda: [(["a"], "b")]),
+    ("None", lambda: None),
+    ("int", lambda: 5),
+    ("None item", lambda: [("a", "b"), None]),
+    ("int item", lambda: [5]),
+    ("empty", lambda: []),
+    ("string", lambda: "ab"),
+]
+CONTRACT_TREES = [CAT, T4, XTree(("a", "b", "c", "d"))]
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the exception type and message are the contract
+        return (type(exc), str(exc))
+
+
+def _linked(graphs):
+    return {v: {frozenset(e) for e in g.edges()} for v, g in graphs.items()}
+
+
+@pytest.mark.parametrize("name, make", CONTRACT_INPUTS, ids=[n for n, _ in CONTRACT_INPUTS])
+def test_single_pass_keeps_the_input_contract_of_validate_cords(name, make):
+    for tree in CONTRACT_TREES:
+        checked = _outcome(validate_cords, make(), tree.leaf_labels)
+        if checked[0] == "ok":
+            cords = checked[1]
+            failing = failing_by_paths(tree, cords)
+            flags = {kind: bool(cords) and not vs for kind, vs in failing.items()}
+            flags["weak"] = flags["weak"] or tree.is_star()
+            report = ("ok", LassoReport(failing_vertices=failing, **flags))
+            pairs = brute_child_edge_pairs(tree, cords)
+            linked = ("ok", {v: pairs.get(v, set()) for v in tree.interior_vertices()})
+        else:
+            report = linked = checked
+        assert _outcome(classify, tree, make()) == report
+        got = _outcome(child_edge_graphs, tree, make())
+        assert (got if got[0] != "ok" else ("ok", _linked(got[1]))) == linked
+        for v in tree.interior_vertices():
+            got = _outcome(build_child_edge_graph, tree, make(), v)
+            if got[0] == "ok":
+                got = ("ok", _linked({v: got[1]})[v])
+            assert got == (linked if linked[0] != "ok" else ("ok", linked[1][v]))
+
+
+def test_classify_meets_each_cord_once_and_never_revalidates_a_normal_set(monkeypatch):
+    tree = random_xtree(300, 11)
+    cords = random_cords(tree, 900, seed=11)
+    report = classify(tree, cords)
+    pairs = brute_child_edge_pairs(tree, cords)
+    meets = []
+    meet = XTree._meet
+
+    def counting_meet(self, u, w):
+        meets.append((u, w))
+        return meet(self, u, w)
+
+    def fail(*args):
+        raise AssertionError("a normal cord set was checked again")
+
+    monkeypatch.setattr(XTree, "_meet", counting_meet)
+    monkeypatch.setattr(XTree, "leaf_vertex", fail)
+    for module in (cords_module, childgraph, lasso):
+        monkeypatch.setattr(module, "validate_cords", fail)
+    assert classify(tree, cords) == report
+    assert len(meets) == len(cords)
+    del meets[:]
+    graphs = child_edge_graphs(tree, cords)
+    assert len(meets) == len(cords)
+    assert _linked(graphs) == {v: pairs.get(v, set()) for v in tree.interior_vertices()}
 
 
 def test_counting_pass_on_disconnected_pseudo_cherries():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import LABELS5, random_shape
+from conftest import CORD_CORPUS, LABELS5, random_shape, reference_read_cord_file
 from treelasso import (
     HeightMap,
     NewickParseError,
@@ -356,6 +356,98 @@ def test_cord_file_errors():
         read_cord_file("a b 1\nc d\n")  # mixed distance columns
 
 
+def _outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the exception type and message are the contract
+        return (type(exc), str(exc))
+
+
+def _big_cord_file(seed: int, count: int) -> str:
+    """A seeded file of ``count`` distinct cords, each written in either order."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(400)]
+    seen: set = set()
+    lines = []
+    while len(seen) < count:
+        a, b = rng.sample(labels, 2)
+        if (min(a, b), max(a, b)) not in seen:
+            seen.add((min(a, b), max(a, b)))
+            lines.append(a + rng.choice(" \t") + b)
+    return "\n".join(lines) + "\n"
+
+
+CORD_FILE_TEXTS = [
+    "",
+    "\n\n  \n",
+    "a b\n \t\nc d\n",  # a line of blanks among cord lines
+    "# only a comment\n",
+    "a b\r\nc d\r\n",
+    "a\tb\n\tc   d  \n",
+    "a b\x0bc d\x0ce f\u2028g h\u2029i j\x85k l\x1cm n\r",
+    "a b\x1fc\n",  # \x1f is whitespace but no line break: three columns
+    "a\xa0b\n",
+    "# heading\n\na b  # trailing\nc d\n#e f\n",
+    "a#b c\n",
+    "a b\nb a\n",
+    "a b\nc d\na b\n",
+    "a a\n",
+    "a b\n\nb b\n",
+    "a\n",
+    "a b c d\n",
+    "a b\nc d e f\n",
+    "a b 1\nc d 5/2\n",
+    "a b 1\nc d 0.5\ne f 2/4\n",
+    "a b 1\nc d\n",
+    "a b\nc d 1\n",
+    "a b 1\nc d\ne\n",  # a bad line is named before the mixed columns
+    "a b 1\nb a 2\n",
+    "a b x\n",
+    "a b 0\n",
+    "a b -1\n",
+    "a b 1/0\n",
+    "a b 1\nc c 1\n",
+    "b a\nc d\na b 1\n",
+    "é ü\nü é\n",
+    _big_cord_file(7, 10_000),
+    _big_cord_file(8, 10_000) + "x1 x1\n",
+]
+
+
+@pytest.mark.parametrize("text", CORD_FILE_TEXTS, ids=range(len(CORD_FILE_TEXTS)))
+def test_bulk_cord_reader_matches_the_line_by_line_reader(text):
+    got = _outcome(read_cord_file, text)
+    assert got == _outcome(reference_read_cord_file, text)
+    if got[0] == "ok":
+        assert all(type(c) is tuple and c[0] < c[1] for c in got[1][0])
+
+
+# Every string here is one number token: each input format must accept it
+# or reject it alike, and read the same value from it.
+NUMBERS = [
+    "1", "10", "007", "0.5", "2.50", "1/3", "6/4", "12.125",
+    "1_0", "1e3", "1E3", "+1", ".5", "5.", "1.5/2", "1/0", "0x10", "inf",
+    "nan", "1/-2", "1//2", "½", "1.2.3", "--1", "1/2/3",
+]
+
+
+@pytest.mark.parametrize("number", NUMBERS)
+def test_one_number_grammar_for_newick_weights_and_cord_distances(number):
+    try:
+        _, weights = parse_newick(f"(a:{number},b:{number});")
+        weight = weights.by_child[1]
+    except NewickParseError:
+        weight = None
+    try:
+        _, distances = read_cord_file(f"a b {number}\n")
+        distance = distances[("a", "b")]
+    except CordFileError:
+        distance = None
+    assert weight == distance
+    assert (weight is None) == (number not in NUMBERS[:8])
+
+
 def _normalizing_validate(cords, labels):
     """``validate_cords`` as it was before normal sets were passed through."""
     known = set(labels)
@@ -372,23 +464,7 @@ def test_validate_cords_passes_normal_sets_through_and_keeps_every_error():
     normal = cord_set([("a", "b"), ("c", "d"), ("a", "d")])
     assert validate_cords(normal, labels) is normal
     assert validate_cords(frozenset(), labels) == frozenset()
-    corpus = [
-        normal,
-        [("b", "a"), ("c", "d")],
-        {("a", "b")},
-        frozenset({("b", "a")}),
-        frozenset({"ab", ("c", "d")}),  # a two-letter string unpacks to a pair
-        frozenset({("a", "z")}),
-        frozenset({("0", "a")}),  # sorts first but is no leaf
-        frozenset({("a", "a")}),
-        frozenset({("a", "b", "c")}),
-        frozenset({("a",)}),
-        frozenset({("a", 1)}),
-        frozenset({(1, 2)}),
-        frozenset({1}),
-        [("a", "b"), ("a", "e")],
-    ]
-    for cords in corpus:
+    for cords in (normal, *CORD_CORPUS):
         for known in (labels, set(labels), "abcd", ["a", "b", "c", "d"]):
             try:
                 expected = ("ok", _normalizing_validate(cords, known))

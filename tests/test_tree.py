@@ -46,6 +46,18 @@ def test_leaves_below():
     assert CAT.leaves_below(CAT.leaf_vertex("c")) == frozenset("c")
 
 
+ACCESSORS = ("children", "parent", "depth", "is_leaf", "label", "leaves_below")
+
+
+@pytest.mark.parametrize("accessor", ACCESSORS)
+@pytest.mark.parametrize("v", [-1, -BAL.n_vertices, BAL.n_vertices, BAL.n_vertices + 5])
+def test_accessors_reject_ids_that_are_not_vertices(accessor, v):
+    assert BAL.n_vertices == 7
+    with pytest.raises(ValueError) as raised:
+        getattr(BAL, accessor)(v)
+    assert str(raised.value) == f"{v} is not a vertex of this tree"
+
+
 def brute_leaves(t, v):
     """Leaf labels below v, by walking children() from v."""
     out, stack = set(), [v]
