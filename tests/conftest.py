@@ -303,6 +303,14 @@ CORD_CORPUS = (
 )
 
 
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the exception type and message are the contract
+        return (type(exc), str(exc))
+
+
 # -- reference cord-file reader ---------------------------------------------
 
 

@@ -11,6 +11,7 @@ from conftest import (
     all_cord_subsets,
     bearded_caterpillar,
     brute_child_edge_pairs,
+    outcome,
     random_cords,
     random_xtree,
 )
@@ -292,13 +293,6 @@ CONTRACT_INPUTS = [(repr(cords), lambda cords=cords: cords) for cords in CORD_CO
 CONTRACT_TREES = [CAT, T4, XTree(("a", "b", "c", "d"))]
 
 
-def _outcome(fn, *args):
-    try:
-        return ("ok", fn(*args))
-    except Exception as exc:  # the exception type and message are the contract
-        return (type(exc), str(exc))
-
-
 def _linked(graphs):
     return {v: {frozenset(e) for e in g.edges()} for v, g in graphs.items()}
 
@@ -306,7 +300,7 @@ def _linked(graphs):
 @pytest.mark.parametrize("name, make", CONTRACT_INPUTS, ids=[n for n, _ in CONTRACT_INPUTS])
 def test_single_pass_keeps_the_input_contract_of_validate_cords(name, make):
     for tree in CONTRACT_TREES:
-        checked = _outcome(validate_cords, make(), tree.leaf_labels)
+        checked = outcome(validate_cords, make(), tree.leaf_labels)
         if checked[0] == "ok":
             cords = checked[1]
             failing = failing_by_paths(tree, cords)
@@ -317,11 +311,11 @@ def test_single_pass_keeps_the_input_contract_of_validate_cords(name, make):
             linked = ("ok", {v: pairs.get(v, set()) for v in tree.interior_vertices()})
         else:
             report = linked = checked
-        assert _outcome(classify, tree, make()) == report
-        got = _outcome(child_edge_graphs, tree, make())
+        assert outcome(classify, tree, make()) == report
+        got = outcome(child_edge_graphs, tree, make())
         assert (got if got[0] != "ok" else ("ok", _linked(got[1]))) == linked
         for v in tree.interior_vertices():
-            got = _outcome(build_child_edge_graph, tree, make(), v)
+            got = outcome(build_child_edge_graph, tree, make(), v)
             if got[0] == "ok":
                 got = ("ok", _linked({v: got[1]})[v])
             assert got == (linked if linked[0] != "ok" else ("ok", linked[1][v]))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORD_CORPUS, LABELS5, random_shape, reference_read_cord_file
+from conftest import CORD_CORPUS, LABELS5, outcome, random_shape, reference_read_cord_file
 from treelasso import (
     HeightMap,
     NewickParseError,
@@ -356,14 +356,6 @@ def test_cord_file_errors():
         read_cord_file("a b 1\nc d\n")  # mixed distance columns
 
 
-def _outcome(fn, *args):
-    """The result of a call, or the type and message of what it raised."""
-    try:
-        return ("ok", fn(*args))
-    except Exception as exc:  # the exception type and message are the contract
-        return (type(exc), str(exc))
-
-
 def _big_cord_file(seed: int, count: int) -> str:
     """A seeded file of ``count`` distinct cords, each written in either order."""
     rng = random.Random(seed)
@@ -417,8 +409,8 @@ CORD_FILE_TEXTS = [
 
 @pytest.mark.parametrize("text", CORD_FILE_TEXTS, ids=range(len(CORD_FILE_TEXTS)))
 def test_bulk_cord_reader_matches_the_line_by_line_reader(text):
-    got = _outcome(read_cord_file, text)
-    assert got == _outcome(reference_read_cord_file, text)
+    got = outcome(read_cord_file, text)
+    assert got == outcome(reference_read_cord_file, text)
     if got[0] == "ok":
         assert all(type(c) is tuple and c[0] < c[1] for c in got[1][0])
 
