@@ -17,7 +17,8 @@ print("same tree, shuffled:   ", XTree(("d", ("c", ("b", "a")))).canonical_newic
 # Structural queries
 v = caterpillar.lca("a", "c")
 print("lca(a, c) covers:      ", sorted(caterpillar.leaves_below(v)))
-print("triplets:              ", sorted(map(repr, caterpillar.triplets())))
+clusters = (caterpillar.leaves_below(v) for v in caterpillar.interior_vertices())
+print("clusters:              ", sorted("".join(sorted(c)) for c in clusters))
 print("restricted to {a,c,d}: ", caterpillar.restrict({"a", "c", "d"}).canonical_newick())
 
 # An equidistant weighting assigns every interior vertex a height: the

@@ -4,7 +4,8 @@ A cord stands for one known pairwise distance.  Cords are normalized to
 sorted 2-tuples; cord sets are frozensets of those.  The text format is one
 cord per line, ``labelA labelB``, with an optional third column holding a
 positive rational distance and ``#`` starting a comment.  A distance is
-written as a Newick edge weight is: an integer, a decimal, or ``p/q``.
+written as a Newick edge weight is: an integer, a decimal, or ``p/q``, in
+ASCII digits.
 
 :func:`validate_cords` is the normalizing check the oracle and the height
 code run on their cord inputs.  The combinatorial route does not call it on
@@ -32,8 +33,9 @@ __all__ = [
 Cord = tuple[str, str]
 
 # An exact rational as both input formats write it: an integer, a decimal,
-# or p/q.  The Newick parser matches edge weights with this pattern too.
-_RATIONAL_RE = re.compile(r"-?\d+(?:\.\d+)?(?:/\d+)?")
+# or p/q, in ASCII digits (``\d`` would take every Unicode decimal digit).
+# The Newick parser matches edge weights with this pattern too.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?")
 
 
 class CordFileError(ValueError):
@@ -102,7 +104,7 @@ def _is_normal(cords: frozenset, known: set | frozenset) -> bool:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational: an integer, a decimal, or ``p/q``.
+    """Parse an exact rational: an integer, a decimal, or ``p/q``, in ASCII digits.
 
     The text must match the Newick weight pattern, so both input formats
     read the same numbers: ``1_0``, ``1e3``, ``+1`` and ``.5`` are rejected.

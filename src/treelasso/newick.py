@@ -5,7 +5,7 @@ Grammar::
     tree    :=  subtree ";"
     subtree :=  leaf | "(" subtree ("," subtree)+ ")" [":" weight]
     leaf    :=  label [":" weight]
-    weight  :=  decimal or rational "p/q"
+    weight  :=  decimal or rational "p/q", in ASCII digits
 
 Unary vertices are rejected, a weight is either present on every edge or on
 none, and the root carries no weight (it has no parent edge).  Decimals are

@@ -25,10 +25,11 @@ the same call: the point of the first feasible rival is the witness.
 
 The scan reads its rivals from one table per leaf set, built on first use,
 with a row per enumerated tree in canonical order; bit r of every mask below
-stands for row r.  A row holds the tree's properness edges with its
+stands for row r.  A row holds the tree's properness edges twice: with its
 heights placed at ids ``K..``, ``K`` = (number of leaves) - 1, so any
-reference tree fits below them; the interior index of each cord's meeting
-vertex, in :func:`all_cords` order; and two kinds of row mask.
+reference tree fits below them, and at ids ``0..``, for when the tree is
+the reference; the interior index of each cord's meeting vertex, in
+:func:`all_cords` order; and two kinds of row mask.
 
 * Conflict masks.  A tree puts the meeting vertices of two cords in one of
   four relations: the first strictly above the second, strictly below it,
@@ -46,15 +47,14 @@ vertex, in :func:`all_cords` order; and two kinds of row mask.
 A decision starts from every row, removes the refiner mask (weak) or the
 tree's own bit (topological), removes the OR of the tree's conflict masks
 over the pairs of given cords, keeps only the sampled rows if asked, and
-hands the surviving rows, lowest bit first, to the engine.  Each tree's
-row and its unshifted edges are looked up once and remembered.
+hands the surviving rows, lowest bit first, to the engine.  The tree's
+own row is looked up in the table, so nothing is remembered per tree.
 
 The enumerated trees and the rival tables of the last four leaf sets asked
-for (``_KEPT_LEAF_SETS``) are kept, a six-leaf set taking about 11 MB.  An
-older set is dropped, with the remembered rows of every tree, and rebuilt
-if it is asked for again, so a process that decides trees on many leaf
-sets holds the tables of a few only.  The shape memo behind an
-enumeration lives for that enumeration alone.
+for (``_KEPT_LEAF_SETS``) are kept, a six-leaf set taking about 10 MB.  An
+older set is dropped and rebuilt if it is asked for again, so a process
+that decides trees on many leaf sets holds the tables of a few only.  The
+shape memo behind an enumeration lives for that enumeration alone.
 
 The equidistant decision needs no rivals, so it reads only per-tree tables
 and works on trees of any size.  It puts two copies of the tree's heights
@@ -277,19 +277,20 @@ def _witness(tree: XTree, rival: XTree, values: list, offset: int) -> Witness:
 class _RivalTable:
     """Every tree on one leaf set, as rows the rival scan reads without rebuilding.
 
-    ``rows`` lists ``(tree, edges, meets, conflicts, refiners)`` per
-    enumerated tree in canonical order: properness edges as engine
+    ``rows`` lists ``(tree, edges, meets, conflicts, refiners, own_edges)``
+    per enumerated tree in canonical order: properness edges as engine
     constraints on ids shifted by ``offset``, the interior index of each
     cord's meeting vertex, the conflict mask of each cord pair (see the
-    module docstring), and the mask of rows whose trees refine this one.
-    Bit r of a mask stands for row r.  Cord pair (i, j), i < j, is entry
-    ``pair_base[i] + j`` of ``conflicts``.
+    module docstring), the mask of rows whose trees refine this one, and the
+    properness edges again on ids ``0..``.  Bit r of a mask stands for row
+    r.  Cord pair (i, j), i < j, is entry ``pair_base[i] + j`` of
+    ``conflicts``.
     """
 
     offset: int
     cord_index: dict[Cord, int]
     pair_base: tuple[int, ...]
-    rows: tuple[tuple[XTree, tuple, tuple[int, ...], tuple[int, ...], int], ...]
+    rows: tuple[tuple[XTree, tuple, tuple[int, ...], tuple[int, ...], int, tuple], ...]
     row_of: dict[XTree, int]
 
 
@@ -302,26 +303,10 @@ _APART, _ABOVE, _BELOW, _EQUAL = range(4)
 _ROWS_WITH = [b"0" * rel + b"1" + b"0" * (255 - rel) for rel in range(4)]
 
 
-# The rival tables of the last few leaf sets asked for, least recent first.
-_RIVAL_TABLES: dict[tuple[str, ...], _RivalTable] = {}
-
-
-def _rival_table(labels: tuple[str, ...]) -> _RivalTable:
-    """The rival table of a sorted leaf set, kept among the last few asked for.
-
-    Dropping a table clears :func:`_row_of`, whose entries hold their table.
-    """
-    table = _RIVAL_TABLES.pop(labels, None)
-    if table is None:
-        if len(_RIVAL_TABLES) == _KEPT_LEAF_SETS:
-            del _RIVAL_TABLES[next(iter(_RIVAL_TABLES))]
-            _row_of.cache_clear()
-        table = _build_rival_table(labels)
-    _RIVAL_TABLES[labels] = table
-    return table
-
-
-def _build_rival_table(labels: tuple[str, ...]) -> _RivalTable:
+@lru_cache(maxsize=_KEPT_LEAF_SETS)
+def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
+    """The rival table of a leaf set, kept among the last few asked for."""
+    labels = _check_enumeration_domain(leaf_labels)
     trees = _enumerate(labels)
     offset = len(labels) - 1
     cord_index = {c: i for i, c in enumerate(combinations(labels, 2))}
@@ -334,6 +319,7 @@ def _build_rival_table(labels: tuple[str, ...]) -> _RivalTable:
             inside[frozenset(subset)] = sum(
                 1 << cord_index[c] for c in combinations(subset, 2)
             )
+    shared = {}  # properness edges -> the same at ids offset.. and at ids 0..
     members = {}  # cord bitmask -> its cord indices
     related = {}  # (cords meeting at a vertex, cords below it) -> their pairs' relation bytes
     rows = []
@@ -365,7 +351,10 @@ def _build_rival_table(labels: tuple[str, ...]) -> _RivalTable:
                     members[here], [j for j in range(m) if under >> j & 1], pair_base
                 )
             relation |= related[here, under]
-        rows.append((tree, tuple(edges), tuple(meets)))
+        edges = tuple(edges)
+        if edges not in shared:  # trees of one unlabeled shape share their edges
+            shared[edges] = edges, tuple((a - offset, b - offset, 0, True) for a, b, _, _ in edges)
+        rows.append((tree, *shared[edges], tuple(meets)))
         relations.append(relation.to_bytes(n_pairs, "little"))
         clusters.append([within[v] for v in interior[1:]])
     # Column p of the relation bytes holds pair p's relation in every row;
@@ -383,11 +372,11 @@ def _build_rival_table(labels: tuple[str, ...]) -> _RivalTable:
     per_row = list(zip(*columns)) or [()] * len(trees)  # two leaves: no pairs
     everyone = (1 << len(trees)) - 1
     table_rows = []
-    for (tree, edges, meets), conflicts, own in zip(rows, per_row, clusters):
+    for (tree, edges, own_edges, meets), conflicts, own in zip(rows, per_row, clusters):
         refiners = everyone
         for cluster in own:
             refiners &= containing[cluster]
-        table_rows.append((tree, edges, meets, conflicts, refiners))
+        table_rows.append((tree, edges, meets, conflicts, refiners, own_edges))
     return _RivalTable(
         offset=offset,
         cord_index=cord_index,
@@ -415,18 +404,6 @@ def _relation_bytes(here: list[int], under: list[int], pair_base) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _row_of(tree: XTree) -> tuple[_RivalTable, int, tuple]:
-    """The tree's rival table, its row, and its properness edges at ids ``0..``.
-
-    Cleared whenever :func:`_rival_table` drops a table.
-    """
-    table = _rival_table(_check_enumeration_domain(tree.leaf_labels))
-    r = table.row_of[tree]
-    k = table.offset
-    return table, r, tuple((a - k, b - k, 0, True) for a, b, _, _ in table.rows[r][1])
-
-
 def _rival_scan(
     tree: XTree,
     cords: Iterable[Cord],
@@ -446,9 +423,10 @@ def _rival_scan(
     checked = validate_cords(cords, tree.leaf_labels)
     if rival_sample is not None and rival_sample < 1:
         raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
-    table, r, t_edges = _row_of(tree)
+    table = _rival_table(tree.leaf_labels)
     rows = table.rows
-    _, _, t_meets, conflicts, refiners = rows[r]
+    r = table.row_of[tree]
+    _, _, t_meets, conflicts, refiners, t_edges = rows[r]
     bad = refiners if weak else 1 << r
     index = sorted(map(table.cord_index.__getitem__, checked))
     pair_base = table.pair_base
@@ -464,7 +442,7 @@ def _rival_scan(
     while alive:
         low = alive & -alive
         alive ^= low
-        rival, edges, meets, _, _ = rows[low.bit_length() - 1]
+        rival, edges, meets, _, _, _ = rows[low.bit_length() - 1]
         equal = [(t_meets[i], k + meets[i], 0) for i in index]
         values = _solve_differences(2 * k, equal, t_edges + edges)
         if values is not None:

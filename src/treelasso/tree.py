@@ -36,12 +36,10 @@ stacks or preorder ids instead of recursion, so deep trees raise no
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable
 
-__all__ = ["Triplet", "XTree", "triplet"]
+__all__ = ["XTree"]
 
 # A leaf label: nonempty, without whitespace or any of the Newick
 # delimiters "(),:;".  The Newick parser matches labels with this pattern,
@@ -103,27 +101,6 @@ def _shape_records(shape) -> tuple[list[str | None], list]:
             kids.append(ids)
         else:
             return labels, kids
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """Rooted triplet ``ab|c``: the binary shape on three leaves with cherry {a, b}."""
-
-    cherry: frozenset[str]
-    outlier: str
-
-    def __post_init__(self) -> None:
-        if len(self.cherry) != 2 or self.outlier in self.cherry:
-            raise ValueError("a triplet needs three pairwise distinct labels")
-
-    def __repr__(self) -> str:
-        a, b = sorted(self.cherry)
-        return f"{a}{b}|{self.outlier}"
-
-
-def triplet(a: str, b: str, c: str) -> Triplet:
-    """The triplet ``ab|c`` (cherry {a, b}, outlier c)."""
-    return Triplet(frozenset((a, b)), c)
 
 
 class XTree:
@@ -381,14 +358,16 @@ class XTree:
 
     def child_toward(self, v: int, label: str) -> int:
         """The child of ``v`` whose subtree contains the leaf ``label``."""
+        if not (isinstance(v, int) and 0 <= v < len(self._parent)):
+            raise _not_a_vertex(v)
         leaf = self._leaf_id.get(label)
-        if leaf is not None and v in range(len(self._parent)):
+        if leaf is not None:
             meet, child, _ = self._meet(leaf, v)
             if meet == v and child >= 0:
                 return child
         raise ValueError(f"leaf {label!r} is not below vertex {v}")
 
-    # -- restriction and triplets ---------------------------------------------
+    # -- restriction ----------------------------------------------------------
 
     def restrict(self, labels: Iterable[str]) -> "XTree":
         """The tree induced on a nonempty label subset, unary vertices suppressed."""
@@ -414,34 +393,6 @@ class XTree:
                 pruned[v] = tuple(kept)
         return XTree(pruned[0])
 
-    @cached_property
-    def _triplets(self) -> frozenset[Triplet]:
-        depth = self._depth
-        leaf_id = self._leaf_id
-        labels = sorted(leaf_id)
-        meet_depth = {}
-        for a, b in combinations(labels, 2):
-            meet_depth[(a, b)] = depth[self._meet(leaf_id[a], leaf_id[b])[0]]
-        out = []
-        for a, b, c in combinations(labels, 3):
-            dab = meet_depth[(a, b)]
-            dac = meet_depth[(a, c)]
-            dbc = meet_depth[(b, c)]
-            top = max(dab, dac, dbc)
-            if dab == dac == dbc:
-                continue
-            if dab == top:
-                out.append(triplet(a, b, c))
-            elif dac == top:
-                out.append(triplet(a, c, b))
-            else:
-                out.append(triplet(b, c, a))
-        return frozenset(out)
-
-    def triplets(self) -> frozenset[Triplet]:
-        """All triplets ``ab|c`` whose restriction to {a, b, c} has cherry {a, b}."""
-        return self._triplets
-
     # -- comparisons ------------------------------------------------------------
 
     def is_equivalent(self, other: "XTree") -> bool:
@@ -453,9 +404,8 @@ class XTree:
     def refines(self, other: "XTree") -> bool:
         """True iff ``other`` can be obtained from this tree by collapsing edges.
 
-        Equivalent formulations: every cluster (leaf set below a vertex) of
-        ``other`` is a cluster of this tree; every triplet of ``other`` is a
-        triplet of this tree.  Every tree refines itself.
+        Equivalently, every cluster (leaf set below a vertex) of ``other``
+        is a cluster of this tree.  Every tree refines itself.
 
         Ranking this tree's leaves in preorder makes each of its clusters an
         interval of ranks.  One bottom-up sweep over ``other`` finds each

@@ -16,7 +16,6 @@ from math import factorial
 from typing import Sequence
 
 from treelasso import XTree
-from treelasso.tree import Triplet, triplet
 
 LABELS3 = ("a", "b", "c")
 LABELS4 = ("a", "b", "c", "d")
@@ -143,7 +142,37 @@ def brute_linked_child_edges(tree: XTree, cords, v: int) -> set[frozenset[int]]:
     return brute_child_edge_pairs(tree, cords).get(v, set())
 
 
-# -- restriction-based triplet oracle ----------------------------------------
+# -- triplets ----------------------------------------------------------------
+
+# The rooted triplet ab|c, the binary shape on three leaves with cherry
+# {a, b}, as the pair (cherry, outlier).
+Triplet = tuple[frozenset[str], str]
+
+
+def triplet(a: str, b: str, c: str) -> Triplet:
+    """The triplet ``ab|c`` (cherry {a, b}, outlier c)."""
+    return frozenset((a, b)), c
+
+
+@lru_cache(maxsize=None)
+def tree_triplets(tree: XTree) -> frozenset[Triplet]:
+    """Triplets read off last-common-vertex depths.
+
+    Of the three pairs in a 3-subset, at least two meet at one shallowest
+    vertex; ab|c exactly when a and b meet strictly deeper than a and c.
+    """
+    labels = sorted(tree.leaf_labels)
+    depth = {pair: tree.depth(tree.lca(*pair)) for pair in combinations(labels, 2)}
+    out = []
+    for a, b, c in combinations(labels, 3):
+        dab, dac, dbc = depth[a, b], depth[a, c], depth[b, c]
+        if dab > dac:
+            out.append(triplet(a, b, c))
+        elif dac > dab:
+            out.append(triplet(a, c, b))
+        elif dbc > dab:
+            out.append(triplet(b, c, a))
+    return frozenset(out)
 
 
 def triplets_by_restriction(tree: XTree) -> frozenset[Triplet]:

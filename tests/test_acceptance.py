@@ -19,6 +19,8 @@ from conftest import (
     count_binary_xtrees,
     count_xtrees,
     seeded_cord_sets,
+    tree_triplets,
+    triplet,
 )
 from treelasso import (
     Bipartition,
@@ -42,7 +44,6 @@ from treelasso import (
     verify_witness,
 )
 from treelasso.feasibility import linear_system, strict_feasible
-from treelasso.tree import triplet
 
 
 def announce(line: str) -> None:
@@ -256,8 +257,8 @@ def test_c09_distance_transfer_property_suite():
             assert hm2.leaf_distance(a, a2) < hm2.leaf_distance(a, b)
             assert hm2.leaf_distance(a, b) == hm2.leaf_distance(a2, b)
             assert hm2.leaf_distance(a2, b) == hm.leaf_distance(a2, b)
-        assert (triplet(a, a2, b) in t.triplets()) == (
-            triplet(a, a2, b) in rival.triplets()
+        assert (triplet(a, a2, b) in tree_triplets(t)) == (
+            triplet(a, a2, b) in tree_triplets(rival)
         )
         if hm.leaf_distance(a2, b) == hm2.leaf_distance(a2, b):
             z = {a, a2, b}

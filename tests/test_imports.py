@@ -96,7 +96,7 @@ def test_deferred_names_and_modules_load_on_first_access():
         print(len(treelasso.__all__), len(set(treelasso.__all__)))
         """
     )
-    assert out.split() == ["45", "45"]
+    assert out.split() == ["43", "43"]
 
 
 def test_star_import_in_a_fresh_process_loads_every_public_name():

@@ -421,6 +421,7 @@ NUMBERS = [
     "1", "10", "007", "0.5", "2.50", "1/3", "6/4", "12.125",
     "1_0", "1e3", "1E3", "+1", ".5", "5.", "1.5/2", "1/0", "0x10", "inf",
     "nan", "1/-2", "1//2", "½", "1.2.3", "--1", "1/2/3",
+    "\u0661", "\u0663/\u0664", "\uff11",  # non-ASCII decimal digits
 ]
 
 

@@ -242,7 +242,7 @@ def _order_conflicts(t, r):
 def _pairwise_rejects(t, r, cords):
     """The scan's conflict test, read off the rival table: the rival's bit in
     the tree's conflict mask of some pair of the given cords."""
-    table = _rival_table(tuple(sorted(t.leaf_labels)))
+    table = _rival_table(t.leaf_labels)
     conflicts = table.rows[table.row_of[t]][3]
     bit = 1 << table.row_of[r]
     index = sorted(table.cord_index[c] for c in cords)
@@ -271,13 +271,13 @@ def test_refiner_masks_match_refines():
     # bit s of row r's refiner mask says that tree s refines tree r: every
     # ordered pair of five-leaf trees, and seeded six-leaf trees against
     # every tree, as the refined tree and as the refining one
-    table5 = _rival_table(LABELS5)
+    table5 = _rival_table(frozenset(LABELS5))
     trees5 = [row[0] for row in table5.rows]
     for row in table5.rows:
         assert [row[4] >> s & 1 for s in range(len(trees5))] == [
             rival.refines(row[0]) for rival in trees5
         ]
-    table6 = _rival_table(LABELS6)
+    table6 = _rival_table(frozenset(LABELS6))
     trees6 = [row[0] for row in table6.rows]
     refiners = [row[4] for row in table6.rows]
     refining = 0
@@ -538,7 +538,7 @@ def test_equidistant_oracle_has_no_leaf_cap(shape):
     # the equidistant oracle reads no rival table, so it decides trees past
     # the enumeration cap and leaves the rival tables alone
     t = XTree(shape)
-    tables = list(oracle._RIVAL_TABLES)
+    info = _rival_table.cache_info()
     lasso = min_equidistant_lasso(t)
     assert oracle_equidistant(t, lasso) == (True, None)
     for c in sorted(lasso):
@@ -546,7 +546,7 @@ def test_equidistant_oracle_has_no_leaf_cap(shape):
         ok, witness = oracle_equidistant(t, fewer)
         assert not ok
         assert verify_witness(t, fewer, witness, "equidistant")
-    assert list(oracle._RIVAL_TABLES) == tables
+    assert _rival_table.cache_info() == info
 
 
 def test_equidistant_decision_at_2000_leaves_reads_only_the_given_cords():
@@ -595,8 +595,8 @@ def test_equidistant_tables_are_dropped_with_their_trees():
 
 def test_rival_tables_of_a_few_leaf_sets_only_are_kept():
     # one weak decision on each of 16 distinct five-leaf label sets: the
-    # trees, rival tables and remembered rows of the older sets are
-    # dropped.  Caches without a bound kept all 16 sets, about 11 MB.
+    # trees and rival tables of the older sets are dropped.  Caches without
+    # a bound kept all 16 sets, about 11 MB.
     leaf_sets = [tuple(f"{x}{i}" for x in "abcde") for i in range(16)]
     gc.collect()
     tracemalloc.start()
@@ -610,5 +610,7 @@ def test_rival_tables_of_a_few_leaf_sets_only_are_kept():
     finally:
         tracemalloc.stop()
     assert retained < 5 * 2**20, f"{retained / 2**20:.2f} MB retained"
-    assert len(oracle._RIVAL_TABLES) == oracle._KEPT_LEAF_SETS
-    assert list(oracle._RIVAL_TABLES)[-1] == leaf_sets[-1]
+    assert _rival_table.cache_info().currsize == oracle._KEPT_LEAF_SETS
+    hits = _rival_table.cache_info().hits
+    _rival_table(frozenset(leaf_sets[-1]))  # the last set asked for is kept
+    assert _rival_table.cache_info().hits == hits + 1

@@ -16,10 +16,12 @@ from conftest import (
     clade_by_sorting,
     count_binary_xtrees,
     random_xtree,
+    tree_triplets,
+    triplet,
     triplets_by_restriction,
 )
 from treelasso import XTree, enumerate_xtrees, parse_newick
-from treelasso.tree import _LABEL_RE, triplet
+from treelasso.tree import _LABEL_RE
 
 CAT = XTree(((("a", "b"), "c"), "d"))
 STAR3 = XTree(("a", "b", "c"))
@@ -46,15 +48,24 @@ def test_leaves_below():
     assert CAT.leaves_below(CAT.leaf_vertex("c")) == frozenset("c")
 
 
-ACCESSORS = ("children", "parent", "depth", "is_leaf", "label", "leaves_below")
+# Each accessor, with the arguments it takes after the vertex id.
+ACCESSORS = {
+    "children": (),
+    "parent": (),
+    "depth": (),
+    "is_leaf": (),
+    "label": (),
+    "leaves_below": (),
+    "child_toward": ("a",),
+}
 
 
 @pytest.mark.parametrize("accessor", ACCESSORS)
-@pytest.mark.parametrize("v", [-1, -BAL.n_vertices, BAL.n_vertices, BAL.n_vertices + 5])
+@pytest.mark.parametrize("v", [-1, -BAL.n_vertices, BAL.n_vertices, BAL.n_vertices + 5, 1.0])
 def test_accessors_reject_ids_that_are_not_vertices(accessor, v):
     assert BAL.n_vertices == 7
     with pytest.raises(ValueError) as raised:
-        getattr(BAL, accessor)(v)
+        getattr(BAL, accessor)(v, *ACCESSORS[accessor])
     assert str(raised.value) == f"{v} is not a vertex of this tree"
 
 
@@ -159,23 +170,23 @@ def test_restrict_full_set_is_identity_for_all_small_trees():
 
 
 def test_triplets_star_empty():
-    assert STAR3.triplets() == frozenset()
+    assert tree_triplets(STAR3) == frozenset()
 
 
 def test_triplets_match_restriction_oracle():
-    assert T4.triplets() == triplets_by_restriction(T4) == {
+    assert tree_triplets(T4) == triplets_by_restriction(T4) == {
         triplet("a", "b", "d"),
         triplet("a", "c", "d"),
         triplet("b", "c", "d"),
     }
     for t in enumerate_xtrees(LABELS4):
-        assert t.triplets() == triplets_by_restriction(t)
+        assert tree_triplets(t) == triplets_by_restriction(t)
 
 
 def test_triplets_match_restriction_oracle_on_seeded_trees():
     for seed in range(40):
         t = random_xtree(7 + seed % 2, seed)
-        assert t.triplets() == triplets_by_restriction(t)
+        assert tree_triplets(t) == triplets_by_restriction(t)
 
 
 def test_triplet_count_bound_equality_iff_binary():
@@ -184,8 +195,8 @@ def test_triplet_count_bound_equality_iff_binary():
     for labels in (LABELS4, LABELS5):
         for t in enumerate_xtrees(labels):
             bound = comb(len(labels), 3)
-            assert len(t.triplets()) <= bound
-            assert (len(t.triplets()) == bound) == t.is_binary()
+            assert len(tree_triplets(t)) <= bound
+            assert (len(tree_triplets(t)) == bound) == t.is_binary()
 
 
 def test_equivalence_ignores_child_order():
@@ -203,7 +214,7 @@ def test_equivalence_iff_same_triplets():
     trees = enumerate_xtrees(LABELS4)
     for t1 in trees:
         for t2 in trees:
-            assert t1.is_equivalent(t2) == (t1.triplets() == t2.triplets())
+            assert t1.is_equivalent(t2) == (tree_triplets(t1) == tree_triplets(t2))
 
 
 def test_refines_examples():
@@ -259,7 +270,7 @@ def test_refines_matches_triplet_containment():
     refining = 0
     for a, b in pairs:
         got = a.refines(b)
-        assert got == (b.triplets() <= a.triplets()), (a, b)
+        assert got == (tree_triplets(b) <= tree_triplets(a)), (a, b)
         refining += got
     assert 0 < refining < len(pairs)
 
