@@ -112,9 +112,7 @@ class HeightMap:
 
         An id that is not a vertex of the tree raises ``ValueError``.
         """
-        if not (isinstance(v, int) and 0 <= v < self.tree.n_vertices):
-            raise ValueError(f"{v!r} is not a vertex of this tree")
-        if self.tree.is_leaf(v):
+        if self.tree.is_leaf(v):  # raises for an id that is not a vertex
             return Fraction(0)
         return self.heights[v]
 

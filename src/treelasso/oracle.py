@@ -15,13 +15,14 @@ Rivals are scanned in canonical order and the first feasible violator is
 returned as a witness, so results are reproducible.  The weak and
 topological decisions share one scan, which differs between them only in
 which rivals it skips, and which covers every rival on each leaf set the
-enumeration accepts: up to 6 leaves, or 2752 trees.  An explicit
-``rival_sample`` scans a seeded subset instead.  Cord equalities only
-ever identify two heights and properness is a set of strict height
-differences, so the scan hands each joint system straight to the exact
-difference-constraint engine behind :func:`strict_feasible`, over dense
-integer variable ids.  The engine's verdict and its exact point come from
-the same call: the point of the first feasible rival is the witness.
+enumeration accepts: up to 6 leaves, or 2752 trees.  The weak decision
+alone takes an explicit ``rival_sample``, which scans a seeded subset
+instead.  Cord equalities only ever identify two heights and properness is
+a set of strict height differences, so the scan hands each joint system
+straight to the exact difference-constraint engine behind
+:func:`strict_feasible`, over dense integer variable ids.  The engine's
+verdict and its exact point come from the same call: the point of the
+first feasible rival is the witness.
 
 The scan reads its rivals from one table per leaf set, built on first use,
 with a row per enumerated tree in canonical order; bit r of every mask below
@@ -29,29 +30,33 @@ stands for row r.  A row holds the tree's properness edges twice: with its
 heights placed at ids ``K..``, ``K`` = (number of leaves) - 1, so any
 reference tree fits below them, and at ids ``0..``, for when the tree is
 the reference; the interior index of each cord's meeting vertex, in
-:func:`all_cords` order; and two kinds of row mask.
+:func:`all_cords` order; one relation byte per cord pair; and the cord
+masks of its clusters, the leaf sets below its non-root interior vertices.
+The table holds two kinds of mask, shared by all rows.
 
 * Conflict masks.  A tree puts the meeting vertices of two cords in one of
   four relations: the first strictly above the second, strictly below it,
   at the same vertex, or apart.  If one tree has a pair strictly ordered
   and the other has it equal or ordered the other way, the two cord
   equalities close a strict cycle through the properness edges, so the
-  joint system is infeasible; "apart" conflicts with nothing.  A row keeps,
-  per cord pair, the mask of rows in conflict with its own relation.  The
-  relations are read off each vertex's leaf set: the cords meeting at a
-  vertex and those meeting below it.
-* Refiner masks.  A row keeps the mask of rows whose trees refine it: the
-  AND, over its clusters, of the rows that have that cluster, since a tree
-  refines another exactly when it has all of the other's clusters.
+  joint system is infeasible; "apart" conflicts with nothing.  The table
+  keeps, per cord pair and relation, the mask of rows in conflict with that
+  relation, and a row reads its own by its relation byte.  The relations
+  are read off each vertex's leaf set: the cords meeting at a vertex and
+  those meeting below it.
+* Cluster masks.  The table keeps, per cluster, the mask of rows whose
+  trees have it.  A tree refines another exactly when it has all of the
+  other's clusters, so the AND of a row's cluster masks is the mask of
+  rows whose trees refine it.
 
-A decision starts from every row, removes the refiner mask (weak) or the
+A decision starts from every row, removes the refiners (weak) or the
 tree's own bit (topological), removes the OR of the tree's conflict masks
 over the pairs of given cords, keeps only the sampled rows if asked, and
 hands the surviving rows, lowest bit first, to the engine.  The tree's
 own row is looked up in the table, so nothing is remembered per tree.
 
 The enumerated trees and the rival tables of the last four leaf sets asked
-for (``_KEPT_LEAF_SETS``) are kept, a six-leaf set taking about 10 MB.  An
+for (``_KEPT_LEAF_SETS``) are kept, a six-leaf set taking about 7 MB.  An
 older set is dropped and rebuilt if it is asked for again, so a process
 that decides trees on many leaf sets holds the tables of a few only.  The
 shape memo behind an enumeration lives for that enumeration alone.
@@ -65,8 +70,9 @@ edge and the equality close a strict self-loop, so the engine could only
 answer None; those vertices are skipped and the first feasible vertex, the
 verdict and the witness are unchanged.  Each cord's meeting vertex is
 found the first time a decision asks for it and remembered per tree, so
-no table over all leaf pairs is built; the per-tree tables are dropped
-with their tree.
+no table over all leaf pairs is built.  The per-tree tables sit in a
+weak-keyed dict: they hold no reference to their tree and go when it is
+collected, and equal trees, whose vertices are numbered alike, share them.
 """
 
 from __future__ import annotations
@@ -163,27 +169,9 @@ def enumerate_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
 # --------------------------------------------------------------------------
 
 
-class _MeetIndex(dict):
-    """Cord -> interior index of its meeting vertex in one tree, found on first use.
-
-    The tree is held weakly, so the per-tree tables that hold the index
-    do not keep their own tree alive.
-    """
-
-    def __init__(self, tree: XTree, index: dict[int, int]) -> None:
-        super().__init__()
-        self._tree = weakref.ref(tree)
-        self._index = index
-
-    def __missing__(self, c: Cord) -> int:
-        i = self[c] = self._index[self._tree().lca(*c)]
-        return i
-
-
-# Per-tree tables by tree id.  A finalizer drops a tree's entry when the
-# tree is collected, before its id can be reused, so a process that decides
-# many large trees keeps the tables of the live ones only.
-_TABLES: dict[int, tuple] = {}
+# Per-tree tables, dropped when their tree is collected.  Equal trees number
+# their vertices alike, so they share one entry.
+_TABLES: weakref.WeakKeyDictionary[XTree, tuple] = weakref.WeakKeyDictionary()
 
 
 def _tables(tree: XTree):
@@ -191,10 +179,12 @@ def _tables(tree: XTree):
 
     Returns the properness edges of two copies of the tree as engine
     constraints ``(parent, child, 0, True)``, the second copy's ids shifted
-    by ``k``; the meeting-vertex index of each cord, filled as cords are
-    asked for; and ``k``, the number of interior vertices.
+    by ``k``; the interior index of each vertex; a dict from cord to the
+    interior index of its meeting vertex, which the caller fills as cords
+    are asked for; and ``k``, the number of interior vertices.  None of them
+    holds the tree.
     """
-    out = _TABLES.get(id(tree))
+    out = _TABLES.get(tree)
     if out is not None:
         return out
     interior = tree.interior_vertices()
@@ -204,8 +194,7 @@ def _tables(tree: XTree):
     both = tuple((a, b, 0, True) for a, b in edges) + tuple(
         (k + a, k + b, 0, True) for a, b in edges
     )
-    out = _TABLES[id(tree)] = (both, _MeetIndex(tree, index), k)
-    weakref.finalize(tree, _TABLES.pop, id(tree))
+    out = _TABLES[tree] = (both, index, {}, k)
     return out
 
 
@@ -277,20 +266,24 @@ def _witness(tree: XTree, rival: XTree, values: list, offset: int) -> Witness:
 class _RivalTable:
     """Every tree on one leaf set, as rows the rival scan reads without rebuilding.
 
-    ``rows`` lists ``(tree, edges, meets, conflicts, refiners, own_edges)``
+    ``rows`` lists ``(tree, edges, meets, relation, clusters, own_edges)``
     per enumerated tree in canonical order: properness edges as engine
     constraints on ids shifted by ``offset``, the interior index of each
-    cord's meeting vertex, the conflict mask of each cord pair (see the
-    module docstring), the mask of rows whose trees refine this one, and the
-    properness edges again on ids ``0..``.  Bit r of a mask stands for row
-    r.  Cord pair (i, j), i < j, is entry ``pair_base[i] + j`` of
-    ``conflicts``.
+    cord's meeting vertex, one relation byte per cord pair, the cord masks
+    of the tree's non-root interior vertices, and the properness edges again
+    on ids ``0..``.  Cord pair (i, j), i < j, is entry ``pair_base[i] + j``
+    of ``relation`` and of ``conflicts``, whose entry, indexed by a
+    relation, is the mask of rows in conflict with it (see the module
+    docstring).  ``containing`` maps a cluster's cord mask to the mask of
+    rows whose trees have that cluster.  Bit r of a mask stands for row r.
     """
 
     offset: int
     cord_index: dict[Cord, int]
     pair_base: tuple[int, ...]
-    rows: tuple[tuple[XTree, tuple, tuple[int, ...], tuple[int, ...], int, tuple], ...]
+    conflicts: tuple[tuple[int, int, int, int], ...]
+    containing: dict[int, int]
+    rows: tuple[tuple[XTree, tuple, tuple[int, ...], bytes, tuple[int, ...], tuple], ...]
     row_of: dict[XTree, int]
 
 
@@ -323,8 +316,6 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
     members = {}  # cord bitmask -> its cord indices
     related = {}  # (cords meeting at a vertex, cords below it) -> their pairs' relation bytes
     rows = []
-    relations = []  # per row, one relation byte per cord pair
-    clusters = []  # per row, the cord masks of its non-root interior vertices
     containing = {}  # cord mask of a cluster -> rows whose trees have that cluster
     for r, tree in enumerate(trees):
         interior = tree.interior_vertices()
@@ -354,34 +345,27 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
         edges = tuple(edges)
         if edges not in shared:  # trees of one unlabeled shape share their edges
             shared[edges] = edges, tuple((a - offset, b - offset, 0, True) for a, b, _, _ in edges)
-        rows.append((tree, *shared[edges], tuple(meets)))
-        relations.append(relation.to_bytes(n_pairs, "little"))
-        clusters.append([within[v] for v in interior[1:]])
+        edges, own_edges = shared[edges]
+        relation = relation.to_bytes(n_pairs, "little")
+        clusters = tuple([within[v] for v in interior[1:]])
+        rows.append((tree, edges, tuple(meets), relation, clusters, own_edges))
     # Column p of the relation bytes holds pair p's relation in every row;
-    # it maps each row to the rows in conflict with that relation.
-    flat = b"".join(relations)
-    columns = []
+    # it gives the rows in conflict with each relation of that pair.
+    flat = b"".join(row[3] for row in rows)
+    conflicts = []
     for p in range(n_pairs):
-        column = flat[p::n_pairs]
+        column = flat[p::n_pairs][::-1]
         above, below, equal = (
-            int(column[::-1].translate(_ROWS_WITH[rel]), 2)
-            for rel in (_ABOVE, _BELOW, _EQUAL)
+            int(column.translate(_ROWS_WITH[rel]), 2) for rel in (_ABOVE, _BELOW, _EQUAL)
         )
-        conflict = (0, below | equal, above | equal, above | below)
-        columns.append([conflict[rel] for rel in column])
-    per_row = list(zip(*columns)) or [()] * len(trees)  # two leaves: no pairs
-    everyone = (1 << len(trees)) - 1
-    table_rows = []
-    for (tree, edges, own_edges, meets), conflicts, own in zip(rows, per_row, clusters):
-        refiners = everyone
-        for cluster in own:
-            refiners &= containing[cluster]
-        table_rows.append((tree, edges, meets, conflicts, refiners, own_edges))
+        conflicts.append((0, below | equal, above | equal, above | below))
     return _RivalTable(
         offset=offset,
         cord_index=cord_index,
         pair_base=pair_base,
-        rows=tuple(table_rows),
+        conflicts=tuple(conflicts),
+        containing=containing,
+        rows=tuple(rows),
         row_of={tree: r for r, tree in enumerate(trees)},
     )
 
@@ -408,16 +392,17 @@ def _rival_scan(
     tree: XTree,
     cords: Iterable[Cord],
     weak: bool,
-    rival_sample: int | None,
-    seed: int,
+    rival_sample: int | None = None,
+    seed: int = 0,
 ) -> tuple[bool, Witness | None]:
     """The weak and topological decisions, which differ only in the rows skipped.
 
-    The weak scan skips the rivals that refine the tree, the topological
-    one only the tree itself.  Of the remaining rivals, those in conflict
-    with the tree on a pair of given cords are dropped as a whole mask; the
-    rest are handed to the engine in canonical order, and the first
-    feasible one is the witness.  The verdict is that there is none.
+    The weak scan skips the rivals that refine the tree, the rows in every
+    one of its cluster masks; the topological one only the tree itself.  Of
+    the remaining rivals, those in conflict with the tree on a pair of given
+    cords are dropped as a whole mask; the rest are handed to the engine in
+    canonical order, and the first feasible one is the witness.  The verdict
+    is that there is none.
     """
     _require_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
@@ -425,16 +410,23 @@ def _rival_scan(
         raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
     table = _rival_table(tree.leaf_labels)
     rows = table.rows
+    everyone = (1 << len(rows)) - 1
     r = table.row_of[tree]
-    _, _, t_meets, conflicts, refiners, t_edges = rows[r]
-    bad = refiners if weak else 1 << r
+    _, _, t_meets, relation, clusters, t_edges = rows[r]
+    if weak:
+        bad = everyone
+        for cluster in clusters:
+            bad &= table.containing[cluster]
+    else:
+        bad = 1 << r
     index = sorted(map(table.cord_index.__getitem__, checked))
-    pair_base = table.pair_base
+    pair_base, conflicts = table.pair_base, table.conflicts
     for a, i in enumerate(index):
         base = pair_base[i]
-        for j in index[a + 1 :]:
-            bad |= conflicts[base + j]
-    alive = ((1 << len(rows)) - 1) & ~bad
+        for p in index[a + 1 :]:
+            p += base
+            bad |= conflicts[p][relation[p]]
+    alive = everyone & ~bad
     if rival_sample is not None and rival_sample < len(rows):
         picked = random.Random(seed).sample(range(len(rows)), rival_sample)
         alive &= sum(1 << p for p in picked)
@@ -467,17 +459,13 @@ def oracle_weak(
 
 
 def oracle_topological(
-    tree: XTree,
-    cords: Iterable[Cord],
-    *,
-    rival_sample: int | None = None,
-    seed: int = 0,
+    tree: XTree, cords: Iterable[Cord]
 ) -> tuple[bool, Witness | None]:
     """Is the tree shape forced up to equivalence?  Decided by definition.
 
-    Same rivals and ``rival_sample`` contract as :func:`oracle_weak`.
+    Exhaustive over all rivals, up to 6 leaves.
     """
-    return _rival_scan(tree, cords, False, rival_sample, seed)
+    return _rival_scan(tree, cords, False)
 
 
 def oracle_equidistant(
@@ -494,8 +482,13 @@ def oracle_equidistant(
     """
     _require_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    both, meet_index, k = _tables(tree)
-    met = {meet_index[c] for c in checked}
+    both, index, meets, k = _tables(tree)
+    try:
+        met = {meets[c] for c in checked}
+    except KeyError:  # a cord new to this tree; the try spares a set difference per call
+        for c in checked - meets.keys():
+            meets[c] = index[tree.lca(*c)]
+        met = {meets[c] for c in checked}
     equal = [(i, k + i, 0) for i in sorted(met)]
     for i in range(k):
         if i in met:  # x_i = x_{k+i} and x_i > x_{k+i}: a strict self-loop

@@ -233,33 +233,33 @@ class XTree:
     def vertices(self) -> range:
         return range(len(self._parent))
 
-    # The accessors below take a vertex id, 0 <= v < n_vertices; any other
-    # id, a negative one included, raises ValueError.
+    # The accessors below take a vertex id, an int 0 <= v < n_vertices; any
+    # other id, a negative one or a bool included, raises ValueError.
 
     def children(self, v: int) -> tuple[int, ...]:
-        if isinstance(v, int) and 0 <= v < len(self._parent):
+        if type(v) is int and 0 <= v < len(self._parent):
             return self._children[v]
         raise _not_a_vertex(v)
 
     def parent(self, v: int) -> int | None:
         """Parent id of ``v``, or None for the root."""
-        if isinstance(v, int) and 0 <= v < len(self._parent):
+        if type(v) is int and 0 <= v < len(self._parent):
             p = self._parent[v]
             return None if p < 0 else p
         raise _not_a_vertex(v)
 
     def depth(self, v: int) -> int:
-        if isinstance(v, int) and 0 <= v < len(self._parent):
+        if type(v) is int and 0 <= v < len(self._parent):
             return self._depth[v]
         raise _not_a_vertex(v)
 
     def is_leaf(self, v: int) -> bool:
-        if isinstance(v, int) and 0 <= v < len(self._parent):
+        if type(v) is int and 0 <= v < len(self._parent):
             return self._vlabel[v] is not None
         raise _not_a_vertex(v)
 
     def label(self, v: int) -> str:
-        if isinstance(v, int) and 0 <= v < len(self._parent):
+        if type(v) is int and 0 <= v < len(self._parent):
             lab = self._vlabel[v]
             if lab is not None:
                 return lab
@@ -269,7 +269,7 @@ class XTree:
     def leaf_vertex(self, label: str) -> int:
         try:
             return self._leaf_id[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"unknown leaf label {label!r}") from None
 
     @cached_property
@@ -282,7 +282,7 @@ class XTree:
 
     def leaves_below(self, v: int) -> frozenset[str]:
         """Labels of the leaves that are descendants of ``v`` (itself, for a leaf)."""
-        if isinstance(v, int) and 0 <= v < len(self._parent):
+        if type(v) is int and 0 <= v < len(self._parent):
             return frozenset(self._leaves(v))
         raise _not_a_vertex(v)
 
@@ -358,9 +358,9 @@ class XTree:
 
     def child_toward(self, v: int, label: str) -> int:
         """The child of ``v`` whose subtree contains the leaf ``label``."""
-        if not (isinstance(v, int) and 0 <= v < len(self._parent)):
+        if not (type(v) is int and 0 <= v < len(self._parent)):
             raise _not_a_vertex(v)
-        leaf = self._leaf_id.get(label)
+        leaf = self._leaf_id.get(label) if isinstance(label, str) else None
         if leaf is not None:
             meet, child, _ = self._meet(leaf, v)
             if meet == v and child >= 0:

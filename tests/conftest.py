@@ -340,6 +340,21 @@ def outcome(fn, *args):
         return (type(exc), str(exc))
 
 
+def decision_row(kind: str, ok: bool, witness) -> tuple:
+    """One oracle decision as plain data: verdict, witness rival and both
+    witness height maps (value and type), for digests of many decisions."""
+    if witness is None:
+        return (kind, ok, None)
+    return (
+        kind,
+        ok,
+        witness.rival.canonical_newick(),
+        sorted(witness.heights_t.heights.items()),
+        sorted(witness.heights_rival.heights.items()),
+    )
+
+
+
 # -- reference cord-file reader ---------------------------------------------
 
 

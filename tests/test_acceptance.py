@@ -4,6 +4,7 @@ Each criterion prints its own pass/fail line on the real stdout (bypassing
 pytest capture) so a plain ``pytest -v`` run shows the twelve verdicts.
 """
 
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -18,6 +19,7 @@ from conftest import (
     all_cord_subsets,
     count_binary_xtrees,
     count_xtrees,
+    decision_row,
     seeded_cord_sets,
     tree_triplets,
     triplet,
@@ -294,10 +296,15 @@ def test_c11_enumeration_counts_against_independent_recursion():
     announce("PASS  criterion 11: enumeration counts 4/26/236 and 3/15/105 match the recursion")
 
 
+# Every verdict, witness rival and witness height map of the six-leaf sweep
+# below, as recorded before the rival table shared its conflict masks.
+SIX_LEAF_DECISIONS_SHA256 = "175577a92d180488efdf28dc5b2daade005da6eb8d5ebfcc7e7bb299a9a32aec"
+
+
 def test_c12_six_leaf_sweep():
     # every six-leaf tree with one seeded cord set: the oracle decides each
-    # kind exhaustively, and each False verdict comes with a witness that
-    # re-verifies
+    # kind exhaustively, each False verdict comes with a witness that
+    # re-verifies, and every decision matches the recorded digest
     decide = {
         "equidistant": oracle_equidistant,
         "weak": oracle_weak,
@@ -305,6 +312,7 @@ def test_c12_six_leaf_sweep():
     }
     trees = enumerate_xtrees(LABELS6)
     verdicts = {kind: [0, 0] for kind in decide}  # [False, True] counts
+    rows = []
     for index, t in enumerate(trees):
         cords = next(seeded_cord_sets(LABELS6, 1, index))
         report = classify(t, cords)
@@ -315,6 +323,8 @@ def test_c12_six_leaf_sweep():
             if not ok:
                 assert verify_witness(t, cords, witness, kind)
             verdicts[kind][ok] += 1
+            rows.append(decision_row(kind, ok, witness))
     assert len(trees) == count_xtrees(6) == 2752
     assert all(no and yes for no, yes in verdicts.values())
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SIX_LEAF_DECISIONS_SHA256
     announce(f"PASS  criterion 12: six-leaf sweep, {len(trees)} instances x 3 kinds, exact agreement, every witness verified")

@@ -144,7 +144,7 @@ def test_height_map_keeps_its_own_copy_of_the_heights():
     assert all(type(x) is Fraction for x in hm.heights.values())
 
 
-@pytest.mark.parametrize("v", [-1, -3, -5, 7, 100, 1.0, "0", None])
+@pytest.mark.parametrize("v", [-1, -3, -5, 7, 100, 1.0, "0", None, True, False])
 def test_height_rejects_ids_that_are_not_vertices(v):
     # negative ids used to index from the end and answer for a leaf
     hm = HeightMap(CAT4, {0: Fraction(3), 1: Fraction(2), 2: Fraction(1)})

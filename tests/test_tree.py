@@ -61,12 +61,27 @@ ACCESSORS = {
 
 
 @pytest.mark.parametrize("accessor", ACCESSORS)
-@pytest.mark.parametrize("v", [-1, -BAL.n_vertices, BAL.n_vertices, BAL.n_vertices + 5, 1.0])
+@pytest.mark.parametrize(
+    "v", [-1, -BAL.n_vertices, BAL.n_vertices, BAL.n_vertices + 5, 1.0, True, False]
+)
 def test_accessors_reject_ids_that_are_not_vertices(accessor, v):
+    # a bool is an int to Python, but True is not vertex 1
     assert BAL.n_vertices == 7
     with pytest.raises(ValueError) as raised:
         getattr(BAL, accessor)(v, *ACCESSORS[accessor])
     assert str(raised.value) == f"{v} is not a vertex of this tree"
+
+
+@pytest.mark.parametrize("label", [["a"], {"a"}, {"a": 1}])
+def test_label_accessors_reject_unhashable_labels(label):
+    # an unhashable label is as unknown as a missing one: ValueError, not TypeError
+    with pytest.raises(ValueError, match=r"unknown leaf label"):
+        BAL.leaf_vertex(label)
+    for a, b in ((label, "a"), ("a", label)):
+        with pytest.raises(ValueError, match=r"unknown leaf label"):
+            BAL.lca(a, b)
+    with pytest.raises(ValueError, match=r"is not below vertex 0"):
+        BAL.child_toward(BAL.root, label)
 
 
 def brute_leaves(t, v):
