@@ -9,27 +9,26 @@ child-edge graphs of the interior vertices, and definition-level on small
 leaf sets by enumerating rival trees and solving exact rational systems with
 strict inequalities.
 
-Importing the package loads the combinatorial route only: ``tree``,
-``cords``, ``childgraph``, ``lasso`` and ``newick``, whose names are
-imported here.  The other modules (``feasibility``, ``heights``, ``oracle``
-and ``builders``) load on first access (PEP 562): a submodule by its name,
-a public name from the first of them, in that order, whose ``__all__``
-lists it.  ``__all__``, ``dir()``, ``from treelasso import *`` and an
-unknown name load them all.  Every other submodule name, such as ``cli``,
-resolves without loading any of them.
+Importing the package loads what ``classify`` runs: ``tree``, ``cords``,
+``lasso`` and ``newick``, whose names are imported here.  The other modules
+(``childgraph``, ``feasibility``, ``heights``, ``oracle`` and ``builders``)
+load on first access (PEP 562): a submodule by its name, a public name from
+the first of them, in that order, whose ``__all__`` lists it.  ``__all__``,
+``dir()``, ``from treelasso import *`` and an unknown name load them all.
+Every other submodule name, such as ``cli``, resolves without loading any
+of them.
 """
 
 from importlib import import_module
 
-from . import childgraph, cords, lasso, newick, tree
-from .childgraph import *
+from . import cords, lasso, newick, tree
 from .cords import *
 from .lasso import *
 from .newick import *
 from .tree import *
 
 # In dependency order, so a name is found without loading a module it does not need.
-_DEFERRED = ("feasibility", "heights", "oracle", "builders")
+_DEFERRED = ("childgraph", "feasibility", "heights", "oracle", "builders")
 
 __version__ = "0.1.0"
 
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     """Loads a submodule, or the deferred module that exports ``name``, on first access."""
     if name == "__all__":
-        modules = (childgraph, cords, lasso, newick, tree, *map(__getattr__, _DEFERRED))
+        modules = (cords, lasso, newick, tree, *map(__getattr__, _DEFERRED))
         globals()[name] = value = sorted(n for m in modules for n in m.__all__)
         return value
     if not name.startswith("_"):

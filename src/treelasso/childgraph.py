@@ -8,12 +8,14 @@ their child vertex id.  Nodes split into leaf edges (child is a leaf) and
 subtree edges (child is interior); "rich" means the subtree edges form a
 clique and every leaf edge is joined to every subtree edge.
 
-Cords become edges in one place, :func:`_child_pairs`, which
-:func:`~treelasso.lasso.classify`, :func:`child_edge_graphs` and
+Cords become edges in one place, :func:`~treelasso.lasso._child_pairs`,
+which :func:`~treelasso.lasso.classify`, :func:`child_edge_graphs` and
 :func:`build_child_edge_graph` all call: one label lookup per end and one
 heavy-path meet per cord.  Well-formed cords are not normalized first; any
 other input is handed to :func:`~treelasso.cords.validate_cords`, so it is
-rejected with the same error as everywhere else.
+rejected with the same error as everywhere else.  It lives in ``lasso`` so
+that ``classify`` does not load this module; the package loads it on first
+access to one of its names.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .cords import Cord, validate_cords
+from .cords import Cord
+from .lasso import _child_pairs
 from .tree import XTree
 
 __all__ = ["ChildEdgeGraph", "build_child_edge_graph", "child_edge_graphs"]
@@ -115,40 +118,6 @@ def child_edge_graphs(
     vertex and the two children toward the endpoints.
     """
     return _child_edge_graphs(tree, _child_pairs(tree, cords), tree.interior_vertices())
-
-
-def _child_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:
-    """The distinct graph edges a cord set makes, as ``(v, u, w)``.
-
-    A cord is the edge ``u < w`` of the graph at its endpoints' last common
-    vertex v, between the two children of v toward the endpoints.  Every
-    cord makes one edge, so the set is empty exactly when the cord set is.
-
-    This is the one place where cords become edges, and it takes the
-    caller's cords as given: each end is resolved by one lookup in the
-    tree's label index, which is the label check.  An item that does not
-    unpack to two distinct leaf labels sends the whole input to
-    :func:`~treelasso.cords.validate_cords`, which raises the error the
-    caller would get from it; a one-shot iterable is read into a list first.
-    """
-    if not isinstance(cords, (frozenset, set, list, tuple)):
-        cords = list(cords)
-    try:
-        return _meet_pairs(tree, cords)
-    except (TypeError, ValueError, KeyError):
-        return _meet_pairs(tree, validate_cords(cords, tree.leaf_labels))
-
-
-def _meet_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:
-    """The pass itself; a malformed cord raises TypeError, ValueError or KeyError."""
-    leaf, meet = tree._leaf_id, tree._meet
-    out = set()
-    for a, b in cords:
-        if a == b:
-            raise ValueError("a cord needs two distinct labels")
-        v, u, w = meet(leaf[a], leaf[b])
-        out.add((v, u, w) if u < w else (v, w, u))
-    return out
 
 
 def _child_edge_graphs(

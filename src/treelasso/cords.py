@@ -9,16 +9,20 @@ ASCII digits.
 
 :func:`validate_cords` is the normalizing check the oracle and the height
 code run on their cord inputs.  The combinatorial route does not call it on
-well-formed input: :func:`~treelasso.childgraph._child_pairs` checks labels
-as it resolves them, and hands only malformed input to it.
+well-formed input: :func:`~treelasso.lasso._child_pairs` checks labels as
+it resolves them, and hands only malformed input to it.  :mod:`fractions`
+is imported by the two functions that read and write distances, so reading
+a plain cord file does not load it.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import chain, combinations
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Cord",
@@ -109,21 +113,28 @@ def parse_rational(text: str) -> Fraction:
     The text must match the Newick weight pattern, so both input formats
     read the same numbers: ``1_0``, ``1e3``, ``+1`` and ``.5`` are rejected.
     """
+    # Imported here, so that reading plain cords and trees never loads it;
+    # ``import fractions`` costs a tenth of ``from fractions import Fraction``
+    # per call, which looks up ``fractions.__path__`` and builds an error.
+    import fractions
+
     text = text.strip()
     if _RATIONAL_RE.fullmatch(text) is None:
         raise ValueError(f"not a rational number: {text!r}")
     try:
         if "/" in text:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(text)
+            return fractions.Fraction(int(num), int(den))
+        return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:  # "1.5/2", "1/0"
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:
     """Exact text form of a rational: ``p`` or ``p/q``."""
-    return str(Fraction(value))
+    import fractions
+
+    return str(fractions.Fraction(value))
 
 
 def read_cord_file(text: str) -> tuple[frozenset[Cord], dict[Cord, Fraction] | None]:

@@ -21,14 +21,16 @@ distinct edges give per-vertex counts, and a vertex with k children, s of
 them interior, has at least one edge when its count is > 0, is a clique when
 its count is C(k, 2), and is rich when C(s, 2) + s * (k - s) of its edges
 touch an interior child.  The cords become edges in one pass, in
-:func:`~treelasso.childgraph._child_pairs`, which also checks their labels;
-the per-vertex pass then reads the tree's child and label arrays directly.
+:func:`_child_pairs`, which also checks their labels; the per-vertex pass
+then reads the tree's child and label arrays directly.
 Connectivity matters only at pseudo-cherry parents, and is decided by the
 count first: fewer than k - 1 edges leave a parent disconnected, and a
 clique (every cherry with its one edge) is connected, so only the rest run a
 union-find over their children.
 :class:`~treelasso.childgraph.ChildEdgeGraph` stays as the on-demand view of
-one vertex's graph.
+one vertex's graph, built from the same :func:`_child_pairs`.  That module
+imports this one, not the other way round, so ``classify`` runs without
+loading it (or :mod:`dataclasses`, which :class:`LassoReport` does not use).
 
 :func:`classify` is the one way to ask any of the four questions: read the
 flag off its :class:`LassoReport`, as ``classify(tree, cords).weak``, and
@@ -38,10 +40,8 @@ not stored; the report derives it from the other two flags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .childgraph import _child_pairs
 from .cords import Cord, cord, cord_set, validate_cords
 from .tree import XTree
 
@@ -57,18 +57,65 @@ __all__ = [
 KINDS = ("equidistant", "weak", "topological")
 
 
-@dataclass(frozen=True)
 class LassoReport:
-    """Classification flags plus the interior vertices that break each condition."""
+    """Classification flags plus the interior vertices that break each condition.
+
+    A frozen record of four fields, ``equidistant``, ``weak``,
+    ``topological`` (bools) and ``failing_vertices`` (kind -> vertex ids),
+    which behaves as a frozen dataclass of them would: the same constructor,
+    ``==``, repr, hash, ``match`` arguments and errors on assignment and
+    deletion.  It is a plain ``__slots__`` class so that the classify path
+    does not import :mod:`dataclasses`.
+    """
+
+    __slots__ = _FIELDS = ("equidistant", "weak", "topological", "failing_vertices")
+    __match_args__ = _FIELDS
 
     equidistant: bool
     weak: bool
     topological: bool
     failing_vertices: Mapping[str, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        if self.topological and not self.weak:  # a bug if it ever fires
+    def __init__(
+        self,
+        equidistant: bool,
+        weak: bool,
+        topological: bool,
+        failing_vertices: Mapping[str, tuple[int, ...]],
+    ) -> None:
+        if topological and not weak:  # a bug if it ever fires
             raise ValueError("a topological lasso is always a weak lasso")
+        set_field = object.__setattr__
+        set_field(self, "equidistant", equidistant)
+        set_field(self, "weak", weak)
+        set_field(self, "topological", topological)
+        set_field(self, "failing_vertices", failing_vertices)
+
+    def _values(self) -> tuple:
+        return (self.equidistant, self.weak, self.topological, self.failing_vertices)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())  # a TypeError for the usual dict of failing vertices
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor: the default slot-state path would
+        # restore the fields with ``setattr``, which a frozen record refuses.
+        return (type(self), self._values())
 
     @property
     def strong(self) -> bool:
@@ -80,6 +127,40 @@ def _require_domain(tree: XTree) -> None:
     """The paper's domain, |X| >= 3, shared by classification, builders and oracles."""
     if len(tree.leaf_labels) < 3:
         raise ValueError("lasso questions need at least 3 leaves")
+
+
+def _child_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:
+    """The distinct graph edges a cord set makes, as ``(v, u, w)``.
+
+    A cord is the edge ``u < w`` of the graph at its endpoints' last common
+    vertex v, between the two children of v toward the endpoints.  Every
+    cord makes one edge, so the set is empty exactly when the cord set is.
+
+    This is the one place where cords become edges, and it takes the
+    caller's cords as given: each end is resolved by one lookup in the
+    tree's label index, which is the label check.  An item that does not
+    unpack to two distinct leaf labels sends the whole input to
+    :func:`~treelasso.cords.validate_cords`, which raises the error the
+    caller would get from it; a one-shot iterable is read into a list first.
+    """
+    if not isinstance(cords, (frozenset, set, list, tuple)):
+        cords = list(cords)
+    try:
+        return _meet_pairs(tree, cords)
+    except (TypeError, ValueError, KeyError):
+        return _meet_pairs(tree, validate_cords(cords, tree.leaf_labels))
+
+
+def _meet_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:
+    """The pass itself; a malformed cord raises TypeError, ValueError or KeyError."""
+    leaf, meet = tree._leaf_id, tree._meet
+    out = set()
+    for a, b in cords:
+        if a == b:
+            raise ValueError("a cord needs two distinct labels")
+        v, u, w = meet(leaf[a], leaf[b])
+        out.add((v, u, w) if u < w else (v, w, u))
+    return out
 
 
 def classify(tree: XTree, cords: Iterable[Cord]) -> LassoReport:

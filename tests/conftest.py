@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from treelasso import XTree
 
@@ -353,6 +354,29 @@ def decision_row(kind: str, ok: bool, witness) -> tuple:
         sorted(witness.heights_rival.heights.items()),
     )
 
+
+
+# -- reference lasso report --------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LassoReport:
+    """``treelasso.LassoReport`` as it was when it was a frozen dataclass: the
+    contract the slotted class keeps.  Same name, so reprs and messages match."""
+
+    equidistant: bool
+    weak: bool
+    topological: bool
+    failing_vertices: Mapping[str, tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        if self.topological and not self.weak:  # a bug if it ever fires
+            raise ValueError("a topological lasso is always a weak lasso")
+
+    @property
+    def strong(self) -> bool:
+        """A strong lasso is both an equidistant and a topological lasso."""
+        return self.equidistant and self.topological
 
 
 # -- reference cord-file reader ---------------------------------------------

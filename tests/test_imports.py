@@ -1,4 +1,5 @@
-"""What each entry point imports: the classify path never loads the oracle side.
+"""What each entry point imports: the classify path never loads the oracle side,
+nor the graph views and the standard modules only the other commands need.
 
 Every check runs in a fresh interpreter, since this test process has long
 since imported every module of the package.
@@ -12,6 +13,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFERRED = ["treelasso.builders", "treelasso.feasibility", "treelasso.heights", "treelasso.oracle"]
+# Off the classify path as well: ``dataclasses`` (which loads ``inspect``),
+# ``fractions`` (which loads ``decimal``) and the child-edge graph views.
+OFF_CLASSIFY_PATH = [
+    *DEFERRED, "treelasso.childgraph", "dataclasses", "inspect", "fractions", "decimal",
+]
 
 
 def run_fresh(code: str, *args: str) -> str:
@@ -31,6 +37,7 @@ def test_classify_loads_no_deferred_module_and_nothing_during_the_call(tmp_path)
     out = run_fresh(
         """
         import contextlib, io, sys
+        at_start = set(sys.modules)  # whatever site loads is not the package's doing
         import treelasso.cli as cli
         # The parser is built on the first call, and argparse's gettext then
         # loads ``locale``; everything else a call needs is loaded by now.
@@ -39,13 +46,14 @@ def test_classify_loads_no_deferred_module_and_nothing_during_the_call(tmp_path)
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             assert cli.main(["classify", "--tree", sys.argv[1], "--cords", sys.argv[2]]) == 0
         assert set(sys.modules) == before, sorted(set(sys.modules) ^ before)
-        print(sorted(m for m in sys.modules if m.startswith("treelasso.")))
+        print(sorted(set(sys.modules) - at_start))
         print(stdout.getvalue().splitlines()[0])
         """,
         str(tmp_path / "t.nwk"), str(tmp_path / "c.txt"),
     )
     loaded, first_line = out.splitlines()
-    assert not set(DEFERRED) & set(eval(loaded))
+    assert "treelasso.lasso" in eval(loaded)
+    assert not set(OFF_CLASSIFY_PATH) & set(eval(loaded))
     assert first_line.split() == ["equidistant", "no"]
 
 
@@ -53,11 +61,33 @@ def test_from_package_import_cli_loads_no_deferred_module():
     out = run_fresh(
         """
         import sys
+        at_start = set(sys.modules)
         from treelasso import cli, lasso
-        print(sorted(m for m in sys.modules if m.startswith("treelasso.")))
+        print(sorted(set(sys.modules) - at_start))
         """
     )
-    assert not set(DEFERRED) & set(eval(out))
+    assert not set(OFF_CLASSIFY_PATH) & set(eval(out))
+
+
+def test_child_edge_graph_names_load_their_module_on_first_access():
+    out = run_fresh(
+        """
+        import sys
+        import treelasso
+        from treelasso import lasso
+        assert "treelasso.childgraph" not in sys.modules
+        graphs = treelasso.child_edge_graphs
+        assert graphs is sys.modules["treelasso.childgraph"].child_edge_graphs
+        from treelasso.childgraph import ChildEdgeGraph, _child_pairs, build_child_edge_graph
+        assert treelasso.ChildEdgeGraph is ChildEdgeGraph
+        assert treelasso.build_child_edge_graph is build_child_edge_graph
+        assert _child_pairs is lasso._child_pairs
+        tree, _ = treelasso.parse_newick("((a,b),(c,d));")
+        graph = treelasso.build_child_edge_graph(tree, [("a", "c"), ("a", "b")], tree.root)
+        print(len(list(graph.edges())), graph.is_clique(), treelasso.childgraph.__name__)
+        """
+    )
+    assert out.split() == ["1", "True", "treelasso.childgraph"]
 
 
 def test_weighted_newick_still_returns_an_edge_weighting():

@@ -1,10 +1,15 @@
 """Lasso classification from child-edge graphs, reductions, diagnostics."""
 
+import copy
+import inspect
+import operator
+import pickle
 import random
 from itertools import combinations
 
 import pytest
 
+from conftest import LassoReport as DataclassReport
 from conftest import (
     CORD_CORPUS,
     LABELS4,
@@ -35,7 +40,7 @@ from treelasso import (
     reduce_by_cherry,
     reduction_check,
 )
-from treelasso import childgraph, cords as cords_module, lasso
+from treelasso import cords as cords_module, lasso
 from treelasso.cords import validate_cords
 
 CAT = XTree(((("a", "b"), "c"), "d"))
@@ -125,6 +130,65 @@ def test_report_rejects_inconsistent_flags():
         LassoReport(True, False, True, {})
     assert LassoReport(True, True, False, {}).strong is False
     assert LassoReport(True, True, True, {}).strong is True
+
+
+# Constructor calls as (args, kwargs): good reports, a hashable stand-in for
+# the mapping, the inconsistent flags and three malformed calls.
+REPORT_CALLS = [
+    ((True, True, True, {"equidistant": (), "weak": (), "topological": ()}), {}),
+    ((True, True, False),
+     {"failing_vertices": {"equidistant": (), "weak": (), "topological": (4, 7)}}),
+    ((), {"equidistant": False, "weak": False, "topological": False,
+          "failing_vertices": {"equidistant": (0,), "weak": (0, 2), "topological": (0,)}}),
+    ((False, True, False, ()), {}),
+    ((True, False, True, {}), {}),
+    ((True, True), {}),
+    ((True, True, True, {}, 5), {}),
+    ((True,), {"equidistant": True, "weak": True, "topological": True, "failing_vertices": {}}),
+]
+
+
+def test_report_keeps_the_frozen_dataclass_contract():
+    built = [(outcome(lambda: LassoReport(*a, **k)), outcome(lambda: DataclassReport(*a, **k)))
+             for a, k in REPORT_CALLS]
+    assert [got[0] == "ok" for got, _ in built] == [True] * 4 + [False] * 4
+    for got, want in built:
+        if got[0] != "ok":
+            assert got == want
+    pairs = [(got[1], want[1]) for got, want in built if got[0] == "ok"]
+    assert LassoReport.__match_args__ == DataclassReport.__match_args__
+    params = [[str(p) for p in inspect.signature(c).parameters.values()]
+              for c in (LassoReport, DataclassReport)]
+    assert params[0] == params[1]
+    for new, old in pairs:
+        assert repr(new) == repr(old)
+        assert new.strong == old.strong
+        assert outcome(hash, new) == outcome(hash, old)
+        assert outcome(operator.lt, new, new) == outcome(operator.lt, old, old)
+        match new:
+            case LassoReport(e, w, t, f):
+                assert (e, w, t, f) == (old.equidistant, old.weak, old.topological,
+                                        old.failing_vertices)
+            case _:
+                pytest.fail("the positional pattern did not match")
+        for name in (*LassoReport.__match_args__, "strong", "other"):
+            before = repr(new)
+            for act, other in ((setattr, (name, 0)), (delattr, (name,))):
+                # The dataclass raises FrozenInstanceError, an AttributeError.
+                got, want = outcome(act, new, *other), outcome(act, old, *other)
+                assert issubclass(got[0], AttributeError) and issubclass(want[0], AttributeError)
+                assert got[1] == want[1]
+            assert repr(new) == before
+        copies = [copy.copy(new), copy.deepcopy(new)]
+        copies += [pickle.loads(pickle.dumps(new, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in copies:
+            assert type(twin) is LassoReport and twin == new and repr(twin) == repr(new)
+        for clone in (copy.copy, copy.deepcopy):
+            shared = clone(new).failing_vertices is new.failing_vertices
+            assert shared == (clone(old).failing_vertices is old.failing_vertices)
+    for (a, old_a), (b, old_b) in combinations(pairs + pairs[:1], 2):
+        assert (a == b, a != b) == (old_a == old_b, old_a != old_b)
+        assert (a == old_b, a != old_b) == (False, True)
 
 
 def test_small_leaf_sets_rejected():
@@ -268,9 +332,18 @@ class Label(str):
     """A str subclass: its instances are labels all the same."""
 
 
+def _case_id(cords) -> str:
+    """The repr of a corpus case, with set members in sorted order: a set's own
+    repr follows string hashing, so its test id would change between runs."""
+    if not isinstance(cords, (set, frozenset)):
+        return repr(cords)
+    members = "{" + ", ".join(sorted(map(repr, cords))) + "}"
+    return members if type(cords) is set else f"frozenset({members})"
+
+
 # Factories of fresh cord inputs on the labels a-d, since a generator can
 # be read only once.
-CONTRACT_INPUTS = [(repr(cords), lambda cords=cords: cords) for cords in CORD_CORPUS] + [
+CONTRACT_INPUTS = [(_case_id(cords), lambda cords=cords: cords) for cords in CORD_CORPUS] + [
     ("generator", lambda: (p for p in [("b", "a"), ("c", "d")])),
     ("bad generator", lambda: (p for p in [("a", "b"), ("a", 5)])),
     ("empty generator", lambda: iter(())),
@@ -338,7 +411,7 @@ def test_classify_meets_each_cord_once_and_never_revalidates_a_normal_set(monkey
 
     monkeypatch.setattr(XTree, "_meet", counting_meet)
     monkeypatch.setattr(XTree, "leaf_vertex", fail)
-    for module in (cords_module, childgraph, lasso):
+    for module in (cords_module, lasso):
         monkeypatch.setattr(module, "validate_cords", fail)
     assert classify(tree, cords) == report
     assert len(meets) == len(cords)
