@@ -113,9 +113,9 @@ def parse_rational(text: str) -> Fraction:
     The text must match the Newick weight pattern, so both input formats
     read the same numbers: ``1_0``, ``1e3``, ``+1`` and ``.5`` are rejected.
     """
-    # Imported here, so that reading plain cords and trees never loads it;
-    # ``import fractions`` costs a tenth of ``from fractions import Fraction``
-    # per call, which looks up ``fractions.__path__`` and builds an error.
+    # Not ``from fractions import Fraction``: that looks up
+    # ``fractions.__path__`` and builds an error on every call, ten times
+    # the cost of this statement.
     import fractions
 
     text = text.strip()
