@@ -38,6 +38,7 @@ class CircularOrdering:
     order: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "order", tuple(self.order))
         if len(set(self.order)) != len(self.order):
             raise ValueError("a circular ordering must not repeat labels")
         if not self.order:

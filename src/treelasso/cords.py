@@ -207,11 +207,24 @@ def _read_cord_lines(lines: list[str]) -> tuple[frozenset[Cord], dict[Cord, Frac
 def format_cord_file(
     cords: Iterable[Cord], distances: dict[Cord, Fraction] | None = None
 ) -> str:
-    """Render a cord set (optionally with distances) in the text format."""
+    """Render a cord set (optionally with distances) in the text format.
+
+    ``distances`` is keyed by normalized cords and must give every cord a
+    positive exact distance, so that :func:`read_cord_file` reads the text
+    back: a float raises ``TypeError``, and a missing or nonpositive
+    distance raises ``ValueError``, each naming the cord.
+    """
     lines = []
-    for c in sorted(cord_set(cords)):
+    for a, b in sorted(cord_set(cords)):
         if distances is None:
-            lines.append(f"{c[0]} {c[1]}")
-        else:
-            lines.append(f"{c[0]} {c[1]} {format_rational(distances[c])}")
+            lines.append(f"{a} {b}")
+            continue
+        d = distances.get((a, b))
+        if d is None:
+            raise ValueError(f"cord {a} {b} has no distance")
+        if isinstance(d, float):
+            raise TypeError(f"the distance of cord {a} {b} must be exact, not the float {d!r}")
+        if not d > 0:
+            raise ValueError(f"the distance of cord {a} {b} must be positive, got {d}")
+        lines.append(f"{a} {b} {format_rational(d)}")
     return "\n".join(lines) + ("\n" if lines else "")

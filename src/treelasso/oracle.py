@@ -41,13 +41,15 @@ The table holds two kinds of mask, shared by all rows.
   equalities close a strict cycle through the properness edges, so the
   joint system is infeasible; "apart" conflicts with nothing.  The table
   keeps, per cord pair and relation, the mask of rows in conflict with that
-  relation, and a row reads its own by its relation byte.  The relations
-  are read off each vertex's leaf set: the cords meeting at a vertex and
-  those meeting below it.
-* Cluster masks.  The table keeps, per cluster, the mask of rows whose
-  trees have it.  A tree refines another exactly when it has all of the
-  other's clusters, so the AND of a row's cluster masks is the mask of
-  rows whose trees refine it.
+  relation, and a row reads its own by its relation byte.  Vertex ids are
+  preorder positions and vertex u's subtree is the range ``u..last[u]``, so
+  meeting vertices u and w are equal, u is strictly above w exactly when
+  ``u < w <= last[u]``, w is strictly above u likewise, or they are apart.
+* Cluster masks.  A cluster's cord mask holds the cords whose meeting
+  vertex lies in its vertex's preorder range.  The table keeps, per
+  cluster, the mask of rows whose trees have it.  A tree refines another
+  exactly when it has all of the other's clusters, so the AND of a row's
+  cluster masks is the mask of rows whose trees refine it.
 
 A decision starts from every row, removes the refiners (weak) or the
 tree's own bit (topological), removes the OR of the tree's conflict masks
@@ -270,12 +272,13 @@ class _RivalTable:
     per enumerated tree in canonical order: properness edges as engine
     constraints on ids shifted by ``offset``, the interior index of each
     cord's meeting vertex, one relation byte per cord pair, the cord masks
-    of the tree's non-root interior vertices, and the properness edges again
-    on ids ``0..``.  Cord pair (i, j), i < j, is entry ``pair_base[i] + j``
-    of ``relation`` and of ``conflicts``, whose entry, indexed by a
-    relation, is the mask of rows in conflict with it (see the module
-    docstring).  ``containing`` maps a cluster's cord mask to the mask of
-    rows whose trees have that cluster.  Bit r of a mask stands for row r.
+    of the tree's non-root interior vertices (the cords meeting in each
+    one's preorder range), and the properness edges again on ids ``0..``.
+    Cord pair (i, j), i < j, is entry ``pair_base[i] + j`` of ``relation``
+    and of ``conflicts``, whose entry, indexed by a relation, is the mask of
+    rows in conflict with it (see the module docstring).  ``containing``
+    maps a cluster's cord mask to the mask of rows whose trees have that
+    cluster.  Bit r of a mask stands for row r.
     """
 
     offset: int
@@ -306,49 +309,45 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
     m = len(cord_index)
     n_pairs = m * (m - 1) // 2
     pair_base = tuple(i * m - i * (i + 3) // 2 - 1 for i in range(m))
-    inside = {}  # leaf set -> cords with both ends in it
-    for size in range(len(labels) + 1):
-        for subset in combinations(labels, size):
-            inside[frozenset(subset)] = sum(
-                1 << cord_index[c] for c in combinations(subset, 2)
-            )
     shared = {}  # properness edges -> the same at ids offset.. and at ids 0..
-    members = {}  # cord bitmask -> its cord indices
-    related = {}  # (cords meeting at a vertex, cords below it) -> their pairs' relation bytes
+    interned = {}  # one int per distinct cluster mask, shared by the rows
     rows = []
     containing = {}  # cord mask of a cluster -> rows whose trees have that cluster
     for r, tree in enumerate(trees):
         interior = tree.interior_vertices()
-        within = {v: inside[tree.leaves_below(v)] for v in interior}
-        index = {}
-        edges = []
-        meets = [0] * m
-        relation = 0
-        for k, v in enumerate(interior):  # preorder: parents first
-            index[v] = k
-            if k:
-                edges.append((offset + index[tree.parent(v)], offset + k, 0, True))
-                containing[within[v]] = containing.get(within[v], 0) | 1 << r
-            under = 0
-            for c in tree.children(v):
-                under |= within.get(c, 0)
-            here = within[v] & ~under
-            if here not in members:
-                members[here] = [i for i in range(m) if here >> i & 1]
-            for i in members[here]:
-                meets[i] = k
-            if (here, under) not in related:
-                related[here, under] = _relation_bytes(
-                    members[here], [j for j in range(m) if under >> j & 1], pair_base
-                )
-            relation |= related[here, under]
-        edges = tuple(edges)
+        index = {v: k for k, v in enumerate(interior)}
+        last = tree._last
+        leaf = tree._leaf_id
+        # each cord's meeting vertex, a preorder id
+        at = [tree._meet(leaf[a], leaf[b])[0] for a, b in cord_index]
+        relation = bytes(
+            [
+                _EQUAL if u == w
+                else _ABOVE if u < w <= last[u]
+                else _BELOW if w < u <= last[w]
+                else _APART
+                for u, w in combinations(at, 2)
+            ]
+        )
+        cords_at = [0] * tree.n_vertices  # the cord mask of each meeting vertex
+        for i, u in enumerate(at):
+            cords_at[u] |= 1 << i
+        clusters = []
+        for v in interior[1:]:
+            mask = sum(cords_at[v : last[v] + 1])  # masks of distinct vertices share no bit
+            mask = interned.setdefault(mask, mask)
+            clusters.append(mask)
+            containing[mask] = containing.get(mask, 0) | 1 << r
+        edges = tuple(
+            (offset + index[tree.parent(v)], offset + k, 0, True)
+            for k, v in enumerate(interior)
+            if k
+        )
         if edges not in shared:  # trees of one unlabeled shape share their edges
             shared[edges] = edges, tuple((a - offset, b - offset, 0, True) for a, b, _, _ in edges)
         edges, own_edges = shared[edges]
-        relation = relation.to_bytes(n_pairs, "little")
-        clusters = tuple([within[v] for v in interior[1:]])
-        rows.append((tree, edges, tuple(meets), relation, clusters, own_edges))
+        meets = tuple([index[u] for u in at])
+        rows.append((tree, edges, meets, relation, tuple(clusters), own_edges))
     # Column p of the relation bytes holds pair p's relation in every row;
     # it gives the rows in conflict with each relation of that pair.
     flat = b"".join(row[3] for row in rows)
@@ -368,24 +367,6 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
         rows=tuple(rows),
         row_of={tree: r for r, tree in enumerate(trees)},
     )
-
-
-def _relation_bytes(here: list[int], under: list[int], pair_base) -> int:
-    """The relations fixed at one vertex, as an integer of one byte per cord pair.
-
-    ``here`` are the cords meeting at the vertex and ``under`` those meeting
-    strictly below it; every other pair's byte is 0 (apart).
-    """
-    out = 0
-    for a, i in enumerate(here):
-        for j in here[a + 1 :]:
-            out |= _EQUAL << 8 * (pair_base[i] + j)
-        for j in under:
-            if i < j:
-                out |= _ABOVE << 8 * (pair_base[i] + j)
-            else:
-                out |= _BELOW << 8 * (pair_base[j] + i)
-    return out
 
 
 def _rival_scan(

@@ -227,10 +227,20 @@ def test_input_errors_exit_2(capsys, tree_file, cords_file, tmp_path):
     code, _, err = run(capsys, "distances", "--tree", str(unweighted), "--cords", cords_file)
     assert code == 2
 
+    # a cord label that is not a leaf: each subcommand's library call names it
     alien = tmp_path / "alien.txt"
     alien.write_text("a z\n")
-    code, _, err = run(capsys, "classify", "--tree", tree_file, "--cords", str(alien))
-    assert code == 2
+    weighted = tmp_path / "weighted.nwk"
+    weighted.write_text("(((a:1,b:1):1,c:2):1,d:3);\n")
+    for argv in (
+        ("classify", "--tree", tree_file),
+        ("classify", "--oracle", "--tree", tree_file),
+        ("witness", "--kind", "weak", "--tree", tree_file),
+        ("distances", "--tree", str(weighted)),
+    ):
+        code, out, err = run(capsys, *argv, "--cords", str(alien))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "'z'" in err
 
     code, _, err = run(capsys, "build", "--tree", tree_file, "--kind", "bipartition")
     assert code == 2

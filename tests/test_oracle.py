@@ -432,6 +432,30 @@ def test_four_leaf_decisions_match_the_recorded_corpus():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == FOUR_LEAF_DECISIONS_SHA256
 
 
+def _rival_table_fields(labels):
+    """Every field of a leaf set's rival table, each row's tree as its
+    canonical Newick and each dict as its sorted items."""
+    table = _rival_table(frozenset(labels))
+    return (
+        table.offset,
+        sorted(table.cord_index.items()),
+        table.pair_base,
+        table.conflicts,
+        sorted(table.containing.items()),
+        [(row[0].canonical_newick(),) + row[1:] for row in table.rows],
+        sorted((t.canonical_newick(), r) for t, r in table.row_of.items()),
+    )
+
+
+# Recorded from the table that read relations off every vertex's leaf set.
+RIVAL_TABLE_SHA256 = "82ab0da536e59b9913f0fc0c9a3a986c01938d3f629ce175628064a638c299b7"
+
+
+def test_rival_tables_match_the_recorded_digest():
+    fields = [_rival_table_fields(labels) for labels in (LABELS4, LABELS5, LABELS6)]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == RIVAL_TABLE_SHA256
+
+
 def _equidistant_reference(t, cords, i):
     """Two proper height vectors of ``t`` agreeing on every cord, the first
     strictly above the second at interior vertex ``i``, through the generic
