@@ -11,7 +11,7 @@ ASCII digits.
 code run on their cord inputs.  The combinatorial route does not call it on
 well-formed input: :func:`~treelasso.lasso._child_pairs` checks labels as
 it resolves them, and hands only malformed input to it.  :mod:`fractions`
-is imported by the two functions that read and write distances, so reading
+is imported inside the functions that read and write distances, so reading
 a plain cord file does not load it.
 """
 
@@ -209,11 +209,13 @@ def format_cord_file(
 ) -> str:
     """Render a cord set (optionally with distances) in the text format.
 
-    ``distances`` is keyed by normalized cords and must give every cord a
-    positive exact distance, so that :func:`read_cord_file` reads the text
-    back: a float raises ``TypeError``, and a missing or nonpositive
-    distance raises ``ValueError``, each naming the cord.
+    ``distances`` is keyed by normalized cords and gives each cord a
+    positive exact distance, anything ``Fraction`` reads but a float, so
+    that :func:`read_cord_file` reads the text back; a ``TypeError`` or
+    ``ValueError`` names a cord whose distance is not one.
     """
+    if distances is not None:
+        import fractions
     lines = []
     for a, b in sorted(cord_set(cords)):
         if distances is None:
@@ -224,7 +226,11 @@ def format_cord_file(
             raise ValueError(f"cord {a} {b} has no distance")
         if isinstance(d, float):
             raise TypeError(f"the distance of cord {a} {b} must be exact, not the float {d!r}")
-        if not d > 0:
+        try:
+            d = fractions.Fraction(d)
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"the distance of cord {a} {b} is not a rational: {d!r}") from None
+        if d <= 0:
             raise ValueError(f"the distance of cord {a} {b} must be positive, got {d}")
-        lines.append(f"{a} {b} {format_rational(d)}")
+        lines.append(f"{a} {b} {d}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -42,14 +42,15 @@ The table holds two kinds of mask, shared by all rows.
   joint system is infeasible; "apart" conflicts with nothing.  The table
   keeps, per cord pair and relation, the mask of rows in conflict with that
   relation, and a row reads its own by its relation byte.  Vertex ids are
-  preorder positions and vertex u's subtree is the range ``u..last[u]``, so
+  preorder positions, so vertex u's subtree is the range ``u..last[u]``, a
+  cord meets at the deepest vertex whose range holds both its ends, and
   meeting vertices u and w are equal, u is strictly above w exactly when
-  ``u < w <= last[u]``, w is strictly above u likewise, or they are apart.
-* Cluster masks.  A cluster's cord mask holds the cords whose meeting
-  vertex lies in its vertex's preorder range.  The table keeps, per
-  cluster, the mask of rows whose trees have it.  A tree refines another
-  exactly when it has all of the other's clusters, so the AND of a row's
-  cluster masks is the mask of rows whose trees refine it.
+  ``u < w <= last[u]``, w is above u likewise, or they are apart.
+* Cluster masks.  A cluster's cord mask holds the cords meeting in its
+  vertex's range; the table keeps, per cluster, the mask of rows whose
+  trees have it.  A tree refines another exactly when it has all of the
+  other's clusters, so the AND of a row's cluster masks is the mask of
+  rows whose trees refine it.
 
 A decision starts from every row, removes the refiners (weak) or the
 tree's own bit (topological), removes the OR of the tree's conflict masks
@@ -84,6 +85,7 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .cords import Cord, validate_cords
@@ -269,16 +271,12 @@ class _RivalTable:
     """Every tree on one leaf set, as rows the rival scan reads without rebuilding.
 
     ``rows`` lists ``(tree, edges, meets, relation, clusters, own_edges)``
-    per enumerated tree in canonical order: properness edges as engine
-    constraints on ids shifted by ``offset``, the interior index of each
-    cord's meeting vertex, one relation byte per cord pair, the cord masks
-    of the tree's non-root interior vertices (the cords meeting in each
-    one's preorder range), and the properness edges again on ids ``0..``.
-    Cord pair (i, j), i < j, is entry ``pair_base[i] + j`` of ``relation``
-    and of ``conflicts``, whose entry, indexed by a relation, is the mask of
-    rows in conflict with it (see the module docstring).  ``containing``
-    maps a cluster's cord mask to the mask of rows whose trees have that
-    cluster.  Bit r of a mask stands for row r.
+    per enumerated tree in canonical order, as the module docstring
+    describes: ``edges`` on ids shifted by ``offset``, ``own_edges`` on ids
+    ``0..``.  Cord pair (i, j), i < j, is entry ``pair_base[i] + j`` of
+    ``relation`` and of ``conflicts``, whose entry, indexed by a relation,
+    is the mask of rows in conflict with it.  ``containing`` maps a
+    cluster's cord mask to the mask of rows whose trees have that cluster.
     """
 
     offset: int
@@ -309,44 +307,53 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
     m = len(cord_index)
     n_pairs = m * (m - 1) // 2
     pair_base = tuple(i * m - i * (i + 3) // 2 - 1 for i in range(m))
-    shared = {}  # properness edges -> the same at ids offset.. and at ids 0..
+    # Byte p of weight[i] is 8 where cord i is pair p's first cord and 1 where
+    # it is the second, so sum(meets[i] * weight[i]) holds 8 * a + b in the
+    # byte of a pair meeting at interior indices a and b (below 8 up to 9 leaves).
+    weight = [0] * m
+    for p, (i, j) in enumerate(combinations(range(m), 2)):
+        weight[i] += 8 << 8 * p
+        weight[j] += 1 << 8 * p
+    shared = {}  # properness edges -> the same at ids offset.. and 0.., and relations
     interned = {}  # one int per distinct cluster mask, shared by the rows
     rows = []
     containing = {}  # cord mask of a cluster -> rows whose trees have that cluster
     for r, tree in enumerate(trees):
-        interior = tree.interior_vertices()
-        index = {v: k for k, v in enumerate(interior)}
-        last = tree._last
-        leaf = tree._leaf_id
-        # each cord's meeting vertex, a preorder id
-        at = [tree._meet(leaf[a], leaf[b])[0] for a, b in cord_index]
-        relation = bytes(
-            [
-                _EQUAL if u == w
-                else _ABOVE if u < w <= last[u]
-                else _BELOW if w < u <= last[w]
-                else _APART
-                for u, w in combinations(at, 2)
-            ]
-        )
+        interior, last, leaf = tree.interior_vertices(), tree._last, tree._leaf_id
+        # Bit k of above[u]: u lies in interior vertex k's preorder range.  The
+        # deepest such vertex has the largest k, so a cord meets at the largest
+        # k its two ends share, and a vertex's parent is the largest k set
+        # before the vertex's own.
+        above = [0] * tree.n_vertices
+        edges = []
+        for k, v in enumerate(interior):  # preorder: parents first
+            if k:
+                edges.append((offset + above[v].bit_length() - 1, offset + k, 0, True))
+            for u in range(v, last[v] + 1):
+                above[u] |= 1 << k
+        edges = tuple(edges)
+        meets = tuple([(above[leaf[a]] & above[leaf[b]]).bit_length() - 1 for a, b in cord_index])
+        if edges not in shared:  # trees of one unlabeled shape share these
+            between = bytearray(256)  # byte 8 * a + b: how interior vertices a and b relate
+            for (a, u), (b, w) in product(enumerate(interior), repeat=2):
+                between[8 * a + b] = (
+                    _EQUAL if u == w
+                    else _ABOVE if u < w <= last[u]
+                    else _BELOW if w < u <= last[w]
+                    else _APART
+                )
+            own = tuple((a - offset, b - offset, 0, True) for a, b, _, _ in edges)
+            shared[edges] = edges, own, bytes(between)
+        edges, own_edges, between = shared[edges]
+        relation = sum(map(mul, meets, weight)).to_bytes(n_pairs, "little").translate(between)
         cords_at = [0] * tree.n_vertices  # the cord mask of each meeting vertex
-        for i, u in enumerate(at):
-            cords_at[u] |= 1 << i
+        for i, k in enumerate(meets):
+            cords_at[interior[k]] |= 1 << i
         clusters = []
         for v in interior[1:]:
             mask = sum(cords_at[v : last[v] + 1])  # masks of distinct vertices share no bit
-            mask = interned.setdefault(mask, mask)
-            clusters.append(mask)
+            clusters.append(interned.setdefault(mask, mask))
             containing[mask] = containing.get(mask, 0) | 1 << r
-        edges = tuple(
-            (offset + index[tree.parent(v)], offset + k, 0, True)
-            for k, v in enumerate(interior)
-            if k
-        )
-        if edges not in shared:  # trees of one unlabeled shape share their edges
-            shared[edges] = edges, tuple((a - offset, b - offset, 0, True) for a, b, _, _ in edges)
-        edges, own_edges = shared[edges]
-        meets = tuple([index[u] for u in at])
         rows.append((tree, edges, meets, relation, tuple(clusters), own_edges))
     # Column p of the relation bytes holds pair p's relation in every row;
     # it gives the rows in conflict with each relation of that pair.

@@ -116,13 +116,12 @@ def test_circular_lasso_examples():
 
 
 def test_circular_ordering_keeps_its_order_as_a_tuple():
-    # an order given as a list or a string is stored as a tuple, so the
-    # ordering hashes and equals the same order given as a tuple
+    # an order given as a list is stored as a tuple, so the ordering
+    # hashes and equals the same order given as a tuple
     ordering = CircularOrdering(("a", "b", "c"))
-    for given in (["a", "b", "c"], "abc"):
-        other = CircularOrdering(given)
-        assert other.order == ("a", "b", "c")
-        assert other == ordering and hash(other) == hash(ordering)
+    other = CircularOrdering(["a", "b", "c"])
+    assert other.order == ("a", "b", "c")
+    assert other == ordering and hash(other) == hash(ordering)
 
 
 def test_circular_lasso_is_always_equidistant():

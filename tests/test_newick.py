@@ -346,15 +346,22 @@ def test_cord_file_distances_round_trip_or_raise():
     # missing distance or a nonpositive one raises, naming the cord, rather
     # than writing a file the reader rejects or an inexact value
     cords = cord_set([("a", "b"), ("c", "d")])
-    for d in (Fraction(1, 10), 3, Fraction(7)):
+    for d in (Fraction(1, 10), 3, Fraction(7), "1/2"):
         distances = {("a", "b"): d, ("c", "d"): Fraction(5, 2)}
-        assert read_cord_file(format_cord_file(cords, distances)) == (cords, distances)
-    with pytest.raises(TypeError, match="cord a b must be exact, not the float 0.1"):
-        format_cord_file(cords, {("a", "b"): 0.1, ("c", "d"): 1})
+        read = {("a", "b"): Fraction(d), ("c", "d"): Fraction(5, 2)}
+        assert read_cord_file(format_cord_file(cords, distances)) == (cords, read)
+    for bad, message in (
+        ({("a", "b"): 0.1, ("c", "d"): 1}, "cord a b must be exact, not the float 0.1"),
+        ({("a", "b"): 1, ("c", "d"): [1]}, r"cord c d is not a rational: \[1\]"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            format_cord_file(cords, bad)
     for bad, message in (
         ({("a", "b"): 1}, "cord c d has no distance"),
         ({("a", "b"): 1, ("c", "d"): 0}, "cord c d must be positive, got 0"),
         ({("a", "b"): Fraction(-1, 2), ("c", "d"): 1}, "cord a b must be positive, got -1/2"),
+        ({("a", "b"): "-1/2", ("c", "d"): 1}, "cord a b must be positive, got -1/2"),
+        ({("a", "b"): "x", ("c", "d"): 1}, "cord a b is not a rational: 'x'"),
     ):
         with pytest.raises(ValueError, match=message):
             format_cord_file(cords, bad)
