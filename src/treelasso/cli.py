@@ -83,6 +83,10 @@ def cmd_classify(args) -> int:
 def cmd_build(args) -> int:
     from . import builders
 
+    if args.seed is not None and args.kind != "circular":
+        raise ValueError("--seed applies only to --kind circular")
+    if args.partition is not None and args.kind != "bipartition":
+        raise ValueError("--partition applies only to --kind bipartition")
     tree, _ = _load_tree(args.tree)
     if args.kind == "equidistant":
         cords = builders.min_equidistant_lasso(tree)
@@ -112,7 +116,9 @@ def cmd_build(args) -> int:
 def cmd_enumerate(args) -> int:
     from . import oracle
 
-    labels = [s for s in args.leaves.split(",") if s]
+    labels = args.leaves.split(",")
+    if "" in labels:
+        raise ValueError(f"--leaves has an empty label: {args.leaves!r}")
     trees = oracle.enumerate_xtrees(labels)
     if args.binary:
         trees = [t for t in trees if t.is_binary()]

@@ -1,58 +1,46 @@
-"""Lasso classification: which cord sets pin down an equidistant tree.
+"""Lasso classification: :func:`classify` decides which lassos a cord set is.
 
 A cord set is an equidistant lasso for a tree when it forces the weighting
 to be unique, a topological lasso when it forces the shape to be unique, a
 weak lasso (equivalently: it corrals the tree) when any tree fitting the
 same cord distances must be a refinement, and a strong lasso when it is both
-equidistant and topological.  All four are decided purely combinatorially
-from the child-edge graphs of the interior vertices:
+equidistant and topological.  :func:`classify` decides all four from the
+child-edge graphs of the interior vertices:
 
 * equidistant  <=>  every interior vertex's graph has at least one edge;
 * topological  <=>  every interior vertex's graph is a clique;
 * weak         <=>  the graph is rich at every interior vertex that is not a
   pseudo-cherry parent, and connected at every pseudo-cherry parent.
 
-The star tree is corralled by every cord set, the empty set included, and is
-handled separately from the rich/connected conditions.
+The star tree is corralled by every cord set, the empty set included.
 
-:func:`classify` decides all four in one counting pass, without building the
-graphs.  Each cord is one edge, at its endpoints' last common vertex, so the
-distinct edges give per-vertex counts, and a vertex with k children, s of
-them interior, has at least one edge when its count is > 0, is a clique when
-its count is C(k, 2), and is rich when C(s, 2) + s * (k - s) of its edges
-touch an interior child.  The cords become edges in one pass, in
-:func:`_child_pairs`, which also checks their labels; the per-vertex pass
-then reads the tree's child and label arrays directly.
-Connectivity matters only at pseudo-cherry parents, and is decided by the
-count first: fewer than k - 1 edges leave a parent disconnected, and a
-clique (every cherry with its one edge) is connected, so only the rest run a
-union-find over their children.
-:class:`~treelasso.childgraph.ChildEdgeGraph` stays as the on-demand view of
-one vertex's graph, built from the same :func:`_child_pairs`.  That module
-imports this one, not the other way round, so ``classify`` runs without
-loading it (or :mod:`dataclasses`, which :class:`LassoReport` does not use).
+It does so in one counting pass, without building the graphs.  Each cord is
+one edge, at its endpoints' last common vertex, so the distinct edges give
+per-vertex counts, and a vertex with k children, s of them interior, has at
+least one edge when its count is > 0, is a clique when its count is C(k, 2),
+and is rich when C(s, 2) + s * (k - s) of its edges touch an interior child.
+The cords become edges in one pass, in :func:`_child_pairs`, which also
+checks their labels.  Connectivity matters only at pseudo-cherry parents,
+and is decided by the count first: fewer than k - 1 edges leave a parent
+disconnected, and a clique is connected, so only the rest run a union-find
+over their children.  The on-demand graph views in
+:mod:`~treelasso.childgraph` are built from the same :func:`_child_pairs`;
+that module imports this one, so ``classify`` runs without loading it (or
+:mod:`dataclasses`, which :class:`LassoReport` does not use).
 
-:func:`classify` is the one way to ask any of the four questions: read the
-flag off its :class:`LassoReport`, as ``classify(tree, cords).weak``, and
-call it once when several kinds of one instance are wanted.  ``strong`` is
-not stored; the report derives it from the other two flags.
+Read each flag off the :class:`LassoReport`, as ``classify(tree, cords).weak``,
+and call it once when several kinds of one instance are wanted.  ``strong``
+is not stored; the report derives it from the other two flags.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .cords import Cord, cord, cord_set, validate_cords
+from .cords import Cord, validate_cords
 from .tree import XTree
 
-__all__ = [
-    "LassoReport",
-    "classify",
-    "cord_graph",
-    "is_covering",
-    "reduce_by_cherry",
-    "reduction_check",
-]
+__all__ = ["LassoReport", "classify"]
 
 KINDS = ("equidistant", "weak", "topological")
 
@@ -234,104 +222,3 @@ def _connected(nodes: tuple[int, ...], pairs: Iterable[tuple[int, int]]) -> bool
             root[ru] = rw
             merges += 1
     return merges == len(nodes) - 1
-
-
-def reduce_by_cherry(cords: Iterable[Cord], x: str, y: str) -> frozenset[Cord]:
-    """Rewrite a cord set for the removal of leaf x, replacing x by its cherry mate y.
-
-    Keeps every cord avoiding x and adds ``{a, y}`` for every cord ``{a, x}``;
-    the degenerate pair arising from the cord xy itself is dropped.  Intended
-    for x, y in a common pseudo-cherry (not enforced here).
-    """
-    if x == y:
-        raise ValueError("reduction needs two distinct labels")
-    out: set[Cord] = set()
-    for a, b in cord_set(cords):
-        if x not in (a, b):
-            out.add((a, b))
-        else:
-            other = b if a == x else a
-            if other != y:
-                out.add(cord(other, y))
-    return frozenset(out)
-
-
-def reduction_check(
-    tree: XTree, cords: Iterable[Cord], x: str, y: str, kind: str
-) -> bool:
-    """Check the cherry-reduction equivalence for one lasso kind.
-
-    Returns whether ``L is a <kind> lasso`` agrees with ``xy in L and
-    (reduced L) + {xy} is a <kind> lasso``, where the reduction replaces x
-    by y as in :func:`reduce_by_cherry`.  Requires x and y to lie in a
-    common pseudo-cherry, and a nonempty cord set for kind ``weak``.
-
-    The equivalence is guaranteed when {x, y} is a cherry (a pseudo-cherry
-    of exactly two leaves).  Inside larger pseudo-cherries it can fail: on
-    the tree ((a,b,c),d) the set {ab, ad} is an equidistant lasso although
-    the cord ca is absent, so the call with x=c, y=a returns False.
-    """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    checked = validate_cords(cords, tree.leaf_labels)
-    if not any(
-        x in leaves and y in leaves for _, leaves in tree.pseudo_cherries()
-    ):
-        raise ValueError(f"{x!r} and {y!r} are not in a common pseudo-cherry")
-    if kind == "weak" and not checked:
-        raise ValueError("the weak-lasso reduction requires a nonempty cord set")
-    xy = cord(x, y)
-    lhs = getattr(classify(tree, checked), kind)
-    rhs = xy in checked and getattr(
-        classify(tree, reduce_by_cherry(checked, x, y) | {xy}), kind
-    )
-    return lhs == rhs
-
-
-def is_covering(cords: Iterable[Cord], labels: Iterable[str]) -> bool:
-    """True iff the union of the cords is the whole label set."""
-    union: set[str] = set()
-    for a, b in cord_set(cords):
-        union.add(a)
-        union.add(b)
-    return union == set(labels)
-
-
-def cord_graph(
-    cords: Iterable[Cord], labels: Iterable[str]
-) -> tuple[bool, bool]:
-    """Connectivity diagnostics of the graph with vertex set X and edge set L.
-
-    Returns ``(connected, strongly_non_bipartite)`` where the second flag
-    holds when every connected component contains an odd cycle (an isolated
-    vertex is a bipartite component).
-    """
-    verts = sorted(set(labels))
-    checked = validate_cords(cords, verts)
-    adj: dict[str, set[str]] = {v: set() for v in verts}
-    for a, b in checked:
-        adj[a].add(b)
-        adj[b].add(a)
-
-    color: dict[str, int] = {}
-    components = 0
-    strongly_non_bipartite = True
-    for start in verts:
-        if start in color:
-            continue
-        components += 1
-        color[start] = 0
-        stack = [start]
-        bipartite = True
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    bipartite = False
-        if bipartite:
-            strongly_non_bipartite = False
-    connected = components <= 1
-    return connected, strongly_non_bipartite

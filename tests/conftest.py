@@ -16,7 +16,7 @@ from itertools import combinations
 from math import factorial
 from typing import Mapping, Sequence
 
-from treelasso import XTree
+from treelasso import XTree, classify, cord, cord_set
 
 LABELS3 = ("a", "b", "c")
 LABELS4 = ("a", "b", "c", "d")
@@ -377,6 +377,69 @@ class LassoReport:
     def strong(self) -> bool:
         """A strong lasso is both an equidistant and a topological lasso."""
         return self.equidistant and self.topological
+
+
+# -- paper-lemma checks -----------------------------------------------------
+
+
+def reduce_by_cherry(cords, x: str, y: str) -> frozenset:
+    """The cord set after removing leaf x for its cherry mate y: each cord
+    {a, x} becomes {a, y}, and the cord xy itself is dropped."""
+    if x == y:
+        raise ValueError("reduction needs two distinct labels")
+    renamed = (tuple(y if end == x else end for end in c) for c in cord_set(cords))
+    return cord_set(p for p in renamed if p[0] != p[1])
+
+
+def reduction_check(tree: XTree, cords, x: str, y: str, kind: str) -> bool:
+    """Whether ``L is a <kind> lasso`` agrees with ``xy in L and (reduced L) +
+    {xy} is a <kind> lasso``, for x, y in a common pseudo-cherry.  The paper's
+    cherry-reduction lemma says it does when {x, y} is a cherry."""
+    if kind not in ("equidistant", "weak", "topological"):
+        raise ValueError(f"unknown lasso kind {kind!r}")
+    if not any(x in leaves and y in leaves for _, leaves in tree.pseudo_cherries()):
+        raise ValueError(f"{x!r} and {y!r} are not in a common pseudo-cherry")
+    cords = cord_set(cords)
+    if kind == "weak" and not cords:
+        raise ValueError("the weak-lasso reduction requires a nonempty cord set")
+    xy = cord(x, y)
+    lhs = getattr(classify(tree, cords), kind)
+    rhs = xy in cords and getattr(classify(tree, reduce_by_cherry(cords, x, y) | {xy}), kind)
+    return lhs == rhs
+
+
+def is_covering(cords, labels) -> bool:
+    """True iff the cords' ends are the whole label set."""
+    return {end for c in cord_set(cords) for end in c} == set(labels)
+
+
+def cord_graph(cords, labels) -> tuple[bool, bool]:
+    """``(connected, strongly_non_bipartite)`` for the graph on the labels with
+    the cords as edges; the second holds when every component has an odd
+    cycle (an isolated label is a bipartite component)."""
+    adj: dict[str, set[str]] = {v: set() for v in labels}
+    for a, b in cord_set(cords):
+        adj[a].add(b)
+        adj[b].add(a)
+    color: dict[str, int] = {}
+    components = 0
+    odd_everywhere = True
+    for start in adj:
+        if start in color:
+            continue
+        components += 1
+        color[start] = 0
+        stack, bipartite = [start], True
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    stack.append(w)
+                elif color[w] == color[u]:
+                    bipartite = False
+        odd_everywhere = odd_everywhere and not bipartite
+    return components <= 1, odd_everywhere
 
 
 # -- reference cord-file reader ---------------------------------------------

@@ -20,6 +20,8 @@ from conftest import (
     count_binary_xtrees,
     count_xtrees,
     decision_row,
+    is_covering,
+    reduction_check,
     seeded_cord_sets,
     tree_triplets,
     triplet,
@@ -34,7 +36,6 @@ from treelasso import (
     circular_order,
     classify,
     enumerate_xtrees,
-    is_covering,
     min_equidistant_lasso,
     min_topological_lasso,
     min_weak_lasso,
@@ -42,7 +43,6 @@ from treelasso import (
     oracle_topological,
     oracle_weak,
     random_proper_heights,
-    reduction_check,
     verify_witness,
 )
 from treelasso.feasibility import linear_system, strict_feasible

@@ -3,7 +3,7 @@
 import pytest
 from math import comb
 
-from conftest import LABELS4, LABELS5, bearded_caterpillar, leaf_path_edges, random_xtree
+from conftest import LABELS4, LABELS5, bearded_caterpillar, cord_graph, leaf_path_edges, random_xtree
 from treelasso import (
     Bipartition,
     CircularOrdering,
@@ -13,7 +13,6 @@ from treelasso import (
     circular_lasso,
     circular_order,
     classify,
-    cord_graph,
     cord_set,
     enumerate_xtrees,
     min_equidistant_lasso,

@@ -127,6 +127,13 @@ def test_enumerate(capsys):
     assert out.strip() == "15"
 
 
+def test_enumerate_rejects_an_empty_label(capsys):
+    for leaves in ("a,,b,c,", "a,b,c,", ",a,b,c", ""):
+        code, out, err = run(capsys, "enumerate", "--leaves", leaves, "--count-only")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "empty label" in err
+
+
 def test_witness_round_trip(capsys, tmp_path):
     tree = tmp_path / "t4.nwk"
     tree.write_text("((a,b,c),d);\n")
@@ -244,6 +251,17 @@ def test_input_errors_exit_2(capsys, tree_file, cords_file, tmp_path):
 
     code, _, err = run(capsys, "build", "--tree", tree_file, "--kind", "bipartition")
     assert code == 2
+
+    # a build option that the kind does not use is rejected, not ignored
+    partition = tmp_path / "p.txt"
+    partition.write_text("a b\nc d\n")
+    for argv, flag in (
+        (("--kind", "weak", "--seed", "3"), "--seed"),
+        (("--kind", "topological", "--partition", str(partition)), "--partition"),
+    ):
+        code, out, err = run(capsys, "build", "--tree", tree_file, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and flag in err
 
 
 def test_deep_caterpillar_classifies(capsys, tmp_path):

@@ -16,9 +16,13 @@ from conftest import (
     all_cord_subsets,
     bearded_caterpillar,
     brute_child_edge_pairs,
+    cord_graph,
+    is_covering,
     outcome,
     random_cords,
     random_xtree,
+    reduce_by_cherry,
+    reduction_check,
 )
 from treelasso import (
     LassoReport,
@@ -27,18 +31,14 @@ from treelasso import (
     build_child_edge_graph,
     child_edge_graphs,
     classify,
-    cord_graph,
     cord_set,
     enumerate_xtrees,
-    is_covering,
     min_equidistant_lasso,
     min_topological_lasso,
     min_weak_lasso,
     oracle_equidistant,
     oracle_topological,
     oracle_weak,
-    reduce_by_cherry,
-    reduction_check,
 )
 from treelasso import cords as cords_module, lasso
 from treelasso.cords import validate_cords
