@@ -5,7 +5,7 @@ cross-check), ``build`` (construct cord sets), ``enumerate`` (all trees on a
 leaf set), ``witness`` (two fitting weightings exhibiting a failure), and
 ``distances`` (cord distances induced by a weighted tree).  Exit codes:
 0 success, 1 property violation (classification disagrees with the
-definition-level check), 2 input error.
+definition-level check), 2 input error, 141 stdout closed early (SIGPIPE).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,12 +24,17 @@ from .newick import parse_newick, print_newick
 _SCHEMA_VERSION = 1
 
 
+def _read(path: str) -> str:
+    """A file's text as ``utf-8-sig`` reads it, through the codec loaded at start-up."""
+    return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+
+
 def _load_tree(path: str):
-    return parse_newick(Path(path).read_text())
+    return parse_newick(_read(path))
 
 
 def _load_cords(path: str):
-    cords, distances = read_cord_file(Path(path).read_text())
+    cords, distances = read_cord_file(_read(path))
     if distances is not None:
         raise ValueError(
             "the cord file has a distance column, which this command does not use; "
@@ -100,7 +106,7 @@ def cmd_build(args) -> int:
         if not args.partition:
             raise ValueError("--kind bipartition requires --partition FILE")
         sides = []
-        for raw in Path(args.partition).read_text().splitlines():
+        for raw in _read(args.partition).splitlines():
             line = raw.split("#", 1)[0].strip()
             if line:
                 sides.append(frozenset(line.split()))
@@ -207,7 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # Stop quietly, as SIGPIPE would.  The interpreter flushes stdout at
+        # exit; pointing it at the null device keeps that flush from failing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # parse, cord-file and weighting errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2

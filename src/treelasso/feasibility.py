@@ -1,63 +1,46 @@
-"""Exact feasibility of difference-constraint systems with strict inequalities.
+"""Exact feasibility of the zero-constant difference systems the oracle builds.
 
-Every system the library builds bounds differences of heights: it identifies
-two variables (``x = y``), pins one (``x = c``), or bounds a difference
-(``x - y > c`` or ``x - y >= c``).  Such a system is a weighted digraph and
-is solved exactly as a longest-path problem, never with floating tolerance:
+Every definition-level lasso question is one kind of system: the heights of
+two trees, strictly decreasing along each tree's edges, tied by one
+identification per cord, with no constants.  It is solved exactly as a
+longest-path problem on a digraph:
 
-* identifications are merged with a union-find first, and a strict or
-  positive constraint that closes on itself after merging is infeasible;
-* pins and sign constraints are differences against one extra variable that
-  is fixed at zero, and a pin or difference with a nonzero constant becomes
-  two non-strict edges;
-* a constraint ``x - y >= c`` is an edge ``y -> x`` of weight ``(c, 0)``,
-  and ``x - y > c`` one of weight ``(c, 1)``: the second component counts
-  infinitesimals, so weights compare lexicographically;
+* identifications are merged with a union-find first;
+* ``x >= y`` is an edge ``y -> x`` of weight 0 and ``x > y`` one of weight
+  1, so a longest path counts strict edges, in integers;
 * longest paths are taken in topological order, with Bellman-Ford passes
-  only over the vertices that lie on or behind a cycle; a positive cycle
-  makes the system infeasible;
-* each longest-path value ``(a, b)`` becomes the rational ``a + b*eps``,
-  with ``eps = p/q <= 1`` chosen from every constraint's slack and kept as
-  two integers, so each point is built as one ``Fraction(a*q + b*p, q)``;
-  when every constant is zero every slack is zero, so ``eps`` is 1 without
-  a pass over the constraints;
-* an integer point reuses one shared ``Fraction`` per small nonnegative
-  value instead of building a new one: a ``Fraction`` is immutable, so the
-  shared value is indistinguishable from a new one;
-* :func:`strict_feasible` first multiplies every constant by the lcm of
-  their denominators, so the paths are summed over integers, and divides
-  the point back.
+  only over the vertices on or behind a cycle; a cycle through a strict
+  edge, a merged strict self-loop included, makes the system infeasible;
+* a value is its longest path less that of the variable fixed at zero, and
+  a small one reuses a shared, immutable ``Fraction``.
 
-One call returns both the verdict and the exact witness point.  Any other
-linear constraint is rejected with ``ValueError``, and a float coefficient
-or constant with ``TypeError``.
+One call returns both the verdict and the exact point; a nonzero constant
+raises ``ValueError``.  :class:`StrictLinearSystem` and
+:func:`strict_feasible` state the same systems over named variables; the
+oracles call the engine on dense integer ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Sequence
 
-__all__ = ["StrictLinearSystem", "linear_system", "strict_feasible"]
-
-Variable = Hashable
-Constraint = tuple[dict, Fraction]
+__all__ = ["StrictLinearSystem", "strict_feasible"]
 
 
 @dataclass(frozen=True)
 class StrictLinearSystem:
-    """A finite system of rational linear equalities and strict inequalities.
+    """A zero-constant system of identifications and strict orders.
 
-    ``equalities`` holds pairs ``(coeffs, rhs)`` meaning ``sum coeffs*x == rhs``
-    and ``strict_inequalities`` pairs meaning ``sum coeffs*x > rhs``; the
-    variables in ``nonneg`` are additionally constrained to be >= 0.
+    ``equalities`` holds pairs ``(u, w)`` meaning ``u == w`` and
+    ``strict_inequalities`` pairs meaning ``u > w``; the variables in
+    ``nonneg`` are additionally constrained to be >= 0.
     """
 
-    variables: tuple[Variable, ...]
-    equalities: tuple[Constraint, ...]
-    strict_inequalities: tuple[Constraint, ...]
+    variables: tuple[Hashable, ...]
+    equalities: tuple[tuple[Hashable, Hashable], ...]
+    strict_inequalities: tuple[tuple[Hashable, Hashable], ...]
     nonneg: frozenset = frozenset()
 
 
@@ -70,81 +53,27 @@ def _as_fraction(value, what: str) -> Fraction:
     return Fraction(value)
 
 
-def linear_system(
-    variables: Iterable[Variable],
-    *,
-    equalities: Iterable[tuple[Mapping[Variable, object], object]] = (),
-    strict: Iterable[tuple[Mapping[Variable, object], object]] = (),
-    nonneg: Iterable[Variable] = (),
-) -> StrictLinearSystem:
-    """Build a system, normalizing all coefficients to exact fractions.
-
-    Floats are rejected with ``TypeError``: they are not exact.
-    """
-    vars_tuple = tuple(variables)
-    known = set(vars_tuple)
-    if len(known) != len(vars_tuple):
-        raise ValueError("duplicate variables")
-
-    def norm(raw) -> tuple[Constraint, ...]:
-        out = []
-        for coeffs, rhs in raw:
-            cleaned = {}
-            for var, c in coeffs.items():
-                if var not in known:
-                    raise ValueError(f"constraint mentions unknown variable {var!r}")
-                c = _as_fraction(c, "coefficients and constants")
-                if c != 0:
-                    cleaned[var] = c
-            out.append((cleaned, _as_fraction(rhs, "coefficients and constants")))
-        return tuple(out)
-
-    nn = frozenset(nonneg)
-    if not nn <= known:
-        raise ValueError("nonneg mentions unknown variables")
-    return StrictLinearSystem(vars_tuple, norm(equalities), norm(strict), nn)
-
-
-# Integer points reuse these: a Fraction is immutable, so one shared object
-# per small value serves every call.
+# Points reuse these: a Fraction is immutable, so one object per small value serves every call.
 _SMALL = tuple(map(Fraction, range(64)))
 
 
 def _solve_differences(
     n: int,
-    equal: Sequence[tuple[int, int, Fraction]],
-    greater: Sequence[tuple[int, int, Fraction, bool]],
-    scale: int = 1,
+    equal: Sequence[tuple[int, int, int]],
+    greater: Sequence[tuple[int, int, int, bool]],
 ) -> list[Fraction] | None:
     """Exact values for the variables ``0..n-1`` of a difference system, or None.
 
-    ``equal`` holds ``(x, y, c)`` meaning ``x - y = c``; ``greater`` holds
-    ``(x, y, c, strict)`` meaning ``x - y >= c``, or ``x - y > c`` when
-    ``strict`` is set.  Id ``n`` is a variable fixed at zero, so ``(x, n, c)``
-    pins ``x = c`` and ``(x, n, 0, False)`` keeps ``x`` nonnegative.
-
-    Every returned value is a ``Fraction``.  With integer constants each is
-    built from one integer numerator over the integer denominator of
-    ``eps``, with no rational arithmetic.  The constants may be the true
-    ones times ``scale``: the system is then solved in units of
-    ``1/scale``, with ``eps`` capped at ``scale`` in place of 1, and each
-    value divided back, so the point is the one the true constants give.
+    ``equal`` holds ``(x, y, 0)`` meaning ``x = y``; ``greater`` holds
+    ``(x, y, 0, strict)`` meaning ``x >= y``, or ``x > y`` when ``strict``.
+    Id ``n`` is fixed at zero, so ``(x, n, 0, False)`` keeps ``x`` nonnegative.
+    The third field is a constant, and a nonzero one raises ``ValueError``.
+    Every value is an integral ``Fraction``.
     """
-    # The oracle calls the engine once per witness: 4939 calls on the 7788
-    # decisions of the seed-13 benchmark sweep, all feasible, all with zero
-    # constants and integer points.  In one in-process pass over those
-    # decisions (Python 3.11, a 2-vCPU host) the engine took 0.11-0.13 s of
-    # 0.33-0.35 s with dict-based classes, an eps pass and a new Fraction
-    # per value, and 0.05-0.08 s of 0.19-0.29 s without them.
     parent = list(range(n + 1))
-    edges = greater
     for x, y, c in equal:
         if c:
-            if edges is greater:
-                edges = list(greater)
-            edges.append((x, y, c, False))
-            edges.append((y, x, -c, False))
-            continue
+            raise ValueError(f"nonzero constant {c!r}: only x = y is supported")
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
@@ -158,31 +87,29 @@ def _solve_differences(
                 r = parent[r]
             parent[v] = r
 
-    constant = edges is not greater
-    out = [[] for _ in range(n + 1)]  # lower class -> [(higher class, c, strict)]
+    out = [[] for _ in range(n + 1)]  # lower class -> [(higher class, strict)]
     indeg = [0] * (n + 1)
-    for x, y, c, strict in edges:
+    for x, y, c, strict in greater:
+        if c:
+            raise ValueError(f"nonzero constant {c!r}: only x >= y and x > y are supported")
         x = parent[x]
         y = parent[y]
-        if c:
-            constant = True
         if x == y:
-            if c > 0 or (strict and c == 0):
+            if strict:
                 return None
             continue
-        out[y].append((x, c, strict))
+        out[y].append((x, strict))
         indeg[x] += 1
 
-    # longest paths under lexicographic (constant, strict count) weights
-    value = [(0, 0)] * (n + 1)
+    # longest paths, counting strict edges
+    value = [0] * (n + 1)
     queue = [u for u in range(n + 1) if not indeg[u]]
     while queue:
         u = queue.pop()
-        a, b = value[u]
-        for w, c, s in out[u]:
-            cand = (a + c, b + s)
-            if cand > value[w]:
-                value[w] = cand
+        a = value[u]
+        for w, s in out[u]:
+            if a + s > value[w]:
+                value[w] = a + s
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
@@ -191,93 +118,37 @@ def _solve_differences(
         for _ in range(len(rest)):
             changed = False
             for u in rest:
-                a, b = value[u]
-                for w, c, s in out[u]:
-                    cand = (a + c, b + s)
-                    if cand > value[w]:
-                        value[w] = cand
+                a = value[u]
+                for w, s in out[u]:
+                    if a + s > value[w]:
+                        value[w] = a + s
                         changed = True
             if not changed:
                 break
         else:
-            return None  # positive cycle
+            return None  # a cycle through a strict edge
 
-    # eps = p/q small enough that no constraint with real slack loses it;
-    # with every constant zero every slack is zero and p/q stays at scale
-    p, q = scale, 1
-    if constant:
-        for y, targets in enumerate(out):
-            ay, by = value[y]
-            for x, c, _ in targets:
-                ax, bx = value[x]
-                slack = ax - ay - c
-                if slack > 0 and by > bx:
-                    d = slack.denominator * (by - bx + 1)
-                    if slack.numerator * q < p * d:
-                        p, q = slack.numerator, d
-
-    az, bz = value[parent[n]]  # shifted so that the zero variable is 0
-    den = q * scale
-    points = []
+    z = value[parent[n]]  # shifted so that the zero variable is 0
     small = len(_SMALL)
+    points = []
     for v in range(n):
-        a, b = value[parent[v]]
-        num = (a - az) * q + (b - bz) * p
-        if den != 1:
-            points.append(Fraction(num, den))
-        elif type(num) is int and 0 <= num < small:
-            points.append(_SMALL[num])
-        else:
-            points.append(Fraction(num))
+        num = value[parent[v]] - z
+        points.append(_SMALL[num] if 0 <= num < small else Fraction(num))
     return points
 
 
-def _difference(
-    coeffs: Mapping[Variable, Fraction], rhs: Fraction, ids: Mapping, zero: int
-) -> tuple[int, int, Fraction]:
-    """``(x, y, c)`` such that the constraint compares ``x - y`` with ``c``."""
-    terms = list(coeffs.items())
-    if not terms:
-        return zero, zero, rhs
-    if len(terms) == 1:
-        ((v, a),) = terms
-        x, y = ids[v], zero
-    elif len(terms) == 2 and terms[0][1] == -terms[1][1]:
-        (v, a), (w, _) = terms
-        x, y = ids[v], ids[w]
-    else:
-        lhs = " + ".join(f"{c}*{v}" for v, c in terms)
-        raise ValueError(f"not a difference constraint: {lhs} against {rhs}")
-    if a < 0:
-        x, y, a = y, x, -a
-    return x, y, rhs if a == 1 else Fraction(rhs, a)
-
-
 def strict_feasible(system: StrictLinearSystem) -> dict | None:
-    """A rational point satisfying the whole system, or None when there is none.
+    """An exact point meeting every constraint of the system, or None when none does.
 
-    Every equality holds exactly, every strict inequality holds strictly and
-    every ``nonneg`` variable is >= 0 at the returned point.  Each constraint
-    must be a difference: one variable with any nonzero coefficient, or two
-    with equal and opposite coefficients; any other raises ``ValueError``.
+    A constraint on a variable outside ``system.variables`` raises ``ValueError``.
     """
     ids = {v: i for i, v in enumerate(system.variables)}
     zero = len(ids)
-    equal = [_difference(c, r, ids, zero) for c, r in system.equalities]
-    greater = [
-        (*_difference(c, r, ids, zero), True) for c, r in system.strict_inequalities
-    ]
-    # scaled by the lcm of the denominators, every constant is an integer
-    scale = lcm(
-        *(c.denominator for _, _, c in equal), *(g[2].denominator for g in greater)
-    )
-    equal = [(x, y, c.numerator * (scale // c.denominator)) for x, y, c in equal]
-    greater = [
-        (x, y, c.numerator * (scale // c.denominator), strict)
-        for x, y, c, strict in greater
-    ]
-    greater += [(ids[v], zero, 0, False) for v in system.nonneg]
-    values = _solve_differences(zero, equal, greater, scale)
-    if values is None:
-        return None
-    return dict(zip(system.variables, values))
+    try:
+        equal = [(ids[u], ids[w], 0) for u, w in system.equalities]
+        greater = [(ids[u], ids[w], 0, True) for u, w in system.strict_inequalities]
+        greater += [(ids[v], zero, 0, False) for v in system.nonneg]
+    except KeyError as exc:
+        raise ValueError(f"constraint mentions unknown variable {exc.args[0]!r}") from None
+    values = _solve_differences(zero, equal, greater)
+    return None if values is None else dict(zip(system.variables, values))

@@ -17,12 +17,11 @@ topological decisions share one scan, which differs between them only in
 which rivals it skips, and which covers every rival on each leaf set the
 enumeration accepts: up to 6 leaves, or 2752 trees.  The weak decision
 alone takes an explicit ``rival_sample``, which scans a seeded subset
-instead.  Cord equalities only ever identify two heights and properness is
-a set of strict height differences, so the scan hands each joint system
-straight to the exact difference-constraint engine behind
-:func:`strict_feasible`, over dense integer variable ids.  The engine's
-verdict and its exact point come from the same call: the point of the
-first feasible rival is the witness.
+instead.  Each joint system, one identification per cord and a strict order
+along every edge, goes straight to the zero-constant engine of
+:mod:`treelasso.feasibility` over dense integer ids; its verdict and exact
+point come from one call, and the point of the first feasible rival is the
+witness.
 
 The scan reads its rivals from one table per leaf set, built on first use,
 with a row per enumerated tree in canonical order; bit r of every mask below
@@ -89,7 +88,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .cords import Cord, validate_cords
-from .feasibility import StrictLinearSystem, _solve_differences, linear_system
+from .feasibility import StrictLinearSystem, _solve_differences
 from .heights import HeightMap
 from .lasso import KINDS, _require_domain
 from .tree import XTree
@@ -215,22 +214,15 @@ def joint_isometry_system(
     if tree.leaf_labels != rival.leaf_labels:
         raise ValueError("trees are on different leaf sets")
     checked = validate_cords(cords, tree.leaf_labels)
-    variables = []
-    strict = []
-    for tag, t in (("T", tree), ("R", rival)):
-        for v in t.interior_vertices():
-            variables.append((tag, v))
-            p = t.parent(v)
-            if p is not None:
-                strict.append(({(tag, p): 1, (tag, v): -1}, 0))
-    equalities = []
-    for a, b in sorted(checked):
-        equalities.append(
-            ({("T", tree.lca(a, b)): 1, ("R", rival.lca(a, b)): -1}, 0)
-        )
-    return linear_system(
-        variables, equalities=equalities, strict=strict, nonneg=variables
+    both = (("T", tree), ("R", rival))
+    variables = tuple((tag, v) for tag, t in both for v in t.interior_vertices())
+    strict = tuple(  # interior_vertices() is in preorder: the root comes first
+        ((tag, t.parent(v)), (tag, v)) for tag, t in both for v in t.interior_vertices()[1:]
     )
+    equalities = tuple(
+        (("T", tree.lca(a, b)), ("R", rival.lca(a, b))) for a, b in sorted(checked)
+    )
+    return StrictLinearSystem(variables, equalities, strict, frozenset(variables))
 
 
 # --------------------------------------------------------------------------
@@ -493,19 +485,23 @@ def verify_witness(
     """Re-check a witness: valid weightings, cord distances match, claim violated.
 
     The first weighting must be on ``tree`` and the second on the witness's
-    rival; heights on any other tree prove nothing about these two.  An
-    unknown ``kind`` raises ``ValueError`` whatever the witness.
+    rival; heights on any other tree prove nothing about these two.  Both
+    height maps are validated afresh, so edited heights must still be proper.
+    An unknown ``kind`` raises ``ValueError`` whatever the witness.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown witness kind {kind!r}")
     if witness.heights_t.tree != tree or witness.heights_rival.tree != witness.rival:
         return False
-    if not witness.heights_t.is_l_isometric(witness.heights_rival, cords):
+    try:
+        heights_t = HeightMap(tree, witness.heights_t.heights)
+        heights_rival = HeightMap(witness.rival, witness.heights_rival.heights)
+    except ValueError:
+        return False
+    if not heights_t.is_l_isometric(heights_rival, cords):
         return False
     if kind == "equidistant":
-        return witness.rival == tree and (
-            witness.heights_t.heights != witness.heights_rival.heights
-        )
+        return witness.rival == tree and heights_t.heights != heights_rival.heights
     if kind == "weak":
         return not witness.rival.refines(tree)
     return not tree.is_equivalent(witness.rival)

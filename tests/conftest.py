@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
-from typing import Mapping, Sequence
+from math import factorial, lcm
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from treelasso import XTree, classify, cord, cord_set
+from treelasso.feasibility import _as_fraction
 
 LABELS3 = ("a", "b", "c")
 LABELS4 = ("a", "b", "c", "d")
@@ -214,12 +215,24 @@ def reference_solve_differences(
     greater: Sequence[tuple[int, int, Fraction, bool]],
     scale: int = 1,
 ) -> list[Fraction] | None:
-    """The difference-constraint engine as it was before integer points
-    reused shared ``Fraction``s and all-zero constants skipped the ``eps``
-    pass: dict-based classes, finds by path halving on every edge, and one
-    new ``Fraction`` per value.  Same contract as
-    ``treelasso.feasibility._solve_differences``, which must return equal
-    lists of ``Fraction``s on every system.
+    """The general difference-constraint engine, as the library had it
+    before integer points reused shared ``Fraction``s, all-zero constants
+    skipped the ``eps`` pass and constants left the library: dict-based
+    classes, finds by path halving on every edge, and one new ``Fraction``
+    per value.
+
+    ``equal`` holds ``(x, y, c)`` meaning ``x - y = c``; ``greater`` holds
+    ``(x, y, c, strict)`` meaning ``x - y >= c``, or ``x - y > c`` when
+    ``strict`` is set.  Id ``n`` is a variable fixed at zero, so ``(x, n,
+    c)`` pins ``x = c``.  A constraint ``x - y >= c`` is an edge ``y -> x``
+    of weight ``(c, 0)`` and ``x - y > c`` one of weight ``(c, 1)``: the
+    second component counts infinitesimals, and each longest-path value
+    ``(a, b)`` becomes ``a + b*eps`` for an ``eps`` below every slack.  The
+    constants may be the true ones times ``scale``: the system is then
+    solved in units of ``1/scale`` and each value divided back.
+
+    On zero-constant systems ``treelasso.feasibility._solve_differences``
+    must return equal lists of ``Fraction``s.
     """
     parent = list(range(n + 1))
     edges = greater
@@ -309,6 +322,124 @@ def reference_solve_differences(
         num = (a - az) * q + (b - bz) * p
         points.append(Fraction(num) if den == 1 else Fraction(num, den))
     return points
+
+
+# -- the general linear-system route -------------------------------------------
+#
+# The library solves zero-constant systems only.  Pins, rational constants
+# and scaled differences are built and solved here: coefficients as dicts,
+# floats rejected, every constant multiplied to an integer by the lcm of the
+# denominators and solved by the reference engine in units of 1/lcm.
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """A finite system of rational linear equalities and strict inequalities.
+
+    ``equalities`` holds pairs ``(coeffs, rhs)`` meaning ``sum coeffs*x == rhs``
+    and ``strict_inequalities`` pairs meaning ``sum coeffs*x > rhs``; the
+    variables in ``nonneg`` are additionally constrained to be >= 0.
+    """
+
+    variables: tuple[Hashable, ...]
+    equalities: tuple[tuple[dict, Fraction], ...]
+    strict_inequalities: tuple[tuple[dict, Fraction], ...]
+    nonneg: frozenset = frozenset()
+
+
+def linear_system(
+    variables: Iterable[Hashable],
+    *,
+    equalities: Iterable[tuple[Mapping[Hashable, object], object]] = (),
+    strict: Iterable[tuple[Mapping[Hashable, object], object]] = (),
+    nonneg: Iterable[Hashable] = (),
+) -> LinearSystem:
+    """Build a system, normalizing all coefficients to exact fractions.
+
+    Floats are rejected with ``TypeError``: they are not exact.
+    """
+    vars_tuple = tuple(variables)
+    known = set(vars_tuple)
+    if len(known) != len(vars_tuple):
+        raise ValueError("duplicate variables")
+
+    def norm(raw) -> tuple:
+        out = []
+        for coeffs, rhs in raw:
+            cleaned = {}
+            for var, c in coeffs.items():
+                if var not in known:
+                    raise ValueError(f"constraint mentions unknown variable {var!r}")
+                c = _as_fraction(c, "coefficients and constants")
+                if c != 0:
+                    cleaned[var] = c
+            out.append((cleaned, _as_fraction(rhs, "coefficients and constants")))
+        return tuple(out)
+
+    nn = frozenset(nonneg)
+    if not nn <= known:
+        raise ValueError("nonneg mentions unknown variables")
+    return LinearSystem(vars_tuple, norm(equalities), norm(strict), nn)
+
+
+def as_linear_system(system) -> LinearSystem:
+    """A zero-constant ``treelasso.StrictLinearSystem`` as the general system
+    it stands for: ``u == w`` and ``u > w`` as differences against 0."""
+    return linear_system(
+        system.variables,
+        equalities=[({u: 1, w: -1}, 0) for u, w in system.equalities],
+        strict=[({u: 1, w: -1}, 0) for u, w in system.strict_inequalities],
+        nonneg=system.nonneg,
+    )
+
+
+def _difference(coeffs: Mapping, rhs: Fraction, ids: Mapping, zero: int) -> tuple:
+    """``(x, y, c)`` such that the constraint compares ``x - y`` with ``c``."""
+    terms = list(coeffs.items())
+    if not terms:
+        return zero, zero, rhs
+    if len(terms) == 1:
+        ((v, a),) = terms
+        x, y = ids[v], zero
+    elif len(terms) == 2 and terms[0][1] == -terms[1][1]:
+        (v, a), (w, _) = terms
+        x, y = ids[v], ids[w]
+    else:
+        lhs = " + ".join(f"{c}*{v}" for v, c in terms)
+        raise ValueError(f"not a difference constraint: {lhs} against {rhs}")
+    if a < 0:
+        x, y, a = y, x, -a
+    return x, y, rhs if a == 1 else Fraction(rhs, a)
+
+
+def reference_strict_feasible(system: LinearSystem) -> dict | None:
+    """A rational point satisfying the whole system, or None when there is none.
+
+    Every equality holds exactly, every strict inequality holds strictly and
+    every ``nonneg`` variable is >= 0 at the returned point.  Each constraint
+    must be a difference: one variable with any nonzero coefficient, or two
+    with equal and opposite coefficients; any other raises ``ValueError``.
+    """
+    ids = {v: i for i, v in enumerate(system.variables)}
+    zero = len(ids)
+    equal = [_difference(c, r, ids, zero) for c, r in system.equalities]
+    greater = [
+        (*_difference(c, r, ids, zero), True) for c, r in system.strict_inequalities
+    ]
+    # scaled by the lcm of the denominators, every constant is an integer
+    scale = lcm(
+        *(c.denominator for _, _, c in equal), *(g[2].denominator for g in greater)
+    )
+    equal = [(x, y, c.numerator * (scale // c.denominator)) for x, y, c in equal]
+    greater = [
+        (x, y, c.numerator * (scale // c.denominator), strict)
+        for x, y, c, strict in greater
+    ]
+    greater += [(ids[v], zero, 0, False) for v in system.nonneg]
+    values = reference_solve_differences(zero, equal, greater, scale)
+    if values is None:
+        return None
+    return dict(zip(system.variables, values))
 
 
 # -- cord inputs --------------------------------------------------------------

@@ -21,7 +21,9 @@ from conftest import (
     count_xtrees,
     decision_row,
     is_covering,
+    linear_system,
     reduction_check,
+    reference_strict_feasible,
     seeded_cord_sets,
     tree_triplets,
     triplet,
@@ -45,7 +47,6 @@ from treelasso import (
     random_proper_heights,
     verify_witness,
 )
-from treelasso.feasibility import linear_system, strict_feasible
 
 
 def announce(line: str) -> None:
@@ -227,7 +228,7 @@ def _transfer_instance(seed, pools):
         if p is not None:
             strict.append(({p: 1, v: -1}, 0))
     equalities = [({rival.lca(a, a2): 1}, half_aa), ({rival.lca(a, b): 1}, half_ab)]
-    point = strict_feasible(
+    point = reference_strict_feasible(
         linear_system(variables, equalities=equalities, strict=strict, nonneg=variables)
     )
     if point is None:

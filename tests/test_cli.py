@@ -1,9 +1,13 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +423,48 @@ def test_distance_column_rejected(capsys, tree_file, tmp_path):
         code, out, err = run(capsys, command, "--tree", str(tree), "--cords", str(cords), *extra)
         assert code == 2 and out == ""
         assert "distance column" in err and "not use" in err
+
+
+def test_files_with_a_byte_order_mark_read_as_without(capsys, tmp_path):
+    # tree, cord and partition files saved with a UTF-8 byte-order mark give
+    # the output of the same files without one
+    texts = {"tree": "(((a,b),c),d);\n", "cords": "a b\na d\n", "part": "a c\nb d\n"}
+    plain, marked = {}, {}
+    for name, text in texts.items():
+        plain[name] = tmp_path / f"{name}.txt"
+        plain[name].write_text(text, encoding="utf-8")
+        marked[name] = tmp_path / f"{name}-bom.txt"
+        marked[name].write_bytes(b"\xef\xbb\xbf" + text.encode())
+    outputs = []
+    for files in (plain, marked):
+        tree, cords, part = (str(files[name]) for name in texts)
+        outputs.append([
+            run(capsys, "classify", "--tree", tree, "--cords", cords, "--oracle"),
+            run(capsys, "witness", "--tree", tree, "--cords", cords, "--kind", "weak"),
+            run(capsys, "build", "--tree", tree, "--kind", "bipartition", "--partition", part),
+        ])
+    assert [code for code, _, _ in outputs[0]] == [0, 0, 0]
+    assert outputs[1] == outputs[0]
+
+
+def test_a_closed_stdout_pipe_exits_141_quietly(capsys):
+    # more output than a pipe holds (64 KB), read for one line: the writes
+    # after the reader closes fail, and the command stops as SIGPIPE would,
+    # with 128 + 13 and nothing on stderr
+    argv = ["enumerate", "--leaves", ",".join(f"leaf_{x}" for x in "abcdef")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out) > 2 * 2**16
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treelasso.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert first.decode() == out.splitlines(keepends=True)[0]

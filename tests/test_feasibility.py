@@ -1,4 +1,7 @@
-"""Exact strict feasibility: hand cases and grid-search oracles."""
+"""Exact strict feasibility: the library's zero-constant engine and its
+named-variable shim, and the general route of ``tests/conftest.py`` (pins,
+rational constants, scaled differences) against hand cases and grid-search
+oracles."""
 
 import hashlib
 import random
@@ -8,30 +11,32 @@ from math import lcm
 
 import pytest
 
-from conftest import point_satisfies, reference_solve_differences
-from treelasso.feasibility import (
-    StrictLinearSystem,
-    _solve_differences,
+from conftest import (
+    LinearSystem,
+    as_linear_system,
     linear_system,
-    strict_feasible,
+    point_satisfies,
+    reference_solve_differences,
+    reference_strict_feasible,
 )
+from treelasso.feasibility import StrictLinearSystem, _solve_differences, strict_feasible
 
 
 def test_open_interval():
     sys_ = linear_system(["x"], strict=[({"x": 1}, 0), ({"x": -1}, -1)], nonneg=["x"])
-    point = strict_feasible(sys_)
+    point = reference_strict_feasible(sys_)
     assert point is not None and 0 < point["x"] < 1
     assert point_satisfies(sys_, point)
 
 
 def test_empty_interval():
     sys_ = linear_system(["x"], strict=[({"x": 1}, 0), ({"x": -1}, 0)], nonneg=["x"])
-    assert strict_feasible(sys_) is None
+    assert reference_strict_feasible(sys_) is None
 
 
 def test_no_constraints_at_all():
     sys_ = linear_system(["x", "y"], nonneg=["x"])
-    point = strict_feasible(sys_)
+    point = reference_strict_feasible(sys_)
     assert point == {"x": 0, "y": 0}
 
 
@@ -41,17 +46,17 @@ def test_equalities_only():
         equalities=[({"y": 1}, Fraction(1, 4)), ({"x": 1, "y": -1}, Fraction(1, 2))],
         nonneg=["x", "y"],
     )
-    point = strict_feasible(sys_)
+    point = reference_strict_feasible(sys_)
     assert point == {"x": Fraction(3, 4), "y": Fraction(1, 4)}
 
 
 def test_non_difference_constraints_rejected():
     sys_ = linear_system(["x", "y"], equalities=[({"x": 1, "y": 1}, 1)])
     with pytest.raises(ValueError, match="not a difference"):
-        strict_feasible(sys_)
+        reference_strict_feasible(sys_)
     sys2 = linear_system(["x", "y"], strict=[({"x": 2, "y": -1}, 0)])
     with pytest.raises(ValueError, match="not a difference"):
-        strict_feasible(sys2)
+        reference_strict_feasible(sys2)
 
 
 def test_scaled_differences_divided_through():
@@ -61,7 +66,7 @@ def test_scaled_differences_divided_through():
         strict=[({"x": -2, "y": 2}, 1)],
         nonneg=["y"],
     )  # x = 1 and y - x > 1/2
-    point = strict_feasible(sys_)
+    point = reference_strict_feasible(sys_)
     assert point is not None and point["x"] == 1 and point["y"] > Fraction(3, 2)
     assert point_satisfies(sys_, point)
 
@@ -73,7 +78,7 @@ def test_identification_chains_and_pins():
         strict=[({"d": 1, "a": -1}, 0)],
         nonneg=["a", "b", "c", "d"],
     )
-    point = strict_feasible(sys_)
+    point = reference_strict_feasible(sys_)
     assert point is not None
     assert point["a"] == point["b"] == point["c"] < point["d"] == 2
     assert point_satisfies(sys_, point)
@@ -81,16 +86,16 @@ def test_identification_chains_and_pins():
 
 def test_conflicting_pins_infeasible():
     sys_ = linear_system(["x"], equalities=[({"x": 1}, 1), ({"x": 2}, 4)])
-    assert strict_feasible(sys_) is None
+    assert reference_strict_feasible(sys_) is None
     sys2 = linear_system(["x"], equalities=[({"x": 1}, -1)], nonneg=["x"])
-    assert strict_feasible(sys2) is None
+    assert reference_strict_feasible(sys2) is None
 
 
 def test_free_variables_allowed_negative():
     sys_ = linear_system(
         ["x"], strict=[({"x": 1}, -5), ({"x": -1}, 1)]
     )  # -5 < x < -1, x unrestricted in sign
-    point = strict_feasible(sys_)
+    point = reference_strict_feasible(sys_)
     assert point is not None and -5 < point["x"] < -1
 
 
@@ -100,7 +105,7 @@ def test_strict_cycle_infeasible():
         strict=[({"x": 1, "y": -1}, 0), ({"y": 1, "z": -1}, 0), ({"z": 1, "x": -1}, 0)],
         nonneg=["x", "y", "z"],
     )
-    assert strict_feasible(sys_) is None
+    assert reference_strict_feasible(sys_) is None
 
 
 def test_merge_induced_cycle_infeasible():
@@ -110,7 +115,7 @@ def test_merge_induced_cycle_infeasible():
         strict=[({"x": 1, "y": -1}, 0)],
         nonneg=["x", "y"],
     )
-    assert strict_feasible(sys_) is None
+    assert reference_strict_feasible(sys_) is None
 
 
 @pytest.mark.parametrize("where", ["equalities", "strict"])
@@ -199,7 +204,7 @@ def test_agrees_with_grid_search_on_200_random_systems():
     feasible_count = 0
     for seed in range(200):
         system = _random_system(seed)
-        point = strict_feasible(system)
+        point = reference_strict_feasible(system)
         grid_point = _grid_feasible(_system_rows(system))
         assert (point is None) == (grid_point is None), f"seed {seed}"
         if point is not None:
@@ -251,7 +256,7 @@ def test_engine_agrees_with_grid_search_on_200_non_strict_systems():
     feasible_count = 0
     for seed in range(200):
         equal, greater = _random_engine_system(seed)
-        values = _solve_differences(3, equal, greater)
+        values = reference_solve_differences(3, equal, greater)
         grid_point = _grid_feasible(_engine_rows(equal, greater))
         assert (values is None) == (grid_point is None), f"seed {seed}"
         if values is not None:
@@ -260,8 +265,9 @@ def test_engine_agrees_with_grid_search_on_200_non_strict_systems():
     assert 0 < feasible_count < 200
 
 
-# Digests of the engine's exact outputs, recorded before the points were
-# built from integer numerators: each value must keep its value and its type.
+# Digests of the general engine's exact outputs, recorded in the library
+# before the points were built from integer numerators and before constants
+# left it: each value must keep its value and its type.
 ENGINE_200_SHA256 = "5b89d8e83e93dc1daacc804b0d970d01f765d08a496d79e4264b21cadfbc8711"
 STRICT_200_SHA256 = "7409dae22dae770907a630bcacf80d01e1bda33d97a60607854ec6043bc844f2"
 
@@ -271,33 +277,118 @@ def _digest(outputs) -> str:
 
 
 def test_engine_outputs_match_the_recorded_corpus():
-    engine = [_solve_differences(3, *_random_engine_system(seed)) for seed in range(200)]
+    engine = [reference_solve_differences(3, *_random_engine_system(seed)) for seed in range(200)]
     assert _digest(engine) == ENGINE_200_SHA256
-    strict = [strict_feasible(_random_system(seed)) for seed in range(200)]
+    strict = [reference_strict_feasible(_random_system(seed)) for seed in range(200)]
     assert _digest(strict) == STRICT_200_SHA256
 
 
 def test_engine_matches_the_reference_engine_on_200_random_systems():
-    # the same lists, value for value and type for type, with Fraction
-    # constants and with the constants scaled to integers by scale > 1
+    # the zero-constant constraints of each system above: the library engine
+    # returns the reference's list, value for value and type for type; with
+    # every constraint kept, a system with a nonzero constant raises instead
     feasible = 0
     for seed in range(200):
         equal, greater = _random_engine_system(seed)
-        base = lcm(*(c.denominator for _, _, c in equal), *(g[2].denominator for g in greater))
-        runs = [(equal, greater, 1)]
-        for scale in (2 * base, 6 * base):
-            runs.append((
-                [(x, y, int(c * scale)) for x, y, c in equal],
-                [(x, y, int(c * scale), strict) for x, y, c, strict in greater],
-                scale,
-            ))
-        for eq, gr, scale in runs:
-            got = _solve_differences(3, eq, gr, scale)
-            assert got == reference_solve_differences(3, eq, gr, scale), f"seed {seed}"
-            if got is not None:
-                assert all(type(v) is Fraction for v in got), f"seed {seed}"
-                feasible += 1
-    assert 0 < feasible < 600
+        zero = [e for e in equal if not e[2]], [g for g in greater if not g[2]]
+        got = _solve_differences(3, *zero)
+        assert got == reference_solve_differences(3, *zero), f"seed {seed}"
+        if got is not None:
+            assert all(type(v) is Fraction for v in got), f"seed {seed}"
+            assert _holds(got, *zero), f"seed {seed}"
+            feasible += 1
+        with pytest.raises(ValueError, match="nonzero constant"):  # the bounds x < 1
+            _solve_differences(3, equal, greater)
+    assert 0 < feasible < 200
+
+
+def _random_zero_constant_system(rng):
+    """Identifications and strict and non-strict orders on 2-8 variables,
+    some kept nonnegative by an edge to the zero id, dense enough for cycles."""
+    n = rng.randint(2, 8)
+    equal = [tuple(rng.sample(range(n + 1), 2)) + (0,) for _ in range(rng.randint(0, 2))]
+    greater = [
+        tuple(rng.sample(range(n), 2)) + (0, rng.random() < 0.5)
+        for _ in range(rng.randint(1, 2 * n))
+    ]
+    greater += [(x, n, 0, False) for x in range(n) if rng.random() < 0.5]
+    return n, equal, greater
+
+
+def _has_cycle(n, greater):
+    """Whether the edges ``y -> x`` of ``greater`` close a directed cycle."""
+    out = {v: [x for x, y, _, _ in greater if y == v] for v in range(n + 1)}
+    state = dict.fromkeys(range(n + 1), 0)  # 0 new, 1 on the path, 2 done
+
+    def visit(v):
+        state[v] = 1
+        for w in out[v]:
+            if state[w] == 1 or (state[w] == 0 and visit(w)):
+                return True
+        state[v] = 2
+        return False
+
+    return any(state[v] == 0 and visit(v) for v in range(n + 1))
+
+
+def test_engine_matches_the_reference_on_random_zero_constant_systems():
+    # 400 seeded systems: equal lists of Fractions, or None on both sides;
+    # every feasible point satisfies its system, and the corpus holds
+    # feasible and infeasible systems, cycles, merges and nonneg edges
+    rng = random.Random(23)
+    feasible = cyclic = merged = nonneg = 0
+    for case in range(400):
+        n, equal, greater = _random_zero_constant_system(rng)
+        got = _solve_differences(n, equal, greater)
+        assert got == reference_solve_differences(n, equal, greater), f"case {case}"
+        if got is not None:
+            assert all(type(v) is Fraction for v in got), f"case {case}"
+            v = list(got) + [0]
+            assert all(v[x] == v[y] for x, y, _ in equal), f"case {case}"
+            assert all(v[x] > v[y] if s else v[x] >= v[y] for x, y, _, s in greater), f"case {case}"
+            feasible += 1
+        cyclic += _has_cycle(n, greater)
+        merged += bool(equal)
+        nonneg += any(y == n for _, y, _, _ in greater)
+    assert 0 < feasible < 400
+    assert min(cyclic, merged, nonneg) > 50
+
+
+def test_engine_rejects_a_nonzero_constant():
+    for equal, greater in (
+        ([(0, 1, 1)], []),
+        ([], [(0, 1, Fraction(1, 2), True)]),
+        ([], [(0, 2, -1, False)]),
+    ):
+        with pytest.raises(ValueError, match="nonzero constant"):
+            _solve_differences(2, equal, greater)
+
+
+def test_shim_solves_named_zero_constant_systems():
+    # u = w and u > w over named variables, with nonneg ones at >= 0
+    system = StrictLinearSystem(
+        ("x", "y", "z"), (("y", "z"),), (("x", "y"),), frozenset({"x", "y", "z"})
+    )
+    point = strict_feasible(system)
+    assert point == {"x": 1, "y": 0, "z": 0}
+    assert all(type(v) is Fraction for v in point.values())
+    free = StrictLinearSystem(("x", "y"), (), (("x", "y"),))
+    assert strict_feasible(free) == {"x": 1, "y": 0}
+    cycle = StrictLinearSystem(("x", "y"), (("x", "y"),), (("x", "y"),))
+    assert strict_feasible(cycle) is None
+    # the shim agrees with the general route on each
+    for s in (system, free, cycle):
+        assert strict_feasible(s) == reference_strict_feasible(as_linear_system(s))
+
+
+def test_shim_rejects_unknown_variables():
+    for system in (
+        StrictLinearSystem(("x",), (("x", "y"),), ()),
+        StrictLinearSystem(("x",), (), (("y", "x"),)),
+        StrictLinearSystem(("x",), (), (), frozenset({"y"})),
+    ):
+        with pytest.raises(ValueError, match="unknown variable 'y'"):
+            strict_feasible(system)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +410,7 @@ def test_engine_matches_the_reference_engine_on_200_random_systems():
     ],
 )
 def test_engine_points_with_eps_below_one(n, equal, greater, expected):
-    values = _solve_differences(n, equal, greater)
+    values = reference_solve_differences(n, equal, greater)
     assert values == expected
     assert all(type(v) is Fraction for v in values)
     assert _holds(values, equal, greater)
@@ -334,13 +425,13 @@ def test_scaled_engine_gives_the_unscaled_points(extra):
         scale = extra * lcm(
             *(c.denominator for _, _, c in equal), *(g[2].denominator for g in greater)
         )
-        scaled = _solve_differences(
+        scaled = reference_solve_differences(
             3,
             [(x, y, int(c * scale)) for x, y, c in equal],
             [(x, y, int(c * scale), strict) for x, y, c, strict in greater],
             scale,
         )
-        plain = _solve_differences(3, equal, greater)
+        plain = reference_solve_differences(3, equal, greater)
         assert scaled == plain, f"seed {seed}"
         assert scaled is None or all(type(v) is Fraction for v in scaled)
 
@@ -355,7 +446,7 @@ def test_scaled_engine_gives_the_unscaled_points(extra):
 )
 def test_integer_constants_stay_exact(equalities, strict, expected):
     # built without linear_system, a system may carry plain ints
-    system = StrictLinearSystem(("x", "y"), equalities, strict, frozenset({"y"}))
-    point = strict_feasible(system)
+    system = LinearSystem(("x", "y"), equalities, strict, frozenset({"y"}))
+    point = reference_strict_feasible(system)
     assert point == expected
     assert all(type(v) is Fraction for v in point.values())

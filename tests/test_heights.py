@@ -232,7 +232,7 @@ def test_distance_transfer_between_fitting_weightings(p1, p2, seed):
     cherry {a,a'} vs b appears in both trees or in neither."""
     import random
 
-    from treelasso import linear_system, strict_feasible
+    from conftest import linear_system, reference_strict_feasible
 
     t, hm = p1
     t2, _ = p2
@@ -249,7 +249,7 @@ def test_distance_transfer_between_fitting_weightings(p1, p2, seed):
         if p is not None:
             strict.append(({p: 1, v: -1}, 0))
     equalities = [({t2.lca(a, a2): 1}, half_aa), ({t2.lca(a, b): 1}, half_ab)]
-    point = strict_feasible(
+    point = reference_strict_feasible(
         linear_system(variables, equalities=equalities, strict=strict, nonneg=variables)
     )
     if point is None:

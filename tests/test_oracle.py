@@ -16,21 +16,24 @@ from conftest import (
     LABELS5,
     LABELS6,
     all_cord_subsets,
+    as_linear_system,
     count_binary_xtrees,
     count_xtrees,
     decision_row,
+    linear_system,
     random_cords,
     random_xtree,
     reference_solve_differences,
+    reference_strict_feasible,
 )
 from treelasso import (
+    HeightMap,
     Witness,
     XTree,
     all_cords,
     cord_set,
     enumerate_xtrees,
     joint_isometry_system,
-    linear_system,
     min_equidistant_lasso,
     oracle_equidistant,
     oracle_topological,
@@ -71,20 +74,30 @@ def test_enumerated_trees_are_pairwise_inequivalent():
     assert len({t.canonical_newick() for t in trees}) == len(trees)
 
 
+def _joint(tree, rival, cords):
+    """The joint system as the general system it stands for."""
+    return as_linear_system(joint_isometry_system(tree, rival, cords))
+
+
 def test_joint_system_examples():
     # a tree always fits the cords jointly with itself
-    assert strict_feasible(joint_isometry_system(T4, T4, all_cords(LABELS4))) is not None
+    assert reference_strict_feasible(_joint(T4, T4, all_cords(LABELS4))) is not None
     # the full cord set on three leaves separates the triplet from the star
     full3 = all_cords("abc")
-    assert strict_feasible(joint_isometry_system(TRIPLET, STAR3, full3)) is None
+    assert reference_strict_feasible(_joint(TRIPLET, STAR3, full3)) is None
     # a single cherry cord does not
-    assert strict_feasible(joint_isometry_system(TRIPLET, STAR3, cord_set([("a", "b")]))) is not None
+    cherry = cord_set([("a", "b")])
+    assert reference_strict_feasible(_joint(TRIPLET, STAR3, cherry)) is not None
+    # the library's shim gives the general route's answer on each
+    for t, r, cords in ((T4, T4, all_cords(LABELS4)), (TRIPLET, STAR3, full3), (TRIPLET, STAR3, cherry)):
+        point = reference_strict_feasible(_joint(t, r, cords))
+        assert strict_feasible(joint_isometry_system(t, r, cords)) == point
     # the tree's heights and properness edges come first, then the rival's,
     # each in interior preorder; the cord equalities follow sorted cords
     tree = [("T", 0), ("T", 1), ("T", 2)]
     rival = [("R", 0), ("R", 1)]
     cat = XTree(((("a", "b"), "c"), "d"))
-    assert joint_isometry_system(cat, T4, cord_set([("c", "d"), ("a", "b")])) == linear_system(
+    assert _joint(cat, T4, cord_set([("c", "d"), ("a", "b")])) == linear_system(
         tree + rival,
         equalities=[({("T", 2): 1, ("R", 1): -1}, 0), ({("T", 0): 1, ("R", 0): -1}, 0)],
         strict=[
@@ -129,6 +142,26 @@ def test_oracle_weak_counterexample_and_witness():
         if strict_feasible(joint_isometry_system(T4, rival, cords)) is not None:
             assert rival == witness.rival
             break
+
+
+def test_a_witness_edited_after_construction_no_longer_verifies():
+    # the witness's height maps are re-validated: a negative root height,
+    # where no cord meets and so the cord distances still agree, fails
+    # properness as a new HeightMap would
+    t = XTree(((("a", "b"), "c"), ("d", "e")))
+    cords = cord_set([("a", "b"), ("d", "e")])
+    ok, witness = oracle_weak(t, cords)
+    assert not ok and verify_witness(t, cords, witness, "weak")
+    witness.heights_t.heights[t.root] = Fraction(-3)
+    with pytest.raises(ValueError, match="negative"):
+        HeightMap(t, witness.heights_t.heights)
+    assert not verify_witness(t, cords, witness, "weak")
+    # an edit that breaks only properness, on the rival's side, fails too
+    ok, witness = oracle_topological(t, cords)
+    rival_heights = witness.heights_rival.heights
+    top, below = witness.rival.interior_vertices()[:2]
+    rival_heights[below] = rival_heights[top]
+    assert not verify_witness(t, cords, witness, "topological")
 
 
 def test_oracle_topological_examples():
@@ -470,7 +503,7 @@ def _equidistant_reference(t, cords, i):
     ]
     strict.append(({("T", i): 1, ("R", i): -1}, 0))
     equalities = [({("T", t.lca(a, b)): 1, ("R", t.lca(a, b)): -1}, 0) for a, b in cords]
-    return strict_feasible(
+    return reference_strict_feasible(
         linear_system(variables, equalities=equalities, strict=strict, nonneg=variables)
     )
 

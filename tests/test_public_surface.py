@@ -30,14 +30,14 @@ PUBLIC = {
     "Bipartition", "CircularOrdering", "bipartition_lasso", "circular_lasso", "circular_order",
     "min_equidistant_lasso", "min_topological_lasso", "min_weak_lasso", "random_cord_set",
     # the definition-level route
-    "StrictLinearSystem", "linear_system", "strict_feasible",
+    "StrictLinearSystem", "strict_feasible",
     "Witness", "enumerate_xtrees", "joint_isometry_system",
     "oracle_equidistant", "oracle_topological", "oracle_weak", "verify_witness",
 }
 
 
 def test_public_names_are_exactly_the_expected_ones():
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
     assert len(treelasso.__all__) == len(set(treelasso.__all__))
     assert set(treelasso.__all__) == PUBLIC
 
