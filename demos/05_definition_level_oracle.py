@@ -4,9 +4,9 @@ The child-edge graph conditions are fast but indirect.  On small leaf sets
 the library can also answer straight from the definitions: enumerate every
 tree on the leaf set, and solve an exact system of height differences asking
 whether two trees can carry proper equidistant weightings that agree on all
-cords.  Strict inequalities are decided exactly (longest paths in which each
-strict edge adds an infinitesimal, over fractions), never with
-floating-point tolerance.
+cords.  The system holds only identifications and strict orders, so it is
+decided exactly by integer longest paths, each strict order one step, never
+with floating-point tolerance.
 
 Run:  python3 demos/05_definition_level_oracle.py
 """

@@ -212,12 +212,17 @@ def format_cord_file(
     ``distances`` is keyed by normalized cords and gives each cord a
     positive exact distance, anything ``Fraction`` reads but a float, so
     that :func:`read_cord_file` reads the text back; a ``TypeError`` or
-    ``ValueError`` names a cord whose distance is not one.
+    ``ValueError`` names a cord whose distance is not one.  A label holding
+    ``#`` or whitespace would be read back as a comment or as more columns,
+    so it raises ``ValueError`` naming the label.
     """
     if distances is not None:
         import fractions
     lines = []
     for a, b in sorted(cord_set(cords)):
+        for label in (a, b):
+            if "#" in label or label.split() != [label]:
+                raise ValueError(f"label {label!r} cannot be written: it holds '#' or whitespace")
         if distances is None:
             lines.append(f"{a} {b}")
             continue

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .cords import validate_cords
-from .feasibility import _as_fraction
 from .tree import XTree
 
 __all__ = [
@@ -29,6 +28,15 @@ __all__ = [
     "WeightingError",
     "random_proper_heights",
 ]
+
+
+def _as_fraction(value, what: str) -> Fraction:
+    """``value`` as an exact ``Fraction``; a float raises ``TypeError`` naming ``what``."""
+    if type(value) is Fraction:  # not isinstance: Fraction's ABC check is slow
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"{what} must be exact rationals, not floats")
+    return Fraction(value)
 
 
 class WeightingError(ValueError):

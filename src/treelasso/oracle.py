@@ -18,10 +18,10 @@ which rivals it skips, and which covers every rival on each leaf set the
 enumeration accepts: up to 6 leaves, or 2752 trees.  The weak decision
 alone takes an explicit ``rival_sample``, which scans a seeded subset
 instead.  Each joint system, one identification per cord and a strict order
-along every edge, goes straight to the zero-constant engine of
-:mod:`treelasso.feasibility` over dense integer ids; its verdict and exact
-point come from one call, and the point of the first feasible rival is the
-witness.
+along every edge, goes straight to the engine of
+:mod:`treelasso.feasibility` as pairs of dense integer ids; its verdict and
+exact point come from one call, and the point of the first feasible rival
+is the witness.
 
 The scan reads its rivals from one table per leaf set, built on first use,
 with a row per enumerated tree in canonical order; bit r of every mask below
@@ -180,12 +180,12 @@ _TABLES: weakref.WeakKeyDictionary[XTree, tuple] = weakref.WeakKeyDictionary()
 def _tables(tree: XTree):
     """Dense per-tree tables over interior indices (canonical order).
 
-    Returns the properness edges of two copies of the tree as engine
-    constraints ``(parent, child, 0, True)``, the second copy's ids shifted
-    by ``k``; the interior index of each vertex; a dict from cord to the
-    interior index of its meeting vertex, which the caller fills as cords
-    are asked for; and ``k``, the number of interior vertices.  None of them
-    holds the tree.
+    Returns the properness edges of two copies of the tree as engine pairs
+    ``(parent, child)``, the second copy's ids shifted by ``k``; the
+    interior index of each vertex; a dict from cord to the interior index
+    of its meeting vertex, which the caller fills as cords are asked for;
+    and ``k``, the number of interior vertices.  None of them holds the
+    tree.
     """
     out = _TABLES.get(tree)
     if out is not None:
@@ -194,9 +194,7 @@ def _tables(tree: XTree):
     k = len(interior)
     index = {v: i for i, v in enumerate(interior)}
     edges = [(index[tree.parent(v)], index[v]) for v in interior if v != tree.root]
-    both = tuple((a, b, 0, True) for a, b in edges) + tuple(
-        (k + a, k + b, 0, True) for a, b in edges
-    )
+    both = tuple(edges) + tuple((k + a, k + b) for a, b in edges)
     out = _TABLES[tree] = (both, index, {}, k)
     return out
 
@@ -206,10 +204,11 @@ def joint_isometry_system(
 ) -> StrictLinearSystem:
     """The exact system "both trees carry proper weightings fitting every cord".
 
-    Variables are the interior heights of both trees (tagged "T" and "R"),
-    all nonnegative; properness contributes a strict difference along every
-    interior edge; every cord contributes one equality between the heights
-    of its two meeting vertices.
+    Variables are the interior heights of both trees (tagged "T" and "R");
+    properness contributes a strict order along every interior edge; every
+    cord contributes one equality between the heights of its two meeting
+    vertices.  No height is bounded below: the constraints only compare
+    heights, and the engine's least point is nonnegative.
     """
     if tree.leaf_labels != rival.leaf_labels:
         raise ValueError("trees are on different leaf sets")
@@ -222,7 +221,7 @@ def joint_isometry_system(
     equalities = tuple(
         (("T", tree.lca(a, b)), ("R", rival.lca(a, b))) for a, b in sorted(checked)
     )
-    return StrictLinearSystem(variables, equalities, strict, frozenset(variables))
+    return StrictLinearSystem(variables, equalities, strict)
 
 
 # --------------------------------------------------------------------------
@@ -320,7 +319,7 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
         edges = []
         for k, v in enumerate(interior):  # preorder: parents first
             if k:
-                edges.append((offset + above[v].bit_length() - 1, offset + k, 0, True))
+                edges.append((offset + above[v].bit_length() - 1, offset + k))
             for u in range(v, last[v] + 1):
                 above[u] |= 1 << k
         edges = tuple(edges)
@@ -334,7 +333,7 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
                     else _BELOW if w < u <= last[w]
                     else _APART
                 )
-            own = tuple((a - offset, b - offset, 0, True) for a, b, _, _ in edges)
+            own = tuple((a - offset, b - offset) for a, b in edges)
             shared[edges] = edges, own, bytes(between)
         edges, own_edges, between = shared[edges]
         relation = sum(map(mul, meets, weight)).to_bytes(n_pairs, "little").translate(between)
@@ -415,7 +414,7 @@ def _rival_scan(
         low = alive & -alive
         alive ^= low
         rival, edges, meets, _, _, _ = rows[low.bit_length() - 1]
-        equal = [(t_meets[i], k + meets[i], 0) for i in index]
+        equal = [(t_meets[i], k + meets[i]) for i in index]
         values = _solve_differences(2 * k, equal, t_edges + edges)
         if values is not None:
             return False, _witness(tree, rival, values, k)
@@ -469,11 +468,11 @@ def oracle_equidistant(
         for c in checked - meets.keys():
             meets[c] = index[tree.lca(*c)]
         met = {meets[c] for c in checked}
-    equal = [(i, k + i, 0) for i in sorted(met)]
+    equal = [(i, k + i) for i in sorted(met)]
     for i in range(k):
         if i in met:  # x_i = x_{k+i} and x_i > x_{k+i}: a strict self-loop
             continue
-        values = _solve_differences(2 * k, equal, both + ((i, k + i, 0, True),))
+        values = _solve_differences(2 * k, equal, both + ((i, k + i),))
         if values is not None:
             return False, _witness(tree, tree, values, k)
     return True, None

@@ -17,7 +17,7 @@ from math import factorial, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from treelasso import XTree, classify, cord, cord_set
-from treelasso.feasibility import _as_fraction
+from treelasso.heights import _as_fraction
 
 LABELS3 = ("a", "b", "c")
 LABELS4 = ("a", "b", "c", "d")
@@ -389,7 +389,6 @@ def as_linear_system(system) -> LinearSystem:
         system.variables,
         equalities=[({u: 1, w: -1}, 0) for u, w in system.equalities],
         strict=[({u: 1, w: -1}, 0) for u, w in system.strict_inequalities],
-        nonneg=system.nonneg,
     )
 
 

@@ -256,6 +256,14 @@ def test_input_errors_exit_2(capsys, tree_file, cords_file, tmp_path):
     code, _, err = run(capsys, "build", "--tree", tree_file, "--kind", "bipartition")
     assert code == 2
 
+    # a leaf label that a cord file would misread is named, not written
+    for newick, label in (("((#x,b),(c,d));", "#x"), ("((a#1,b),(c,d));", "a#1")):
+        hashed = tmp_path / "hashed.nwk"
+        hashed.write_text(newick + "\n")
+        code, out, err = run(capsys, "build", "--tree", str(hashed), "--kind", "topological")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and repr(label) in err
+
     # a build option that the kind does not use is rejected, not ignored
     partition = tmp_path / "p.txt"
     partition.write_text("a b\nc d\n")

@@ -1,7 +1,7 @@
-"""Exact strict feasibility: the library's zero-constant engine and its
-named-variable shim, and the general route of ``tests/conftest.py`` (pins,
-rational constants, scaled differences) against hand cases and grid-search
-oracles."""
+"""Exact strict feasibility: the library's engine of identifications and
+strict orders and its named-variable shim, and the general route of
+``tests/conftest.py`` (pins, rational constants, scaled differences)
+against hand cases and grid-search oracles."""
 
 import hashlib
 import random
@@ -283,92 +283,100 @@ def test_engine_outputs_match_the_recorded_corpus():
     assert _digest(strict) == STRICT_200_SHA256
 
 
+def _as_reference(equal, greater):
+    """Engine pairs as the reference engine's zero-constant constraints."""
+    return [(x, y, 0) for x, y in equal], [(x, y, 0, True) for x, y in greater]
+
+
+def _pairs_hold(values, equal, greater):
+    return all(values[x] == values[y] for x, y in equal) and all(
+        values[x] > values[y] for x, y in greater
+    )
+
+
 def test_engine_matches_the_reference_engine_on_200_random_systems():
-    # the zero-constant constraints of each system above: the library engine
-    # returns the reference's list, value for value and type for type; with
-    # every constraint kept, a system with a nonzero constant raises instead
+    # the identifications and strict orders with constant 0 of each system
+    # above, id 3 an ordinary variable: the library engine returns the
+    # reference's list, value for value and type for type
     feasible = 0
     for seed in range(200):
         equal, greater = _random_engine_system(seed)
-        zero = [e for e in equal if not e[2]], [g for g in greater if not g[2]]
-        got = _solve_differences(3, *zero)
-        assert got == reference_solve_differences(3, *zero), f"seed {seed}"
+        pairs = (
+            [(x, y) for x, y, c in equal if not c],
+            [(x, y) for x, y, c, strict in greater if strict and not c],
+        )
+        got = _solve_differences(4, *pairs)
+        assert got == reference_solve_differences(4, *_as_reference(*pairs)), f"seed {seed}"
         if got is not None:
             assert all(type(v) is Fraction for v in got), f"seed {seed}"
-            assert _holds(got, *zero), f"seed {seed}"
+            assert _pairs_hold(got, *pairs), f"seed {seed}"
             feasible += 1
-        with pytest.raises(ValueError, match="nonzero constant"):  # the bounds x < 1
-            _solve_differences(3, equal, greater)
     assert 0 < feasible < 200
 
 
-def _random_zero_constant_system(rng):
-    """Identifications and strict and non-strict orders on 2-8 variables,
-    some kept nonnegative by an edge to the zero id, dense enough for cycles."""
+def _random_strict_pair_system(rng):
+    """Identifications and strict orders on 2-8 variables, dense enough for
+    cycles; about a third of the systems are a ring of orders plus a few
+    more, so that some cycles have no shorter one."""
     n = rng.randint(2, 8)
-    equal = [tuple(rng.sample(range(n + 1), 2)) + (0,) for _ in range(rng.randint(0, 2))]
-    greater = [
-        tuple(rng.sample(range(n), 2)) + (0, rng.random() < 0.5)
-        for _ in range(rng.randint(1, 2 * n))
-    ]
-    greater += [(x, n, 0, False) for x in range(n) if rng.random() < 0.5]
+    equal = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.3:
+        ring = rng.sample(range(n), rng.randint(2, n))
+        greater = list(zip(ring, ring[1:] + ring[:1]))
+        greater += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
+    else:
+        greater = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, n + 2))]
     return n, equal, greater
 
 
-def _has_cycle(n, greater):
-    """Whether the edges ``y -> x`` of ``greater`` close a directed cycle."""
-    out = {v: [x for x, y, _, _ in greater if y == v] for v in range(n + 1)}
-    state = dict.fromkeys(range(n + 1), 0)  # 0 new, 1 on the path, 2 done
-
-    def visit(v):
-        state[v] = 1
-        for w in out[v]:
-            if state[w] == 1 or (state[w] == 0 and visit(w)):
-                return True
-        state[v] = 2
-        return False
-
-    return any(state[v] == 0 and visit(v) for v in range(n + 1))
+def _class_graph(n, equal, greater):
+    """The classes of the identifications, the edges ``y -> x`` of ``greater``
+    between them, and the classes each class reaches by one edge or more."""
+    cls = list(range(n))
+    for x, y in equal:  # relabel by repeated sweeps: no union-find
+        a, b = cls[x], cls[y]
+        cls = [a if c == b else c for c in cls]
+    edges = {(cls[y], cls[x]) for x, y in greater}
+    reach = {c: {w for v, w in edges if v == c} for c in set(cls)}
+    for _ in range(n):
+        reach = {c: r.union(*(reach[w] for w in r)) for c, r in reach.items()}
+    return edges, reach
 
 
 def test_engine_matches_the_reference_on_random_zero_constant_systems():
-    # 400 seeded systems: equal lists of Fractions, or None on both sides;
-    # every feasible point satisfies its system, and the corpus holds
-    # feasible and infeasible systems, cycles, merges and nonneg edges
+    # 400 seeded systems: equal lists of Fractions, or None on both sides,
+    # None exactly when the class graph has a cycle; every feasible point
+    # satisfies its system.  The corpus holds feasible systems, merged
+    # self-loops, cycles of three classes or more with no shorter one, and
+    # classes that only a cycle reaches.
     rng = random.Random(23)
-    feasible = cyclic = merged = nonneg = 0
+    feasible = self_loop = long_cycle = behind = 0
     for case in range(400):
-        n, equal, greater = _random_zero_constant_system(rng)
+        n, equal, greater = _random_strict_pair_system(rng)
         got = _solve_differences(n, equal, greater)
-        assert got == reference_solve_differences(n, equal, greater), f"case {case}"
+        assert got == reference_solve_differences(n, *_as_reference(equal, greater)), f"case {case}"
+        edges, reach = _class_graph(n, equal, greater)
+        on_cycle = {c for c, r in reach.items() if c in r}
+        assert (got is None) == bool(on_cycle), f"case {case}"
         if got is not None:
             assert all(type(v) is Fraction for v in got), f"case {case}"
-            v = list(got) + [0]
-            assert all(v[x] == v[y] for x, y, _ in equal), f"case {case}"
-            assert all(v[x] > v[y] if s else v[x] >= v[y] for x, y, _, s in greater), f"case {case}"
+            assert _pairs_hold(got, equal, greater), f"case {case}"
             feasible += 1
-        cyclic += _has_cycle(n, greater)
-        merged += bool(equal)
-        nonneg += any(y == n for _, y, _, _ in greater)
-    assert 0 < feasible < 400
-    assert min(cyclic, merged, nonneg) > 50
-
-
-def test_engine_rejects_a_nonzero_constant():
-    for equal, greater in (
-        ([(0, 1, 1)], []),
-        ([], [(0, 1, Fraction(1, 2), True)]),
-        ([], [(0, 2, -1, False)]),
-    ):
-        with pytest.raises(ValueError, match="nonzero constant"):
-            _solve_differences(2, equal, greater)
+        loops = any(v == w for v, w in edges)
+        self_loop += loops
+        long_cycle += bool(on_cycle) and not loops and not any((w, v) in edges for v, w in edges)
+        below = {c for c in reach if c not in on_cycle and any(c in reach[d] for d in on_cycle)}
+        # a class every one of whose ancestors is on or behind a cycle
+        behind += any(
+            all(d in on_cycle or d in below for d in reach if c in reach[d]) for c in below
+        )
+    counts = feasible, self_loop, long_cycle, behind
+    assert min(counts) > 30, counts
 
 
 def test_shim_solves_named_zero_constant_systems():
-    # u = w and u > w over named variables, with nonneg ones at >= 0
-    system = StrictLinearSystem(
-        ("x", "y", "z"), (("y", "z"),), (("x", "y"),), frozenset({"x", "y", "z"})
-    )
+    # u = w and u > w over named variables
+    system = StrictLinearSystem(("x", "y", "z"), (("y", "z"),), (("x", "y"),))
     point = strict_feasible(system)
     assert point == {"x": 1, "y": 0, "z": 0}
     assert all(type(v) is Fraction for v in point.values())
@@ -385,7 +393,6 @@ def test_shim_rejects_unknown_variables():
     for system in (
         StrictLinearSystem(("x",), (("x", "y"),), ()),
         StrictLinearSystem(("x",), (), (("y", "x"),)),
-        StrictLinearSystem(("x",), (), (), frozenset({"y"})),
     ):
         with pytest.raises(ValueError, match="unknown variable 'y'"):
             strict_feasible(system)

@@ -329,6 +329,17 @@ def test_cord_file_round_trip():
     assert parsed == cords and distances is None
 
 
+def test_cord_file_labels_read_back_or_raise():
+    # a label holding '#' or whitespace would come back as a comment or as
+    # more columns, so the writer names it instead of writing it
+    for label in ("#x", "a#1", "a b", "a\tb", "x\n"):
+        for distances in (None, {tuple(sorted((label, "c"))): 1}):
+            with pytest.raises(ValueError, match=re.escape(f"label {label!r} cannot be written")):
+                format_cord_file([(label, "c")], distances)
+    cords = cord_set([("a-1", "b.2"), ("b.2", "x'")])
+    assert read_cord_file(format_cord_file(cords)) == (cords, None)
+
+
 def test_cord_file_comments_and_blank_lines():
     parsed, _ = read_cord_file("# heading\n\na b  # trailing\nc d\n")
     assert parsed == cord_set([("a", "b"), ("c", "d")])
