@@ -12,11 +12,12 @@ strict inequalities.
 Importing the package loads what ``classify`` runs: ``tree``, ``cords``,
 ``lasso`` and ``newick``, whose names are imported here.  The other modules
 (``childgraph``, ``feasibility``, ``heights``, ``oracle`` and ``builders``)
-load on first access (PEP 562): a submodule by its name, a public name from
-the first of them, in that order, whose ``__all__`` lists it.  ``__all__``,
-``dir()``, ``from treelasso import *`` and an unknown name load them all.
-Every other submodule name, such as ``cli``, resolves without loading any
-of them.
+load on first access (PEP 562), through one index from each name to its
+module: a submodule by its name, a public name by the module whose
+``__all__`` lists it, so a name loads only that module and what it imports.
+``__all__``, ``dir()`` and ``from treelasso import *`` load them all;
+``cli`` loads on first access too, and any other name raises
+``AttributeError`` without loading anything.
 """
 
 from importlib import import_module
@@ -27,8 +28,19 @@ from .lasso import *
 from .newick import *
 from .tree import *
 
-# In dependency order, so a name is found without loading a module it does not need.
-_DEFERRED = ("childgraph", "feasibility", "heights", "oracle", "builders")
+# The deferred modules and the names each one's ``__all__`` lists, which
+# tests/test_public_surface.py checks against the modules themselves.
+_DEFERRED = {
+    "childgraph": "ChildEdgeGraph build_child_edge_graph child_edge_graphs",
+    "feasibility": "StrictLinearSystem strict_feasible",
+    "heights": "EdgeWeighting HeightMap WeightingError random_proper_heights",
+    "oracle": "Witness enumerate_xtrees joint_isometry_system oracle_equidistant"
+    " oracle_topological oracle_weak verify_witness",
+    "builders": "Bipartition CircularOrdering bipartition_lasso circular_lasso circular_order"
+    " min_equidistant_lasso min_topological_lasso min_weak_lasso random_cord_set",
+}
+# Where each name that is not bound yet lives: a submodule is its own home.
+_HOME = {"cli": "cli"} | {n: m for m, names in _DEFERRED.items() for n in (m, *names.split())}
 
 __version__ = "0.1.0"
 
@@ -39,18 +51,14 @@ def __getattr__(name: str):
         modules = (cords, lasso, newick, tree, *map(__getattr__, _DEFERRED))
         globals()[name] = value = sorted(n for m in modules for n in m.__all__)
         return value
-    if not name.startswith("_"):
-        try:  # ``import_module`` binds the submodule here, so this runs once per name
-            return import_module(f"{__name__}.{name}")
-        except ModuleNotFoundError as exc:
-            if exc.name != f"{__name__}.{name}":
-                raise
-        for module_name in _DEFERRED:
-            module = __getattr__(module_name)
-            if name in module.__all__:
-                globals().update((n, getattr(module, n)) for n in module.__all__)
-                return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{home}")  # binds the submodule here
+    if name == home:
+        return module
+    globals().update((n, getattr(module, n)) for n in module.__all__)
+    return globals()[name]
 
 
 def __dir__() -> list[str]:

@@ -10,12 +10,11 @@ pairs crossing a 2-coloring of the leaves.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .cords import Cord, all_cords, cord
-from .lasso import _require_domain
+from .lasso import _Record, _require_domain
 from .tree import XTree
 
 __all__ = [
@@ -31,30 +30,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CircularOrdering:
+class CircularOrdering(_Record):
     """A cyclic leaf sequence, as produced by walking a planar embedding."""
 
-    order: tuple[str, ...]
+    __slots__ = __match_args__ = ("order",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(self.order))
+    def __init__(self, order: tuple[str, ...]) -> None:
+        self._set(tuple(order))
         if len(set(self.order)) != len(self.order):
             raise ValueError("a circular ordering must not repeat labels")
         if not self.order:
             raise ValueError("a circular ordering must be nonempty")
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(_Record):
     """A split of the leaf set into two disjoint nonempty blocks."""
 
-    a_side: frozenset[str]
-    b_side: frozenset[str]
+    __slots__ = __match_args__ = ("a_side", "b_side")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a_side", frozenset(self.a_side))
-        object.__setattr__(self, "b_side", frozenset(self.b_side))
+    def __init__(self, a_side: frozenset[str], b_side: frozenset[str]) -> None:
+        self._set(frozenset(a_side), frozenset(b_side))
         if not self.a_side or not self.b_side:
             raise ValueError("both sides of a bipartition must be nonempty")
         if self.a_side & self.b_side:

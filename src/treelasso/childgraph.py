@@ -20,27 +20,33 @@ access to one of its names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .cords import Cord
-from .lasso import _child_pairs
+from .lasso import _Record, _child_pairs
 from .tree import XTree
 
 __all__ = ["ChildEdgeGraph", "build_child_edge_graph", "child_edge_graphs"]
 
 
-@dataclass(frozen=True)
-class ChildEdgeGraph:
+class ChildEdgeGraph(_Record):
     """Graph on the child edges of one interior vertex, induced by a cord set."""
 
-    tree: XTree
-    owner: int
-    nodes: tuple[int, ...]
-    adjacency: Mapping[int, frozenset[int]]
-    leaf_edges: frozenset[int]
-    subtree_edges: frozenset[int]
+    __slots__ = __match_args__ = (
+        "tree", "owner", "nodes", "adjacency", "leaf_edges", "subtree_edges",
+    )
+
+    def __init__(
+        self,
+        tree: XTree,
+        owner: int,
+        nodes: tuple[int, ...],
+        adjacency: Mapping[int, frozenset[int]],
+        leaf_edges: frozenset[int],
+        subtree_edges: frozenset[int],
+    ) -> None:
+        self._set(tree, owner, nodes, adjacency, leaf_edges, subtree_edges)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All graph edges as ordered (smaller id, larger id) pairs."""

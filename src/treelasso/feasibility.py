@@ -22,24 +22,30 @@ ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Sequence
+
+from .lasso import _Record
 
 __all__ = ["StrictLinearSystem", "strict_feasible"]
 
 
-@dataclass(frozen=True)
-class StrictLinearSystem:
+class StrictLinearSystem(_Record):
     """A system of identifications and strict orders.
 
     ``equalities`` holds pairs ``(u, w)`` meaning ``u == w`` and
     ``strict_inequalities`` pairs meaning ``u > w``.
     """
 
-    variables: tuple[Hashable, ...]
-    equalities: tuple[tuple[Hashable, Hashable], ...]
-    strict_inequalities: tuple[tuple[Hashable, Hashable], ...]
+    __slots__ = __match_args__ = ("variables", "equalities", "strict_inequalities")
+
+    def __init__(
+        self,
+        variables: tuple[Hashable, ...],
+        equalities: tuple[tuple[Hashable, Hashable], ...],
+        strict_inequalities: tuple[tuple[Hashable, Hashable], ...],
+    ) -> None:
+        self._set(variables, equalities, strict_inequalities)
 
 
 # Points reuse these: a Fraction is immutable, so one object per small value serves every call.

@@ -10,16 +10,22 @@ heights along interior edges.  Heights make distance queries trivial: the
 distance between two leaves is twice the height of their last common vertex.
 
 All values are exact rationals; strict inequalities are never approximated.
+:class:`EdgeWeighting` and :class:`HeightMap` are frozen records whose
+mapping, ``by_child`` or ``heights``, is a read-only view
+(:class:`types.MappingProxyType`) of the copy their constructor checked, so
+no edit can skip the checks or change the hash; copy, deepcopy and pickle
+hand the constructor a plain dict and check it again.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .cords import validate_cords
+from .lasso import _Record
 from .tree import XTree
 
 __all__ = [
@@ -43,27 +49,26 @@ class WeightingError(ValueError):
     """An edge-weighting violates the equidistant/proper contract."""
 
 
-@dataclass(frozen=True)
-class EdgeWeighting:
+class EdgeWeighting(_Record):
     """Edge weights of a tree, keyed by the child endpoint of each edge.
 
     Every non-root vertex identifies its parent edge, so ``by_child`` must
     have exactly the non-root vertex ids as keys.  Values are not validated
     beyond being exact rationals; nonnegativity, properness and equidistance
-    are checked by :meth:`HeightMap.from_edge_weights`.
+    are checked by :meth:`HeightMap.from_edge_weights`.  ``by_child`` is a
+    read-only view of the checked copy.
     """
 
-    tree: XTree
-    by_child: Mapping[int, Fraction]
+    __slots__ = __match_args__ = ("tree", "by_child")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tree: XTree, by_child: Mapping[int, Fraction]) -> None:
         weights = {
-            v: _as_fraction(w, "edge weights and heights") for v, w in self.by_child.items()
+            v: _as_fraction(w, "edge weights and heights") for v, w in by_child.items()
         }
-        expected = set(self.tree.vertices()) - {self.tree.root}
+        expected = set(tree.vertices()) - {tree.root}
         if set(weights) != expected:
             raise ValueError("weighting must cover exactly the non-root vertices")
-        object.__setattr__(self, "by_child", weights)
+        self._set(tree, MappingProxyType(weights))
 
     def weight(self, child: int) -> Fraction:
         return self.by_child[child]
@@ -71,27 +76,29 @@ class EdgeWeighting:
     def __hash__(self) -> int:
         return hash((self.tree, tuple(sorted(self.by_child.items()))))
 
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.tree, dict(self.by_child)))  # a view does not pickle
 
-@dataclass(frozen=True)
-class HeightMap:
+
+class HeightMap(_Record):
     """Nonnegative rational heights on the interior vertices of a tree.
 
     Valid height maps are strictly decreasing along interior edges away
     from the root (that is the properness condition) and nonnegative
-    everywhere; a pendant edge may have weight zero.
+    everywhere; a pendant edge may have weight zero.  ``heights`` is a
+    read-only view of the checked copy, so the checks and the hash hold for
+    the life of the map.
     """
 
-    tree: XTree
-    heights: Mapping[int, Fraction]
+    __slots__ = __match_args__ = ("tree", "heights")
 
-    def __post_init__(self) -> None:
+    def __init__(self, tree: XTree, heights: Mapping[int, Fraction]) -> None:
         # exact comparisons on numerators and denominators, each read once: a
         # Fraction's denominator is positive, so signs and orders read off
         # cross-products
-        h = dict(self.heights)
+        h = dict(heights)
         if set(map(type, h.values())) != {Fraction}:
             h = {v: _as_fraction(x, "edge weights and heights") for v, x in h.items()}
-        tree = self.tree
         interior = tree.interior_vertices()
         if len(h) != len(interior) or not all(map(h.__contains__, interior)):
             raise ValueError("heights must cover exactly the interior vertices")
@@ -110,10 +117,13 @@ class HeightMap:
                         f"heights must strictly decrease along interior edges "
                         f"({p} -> {v}: {h[p]} -> {h[v]})"
                     )
-        object.__setattr__(self, "heights", h)
+        self._set(tree, MappingProxyType(h))
 
     def __hash__(self) -> int:
         return hash((self.tree, tuple(sorted(self.heights.items()))))
+
+    def __reduce__(self) -> tuple:
+        return (type(self), (self.tree, dict(self.heights)))  # a view does not pickle
 
     def height(self, v: int) -> Fraction:
         """Height of a vertex; leaves are at height zero.

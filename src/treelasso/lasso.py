@@ -25,8 +25,11 @@ and is decided by the count first: fewer than k - 1 edges leave a parent
 disconnected, and a clique is connected, so only the rest run a union-find
 over their children.  The on-demand graph views in
 :mod:`~treelasso.childgraph` are built from the same :func:`_child_pairs`;
-that module imports this one, so ``classify`` runs without loading it (or
-:mod:`dataclasses`, which :class:`LassoReport` does not use).
+that module imports this one, so ``classify`` runs without loading it.
+
+:class:`LassoReport` and every other record of the package are frozen
+``__slots__`` classes on one base, :class:`_Record`, defined here because
+importing the package loads this module; none of them is a dataclass.
 
 Read each flag off the :class:`LassoReport`, as ``classify(tree, cords).weak``,
 and call it once when several kinds of one instance are wanted.  ``strong``
@@ -45,42 +48,29 @@ __all__ = ["LassoReport", "classify"]
 KINDS = ("equidistant", "weak", "topological")
 
 
-class LassoReport:
-    """Classification flags plus the interior vertices that break each condition.
+class _Record:
+    """A frozen record: the fields named in ``__match_args__``, held in slots.
 
-    A frozen record of four fields, ``equidistant``, ``weak``,
-    ``topological`` (bools) and ``failing_vertices`` (kind -> vertex ids),
-    which behaves as a frozen dataclass of them would: the same constructor,
-    ``==``, repr, hash, ``match`` arguments and errors on assignment and
-    deletion.  It is a plain ``__slots__`` class so that the classify path
-    does not import :mod:`dataclasses`.
+    A subclass lists its fields as ``__slots__ = __match_args__ = (...)``,
+    and its ``__init__`` sets them with :meth:`_set` after its checks.  It
+    then behaves as a frozen dataclass of those fields would: ``==`` between
+    records of one class compares the field tuples, the hash is the field
+    tuple's, the repr is ``Name(field=value, ...)``, assignment and deletion
+    raise ``AttributeError``, and copy, deepcopy and pickle rebuild through
+    the constructor, so the checks run again.  Every record of the package
+    is one, so no module imports :mod:`dataclasses`, which loads
+    :mod:`inspect`, ``ast`` and ``dis``.
     """
 
-    __slots__ = _FIELDS = ("equidistant", "weak", "topological", "failing_vertices")
-    __match_args__ = _FIELDS
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
-    equidistant: bool
-    weak: bool
-    topological: bool
-    failing_vertices: Mapping[str, tuple[int, ...]]
-
-    def __init__(
-        self,
-        equidistant: bool,
-        weak: bool,
-        topological: bool,
-        failing_vertices: Mapping[str, tuple[int, ...]],
-    ) -> None:
-        if topological and not weak:  # a bug if it ever fires
-            raise ValueError("a topological lasso is always a weak lasso")
-        set_field = object.__setattr__
-        set_field(self, "equidistant", equidistant)
-        set_field(self, "weak", weak)
-        set_field(self, "topological", topological)
-        set_field(self, "failing_vertices", failing_vertices)
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return (self.equidistant, self.weak, self.topological, self.failing_vertices)
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -88,10 +78,10 @@ class LassoReport:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())  # a TypeError for the usual dict of failing vertices
+        return hash(self._values())  # a TypeError when a field is unhashable
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -104,6 +94,28 @@ class LassoReport:
         # Rebuilt through the constructor: the default slot-state path would
         # restore the fields with ``setattr``, which a frozen record refuses.
         return (type(self), self._values())
+
+
+class LassoReport(_Record):
+    """Classification flags plus the interior vertices that break each condition.
+
+    A frozen record (:class:`_Record`) of four fields, ``equidistant``,
+    ``weak``, ``topological`` (bools) and ``failing_vertices`` (kind -> vertex
+    ids); its hash is a ``TypeError`` for the usual dict of failing vertices.
+    """
+
+    __slots__ = __match_args__ = ("equidistant", "weak", "topological", "failing_vertices")
+
+    def __init__(
+        self,
+        equidistant: bool,
+        weak: bool,
+        topological: bool,
+        failing_vertices: Mapping[str, tuple[int, ...]],
+    ) -> None:
+        if topological and not weak:  # a bug if it ever fires
+            raise ValueError("a topological lasso is always a weak lasso")
+        self._set(equidistant, weak, topological, failing_vertices)
 
     @property
     def strong(self) -> bool:

@@ -75,13 +75,17 @@ found the first time a decision asks for it and remembered per tree, so
 no table over all leaf pairs is built.  The per-tree tables sit in a
 weak-keyed dict: they hold no reference to their tree and go when it is
 collected, and equal trees, whose vertices are numbered alike, share them.
+
+:class:`Witness` and the rival table are frozen ``__slots__`` records on
+the package's one record base, as are the height maps a witness carries, so
+an oracle process loads neither :mod:`dataclasses` nor :mod:`inspect`, and
+the heights of a witness cannot be edited after it is built.
 """
 
 from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
@@ -90,7 +94,7 @@ from typing import Iterable, Iterator, Sequence
 from .cords import Cord, validate_cords
 from .feasibility import StrictLinearSystem, _solve_differences
 from .heights import HeightMap
-from .lasso import KINDS, _require_domain
+from .lasso import KINDS, _Record, _require_domain
 from .tree import XTree
 
 __all__ = [
@@ -229,8 +233,7 @@ def joint_isometry_system(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """Two jointly fitting weightings that exhibit a lasso failure.
 
     ``rival`` equals the reference tree for equidistant failures (two
@@ -238,9 +241,10 @@ class Witness:
     is a non-refining / non-equivalent tree fitting the same cord distances.
     """
 
-    rival: XTree
-    heights_t: HeightMap
-    heights_rival: HeightMap
+    __slots__ = __match_args__ = ("rival", "heights_t", "heights_rival")
+
+    def __init__(self, rival: XTree, heights_t: HeightMap, heights_rival: HeightMap) -> None:
+        self._set(rival, heights_t, heights_rival)
 
 
 def _witness(tree: XTree, rival: XTree, values: list, offset: int) -> Witness:
@@ -257,8 +261,7 @@ def _witness(tree: XTree, rival: XTree, values: list, offset: int) -> Witness:
     )
 
 
-@dataclass(frozen=True)
-class _RivalTable:
+class _RivalTable(_Record):
     """Every tree on one leaf set, as rows the rival scan reads without rebuilding.
 
     ``rows`` lists ``(tree, edges, meets, relation, clusters, own_edges)``
@@ -270,6 +273,10 @@ class _RivalTable:
     cluster's cord mask to the mask of rows whose trees have that cluster.
     """
 
+    __slots__ = __match_args__ = (
+        "offset", "cord_index", "pair_base", "conflicts", "containing", "rows", "row_of",
+    )
+
     offset: int
     cord_index: dict[Cord, int]
     pair_base: tuple[int, ...]
@@ -277,6 +284,9 @@ class _RivalTable:
     containing: dict[int, int]
     rows: tuple[tuple[XTree, tuple, tuple[int, ...], bytes, tuple[int, ...], tuple], ...]
     row_of: dict[XTree, int]
+
+    def __init__(self, offset, cord_index, pair_base, conflicts, containing, rows, row_of) -> None:
+        self._set(offset, cord_index, pair_base, conflicts, containing, rows, row_of)
 
 
 # The relation of cord pair (i, j), i < j, in one tree, by where the two

@@ -486,13 +486,17 @@ def decision_row(kind: str, ok: bool, witness) -> tuple:
 
 
 
-# -- reference lasso report --------------------------------------------------
+# -- reference records --------------------------------------------------------
+#
+# The library's records as they were when they were frozen dataclasses: the
+# contract the slotted classes keep.  Each keeps its class's name, so reprs
+# and messages match, and its fields, checks and hash verbatim; the methods
+# that only read the fields are left out.
 
 
 @dataclass(frozen=True)
 class LassoReport:
-    """``treelasso.LassoReport`` as it was when it was a frozen dataclass: the
-    contract the slotted class keeps.  Same name, so reprs and messages match."""
+    """``treelasso.LassoReport`` as a frozen dataclass."""
 
     equidistant: bool
     weak: bool
@@ -507,6 +511,125 @@ class LassoReport:
     def strong(self) -> bool:
         """A strong lasso is both an equidistant and a topological lasso."""
         return self.equidistant and self.topological
+
+
+@dataclass(frozen=True)
+class EdgeWeighting:
+    """``treelasso.EdgeWeighting`` as a frozen dataclass."""
+
+    tree: XTree
+    by_child: Mapping[int, Fraction]
+
+    def __post_init__(self) -> None:
+        weights = {
+            v: _as_fraction(w, "edge weights and heights") for v, w in self.by_child.items()
+        }
+        expected = set(self.tree.vertices()) - {self.tree.root}
+        if set(weights) != expected:
+            raise ValueError("weighting must cover exactly the non-root vertices")
+        object.__setattr__(self, "by_child", weights)
+
+    def __hash__(self) -> int:
+        return hash((self.tree, tuple(sorted(self.by_child.items()))))
+
+
+@dataclass(frozen=True)
+class HeightMap:
+    """``treelasso.HeightMap`` as a frozen dataclass."""
+
+    tree: XTree
+    heights: Mapping[int, Fraction]
+
+    def __post_init__(self) -> None:
+        # exact comparisons on numerators and denominators, each read once: a
+        # Fraction's denominator is positive, so signs and orders read off
+        # cross-products
+        h = dict(self.heights)
+        if set(map(type, h.values())) != {Fraction}:
+            h = {v: _as_fraction(x, "edge weights and heights") for v, x in h.items()}
+        tree = self.tree
+        interior = tree.interior_vertices()
+        if len(h) != len(interior) or not all(map(h.__contains__, interior)):
+            raise ValueError("heights must cover exactly the interior vertices")
+        ratio = {v: x.as_integer_ratio() for v, x in h.items()}
+        for v, (a, _) in ratio.items():
+            if a < 0:
+                raise ValueError(f"height of vertex {v} is negative: {h[v]}")
+        parent = tree._parent
+        for v in interior:
+            p = parent[v]
+            if p >= 0:
+                a, b = ratio[v]
+                c, d = ratio[p]
+                if a * d >= c * b:
+                    raise ValueError(
+                        f"heights must strictly decrease along interior edges "
+                        f"({p} -> {v}: {h[p]} -> {h[v]})"
+                    )
+        object.__setattr__(self, "heights", h)
+
+    def __hash__(self) -> int:
+        return hash((self.tree, tuple(sorted(self.heights.items()))))
+
+
+@dataclass(frozen=True)
+class StrictLinearSystem:
+    """``treelasso.StrictLinearSystem`` as a frozen dataclass."""
+
+    variables: tuple[Hashable, ...]
+    equalities: tuple[tuple[Hashable, Hashable], ...]
+    strict_inequalities: tuple[tuple[Hashable, Hashable], ...]
+
+
+@dataclass(frozen=True)
+class ChildEdgeGraph:
+    """``treelasso.ChildEdgeGraph`` as a frozen dataclass."""
+
+    tree: XTree
+    owner: int
+    nodes: tuple[int, ...]
+    adjacency: Mapping[int, frozenset[int]]
+    leaf_edges: frozenset[int]
+    subtree_edges: frozenset[int]
+
+
+@dataclass(frozen=True)
+class CircularOrdering:
+    """``treelasso.CircularOrdering`` as a frozen dataclass."""
+
+    order: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", tuple(self.order))
+        if len(set(self.order)) != len(self.order):
+            raise ValueError("a circular ordering must not repeat labels")
+        if not self.order:
+            raise ValueError("a circular ordering must be nonempty")
+
+
+@dataclass(frozen=True)
+class Bipartition:
+    """``treelasso.Bipartition`` as a frozen dataclass."""
+
+    a_side: frozenset[str]
+    b_side: frozenset[str]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "a_side", frozenset(self.a_side))
+        object.__setattr__(self, "b_side", frozenset(self.b_side))
+        if not self.a_side or not self.b_side:
+            raise ValueError("both sides of a bipartition must be nonempty")
+        if self.a_side & self.b_side:
+            raise ValueError("the two sides of a bipartition must be disjoint")
+
+
+@dataclass(frozen=True)
+class Witness:
+    """``treelasso.Witness`` as a frozen dataclass."""
+
+    rival: XTree
+    heights_t: HeightMap
+    heights_rival: HeightMap
 
 
 # -- paper-lemma checks -----------------------------------------------------

@@ -139,3 +139,61 @@ def test_star_import_in_a_fresh_process_loads_every_public_name():
         """
     )
     assert out.split() == ["treelasso.oracle", "treelasso.builders", "treelasso.heights", "treelasso.feasibility"]
+
+
+def test_an_oracle_decision_loads_neither_dataclasses_nor_the_graph_views():
+    out = run_fresh(
+        """
+        import sys
+        import treelasso
+        trees = treelasso.enumerate_xtrees("abcde")
+        print(treelasso.oracle_weak(trees[0], [("a", "b")])[0])
+        print(sorted(sys.modules))
+        """
+    )
+    verdict, loaded = out.splitlines()
+    assert verdict == "False"
+    off = {"dataclasses", "inspect", "treelasso.childgraph", "treelasso.builders"}
+    assert not off & set(eval(loaded))
+
+
+def test_child_edge_graphs_load_neither_the_oracle_nor_fractions():
+    out = run_fresh(
+        """
+        import sys
+        import treelasso
+        tree, _ = treelasso.parse_newick("((a,b),(c,d));")
+        print(len(treelasso.child_edge_graphs(tree, [("a", "c")])))
+        print(sorted(sys.modules))
+        """
+    )
+    count, loaded = out.splitlines()
+    assert count == "3"
+    assert not {"treelasso.oracle", "fractions"} & set(eval(loaded))
+
+
+def test_no_subcommand_loads_dataclasses_or_inspect(tmp_path):
+    (tmp_path / "t.nwk").write_text("((a,b),(c,(d,e)));\n")
+    (tmp_path / "w.nwk").write_text("((a:1,b:1):1,c:2);\n")
+    (tmp_path / "c.txt").write_text("a b\nc d\n")
+    (tmp_path / "w.txt").write_text("a b\nb c\n")
+    out = run_fresh(
+        """
+        import contextlib, io, sys
+        from treelasso.cli import main
+        t, w, c, wc = sys.argv[1:]
+        calls = [
+            ["classify", "--tree", t, "--cords", c, "--oracle"],
+            ["build", "--tree", t, "--kind", "circular"],
+            ["enumerate", "--leaves", "a,b,c,d"],
+            ["witness", "--tree", t, "--cords", c, "--kind", "weak"],
+            ["distances", "--tree", w, "--cords", wc],
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(call) for call in calls]
+        print(*codes)
+        print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+        """,
+        *(str(tmp_path / name) for name in ("t.nwk", "w.nwk", "c.txt", "w.txt")),
+    )
+    assert out.splitlines() == ["0 0 0 0 0", "[]"]

@@ -1,15 +1,19 @@
 """Lasso classification from child-edge graphs, reductions, diagnostics."""
 
 import copy
+import dataclasses
 import inspect
 import operator
 import pickle
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 import pytest
 
-from conftest import LassoReport as DataclassReport
+import conftest
+import treelasso
 from conftest import (
     CORD_CORPUS,
     LABELS4,
@@ -132,48 +136,145 @@ def test_report_rejects_inconsistent_flags():
     assert LassoReport(True, True, True, {}).strong is True
 
 
-# Constructor calls as (args, kwargs): good reports, a hashable stand-in for
-# the mapping, the inconsistent flags and three malformed calls.
-REPORT_CALLS = [
-    ((True, True, True, {"equidistant": (), "weak": (), "topological": ()}), {}),
-    ((True, True, False),
-     {"failing_vertices": {"equidistant": (), "weak": (), "topological": (4, 7)}}),
-    ((), {"equidistant": False, "weak": False, "topological": False,
-          "failing_vertices": {"equidistant": (0,), "weak": (0, 2), "topological": (0,)}}),
-    ((False, True, False, ()), {}),
-    ((True, False, True, {}), {}),
-    ((True, True), {}),
-    ((True, True, True, {}, 5), {}),
-    ((True,), {"equidistant": True, "weak": True, "topological": True, "failing_vertices": {}}),
-]
+# Constructor calls of each record, as functions of the module that defines
+# the classes (``treelasso`` or ``conftest``), with the number of good calls,
+# which come first (some with an unhashable field); the others fail a check
+# or the signature.
+T5 = XTree(((("a", "b"), "c"), ("d", "e")))
+ROOT, ABC, AB, DE = T5.interior_vertices()
+HEIGHTS = {ROOT: 3, ABC: 2, AB: 1, DE: 1}
+WEIGHTS = {v: 1 for v in T5.vertices() if v != ROOT}
+FAILING = {"equidistant": (), "weak": (), "topological": ()}
+RECORD_CALLS = {
+    "LassoReport": (4, [
+        lambda R: R.LassoReport(True, True, True, dict(FAILING)),
+        lambda R: R.LassoReport(True, True, False, failing_vertices={**FAILING, "topological": (4, 7)}),
+        lambda R: R.LassoReport(equidistant=False, weak=False, topological=False, failing_vertices={
+            "equidistant": (0,), "weak": (0, 2), "topological": (0,)}),
+        lambda R: R.LassoReport(False, True, False, ()),
+        lambda R: R.LassoReport(True, False, True, {}),
+        lambda R: R.LassoReport(True, True),
+        lambda R: R.LassoReport(True, True, True, {}, 5),
+        lambda R: R.LassoReport(True, equidistant=True, weak=True, topological=True, failing_vertices={}),
+    ]),
+    "HeightMap": (3, [
+        lambda R: R.HeightMap(T5, HEIGHTS),
+        lambda R: R.HeightMap(tree=T5, heights={**HEIGHTS, DE: Fraction(1, 2)}),
+        lambda R: R.HeightMap(T5, {v: Fraction(h) for v, h in HEIGHTS.items()}),
+        lambda R: R.HeightMap(T5, {**HEIGHTS, AB: -1}),
+        lambda R: R.HeightMap(T5, {**HEIGHTS, ABC: 3}),
+        lambda R: R.HeightMap(T5, {ROOT: 1}),
+        lambda R: R.HeightMap(T5, {**HEIGHTS, DE: 0.5}),
+        lambda R: R.HeightMap(T5),
+        lambda R: R.HeightMap(T5, HEIGHTS, heights=HEIGHTS),
+    ]),
+    "EdgeWeighting": (3, [
+        lambda R: R.EdgeWeighting(T5, WEIGHTS),
+        lambda R: R.EdgeWeighting(T5, by_child={**WEIGHTS, DE: Fraction(1, 2)}),
+        lambda R: R.EdgeWeighting(T5, {v: Fraction(w) for v, w in WEIGHTS.items()}),
+        lambda R: R.EdgeWeighting(T5, {**WEIGHTS, ROOT: 1}),
+        lambda R: R.EdgeWeighting(T5, {**WEIGHTS, DE: 1.0}),
+        lambda R: R.EdgeWeighting(T5, [1, 2]),
+        lambda R: R.EdgeWeighting(by_child=WEIGHTS),
+    ]),
+    "StrictLinearSystem": (4, [
+        lambda R: R.StrictLinearSystem(("x", "y"), (("x", "y"),), ()),
+        lambda R: R.StrictLinearSystem(("x", "y"), (), strict_inequalities=(("x", "y"),)),
+        lambda R: R.StrictLinearSystem(variables=("x", "y"), equalities=(("x", "y"),), strict_inequalities=()),
+        lambda R: R.StrictLinearSystem(["x"], [], []),
+        lambda R: R.StrictLinearSystem(("x",), ()),
+        lambda R: R.StrictLinearSystem((), (), (), ()),
+    ]),
+    "ChildEdgeGraph": (3, [
+        lambda R: R.ChildEdgeGraph(T5, ROOT, (ABC, DE), {ABC: frozenset(), DE: frozenset()},
+                                   frozenset(), frozenset((ABC, DE))),
+        lambda R: R.ChildEdgeGraph(T5, DE, (7, 8), {7: frozenset({8}), 8: frozenset({7})},
+                                   leaf_edges=frozenset((7, 8)), subtree_edges=frozenset()),
+        lambda R: R.ChildEdgeGraph(T5, DE, (7, 8), (), frozenset(), frozenset()),
+        lambda R: R.ChildEdgeGraph(T5, ROOT, (ABC, DE)),
+        lambda R: R.ChildEdgeGraph(T5, ROOT, (), {}, frozenset(), frozenset(), owner=ROOT),
+    ]),
+    "CircularOrdering": (4, [
+        lambda R: R.CircularOrdering(("a", "b", "c")),
+        lambda R: R.CircularOrdering(["c", "a", "b"]),
+        lambda R: R.CircularOrdering(order=iter("abc")),
+        lambda R: R.CircularOrdering("ba"),
+        lambda R: R.CircularOrdering(("a", "b", "a")),
+        lambda R: R.CircularOrdering(()),
+        lambda R: R.CircularOrdering(5),
+        lambda R: R.CircularOrdering(),
+        lambda R: R.CircularOrdering([["a"]]),
+    ]),
+    "Bipartition": (3, [
+        lambda R: R.Bipartition({"a"}, {"b", "c"}),
+        lambda R: R.Bipartition(frozenset("a"), b_side="cb"),
+        lambda R: R.Bipartition(a_side=["d", "e"], b_side=("a",)),
+        lambda R: R.Bipartition((), {"a"}),
+        lambda R: R.Bipartition({"a", "b"}, {"b"}),
+        lambda R: R.Bipartition({"a"}, 5),
+        lambda R: R.Bipartition({"a"}),
+    ]),
+    "Witness": (3, [
+        lambda R: R.Witness(T5, R.HeightMap(T5, HEIGHTS), R.HeightMap(T5, {**HEIGHTS, DE: 2})),
+        lambda R: R.Witness(rival=T4, heights_t=R.HeightMap(T5, HEIGHTS),
+                            heights_rival=R.HeightMap(T4, {T4.root: 2, 1: 1})),
+        lambda R: R.Witness(T5, R.HeightMap(T5, HEIGHTS), R.HeightMap(T5, {**HEIGHTS, DE: 2})),
+        lambda R: R.Witness(T5, R.HeightMap(T5, HEIGHTS)),
+        lambda R: R.Witness(T5, None, None, rival=T5),
+    ]),
+}
+# The one intended difference: these fields hold a read-only view of a
+# private dict where the dataclasses held the dict itself.
+READ_ONLY = {"heights", "by_child"}
 
 
-def test_report_keeps_the_frozen_dataclass_contract():
-    built = [(outcome(lambda: LassoReport(*a, **k)), outcome(lambda: DataclassReport(*a, **k)))
-             for a, k in REPORT_CALLS]
-    assert [got[0] == "ok" for got, _ in built] == [True] * 4 + [False] * 4
+def slotted_repr(old) -> str:
+    """The dataclass's repr, with each read-only field shown as the view the record holds."""
+    text, stack = repr(old), [old]
+    while stack:
+        record = stack.pop()
+        for field in dataclasses.fields(record):
+            value = getattr(record, field.name)
+            if dataclasses.is_dataclass(value):
+                stack.append(value)
+            elif field.name in READ_ONLY:
+                text = text.replace(f"{field.name}={value!r}", f"{field.name}=mappingproxy({value!r})")
+    return text
+
+
+def check_record_contract(name: str) -> list:
+    """Compares ``treelasso.<name>`` with the frozen dataclass it replaced, call by call.
+
+    Returns the (record, dataclass) pairs of the good calls.
+    """
+    new_cls, old_cls = getattr(treelasso, name), getattr(conftest, name)
+    n_good, calls = RECORD_CALLS[name]
+    built = [(outcome(call, treelasso), outcome(call, conftest)) for call in calls]
+    assert [got[0] == "ok" for got, _ in built] == [True] * n_good + [False] * (len(calls) - n_good)
     for got, want in built:
         if got[0] != "ok":
             assert got == want
     pairs = [(got[1], want[1]) for got, want in built if got[0] == "ok"]
-    assert LassoReport.__match_args__ == DataclassReport.__match_args__
-    params = [[str(p) for p in inspect.signature(c).parameters.values()]
-              for c in (LassoReport, DataclassReport)]
+    assert new_cls.__match_args__ == old_cls.__match_args__
+    params = [[str(p) for p in inspect.signature(c).parameters.values()] for c in (new_cls, old_cls)]
     assert params[0] == params[1]
+    fields = new_cls.__match_args__
     for new, old in pairs:
-        assert repr(new) == repr(old)
-        assert new.strong == old.strong
+        assert repr(new) == slotted_repr(old)
+        for field in READ_ONLY.intersection(fields):
+            assert type(getattr(new, field)) is MappingProxyType
+            assert type(getattr(old, field)) is dict
         assert outcome(hash, new) == outcome(hash, old)
         assert outcome(operator.lt, new, new) == outcome(operator.lt, old, old)
         match new:
-            case LassoReport(e, w, t, f):
-                assert (e, w, t, f) == (old.equidistant, old.weak, old.topological,
-                                        old.failing_vertices)
+            case new_cls(first):
+                assert first == getattr(old, fields[0])
             case _:
                 pytest.fail("the positional pattern did not match")
-        for name in (*LassoReport.__match_args__, "strong", "other"):
+        properties = [n for n, v in vars(new_cls).items() if isinstance(v, property)]
+        for attr in (*fields, *properties, "other"):
             before = repr(new)
-            for act, other in ((setattr, (name, 0)), (delattr, (name,))):
+            for act, other in ((setattr, (attr, 0)), (delattr, (attr,))):
                 # The dataclass raises FrozenInstanceError, an AttributeError.
                 got, want = outcome(act, new, *other), outcome(act, old, *other)
                 assert issubclass(got[0], AttributeError) and issubclass(want[0], AttributeError)
@@ -182,13 +283,29 @@ def test_report_keeps_the_frozen_dataclass_contract():
         copies = [copy.copy(new), copy.deepcopy(new)]
         copies += [pickle.loads(pickle.dumps(new, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in copies:
-            assert type(twin) is LassoReport and twin == new and repr(twin) == repr(new)
+            assert type(twin) is new_cls and twin == new and repr(twin) == repr(new)
         for clone in (copy.copy, copy.deepcopy):
-            shared = clone(new).failing_vertices is new.failing_vertices
-            assert shared == (clone(old).failing_vertices is old.failing_vertices)
+            twin, old_twin = clone(new), clone(old)
+            for field in fields:
+                shared = getattr(twin, field) is getattr(new, field)
+                if field in READ_ONLY:  # the copy checks a fresh view again
+                    assert not shared and type(getattr(twin, field)) is MappingProxyType
+                else:
+                    assert shared == (getattr(old_twin, field) is getattr(old, field))
     for (a, old_a), (b, old_b) in combinations(pairs + pairs[:1], 2):
         assert (a == b, a != b) == (old_a == old_b, old_a != old_b)
         assert (a == old_b, a != old_b) == (False, True)
+    return pairs
+
+
+def test_report_keeps_the_frozen_dataclass_contract():
+    for new, old in check_record_contract("LassoReport"):
+        assert new.strong == old.strong
+
+
+@pytest.mark.parametrize("name", [n for n in RECORD_CALLS if n != "LassoReport"])
+def test_every_record_keeps_the_frozen_dataclass_contract(name):
+    check_record_contract(name)
 
 
 def test_small_leaf_sets_rejected():

@@ -144,22 +144,32 @@ def test_oracle_weak_counterexample_and_witness():
 
 
 def test_a_witness_edited_after_construction_no_longer_verifies():
-    # the witness's height maps are re-validated: a negative root height,
-    # where no cord meets and so the cord distances still agree, fails
-    # properness as a new HeightMap would
     t = XTree(((("a", "b"), "c"), ("d", "e")))
     cords = cord_set([("a", "b"), ("d", "e")])
     ok, witness = oracle_weak(t, cords)
     assert not ok and verify_witness(t, cords, witness, "weak")
-    witness.heights_t.heights[t.root] = Fraction(-3)
+    # the heights are read-only: an edit raises and changes neither the map nor its hash
+    hm = witness.heights_t
+    before, digest = dict(hm.heights), hash(hm)
+    with pytest.raises(TypeError):
+        hm.heights[t.root] = Fraction(-3)
+    with pytest.raises(TypeError):
+        del hm.heights[t.root]
+    assert dict(hm.heights) == before and hash(hm) == digest
+    assert verify_witness(t, cords, witness, "weak")
+    # the witness's height maps are re-validated: a negative root height,
+    # where no cord meets and so the cord distances still agree, fails
+    # properness as a new HeightMap would
+    object.__setattr__(hm, "heights", {**before, t.root: Fraction(-3)})
     with pytest.raises(ValueError, match="negative"):
         HeightMap(t, witness.heights_t.heights)
     assert not verify_witness(t, cords, witness, "weak")
     # an edit that breaks only properness, on the rival's side, fails too
     ok, witness = oracle_topological(t, cords)
-    rival_heights = witness.heights_rival.heights
     top, below = witness.rival.interior_vertices()[:2]
+    rival_heights = dict(witness.heights_rival.heights)
     rival_heights[below] = rival_heights[top]
+    object.__setattr__(witness.heights_rival, "heights", rival_heights)
     assert not verify_witness(t, cords, witness, "topological")
 
 

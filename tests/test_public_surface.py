@@ -52,10 +52,16 @@ def test_every_public_name_imports():
 
 def test_the_module_lists_are_the_only_list():
     # each public name is listed once, in the __all__ of the module that
-    # defines it, and the package's __all__ is their union
+    # defines it, and the package's __all__ is their union; the package's
+    # index of deferred names, which loads one module per name, repeats
+    # those lists exactly
     for a, b in combinations(MODULES, 2):
         assert not set(a.__all__) & set(b.__all__), (a.__name__, b.__name__)
     for module in MODULES:
         for name in module.__all__:
             assert getattr(module, name) is getattr(treelasso, name), (module.__name__, name)
     assert set(treelasso.__all__) == {name for m in MODULES for name in m.__all__}
+    eager = {cords, lasso, newick, tree}
+    assert {m: set(names.split()) for m, names in treelasso._DEFERRED.items()} == {
+        m.__name__.rpartition(".")[2]: set(m.__all__) for m in MODULES if m not in eager
+    }
