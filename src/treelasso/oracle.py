@@ -63,18 +63,18 @@ older set is dropped and rebuilt if it is asked for again, so a process
 that decides trees on many leaf sets holds the tables of a few only.  The
 shape memo behind an enumeration lives for that enumeration alone.
 
-The equidistant decision needs no rivals, so it reads only per-tree tables
-and works on trees of any size.  It puts two copies of the tree's heights
-side by side, ties them with one equality per vertex where a given cord
-meets, and asks the engine, vertex by vertex, for the first copy to sit
-strictly above the second.  At a vertex where a cord meets, that strict
-edge and the equality close a strict self-loop, so the engine could only
-answer None; those vertices are skipped and the first feasible vertex, the
-verdict and the witness are unchanged.  Each cord's meeting vertex is
-found the first time a decision asks for it and remembered per tree, so
-no table over all leaf pairs is built.  The per-tree tables sit in a
-weak-keyed dict: they hold no reference to their tree and go when it is
-collected, and equal trees, whose vertices are numbered alike, share them.
+The equidistant decision needs no rivals, so it keeps nothing and works
+on trees of any size.  It puts two copies of the tree's heights side by
+side, ties them with one equality per vertex where a given cord meets, and
+asks the engine, vertex by vertex, for the first copy to sit strictly
+above the second.  At a vertex where a cord meets, that strict edge and
+the equality close a strict self-loop, so the engine could only answer
+None; those vertices are skipped and the first feasible vertex, the
+verdict and the witness are unchanged.  Each call works out its own
+tables from the tree and the given cords: the interior index, the
+properness edges of both copies, and the meeting vertex of each given
+cord, so no table over all leaf pairs is built and nothing is kept per
+tree.
 
 :class:`Witness` and the rival table are frozen ``__slots__`` records on
 the package's one record base, as are the height maps a witness carries, so
@@ -85,7 +85,6 @@ the heights of a witness cannot be edited after it is built.
 from __future__ import annotations
 
 import random
-import weakref
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
@@ -95,7 +94,7 @@ from .cords import Cord, validate_cords
 from .feasibility import StrictLinearSystem, _solve_differences
 from .heights import HeightMap
 from .lasso import KINDS, _Record, _require_domain
-from .tree import XTree
+from .tree import XTree, _check_label
 
 __all__ = [
     "Witness",
@@ -149,7 +148,7 @@ def _shapes(labels: tuple[str, ...], memo: dict) -> tuple:
 
 
 def _check_enumeration_domain(labels: Sequence[str]) -> tuple[str, ...]:
-    ordered = tuple(sorted(set(labels)))
+    ordered = tuple(sorted(set(map(_check_label, labels))))  # checked before hashed
     if len(ordered) != len(tuple(labels)):
         raise ValueError("duplicate labels in leaf set")
     if not 2 <= len(ordered) <= _MAX_LEAVES:
@@ -174,33 +173,6 @@ def enumerate_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
 # --------------------------------------------------------------------------
 # joint feasibility of two trees against one cord set
 # --------------------------------------------------------------------------
-
-
-# Per-tree tables, dropped when their tree is collected.  Equal trees number
-# their vertices alike, so they share one entry.
-_TABLES: weakref.WeakKeyDictionary[XTree, tuple] = weakref.WeakKeyDictionary()
-
-
-def _tables(tree: XTree):
-    """Dense per-tree tables over interior indices (canonical order).
-
-    Returns the properness edges of two copies of the tree as engine pairs
-    ``(parent, child)``, the second copy's ids shifted by ``k``; the
-    interior index of each vertex; a dict from cord to the interior index
-    of its meeting vertex, which the caller fills as cords are asked for;
-    and ``k``, the number of interior vertices.  None of them holds the
-    tree.
-    """
-    out = _TABLES.get(tree)
-    if out is not None:
-        return out
-    interior = tree.interior_vertices()
-    k = len(interior)
-    index = {v: i for i, v in enumerate(interior)}
-    edges = [(index[tree.parent(v)], index[v]) for v in interior if v != tree.root]
-    both = tuple(edges) + tuple((k + a, k + b) for a, b in edges)
-    out = _TABLES[tree] = (both, index, {}, k)
-    return out
 
 
 def joint_isometry_system(
@@ -466,23 +438,24 @@ def oracle_equidistant(
     on the same tree agree on every cord's meeting height yet differ at that
     vertex; the witness carries such a pair of weightings.  Vertices where a
     given cord meets are never tried: the cords pin them equal in both
-    vectors, so they cannot differ there.  The tables are per tree, so any
-    number of leaves is allowed.
+    vectors, so they cannot differ there.  The tables are worked out in
+    each call and not kept, and no rival is read, so any number of leaves
+    is allowed.
     """
     _require_domain(tree)
     checked = validate_cords(cords, tree.leaf_labels)
-    both, index, meets, k = _tables(tree)
-    try:
-        met = {meets[c] for c in checked}
-    except KeyError:  # a cord new to this tree; the try spares a set difference per call
-        for c in checked - meets.keys():
-            meets[c] = index[tree.lca(*c)]
-        met = {meets[c] for c in checked}
+    interior, parent = tree.interior_vertices(), tree._parent
+    k = len(interior)
+    index = {v: i for i, v in enumerate(interior)}
+    edges = [(index[parent[v]], index[v]) for v in interior[1:]]  # preorder: root first
+    both = edges + [(k + a, k + b) for a, b in edges]
+    leaf, meet = tree._leaf_id, tree._meet
+    met = {index[meet(leaf[a], leaf[b])[0]] for a, b in checked}
     equal = [(i, k + i) for i in sorted(met)]
     for i in range(k):
         if i in met:  # x_i = x_{k+i} and x_i > x_{k+i}: a strict self-loop
             continue
-        values = _solve_differences(2 * k, equal, both + ((i, k + i),))
+        values = _solve_differences(2 * k, equal, both + [(i, k + i)])
         if values is not None:
             return False, _witness(tree, tree, values, k)
     return True, None

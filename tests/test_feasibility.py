@@ -374,6 +374,14 @@ def test_engine_matches_the_reference_on_random_zero_constant_systems():
     assert min(counts) > 30, counts
 
 
+def test_engine_values_cross_the_shared_fraction_boundary():
+    # a chain of 64 strict steps: id 0 counts 64 edges, one past the shared
+    # Fractions 0..63, and id 64 counts none
+    values = _solve_differences(65, [], [(i, i + 1) for i in range(64)])
+    assert values == [Fraction(64 - i) for i in range(65)]
+    assert type(values[0]) is Fraction
+
+
 def test_shim_solves_named_zero_constant_systems():
     # u = w and u > w over named variables
     system = StrictLinearSystem(("x", "y", "z"), (("y", "z"),), (("x", "y"),))

@@ -242,6 +242,12 @@ def slotted_repr(old) -> str:
     return text
 
 
+def record_repr(record) -> str:
+    """``_Record.__repr__`` spelled out: the class name and each field's own repr."""
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__match_args__)
+    return f"{type(record).__qualname__}({fields})"
+
+
 def check_record_contract(name: str) -> list:
     """Compares ``treelasso.<name>`` with the frozen dataclass it replaced, call by call.
 
@@ -283,7 +289,9 @@ def check_record_contract(name: str) -> list:
         copies = [copy.copy(new), copy.deepcopy(new)]
         copies += [pickle.loads(pickle.dumps(new, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
         for twin in copies:
-            assert type(twin) is new_cls and twin == new and repr(twin) == repr(new)
+            # A rebuilt frozenset may iterate in another order than an equal
+            # one, so the twin's repr is checked against its own fields.
+            assert type(twin) is new_cls and twin == new and repr(twin) == record_repr(twin)
         for clone in (copy.copy, copy.deepcopy):
             twin, old_twin = clone(new), clone(old)
             for field in fields:
