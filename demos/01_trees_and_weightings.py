@@ -19,7 +19,6 @@ v = caterpillar.lca("a", "c")
 print("lca(a, c) covers:      ", sorted(caterpillar.leaves_below(v)))
 clusters = (caterpillar.leaves_below(v) for v in caterpillar.interior_vertices())
 print("clusters:              ", sorted("".join(sorted(c)) for c in clusters))
-print("restricted to {a,c,d}: ", caterpillar.restrict({"a", "c", "d"}).canonical_newick())
 
 # An equidistant weighting assigns every interior vertex a height: the
 # distance from that vertex down to each of its leaves.  Every leaf then

@@ -33,11 +33,11 @@ from .tree import *
 _DEFERRED = {
     "childgraph": "ChildEdgeGraph build_child_edge_graph child_edge_graphs",
     "feasibility": "StrictLinearSystem strict_feasible",
-    "heights": "EdgeWeighting HeightMap WeightingError random_proper_heights",
+    "heights": "EdgeWeighting HeightMap WeightingError",
     "oracle": "Witness enumerate_xtrees joint_isometry_system oracle_equidistant"
     " oracle_topological oracle_weak verify_witness",
     "builders": "Bipartition CircularOrdering bipartition_lasso circular_lasso circular_order"
-    " min_equidistant_lasso min_topological_lasso min_weak_lasso random_cord_set",
+    " min_equidistant_lasso min_topological_lasso min_weak_lasso",
 }
 # Where each name that is not bound yet lives: a submodule is its own home.
 _HOME = {"cli": "cli"} | {n: m for m, names in _DEFERRED.items() for n in (m, *names.split())}

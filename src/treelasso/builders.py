@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Iterable
-
-from .cords import Cord, all_cords, cord
+from .cords import Cord, cord
 from .lasso import _Record, _require_domain
 from .tree import XTree
 
@@ -26,7 +24,6 @@ __all__ = [
     "min_equidistant_lasso",
     "min_topological_lasso",
     "min_weak_lasso",
-    "random_cord_set",
 ]
 
 
@@ -163,10 +160,3 @@ def bipartition_lasso(bipartition: Bipartition) -> frozenset[Cord]:
         cord(a, b) for a in bipartition.a_side for b in bipartition.b_side
     )
 
-
-def random_cord_set(labels: Iterable[str], k: int, seed: int) -> frozenset[Cord]:
-    """A uniform random k-subset of all cords, deterministic per seed."""
-    pool = sorted(all_cords(labels))
-    if k < 0 or k > len(pool):
-        raise ValueError(f"cannot sample {k} cords from {len(pool)} available")
-    return frozenset(random.Random(seed).sample(pool, k))

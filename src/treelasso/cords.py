@@ -147,8 +147,10 @@ def read_cord_file(text: str) -> tuple[frozenset[Cord], dict[Cord, Fraction] | N
     line is normalized in one set comprehension, and the file is good when
     the set holds one distinct cord per nonblank line.  The line-by-line
     loop runs only to read a distance column, or to find and name the first
-    bad line.
+    bad line.  Text of any type but ``str`` raises ``TypeError``.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"read_cord_file takes str, not {type(text).__name__}")
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]

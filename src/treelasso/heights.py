@@ -19,7 +19,6 @@ hand the constructor a plain dict and check it again.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -32,7 +31,6 @@ __all__ = [
     "EdgeWeighting",
     "HeightMap",
     "WeightingError",
-    "random_proper_heights",
 ]
 
 
@@ -187,19 +185,3 @@ class HeightMap(_Record):
         r, g = other.tree, other.heights
         return all(h[t.lca(a, b)] == g[r.lca(a, b)] for a, b in checked)
 
-
-def random_proper_heights(tree: XTree, seed: int) -> HeightMap:
-    """A seeded random valid height map with small-denominator rationals.
-
-    Deterministic per seed; heights strictly increase toward the root along
-    interior edges by construction.
-    """
-    rng = random.Random(seed)
-    heights: dict[int, Fraction] = {}
-    for v in reversed(tree.interior_vertices()):
-        base = Fraction(0)
-        for c in tree.children(v):
-            if not tree.is_leaf(c):
-                base = max(base, heights[c])
-        heights[v] = base + Fraction(rng.randint(1, 8), rng.randint(1, 4))
-    return HeightMap(tree, heights)

@@ -150,8 +150,10 @@ def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
 
     Raises :class:`NewickParseError` with line/column on syntax errors,
     unary vertices, duplicate labels, partially weighted input, or a weight
-    on the root.
+    on the root.  Text of any type but ``str`` raises ``TypeError``.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"parse_newick takes str, not {type(text).__name__}")
     labels, kids, weights = _records(text)
     edges = len(labels) - 1  # every vertex but the root, which comes last, has a parent edge
     if edges in weights:

@@ -467,13 +467,18 @@ def verify_witness(
     """Re-check a witness: valid weightings, cord distances match, claim violated.
 
     The first weighting must be on ``tree`` and the second on the witness's
-    rival; heights on any other tree prove nothing about these two.  Both
-    height maps are validated afresh, so edited heights must still be proper.
-    An unknown ``kind`` raises ``ValueError`` whatever the witness.
+    rival; heights on any other tree prove nothing about these two, and a
+    rival on another leaf set is no rival.  Both height maps are validated
+    afresh, so edited heights must still be proper.  An unknown ``kind``
+    raises ``ValueError`` whatever the witness.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown witness kind {kind!r}")
-    if witness.heights_t.tree != tree or witness.heights_rival.tree != witness.rival:
+    if (
+        witness.heights_t.tree != tree
+        or witness.heights_rival.tree != witness.rival
+        or witness.rival.leaf_labels != tree.leaf_labels
+    ):
         return False
     try:
         heights_t = HeightMap(tree, witness.heights_t.heights)

@@ -28,8 +28,8 @@ largest children through it.  Two vertices jump from path head to path
 head until they share a path, O(log n) jumps at any depth, and the jumps
 also give the child of the meeting vertex on each side, which is all a
 cord contributes to the child-edge graphs.  No table over leaf pairs is
-ever built.  Construction, restriction and canonical keys use explicit
-stacks or preorder ids instead of recursion, so deep trees raise no
+ever built.  Construction and canonical keys use explicit stacks or
+preorder ids instead of recursion, so deep trees raise no
 ``RecursionError``.
 """
 
@@ -367,32 +367,6 @@ class XTree:
                 return child
         raise ValueError(f"leaf {label!r} is not below vertex {v}")
 
-    # -- restriction ----------------------------------------------------------
-
-    def restrict(self, labels: Iterable[str]) -> "XTree":
-        """The tree induced on a nonempty label subset, unary vertices suppressed."""
-        keep = set(labels)
-        if not keep:
-            raise ValueError("cannot restrict to the empty leaf set")
-        unknown = keep - set(self._leaf_id)
-        if unknown:
-            raise ValueError(f"labels not in this tree: {sorted(unknown)}")
-
-        # Children have larger preorder ids than their parent, so a reverse
-        # sweep prunes every subtree before the vertex above it.
-        pruned: list[object] = [None] * len(self._parent)
-        for v in range(len(self._parent) - 1, -1, -1):
-            lab = self._vlabel[v]
-            if lab is not None:
-                pruned[v] = lab if lab in keep else None
-                continue
-            kept = [pruned[c] for c in self._children[v] if pruned[c] is not None]
-            if len(kept) == 1:
-                pruned[v] = kept[0]
-            elif kept:
-                pruned[v] = tuple(kept)
-        return XTree(pruned[0])
-
     # -- comparisons ------------------------------------------------------------
 
     def is_equivalent(self, other: "XTree") -> bool:
@@ -441,16 +415,6 @@ class XTree:
         return True
 
     # -- degenerate-shape queries -----------------------------------------------
-
-    def pseudo_cherries(self) -> tuple[tuple[int, frozenset[str]], ...]:
-        """All (parent vertex, leaf set) pairs where the leaf set is a maximal
-        proper subset of X whose members all share that parent."""
-        # Only the root has every leaf below it.
-        return tuple(
-            (v, self.leaves_below(v))
-            for v in self._interior
-            if v != 0 and all(self._vlabel[c] is not None for c in self._children[v])
-        )
 
     def is_binary(self) -> bool:
         """True iff every interior vertex has exactly two children."""

@@ -16,7 +16,8 @@ from itertools import combinations
 from math import factorial, lcm
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from treelasso import XTree, classify, cord, cord_set
+import treelasso
+from treelasso import XTree, all_cords, classify, cord, cord_set
 from treelasso.heights import _as_fraction
 
 LABELS3 = ("a", "b", "c")
@@ -181,11 +182,50 @@ def triplets_by_restriction(tree: XTree) -> frozenset[Triplet]:
     """Triplets computed literally: restrict to each 3-subset and compare shapes."""
     out = []
     for a, b, c in combinations(sorted(tree.leaf_labels), 3):
-        sub = tree.restrict({a, b, c})
+        sub = restrict(tree, {a, b, c})
         for cherry_pair, outlier in (((a, b), c), ((a, c), b), ((b, c), a)):
             if sub == XTree((cherry_pair, outlier)):
                 out.append(triplet(cherry_pair[0], cherry_pair[1], outlier))
     return frozenset(out)
+
+
+# -- tree queries only the tests ask ------------------------------------------
+
+
+def restrict(tree: XTree, labels: Iterable[str]) -> XTree:
+    """The tree induced on a nonempty label subset, unary vertices suppressed."""
+    keep = set(labels)
+    if not keep:
+        raise ValueError("cannot restrict to the empty leaf set")
+    unknown = keep - tree.leaf_labels
+    if unknown:
+        raise ValueError(f"labels not in this tree: {sorted(unknown)}")
+
+    # Children have larger preorder ids than their parent, so a reverse
+    # sweep prunes every subtree before the vertex above it.
+    pruned: list[object] = [None] * tree.n_vertices
+    for v in reversed(tree.vertices()):
+        if tree.is_leaf(v):
+            lab = tree.label(v)
+            pruned[v] = lab if lab in keep else None
+            continue
+        kept = [pruned[c] for c in tree.children(v) if pruned[c] is not None]
+        if len(kept) == 1:
+            pruned[v] = kept[0]
+        elif kept:
+            pruned[v] = tuple(kept)
+    return XTree(pruned[0])
+
+
+def pseudo_cherries(tree: XTree) -> tuple[tuple[int, frozenset[str]], ...]:
+    """All (parent vertex, leaf set) pairs where the leaf set is a maximal
+    proper subset of X whose members all share that parent."""
+    # Only the root has every leaf below it.
+    return tuple(
+        (v, tree.leaves_below(v))
+        for v in tree.interior_vertices()
+        if v != tree.root and all(map(tree.is_leaf, tree.children(v)))
+    )
 
 
 # -- exact point checking for feasibility systems ----------------------------
@@ -650,7 +690,7 @@ def reduction_check(tree: XTree, cords, x: str, y: str, kind: str) -> bool:
     cherry-reduction lemma says it does when {x, y} is a cherry."""
     if kind not in ("equidistant", "weak", "topological"):
         raise ValueError(f"unknown lasso kind {kind!r}")
-    if not any(x in leaves and y in leaves for _, leaves in tree.pseudo_cherries()):
+    if not any(x in leaves and y in leaves for _, leaves in pseudo_cherries(tree)):
         raise ValueError(f"{x!r} and {y!r} are not in a common pseudo-cherry")
     cords = cord_set(cords)
     if kind == "weak" and not cords:
@@ -792,10 +832,33 @@ def random_cords(tree: XTree, count: int, seed: int) -> frozenset[tuple[str, str
 
 def seeded_cord_sets(labels, per_tree: int, tree_index: int):
     """The deterministic cord-set sample used by the five-leaf sweeps."""
-    from treelasso import random_cord_set, all_cords
-
     n_pool = len(all_cords(labels))
     for j in range(per_tree):
         seed = tree_index * 100003 + j
         k = random.Random(seed).randint(0, n_pool)
         yield random_cord_set(labels, k, seed)
+
+
+def random_cord_set(labels: Iterable[str], k: int, seed: int) -> frozenset:
+    """A uniform random k-subset of all cords, deterministic per seed."""
+    pool = sorted(all_cords(labels))
+    if k < 0 or k > len(pool):
+        raise ValueError(f"cannot sample {k} cords from {len(pool)} available")
+    return frozenset(random.Random(seed).sample(pool, k))
+
+
+def random_proper_heights(tree: XTree, seed: int) -> treelasso.HeightMap:
+    """A seeded random valid height map with small-denominator rationals.
+
+    Deterministic per seed; heights strictly increase toward the root along
+    interior edges by construction.
+    """
+    rng = random.Random(seed)
+    heights: dict[int, Fraction] = {}
+    for v in reversed(tree.interior_vertices()):
+        base = Fraction(0)
+        for c in tree.children(v):
+            if not tree.is_leaf(c):
+                base = max(base, heights[c])
+        heights[v] = base + Fraction(rng.randint(1, 8), rng.randint(1, 4))
+    return treelasso.HeightMap(tree, heights)

@@ -22,8 +22,11 @@ from conftest import (
     decision_row,
     is_covering,
     linear_system,
+    pseudo_cherries,
+    random_proper_heights,
     reduction_check,
     reference_strict_feasible,
+    restrict,
     seeded_cord_sets,
     tree_triplets,
     triplet,
@@ -44,7 +47,6 @@ from treelasso import (
     oracle_equidistant,
     oracle_topological,
     oracle_weak,
-    random_proper_heights,
     verify_witness,
 )
 
@@ -132,7 +134,7 @@ def test_c06_cherry_reduction_equivalence():
     for t in enumerate_xtrees(LABELS4):
         pairs = [
             (x, y)
-            for _, leaves in t.pseudo_cherries()
+            for _, leaves in pseudo_cherries(t)
             if len(leaves) == 2
             for x in leaves
             for y in leaves
@@ -196,7 +198,7 @@ def test_c08_circular_and_bipartition_constructions():
             assert report.topological == _circular_topological_condition(t)
             checked += 1
 
-            cherries = [leaves for _, leaves in t.pseudo_cherries()]
+            cherries = [leaves for _, leaves in pseudo_cherries(t)]
             for r in range(1, len(labels)):
                 for a_side in combinations(sorted(universe), r):
                     a = frozenset(a_side)
@@ -265,7 +267,7 @@ def test_c09_distance_transfer_property_suite():
         )
         if hm.leaf_distance(a2, b) == hm2.leaf_distance(a2, b):
             z = {a, a2, b}
-            assert t.restrict(z).is_star() == rival.restrict(z).is_star()
+            assert restrict(t, z).is_star() == restrict(rival, z).is_star()
     assert strict_cases > 1000  # the conditional conclusions were exercised
     announce(f"PASS  criterion 9: distance-transfer suite, {produced} instances ({strict_cases} strict-gap cases)")
 

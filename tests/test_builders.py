@@ -3,7 +3,16 @@
 import pytest
 from math import comb
 
-from conftest import LABELS4, LABELS5, bearded_caterpillar, cord_graph, leaf_path_edges, random_xtree
+from conftest import (
+    LABELS4,
+    LABELS5,
+    bearded_caterpillar,
+    cord_graph,
+    leaf_path_edges,
+    pseudo_cherries,
+    random_cord_set,
+    random_xtree,
+)
 from treelasso import (
     Bipartition,
     CircularOrdering,
@@ -18,7 +27,6 @@ from treelasso import (
     min_equidistant_lasso,
     min_topological_lasso,
     min_weak_lasso,
-    random_cord_set,
 )
 from treelasso.builders import _representatives
 
@@ -166,7 +174,7 @@ def test_bipartition_meeting_every_pseudo_cherry_corrals():
     for labels in (LABELS4, LABELS5):
         universe = set(labels)
         for t in enumerate_xtrees(labels):
-            cherries = [leaves for _, leaves in t.pseudo_cherries()]
+            cherries = [leaves for _, leaves in pseudo_cherries(t)]
             for r in range(1, len(labels)):
                 for a_side in combinations(sorted(universe), r):
                     a = frozenset(a_side)

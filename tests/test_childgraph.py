@@ -13,6 +13,7 @@ from conftest import (
     brute_child_edge_pairs,
     brute_linked_child_edges,
     leaf_path_edges,
+    pseudo_cherries,
     random_cords,
     random_xtree,
     walk_meet,
@@ -130,7 +131,7 @@ def test_edges_match_path_walking_oracle_exhaustively():
 
 def test_predicate_implications_exhaustively():
     for t in enumerate_xtrees(LABELS4):
-        pc_parents = {v for v, _ in t.pseudo_cherries()}
+        pc_parents = {v for v, _ in pseudo_cherries(t)}
         for cords in all_cord_subsets(LABELS4)[::5]:
             for v, g in child_edge_graphs(t, cords).items():
                 if g.is_clique():

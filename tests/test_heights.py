@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LABELS4, LABELS5, tree_triplets, triplet
+from conftest import LABELS4, LABELS5, random_proper_heights, restrict, tree_triplets, triplet
 from treelasso import (
     EdgeWeighting,
     HeightMap,
     XTree,
     cord_set,
     enumerate_xtrees,
-    random_proper_heights,
     WeightingError,
 )
 
@@ -265,4 +264,4 @@ def test_distance_transfer_between_fitting_weightings(p1, p2, seed):
     assert (triplet(a, a2, b) in tree_triplets(t)) == (triplet(a, a2, b) in tree_triplets(t2))
     if hm.leaf_distance(a2, b) == hm2.leaf_distance(a2, b):
         z = {a, a2, b}
-        assert t.restrict(z).is_star() == t2.restrict(z).is_star()
+        assert restrict(t, z).is_star() == restrict(t2, z).is_star()

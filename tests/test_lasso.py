@@ -23,6 +23,7 @@ from conftest import (
     cord_graph,
     is_covering,
     outcome,
+    pseudo_cherries,
     random_cords,
     random_xtree,
     reduce_by_cherry,
@@ -335,7 +336,7 @@ def test_small_leaf_sets_rejected():
 def failing_by_graphs(tree, cords):
     """Failing vertices per kind, from the ChildEdgeGraph predicates."""
     graphs = child_edge_graphs(tree, cords)
-    pc_parents = {v for v, _ in tree.pseudo_cherries()}
+    pc_parents = {v for v, _ in pseudo_cherries(tree)}
     interior = tree.interior_vertices()
     weak = () if tree.is_star() else tuple(
         v
@@ -589,7 +590,7 @@ def test_reduction_equivalence_holds_for_every_cherry_pair():
     for t in enumerate_xtrees(LABELS4):
         pairs = [
             (x, y)
-            for _, leaves in t.pseudo_cherries()
+            for _, leaves in pseudo_cherries(t)
             if len(leaves) == 2
             for x in leaves
             for y in leaves

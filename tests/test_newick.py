@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORD_CORPUS, LABELS5, outcome, random_shape, reference_read_cord_file
+from conftest import (
+    CORD_CORPUS,
+    LABELS5,
+    outcome,
+    random_proper_heights,
+    random_shape,
+    reference_read_cord_file,
+)
 from treelasso import (
     HeightMap,
     NewickParseError,
@@ -19,7 +26,6 @@ from treelasso import (
     oracle_weak,
     parse_newick,
     print_newick,
-    random_proper_heights,
     read_cord_file,
     WeightingError,
 )
@@ -376,6 +382,18 @@ def test_cord_file_distances_round_trip_or_raise():
     ):
         with pytest.raises(ValueError, match=message):
             format_cord_file(cords, bad)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [(parse_newick, b"(a,b);"), (parse_newick, None), (read_cord_file, b"a b"), (read_cord_file, None)],
+    ids=["newick-bytes", "newick-None", "cords-bytes", "cords-None"],
+)
+def test_readers_take_only_str(reader, text):
+    # one TypeError naming the reader and the type, before any reading
+    message = rf"^{reader.__name__} takes str, not {type(text).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        reader(text)
 
 
 def test_cord_file_errors():

@@ -23,6 +23,7 @@ from conftest import (
     decision_row,
     linear_system,
     random_cords,
+    random_proper_heights,
     random_xtree,
     reference_solve_differences,
     reference_strict_feasible,
@@ -39,7 +40,6 @@ from treelasso import (
     oracle_equidistant,
     oracle_topological,
     oracle_weak,
-    random_proper_heights,
     strict_feasible,
     verify_witness,
 )
@@ -428,6 +428,19 @@ def test_witness_on_the_wrong_tree_is_rejected():
     ):
         for kind in ("equidistant", "weak", "topological"):
             assert not verify_witness(t, cords, witness, kind)
+
+
+def test_witness_on_another_leaf_set_is_rejected():
+    # A rival over other leaves is no rival: every kind says False, rather
+    # than raising because the two height maps cover different leaf sets.
+    t = XTree(((("a", "b"), "c"), ("d", "e")))
+    rival = XTree(((("a", "b"), "c"), ("d", "f")))
+    ab = cord_set([("a", "b")])
+    witness = Witness(rival, random_proper_heights(t, 1), random_proper_heights(rival, 1))
+    for kind in ("equidistant", "weak", "topological"):
+        assert not verify_witness(t, ab, witness, kind)
+    with pytest.raises(ValueError, match="unknown witness kind 'bogus'"):
+        verify_witness(t, ab, witness, "bogus")
 
 
 def test_witness_kind_validation():

@@ -22,13 +22,13 @@ PUBLIC = {
     "XTree", "Cord", "CordFileError", "cord", "cord_set", "all_cords",
     "read_cord_file", "format_cord_file", "NewickParseError", "parse_newick", "print_newick",
     # weightings
-    "EdgeWeighting", "HeightMap", "WeightingError", "random_proper_heights",
+    "EdgeWeighting", "HeightMap", "WeightingError",
     # the combinatorial route: one classification pass
     "ChildEdgeGraph", "build_child_edge_graph", "child_edge_graphs",
     "LassoReport", "classify",
     # constructions
     "Bipartition", "CircularOrdering", "bipartition_lasso", "circular_lasso", "circular_order",
-    "min_equidistant_lasso", "min_topological_lasso", "min_weak_lasso", "random_cord_set",
+    "min_equidistant_lasso", "min_topological_lasso", "min_weak_lasso",
     # the definition-level route
     "StrictLinearSystem", "strict_feasible",
     "Witness", "enumerate_xtrees", "joint_isometry_system",
@@ -37,7 +37,7 @@ PUBLIC = {
 
 
 def test_public_names_are_exactly_the_expected_ones():
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 36
     assert len(treelasso.__all__) == len(set(treelasso.__all__))
     assert set(treelasso.__all__) == PUBLIC
 

@@ -15,7 +15,9 @@ from conftest import (
     bearded_caterpillar,
     clade_by_sorting,
     count_binary_xtrees,
+    pseudo_cherries,
     random_xtree,
+    restrict,
     tree_triplets,
     triplet,
     triplets_by_restriction,
@@ -106,7 +108,7 @@ def assert_leaf_queries_match_brute(t, vertices):
         for v in t.interior_vertices()
         if v != t.root and all(t.is_leaf(c) for c in t.children(v))
     )
-    assert t.pseudo_cherries() == expected
+    assert pseudo_cherries(t) == expected
 
 
 LEAF_QUERY_TREES = [
@@ -158,30 +160,30 @@ def test_deep_caterpillar_parse_retains_linear_memory():
 
 
 def test_restrict_examples():
-    assert CAT.restrict({"a", "b", "c"}) == XTree((("a", "b"), "c"))
-    assert CAT.restrict(CAT.leaf_labels) == CAT
+    assert restrict(CAT, {"a", "b", "c"}) == XTree((("a", "b"), "c"))
+    assert restrict(CAT, CAT.leaf_labels) == CAT
     # suppressing the former cherry parent leaves a new cherry {a, c}
-    assert CAT.restrict({"a", "c", "d"}) == XTree((("a", "c"), "d"))
+    assert restrict(CAT, {"a", "c", "d"}) == XTree((("a", "c"), "d"))
 
 
 def test_restrict_to_tiny_sets():
-    assert CAT.restrict({"a", "b"}) == XTree(("a", "b"))
-    single = CAT.restrict({"c"})
+    assert restrict(CAT, {"a", "b"}) == XTree(("a", "b"))
+    single = restrict(CAT, {"c"})
     assert single.leaf_labels == frozenset("c")
     assert single.n_vertices == 1
 
 
 def test_restrict_errors():
     with pytest.raises(ValueError):
-        CAT.restrict(set())
+        restrict(CAT, set())
     with pytest.raises(ValueError):
-        CAT.restrict({"a", "z"})
+        restrict(CAT, {"a", "z"})
 
 
 def test_restrict_full_set_is_identity_for_all_small_trees():
     for labels in (LABELS4, LABELS5):
         for t in enumerate_xtrees(labels):
-            assert t.restrict(t.leaf_labels) == t
+            assert restrict(t, t.leaf_labels) == t
 
 
 def test_triplets_star_empty():
@@ -314,24 +316,24 @@ def test_refines_is_linear_at_200_leaves():
 
 
 def test_pseudo_cherries():
-    (v, leaves), = CAT.pseudo_cherries()
+    (v, leaves), = pseudo_cherries(CAT)
     assert leaves == frozenset("ab")
     assert v == CAT.lca("a", "b")
-    (v4, leaves4), = T4.pseudo_cherries()
+    (v4, leaves4), = pseudo_cherries(T4)
     assert leaves4 == frozenset("abc")
-    assert STAR3.pseudo_cherries() == ()
+    assert pseudo_cherries(STAR3) == ()
 
 
 def test_every_non_star_tree_has_a_pseudo_cherry():
     for labels in (LABELS4, LABELS5):
         for t in enumerate_xtrees(labels):
             if not t.is_star():
-                assert t.pseudo_cherries()
+                assert pseudo_cherries(t)
 
 
 def test_interior_minus():
     def interior_minus(t):
-        return set(t.interior_vertices()) - {v for v, _ in t.pseudo_cherries()}
+        return set(t.interior_vertices()) - {v for v, _ in pseudo_cherries(t)}
 
     mid = CAT.lca("a", "c")
     assert interior_minus(CAT) == {CAT.root, mid}
