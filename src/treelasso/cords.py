@@ -7,19 +7,24 @@ positive rational distance and ``#`` starting a comment.  A distance is
 written as a Newick edge weight is: an integer, a decimal, or ``p/q``, in
 ASCII digits.
 
-:func:`validate_cords` is the normalizing check the oracle and the height
-code run on their cord inputs.  The combinatorial route does not call it on
-well-formed input: :func:`~treelasso.lasso._child_pairs` checks labels as
-it resolves them, and hands only malformed input to it.  :mod:`fractions`
-is imported inside the functions that read and write distances, so reading
-a plain cord file does not load it.
+Every consumer of cords checks them by the lookups that resolve them
+(:func:`_by_lookup`): the tree's label index for classification, the
+equidistant decision and
+:meth:`~treelasso.heights.HeightMap.is_l_isometric`, and the rival
+table's index of normal cords for the weak and topological decisions.
+Only when a lookup fails is the input handed to :func:`validate_cords`,
+which normalizes cords and names errors; of the library, only
+:func:`~treelasso.oracle.joint_isometry_system` calls it on well-formed
+input, for the sorted cords.  :mod:`fractions` is imported inside the
+functions that read and write distances, so reading a plain cord file does
+not load it.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations
-from typing import TYPE_CHECKING, Iterable
+from itertools import combinations
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -35,6 +40,7 @@ __all__ = [
 ]
 
 Cord = tuple[str, str]
+_T = TypeVar("_T")
 
 # An exact rational as both input formats write it: an integer, a decimal,
 # or p/q, in ASCII digits (``\d`` would take every Unicode decimal digit).
@@ -80,14 +86,8 @@ def all_cords(labels: Iterable[str]) -> frozenset[Cord]:
 
 
 def validate_cords(cords: Iterable[tuple[str, str]], labels: Iterable[str]) -> frozenset[Cord]:
-    """Normalize ``cords`` and require every endpoint to belong to ``labels``.
-
-    A cord set that is already normal (a frozenset of sorted pairs of
-    labels, as every function here returns) comes back as it is.
-    """
+    """Normalize ``cords`` and require every endpoint to belong to ``labels``."""
     known = labels if isinstance(labels, (set, frozenset)) else set(labels)
-    if type(cords) is frozenset and _is_normal(cords, known):
-        return cords
     out = cord_set(cords)
     for a, b in out:
         if a not in known or b not in known:
@@ -96,15 +96,20 @@ def validate_cords(cords: Iterable[tuple[str, str]], labels: Iterable[str]) -> f
     return out
 
 
-def _is_normal(cords: frozenset, known: set | frozenset) -> bool:
-    """True if every member of ``cords`` is a sorted 2-tuple of labels in ``known``."""
+def _by_lookup(resolve: Callable[[Iterable], _T], cords: Iterable, labels: Iterable[str]) -> _T:
+    """``resolve(cords)``, a pass whose lookups resolve each cord and are its check.
+
+    When the pass raises ``KeyError``, ``TypeError`` or ``ValueError``, the
+    input goes to :func:`validate_cords`, which raises its error or
+    normalizes the input for a second pass; a one-shot iterable is read
+    into a list first.
+    """
+    if not isinstance(cords, (frozenset, set, list, tuple)):
+        cords = list(cords)
     try:
-        for c in cords:
-            if type(c) is not tuple or len(c) != 2 or not c[0] < c[1]:
-                return False
-    except TypeError:  # unorderable ends: the normalizing path reports them
-        return False
-    return known.issuperset(chain.from_iterable(cords))
+        return resolve(cords)
+    except (KeyError, TypeError, ValueError):
+        return resolve(validate_cords(cords, labels))
 
 
 def parse_rational(text: str) -> Fraction:

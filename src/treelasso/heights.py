@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .cords import validate_cords
+from .cords import _by_lookup
 from .lasso import _Record
 from .tree import XTree
 
@@ -91,30 +91,39 @@ class HeightMap(_Record):
     __slots__ = __match_args__ = ("tree", "heights")
 
     def __init__(self, tree: XTree, heights: Mapping[int, Fraction]) -> None:
-        # exact comparisons on numerators and denominators, each read once: a
-        # Fraction's denominator is positive, so signs and orders read off
-        # cross-products
         h = dict(heights)
         if set(map(type, h.values())) != {Fraction}:
             h = {v: _as_fraction(x, "edge weights and heights") for v, x in h.items()}
         interior = tree.interior_vertices()
-        if len(h) != len(interior) or not all(map(h.__contains__, interior)):
+        if len(h) != len(interior):
             raise ValueError("heights must cover exactly the interior vertices")
-        ratio = {v: x.as_integer_ratio() for v, x in h.items()}
-        for v, (a, _) in ratio.items():
-            if a < 0:
-                raise ValueError(f"height of vertex {v} is negative: {h[v]}")
+        # One preorder pass reads each ratio once (a Fraction's denominator is
+        # positive, so signs and orders read off numerators and cross-products);
+        # a negative height outranks a failed decrease, so both raise after it.
         parent = tree._parent
-        for v in interior:
-            p = parent[v]
-            if p >= 0:
-                a, b = ratio[v]
-                c, d = ratio[p]
-                if a * d >= c * b:
-                    raise ValueError(
-                        f"heights must strictly decrease along interior edges "
-                        f"({p} -> {v}: {h[p]} -> {h[v]})"
-                    )
+        ratio = {}
+        negative, drop = False, None
+        try:
+            for v in interior:
+                a, b = ratio[v] = h[v].as_integer_ratio()
+                if a < 0:
+                    negative = True
+                p = parent[v]
+                if p >= 0 and drop is None:
+                    c, d = ratio[p]
+                    if a * d >= c * b:
+                        drop = p, v
+        except KeyError:
+            raise ValueError("heights must cover exactly the interior vertices") from None
+        if negative:  # the first negative height in the given order is named
+            v = next(v for v, x in h.items() if x < 0)
+            raise ValueError(f"height of vertex {v} is negative: {h[v]}")
+        if drop:
+            p, v = drop
+            raise ValueError(
+                f"heights must strictly decrease along interior edges "
+                f"({p} -> {v}: {h[p]} -> {h[v]})"
+            )
         self._set(tree, MappingProxyType(h))
 
     def __hash__(self) -> int:
@@ -176,12 +185,21 @@ class HeightMap(_Record):
         return 2 * self.heights[self.tree.lca(a, b)]
 
     def is_l_isometric(self, other: "HeightMap", cords: Iterable[tuple[str, str]]) -> bool:
-        """True iff the two weighted trees induce equal distances on every cord."""
+        """True iff the two weighted trees induce equal distances on every cord.
+
+        Every cord is resolved, and so checked, before any is compared.
+        """
         if self.tree.leaf_labels != other.tree.leaf_labels:
             raise ValueError("height maps are over different leaf sets")
-        checked = validate_cords(cords, self.tree.leaf_labels)
         # equal meeting heights are equal distances: no doubling needed
-        t, h = self.tree, self.heights
-        r, g = other.tree, other.heights
-        return all(h[t.lca(a, b)] == g[r.lca(a, b)] for a, b in checked)
+        return _by_lookup(
+            lambda given: self._meeting_heights(given) == other._meeting_heights(given),
+            cords,
+            self.tree.leaf_labels,
+        )
+
+    def _meeting_heights(self, cords: Iterable[tuple[str, str]]) -> list[Fraction]:
+        """The height where each cord meets; a self-pair meets at a leaf, which has none."""
+        leaf, meet, h = self.tree._leaf_id, self.tree._meet, self.heights
+        return [h[meet(leaf[a], leaf[b])[0]] for a, b in cords]
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .cords import Cord, validate_cords
+from .cords import Cord, _by_lookup
 from .tree import XTree
 
 __all__ = ["LassoReport", "classify"]
@@ -52,22 +52,29 @@ class _Record:
     """A frozen record: the fields named in ``__match_args__``, held in slots.
 
     A subclass lists its fields as ``__slots__ = __match_args__ = (...)``,
-    and its ``__init__`` sets them with :meth:`_set` after its checks.  It
-    then behaves as a frozen dataclass of those fields would: ``==`` between
-    records of one class compares the field tuples, the hash is the field
-    tuple's, the repr is ``Name(field=value, ...)``, assignment and deletion
-    raise ``AttributeError``, and copy, deepcopy and pickle rebuild through
-    the constructor, so the checks run again.  Every record of the package
-    is one, so no module imports :mod:`dataclasses`, which loads
+    and its ``__init__`` sets them with :meth:`_set` after its checks;
+    :meth:`_set` stores through the fields' slot descriptors, bound once
+    when the class is defined.  The record then behaves as a frozen
+    dataclass of those fields would: ``==`` between records of one class
+    compares the field tuples, the hash is the field tuple's, the repr is
+    ``Name(field=value, ...)``, assignment and deletion raise
+    ``AttributeError``, and copy, deepcopy and pickle rebuild through the
+    constructor, so the checks run again.  Every record of the package is
+    one, so no module imports :mod:`dataclasses`, which loads
     :mod:`inspect`, ``ast`` and ``dis``.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__match_args__])
 
     def _set(self, *values: object) -> None:
-        for name, value in zip(self.__match_args__, values):
-            object.__setattr__(self, name, value)
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -140,15 +147,10 @@ def _child_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]
     caller's cords as given: each end is resolved by one lookup in the
     tree's label index, which is the label check.  An item that does not
     unpack to two distinct leaf labels sends the whole input to
-    :func:`~treelasso.cords.validate_cords`, which raises the error the
-    caller would get from it; a one-shot iterable is read into a list first.
+    :func:`~treelasso.cords.validate_cords` (:func:`~treelasso.cords._by_lookup`),
+    which raises the error the caller would get from it.
     """
-    if not isinstance(cords, (frozenset, set, list, tuple)):
-        cords = list(cords)
-    try:
-        return _meet_pairs(tree, cords)
-    except (TypeError, ValueError, KeyError):
-        return _meet_pairs(tree, validate_cords(cords, tree.leaf_labels))
+    return _by_lookup(lambda given: _meet_pairs(tree, given), cords, tree.leaf_labels)
 
 
 def _meet_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:

@@ -57,6 +57,13 @@ over the pairs of given cords, keeps only the sampled rows if asked, and
 hands the surviving rows, lowest bit first, to the engine.  The tree's
 own row is looked up in the table, so nothing is remembered per tree.
 
+Every decision checks its cords by the lookups that resolve them
+(:func:`~treelasso.cords._by_lookup`): the scan looks each up in the
+table's cord index, whose keys are exactly the leaf set's normal cords,
+and the equidistant decision in the tree's label index.  A repeated cord
+counts once, and the checks keep one order: the domain, the cords,
+``rival_sample``, then the leaf cap.
+
 The enumerated trees and the rival tables of the last four leaf sets asked
 for (``_KEPT_LEAF_SETS``) are kept, a six-leaf set taking about 7 MB.  An
 older set is dropped and rebuilt if it is asked for again, so a process
@@ -90,7 +97,7 @@ from itertools import combinations, product
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .cords import Cord, validate_cords
+from .cords import Cord, _by_lookup, validate_cords
 from .feasibility import StrictLinearSystem, _solve_differences
 from .heights import HeightMap
 from .lasso import KINDS, _Record, _require_domain
@@ -225,11 +232,9 @@ def _witness(tree: XTree, rival: XTree, values: list, offset: int) -> Witness:
     The tree's heights start at id 0 and the rival's at id ``offset``.
     """
     return Witness(
-        rival=rival,
-        heights_t=HeightMap(tree, dict(zip(tree.interior_vertices(), values))),
-        heights_rival=HeightMap(
-            rival, dict(zip(rival.interior_vertices(), values[offset:]))
-        ),
+        rival,
+        HeightMap(tree, dict(zip(tree.interior_vertices(), values))),
+        HeightMap(rival, dict(zip(rival.interior_vertices(), values[offset:]))),
     )
 
 
@@ -366,10 +371,16 @@ def _rival_scan(
     is that there is none.
     """
     _require_domain(tree)
-    checked = validate_cords(cords, tree.leaf_labels)
-    if rival_sample is not None and rival_sample < 1:
-        raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
-    table = _rival_table(tree.leaf_labels)
+    labels = tree.leaf_labels
+    if len(labels) > _MAX_LEAVES:  # the leaf cap is checked last
+        validate_cords(cords, labels)
+        _check_sample(rival_sample)
+    table = _rival_table(labels)
+    # the table's cord index holds exactly the normal cords
+    index = _by_lookup(
+        lambda given: sorted(set(map(table.cord_index.__getitem__, given))), cords, labels
+    )
+    _check_sample(rival_sample)
     rows = table.rows
     everyone = (1 << len(rows)) - 1
     r = table.row_of[tree]
@@ -380,7 +391,6 @@ def _rival_scan(
             bad &= table.containing[cluster]
     else:
         bad = 1 << r
-    index = sorted(map(table.cord_index.__getitem__, checked))
     pair_base, conflicts = table.pair_base, table.conflicts
     for a, i in enumerate(index):
         base = pair_base[i]
@@ -401,6 +411,11 @@ def _rival_scan(
         if values is not None:
             return False, _witness(tree, rival, values, k)
     return True, None
+
+
+def _check_sample(rival_sample: int | None) -> None:
+    if rival_sample is not None and rival_sample < 1:
+        raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
 
 
 def oracle_weak(
@@ -443,14 +458,17 @@ def oracle_equidistant(
     is allowed.
     """
     _require_domain(tree)
-    checked = validate_cords(cords, tree.leaf_labels)
     interior, parent = tree.interior_vertices(), tree._parent
     k = len(interior)
     index = {v: i for i, v in enumerate(interior)}
     edges = [(index[parent[v]], index[v]) for v in interior[1:]]  # preorder: root first
     both = edges + [(k + a, k + b) for a, b in edges]
     leaf, meet = tree._leaf_id, tree._meet
-    met = {index[meet(leaf[a], leaf[b])[0]] for a, b in checked}
+    met = _by_lookup(  # a self-pair meets at a leaf, which has no index
+        lambda given: {index[meet(leaf[a], leaf[b])[0]] for a, b in given},
+        cords,
+        tree.leaf_labels,
+    )
     equal = [(i, k + i) for i in sorted(met)]
     for i in range(k):
         if i in met:  # x_i = x_{k+i} and x_i > x_{k+i}: a strict self-loop

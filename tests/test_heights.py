@@ -119,6 +119,19 @@ def test_height_map_errors_match_recorded_messages(tree, heights, error, message
     assert str(raised.value) == message
 
 
+def test_height_map_names_the_first_negative_height_in_the_given_order():
+    # Heights are checked in preorder, vertex 0 first, but the negative height
+    # named is the first in the order the heights were given.
+    for heights, v, x in (
+        ({2: Fraction(-2), 1: Fraction(-1), 0: Fraction(1)}, 2, "-2"),
+        ({1: Fraction(-1), 2: Fraction(-2), 0: Fraction(1)}, 1, "-1"),
+        ({2: Fraction(-1), 0: Fraction(1), 1: Fraction(1)}, 2, "-1"),  # and a failed decrease
+    ):
+        with pytest.raises(ValueError) as raised:
+            HeightMap(CAT4, heights)
+        assert str(raised.value) == f"height of vertex {v} is negative: {x}"
+
+
 def test_height_map_accepts_mixed_exact_input():
     hm = HeightMap(CAT4, {0: 3, 1: Fraction(5, 2), 2: Fraction(1, 3)})
     assert hm.heights == {0: Fraction(3), 1: Fraction(5, 2), 2: Fraction(1, 3)}

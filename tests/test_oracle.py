@@ -22,6 +22,7 @@ from conftest import (
     count_xtrees,
     decision_row,
     linear_system,
+    outcome,
     random_cords,
     random_proper_heights,
     random_xtree,
@@ -43,8 +44,10 @@ from treelasso import (
     strict_feasible,
     verify_witness,
 )
-from treelasso import oracle
+from treelasso import cords as cords_module, heights as heights_module, oracle
+from treelasso.cords import validate_cords
 from treelasso.oracle import _rival_table
+from test_lasso import CONTRACT_INPUTS, CONTRACT_TREES
 
 TRIPLET = XTree((("a", "b"), "c"))
 STAR3 = XTree(("a", "b", "c"))
@@ -218,6 +221,110 @@ def test_rival_sample_below_one_rejected():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="rival_sample must be at least 1"):
             oracle_weak(T4, frozenset(), rival_sample=bad)
+
+
+def _height_pairs(tree):
+    """Height maps to compare with a cord set on ``tree``: a map against
+    itself, against the same map with a higher root (cords that meet at the
+    root then differ, the rest agree), and against a map on another tree."""
+    own = random_proper_heights(tree, 1)
+    higher = HeightMap(tree, {**own.heights, tree.root: own.heights[tree.root] + 1})
+    apart = random_proper_heights(XTree((("a", "d"), ("b", "c"))), 2)
+    return [(own, own), (own, higher), (own, apart)]
+
+
+def _decisions(tree):
+    """Every cord-taking oracle call on ``tree``, by name."""
+    calls = {
+        "weak": partial(oracle_weak, tree),
+        "topological": partial(oracle_topological, tree),
+        "equidistant": partial(oracle_equidistant, tree),
+    }
+    for n, (mine, other) in enumerate(_height_pairs(tree)):
+        calls[f"is_l_isometric {n}"] = partial(HeightMap.is_l_isometric, mine, other)
+    return calls
+
+
+@pytest.mark.parametrize("name, make", CONTRACT_INPUTS, ids=[n for n, _ in CONTRACT_INPUTS])
+def test_decisions_keep_the_input_contract_of_validate_cords(name, make):
+    for tree in CONTRACT_TREES:
+        checked = outcome(validate_cords, make(), tree.leaf_labels)
+        for call_name, call in _decisions(tree).items():
+            expected = outcome(call, checked[1]) if checked[0] == "ok" else checked
+            assert outcome(call, make()) == expected, call_name
+
+
+def test_the_cord_error_comes_before_the_sample_and_the_cap():
+    t4, seven, two = XTree((("a", "b"), ("c", "d"))), XTree(tuple("abcdefg")), XTree(("a", "b"))
+    cap = (ValueError, "enumeration supports 2..6 leaves, got 7")
+    sample = (ValueError, "rival_sample must be at least 1, got 0")
+    domain = (ValueError, "lasso questions need at least 3 leaves")
+    malformed = (
+        lambda: [("a", "b"), ("a", "z")],
+        lambda: [("a", "b"), ("b", "b")],
+        lambda: [("a", "b"), None],
+        lambda: (p for p in [("b", "a"), ("a", 5)]),
+        lambda: 5,
+    )
+    for make in malformed:
+        for tree in (t4, seven):
+            error = outcome(validate_cords, make(), tree.leaf_labels)
+            assert error[0] in (TypeError, ValueError)
+            for decide in (oracle_weak, oracle_topological, oracle_equidistant):
+                assert outcome(decide, tree, make()) == error
+            assert outcome(partial(oracle_weak, rival_sample=0), tree, make()) == error
+        for decide in (oracle_weak, oracle_topological, oracle_equidistant):
+            assert outcome(decide, two, make()) == domain
+    for make in (lambda: [("b", "a")], lambda: iter([("a", "b"), ("a", "b")]), frozenset):
+        assert outcome(partial(oracle_weak, rival_sample=0), t4, make()) == sample
+        assert outcome(partial(oracle_weak, rival_sample=0), seven, make()) == sample
+        for decide in (oracle_weak, oracle_topological):
+            assert outcome(decide, seven, make()) == cap
+        assert outcome(oracle_equidistant, seven, make())[0] == "ok"
+
+
+def test_is_l_isometric_resolves_every_cord_before_comparing():
+    tree = XTree((("a", "b"), ("c", "d")))
+    _, (own, higher), _ = _height_pairs(tree)
+    assert not own.is_l_isometric(higher, [("a", "c")])  # meets at the root
+    for bad in (("a", "z"), ("b", "b"), ("a",), 5):
+        error = outcome(validate_cords, [("a", "c"), bad], tree.leaf_labels)
+        assert error[0] is ValueError
+        assert outcome(own.is_l_isometric, higher, [("a", "c"), bad]) == error
+        assert outcome(own.is_l_isometric, higher, iter([("a", "c"), bad])) == error
+
+
+def test_no_decision_validates_a_normal_set_again(monkeypatch):
+    instances = [(t, cords) for t, cords in _five_leaf_sweep() if len(cords) % 3 == 0][::7]
+    instances += [(T4, frozenset(all_cords(LABELS4)))]
+    big = random_xtree(60, 3)
+    instances += [(big, random_cords(big, 40, seed=3))]
+    assert all(type(cords) is frozenset for _, cords in instances)
+
+    def decide_all():
+        out = []
+        for t, cords in instances:
+            for kind, decide in (
+                ("weak", oracle_weak),
+                ("topological", oracle_topological),
+                ("equidistant", oracle_equidistant),
+            ):
+                if kind == "equidistant" or len(t.leaf_labels) <= 6:
+                    ok, witness = decide(t, cords)
+                    verified = witness is not None and verify_witness(t, cords, witness, kind)
+                    out.append((ok, witness, verified))
+        return out
+
+    def fail(*args):
+        raise AssertionError("a normal cord set was checked again")
+
+    expected = decide_all()
+    # raising=False: a module that does not import the name gets the failing
+    # one too, so a later import of it is caught as well
+    for module in (cords_module, oracle, heights_module):
+        monkeypatch.setattr(module, "validate_cords", fail, raising=False)
+    assert decide_all() == expected
+    assert sum(verified for _, _, verified in expected) > 50
 
 
 def _first_fitting(t, cords, rivals, skip):
@@ -490,6 +597,27 @@ def test_four_leaf_decisions_match_the_recorded_corpus():
     rows = _decision_rows(enumerate_xtrees(LABELS4), all_cord_subsets(LABELS4))
     assert len(rows) == 26 * 64 * 3
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == FOUR_LEAF_DECISIONS_SHA256
+
+
+def _five_leaf_sweep():
+    """Every five-leaf tree with one seeded cord set of each size 0-10, the
+    mix of the benchmark's oracle sweep."""
+    pool = sorted(all_cords(LABELS5))
+    for index, t in enumerate(enumerate_xtrees(LABELS5)):
+        rng = random.Random(index)
+        for k in range(len(pool) + 1):
+            yield t, frozenset(rng.sample(pool, k))
+
+
+# Recorded before the decisions resolved cords by lookup and witness height
+# maps were checked in one pass.
+FIVE_LEAF_DECISIONS_SHA256 = "456f96abf7322a6b8d723f47198ff7f9ead2826cfbf7a7421c26cc880631f70f"
+
+
+def test_five_leaf_decisions_match_the_recorded_sweep():
+    rows = [row for t, cords in _five_leaf_sweep() for row in _decision_rows([t], [cords])]
+    assert len(rows) == 236 * 11 * 3 == 7788
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == FIVE_LEAF_DECISIONS_SHA256
 
 
 def _rival_table_fields(labels):
