@@ -10,11 +10,10 @@ clique and every leaf edge is joined to every subtree edge.
 
 Cords become edges in one place, :func:`~treelasso.lasso._child_pairs`,
 which :func:`~treelasso.lasso.classify`, :func:`child_edge_graphs` and
-:func:`build_child_edge_graph` all call: one label lookup per end and one
-heavy-path meet per cord.  Well-formed cords are not normalized first; any
-other input is handed to :func:`~treelasso.cords.validate_cords`, so it is
-rejected with the same error as everywhere else.  It lives in ``lasso`` so
-that ``classify`` does not load this module; the package loads it on first
+:func:`build_child_edge_graph` all call; it builds on the one cord
+resolver, :meth:`~treelasso.tree.XTree._cord_meets`, so malformed cords
+raise the same error as everywhere else.  It lives in ``lasso`` so that
+``classify`` does not load this module; the package loads it on first
 access to one of its names.
 """
 

@@ -8,16 +8,15 @@ written as a Newick edge weight is: an integer, a decimal, or ``p/q``, in
 ASCII digits.
 
 Every consumer of cords checks them by the lookups that resolve them
-(:func:`_by_lookup`): the tree's label index for classification, the
-equidistant decision and
-:meth:`~treelasso.heights.HeightMap.is_l_isometric`, and the rival
-table's index of normal cords for the weak and topological decisions.
-Only when a lookup fails is the input handed to :func:`validate_cords`,
-which normalizes cords and names errors; of the library, only
-:func:`~treelasso.oracle.joint_isometry_system` calls it on well-formed
-input, for the sorted cords.  :mod:`fractions` is imported inside the
-functions that read and write distances, so reading a plain cord file does
-not load it.
+(:func:`_by_lookup`), which has two callers: the one cord resolver,
+:meth:`~treelasso.tree.XTree._cord_meets`, whose lookups are in the
+tree's label index, and the weak and topological decisions' pass over the
+rival table's index of normal cords.  Only when a lookup fails is the
+input handed to :func:`validate_cords`, which normalizes cords and names
+errors; of the library, only :func:`~treelasso.oracle.joint_isometry_system`
+calls it on well-formed input, for the sorted cords.  :mod:`fractions` is
+imported inside the functions that read and write distances, so reading a
+plain cord file does not load it.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ All values are exact rationals; strict inequalities are never approximated.
 mapping, ``by_child`` or ``heights``, is a read-only view
 (:class:`types.MappingProxyType`) of the copy their constructor checked, so
 no edit can skip the checks or change the hash; copy, deepcopy and pickle
-hand the constructor a plain dict and check it again.
+hand the constructor a plain dict and check it again.  Cord distances are
+compared at the vertices :meth:`~treelasso.tree.XTree._cord_meets` gives.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .cords import _by_lookup
 from .lasso import _Record
 from .tree import XTree
 
@@ -67,9 +67,6 @@ class EdgeWeighting(_Record):
         if set(weights) != expected:
             raise ValueError("weighting must cover exactly the non-root vertices")
         self._set(tree, MappingProxyType(weights))
-
-    def weight(self, child: int) -> Fraction:
-        return self.by_child[child]
 
     def __hash__(self) -> int:
         return hash((self.tree, tuple(sorted(self.by_child.items()))))
@@ -191,15 +188,7 @@ class HeightMap(_Record):
         """
         if self.tree.leaf_labels != other.tree.leaf_labels:
             raise ValueError("height maps are over different leaf sets")
+        mine, theirs = self.tree._cord_meets(cords, other.tree)
+        h, g = self.heights, other.heights
         # equal meeting heights are equal distances: no doubling needed
-        return _by_lookup(
-            lambda given: self._meeting_heights(given) == other._meeting_heights(given),
-            cords,
-            self.tree.leaf_labels,
-        )
-
-    def _meeting_heights(self, cords: Iterable[tuple[str, str]]) -> list[Fraction]:
-        """The height where each cord meets; a self-pair meets at a leaf, which has none."""
-        leaf, meet, h = self.tree._leaf_id, self.tree._meet, self.heights
-        return [h[meet(leaf[a], leaf[b])[0]] for a, b in cords]
-
+        return [h[v] for v, _, _ in mine] == [g[v] for v, _, _ in theirs]

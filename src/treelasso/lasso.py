@@ -19,9 +19,10 @@ one edge, at its endpoints' last common vertex, so the distinct edges give
 per-vertex counts, and a vertex with k children, s of them interior, has at
 least one edge when its count is > 0, is a clique when its count is C(k, 2),
 and is rich when C(s, 2) + s * (k - s) of its edges touch an interior child.
-The cords become edges in one pass, in :func:`_child_pairs`, which also
-checks their labels.  Connectivity matters only at pseudo-cherry parents,
-and is decided by the count first: fewer than k - 1 edges leave a parent
+The cords become edges in one pass, in :func:`_child_pairs`, over the
+meeting vertices that :meth:`~treelasso.tree.XTree._cord_meets` resolves
+and checks.  Connectivity matters only at pseudo-cherry parents, and is
+decided by the count first: fewer than k - 1 edges leave a parent
 disconnected, and a clique is connected, so only the rest run a union-find
 over their children.  The on-demand graph views in
 :mod:`~treelasso.childgraph` are built from the same :func:`_child_pairs`;
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .cords import Cord, _by_lookup
+from .cords import Cord
 from .tree import XTree
 
 __all__ = ["LassoReport", "classify"]
@@ -142,27 +143,10 @@ def _child_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]
     A cord is the edge ``u < w`` of the graph at its endpoints' last common
     vertex v, between the two children of v toward the endpoints.  Every
     cord makes one edge, so the set is empty exactly when the cord set is.
-
-    This is the one place where cords become edges, and it takes the
-    caller's cords as given: each end is resolved by one lookup in the
-    tree's label index, which is the label check.  An item that does not
-    unpack to two distinct leaf labels sends the whole input to
-    :func:`~treelasso.cords.validate_cords` (:func:`~treelasso.cords._by_lookup`),
-    which raises the error the caller would get from it.
+    The cords meet, and are checked, in :meth:`~treelasso.tree.XTree._cord_meets`.
     """
-    return _by_lookup(lambda given: _meet_pairs(tree, given), cords, tree.leaf_labels)
-
-
-def _meet_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:
-    """The pass itself; a malformed cord raises TypeError, ValueError or KeyError."""
-    leaf, meet = tree._leaf_id, tree._meet
-    out = set()
-    for a, b in cords:
-        if a == b:
-            raise ValueError("a cord needs two distinct labels")
-        v, u, w = meet(leaf[a], leaf[b])
-        out.add((v, u, w) if u < w else (v, w, u))
-    return out
+    [meets] = tree._cord_meets(cords)
+    return {(v, u, w) if u < w else (v, w, u) for v, u, w in meets}
 
 
 def classify(tree: XTree, cords: Iterable[Cord]) -> LassoReport:

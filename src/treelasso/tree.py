@@ -28,9 +28,10 @@ largest children through it.  Two vertices jump from path head to path
 head until they share a path, O(log n) jumps at any depth, and the jumps
 also give the child of the meeting vertex on each side, which is all a
 cord contributes to the child-edge graphs.  No table over leaf pairs is
-ever built.  Construction and canonical keys use explicit stacks or
-preorder ids instead of recursion, so deep trees raise no
-``RecursionError``.
+ever built.  Every cord consumer meets its cords in one place,
+:meth:`XTree._cord_meets`, whose label lookups are the cords' check.
+Construction and canonical keys use explicit stacks or preorder ids
+instead of recursion, so deep trees raise no ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from typing import Iterable
+
+from .cords import _by_lookup
 
 __all__ = ["XTree"]
 
@@ -59,6 +62,11 @@ def _check_label(label: object) -> str:
 
 def _not_a_vertex(v: object) -> ValueError:
     return ValueError(f"{v!r} is not a vertex of this tree")
+
+
+def _self_pair() -> tuple[int, int, int]:
+    """Raises for a cord of one label, from inside an expression."""
+    raise ValueError("a cord needs two distinct labels")
 
 
 def _shape_records(shape) -> tuple[list[str | None], list]:
@@ -208,13 +216,6 @@ class XTree:
         self._head = tuple(head)
         return vid
 
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def star(cls, labels: Iterable[str]) -> "XTree":
-        """The tree with a single interior vertex adjacent to every leaf."""
-        return cls(tuple(labels))
-
     # -- basic structure ------------------------------------------------------
 
     @property
@@ -355,6 +356,27 @@ class XTree:
         if a == b:
             raise ValueError("lca requires two distinct leaf labels")
         return self._meet(self.leaf_vertex(a), self.leaf_vertex(b))[0]
+
+    def _cord_meets(self, cords: Iterable, *others: "XTree") -> list[list[tuple[int, int, int]]]:
+        """Where each cord meets: one list per tree, this one and then ``others``.
+
+        A list holds each cord's :meth:`_meet` triple in that tree, in input
+        order; ``others`` are trees on this tree's leaf set.  Each end is
+        resolved by one lookup in a label index, which is the label check, and
+        a self-pair is rejected; any failure hands the input to
+        :func:`~treelasso.cords._by_lookup`, which raises ``validate_cords``'
+        error or resolves the normalized set, in its order.
+        """
+        trees = (self, *others)
+
+        def resolve(given: Iterable) -> list[list[tuple[int, int, int]]]:
+            out = []
+            for tree in trees:
+                leaf, meet = tree._leaf_id, tree._meet
+                out.append([meet(leaf[a], leaf[b]) if a != b else _self_pair() for a, b in given])
+            return out
+
+        return _by_lookup(resolve, cords, self._leaf_labels)
 
     def child_toward(self, v: int, label: str) -> int:
         """The child of ``v`` whose subtree contains the leaf ``label``."""

@@ -33,10 +33,10 @@ def test_to_edge_weights_star():
 def test_to_edge_weights_cherry():
     hm = HeightMap(CHERRY3, {CHERRY3.root: Fraction(3), CHERRY3.lca("a", "b"): Fraction(1)})
     w = hm.to_edge_weights()
-    assert w.weight(CHERRY3.leaf_vertex("a")) == 1
-    assert w.weight(CHERRY3.leaf_vertex("b")) == 1
-    assert w.weight(CHERRY3.leaf_vertex("c")) == 3
-    assert w.weight(CHERRY3.lca("a", "b")) == 2
+    assert w.by_child[CHERRY3.leaf_vertex("a")] == 1
+    assert w.by_child[CHERRY3.leaf_vertex("b")] == 1
+    assert w.by_child[CHERRY3.leaf_vertex("c")] == 3
+    assert w.by_child[CHERRY3.lca("a", "b")] == 2
 
 
 def test_from_edge_weights_recovers_heights():
@@ -60,7 +60,7 @@ def test_zero_pendant_edges_are_legal():
     cherry = CHERRY3.lca("a", "b")
     hm = HeightMap(CHERRY3, {CHERRY3.root: Fraction(1), cherry: Fraction(0)})
     w = hm.to_edge_weights()
-    assert w.weight(CHERRY3.leaf_vertex("a")) == 0
+    assert w.by_child[CHERRY3.leaf_vertex("a")] == 0
     assert HeightMap.from_edge_weights(w) == hm
 
 

@@ -444,7 +444,7 @@ def test_counting_pass_matches_graphs_and_path_oracle(kind, size, arg):
     elif kind == "bearded":
         tree = bearded_caterpillar(size, arg)
     else:
-        tree = XTree.star(f"s{i}" for i in range(size))
+        tree = XTree(tuple(f"s{i}" for i in range(size)))
     for cords in cord_families(tree, size + arg):
         report = classify(tree, cords)
         assert report.failing_vertices == failing_by_graphs(tree, cords)

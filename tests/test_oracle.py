@@ -327,6 +327,33 @@ def test_no_decision_validates_a_normal_set_again(monkeypatch):
     assert sum(verified for _, _, verified in expected) > 50
 
 
+def test_cord_consumers_meet_each_cord_once_per_tree(monkeypatch):
+    tree, rival = random_xtree(60, 3), random_xtree(60, 4)
+    assert tree.leaf_labels == rival.leaf_labels and tree != rival
+    cords = random_cords(tree, 40, seed=3)
+    mine, theirs = random_proper_heights(tree, 1), random_proper_heights(rival, 2)
+    calls = {
+        "equidistant": (lambda: oracle_equidistant(tree, cords), [tree]),
+        "is_l_isometric": (lambda: mine.is_l_isometric(theirs, cords), [tree, rival]),
+        "mirrored": (lambda: mine.is_l_isometric(mine, cords), [tree, tree]),
+        "joint system": (lambda: joint_isometry_system(tree, rival, cords), [tree, rival]),
+    }
+    expected = {name: call() for name, (call, _) in calls.items()}
+    assert expected["mirrored"] and not expected["is_l_isometric"]
+    met = []
+    meet = XTree._meet
+
+    def counting_meet(self, u, w):
+        met.append(id(self))
+        return meet(self, u, w)
+
+    monkeypatch.setattr(XTree, "_meet", counting_meet)
+    for name, (call, trees) in calls.items():
+        del met[:]
+        assert call() == expected[name], name
+        assert sorted(met) == sorted(id(t) for t in trees for _ in cords), name
+
+
 def _first_fitting(t, cords, rivals, skip):
     """The first rival, not skipped, whose full joint system is feasible."""
     return next(

@@ -115,7 +115,7 @@ LEAF_QUERY_TREES = [
     *(random_xtree(300, seed) for seed in range(3)),
     bearded_caterpillar(2, 99),
     bearded_caterpillar(4, 25),
-    XTree.star(f"s{i}" for i in range(12)),
+    XTree(tuple(f"s{i}" for i in range(12))),
     XTree("a"),
     *enumerate_xtrees(LABELS5),
 ]
