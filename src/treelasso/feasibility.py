@@ -11,19 +11,22 @@ identification per cord.  So the system holds only pairs: ``x = y`` and
 * one topological pass (Kahn) gives each class the number of edges on its
   longest incoming path; a class the pass never reaches lies on or behind
   a cycle, and every cycle is strict, so the system is then infeasible;
-* a value is its class's path length, an integer at least 0, and a small
-  one reuses a shared, immutable ``Fraction``.
+* a variable's level is its class's path length, a plain ``int`` at least
+  0, and the levels are the least integer point.
 
-One call returns both the verdict and the exact point.
-:class:`StrictLinearSystem` and :func:`strict_feasible` state the same
-systems over named variables; the oracles call the engine on dense integer
-ids.
+One call returns both the verdict and the exact point.  The core,
+:func:`_solve_levels`, answers levels; :func:`_solve_differences` is its
+face over ``Fraction``s, in which a small level reuses a shared, immutable
+``Fraction``.  :class:`StrictLinearSystem` and :func:`strict_feasible`
+state the same systems over named variables and go through the face.  The
+oracles call the core on dense integer ids, and build a witness's height
+maps straight from its levels (``HeightMap._from_levels``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .lasso import _Record
 
@@ -49,19 +52,20 @@ class StrictLinearSystem(_Record):
 
 
 # Points reuse these: a Fraction is immutable, so one object per small value serves every call.
-_SMALL = tuple(map(Fraction, range(64)))
+# A list, never changed, because a list's bound __getitem__ is a fast builtin to map.
+_SMALL = list(map(Fraction, range(64)))
 
 
-def _solve_differences(
+def _solve_levels(
     n: int,
     equal: Sequence[tuple[int, int]],
     greater: Sequence[tuple[int, int]],
-) -> list[Fraction] | None:
-    """Exact values for the variables ``0..n-1``, or None when there are none.
+) -> list[int] | None:
+    """The least integer point of the variables ``0..n-1``, or None when there is none.
 
     ``equal`` holds ``(x, y)`` meaning ``x = y`` and ``greater`` holds
-    ``(x, y)`` meaning ``x > y``.  Every value is an integral ``Fraction``,
-    the least such point: each value counts the edges of its longest path.
+    ``(x, y)`` meaning ``x > y``.  Each value is a plain ``int``, its level:
+    the number of edges on its class's longest incoming path.
     """
     parent = list(range(n))
     for x, y in equal:
@@ -99,8 +103,29 @@ def _solve_differences(
                 order.append(w)
     if len(order) < n:
         return None  # a class on or behind a cycle
+    return list(map(value.__getitem__, parent))
+
+
+def _fractions(levels: Sequence[int], top: int) -> Iterable[Fraction]:
+    """Nonnegative levels, none above ``top``, as ``Fraction``s, each small one shared."""
     small = len(_SMALL)
-    return [_SMALL[a] if a < small else Fraction(a) for a in map(value.__getitem__, parent)]
+    if top < small:
+        return map(_SMALL.__getitem__, levels)
+    return [_SMALL[a] if a < small else Fraction(a) for a in levels]
+
+
+def _solve_differences(
+    n: int,
+    equal: Sequence[tuple[int, int]],
+    greater: Sequence[tuple[int, int]],
+) -> list[Fraction] | None:
+    """Exact values for the variables ``0..n-1``, or None when there are none.
+
+    The levels of :func:`_solve_levels` as integral ``Fraction``s: the
+    least such point.
+    """
+    levels = _solve_levels(n, equal, greater)
+    return None if levels is None else list(_fractions(levels, max(levels, default=0)))
 
 
 def strict_feasible(system: StrictLinearSystem) -> dict | None:

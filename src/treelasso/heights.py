@@ -16,14 +16,19 @@ mapping, ``by_child`` or ``heights``, is a read-only view
 no edit can skip the checks or change the hash; copy, deepcopy and pickle
 hand the constructor a plain dict and check it again.  Cord distances are
 compared at the vertices :meth:`~treelasso.tree.XTree._cord_meets` gives.
+
+The oracles build witness maps from the engine's integer levels with
+``HeightMap._from_levels``, which runs the constructor's checks on the ints.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
+from .feasibility import _fractions
 from .lasso import _Record
 from .tree import XTree
 
@@ -122,6 +127,32 @@ class HeightMap(_Record):
                 f"({p} -> {v}: {h[p]} -> {h[v]})"
             )
         self._set(tree, MappingProxyType(h))
+
+    @classmethod
+    def _from_levels(cls, tree: XTree, levels: Sequence[int]) -> "HeightMap":
+        """The height map of integer levels given in interior preorder.
+
+        The constructor's checks run on the ints: coverage (the list's
+        length), nonnegativity and strict decrease along interior edges.  A
+        fault found is raised by the constructor itself, so its message and
+        precedence are the constructor's.  The heights are the engine's
+        shared ``Fraction``s.
+        """
+        interior = tree._interior
+        if len(levels) != len(interior):
+            raise ValueError("heights must cover exactly the interior vertices")
+        # Vertex ids are preorder positions, so ``interior`` is sorted and a
+        # parent's level is found by bisection; the root, vertex 0, has none.
+        parent = tree._parent
+        for v, a in zip(interior, levels):
+            if a < 0 or v and levels[bisect_left(interior, parent[v])] <= a:
+                return cls(tree, dict(zip(interior, map(Fraction, levels))))  # raises
+        fractions = _fractions(levels, levels[0] if levels else 0)  # the root's is the largest
+        self = cls.__new__(cls)
+        store_tree, store_heights = cls._setters  # _set's stores, without its loop
+        store_tree(self, tree)
+        store_heights(self, MappingProxyType(dict(zip(interior, fractions))))
+        return self
 
     def __hash__(self) -> int:
         return hash((self.tree, tuple(sorted(self.heights.items()))))

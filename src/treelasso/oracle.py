@@ -18,10 +18,10 @@ which rivals it skips, and which covers every rival on each leaf set the
 enumeration accepts: up to 6 leaves, or 2752 trees.  The weak decision
 alone takes an explicit ``rival_sample``, which scans a seeded subset
 instead.  Each joint system, one identification per cord and a strict order
-along every edge, goes straight to the engine of
-:mod:`treelasso.feasibility` as pairs of dense integer ids; its verdict and
-exact point come from one call, and the point of the first feasible rival
-is the witness.
+along every edge, goes straight to the integer core of the engine,
+:func:`~treelasso.feasibility._solve_levels`, as pairs of dense integer
+ids; its verdict and exact point, as integer levels, come from one call,
+and the levels of the first feasible rival are the witness.
 
 The scan reads its rivals from one table per leaf set, built on first use,
 with a row per enumerated tree in canonical order; bit r of every mask below
@@ -87,7 +87,10 @@ tree.
 :class:`Witness` and the rival table are frozen ``__slots__`` records on
 the package's one record base, as are the height maps a witness carries, so
 an oracle process loads neither :mod:`dataclasses` nor :mod:`inspect`, and
-the heights of a witness cannot be edited after it is built.
+the heights of a witness cannot be edited after it is built.  Both maps are
+built from the one list of levels, each from its tree's slice of it, by
+``HeightMap._from_levels``, which checks the levels as ints as the
+constructor checks heights.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .cords import Cord, _by_lookup, validate_cords
-from .feasibility import StrictLinearSystem, _solve_differences
+from .feasibility import StrictLinearSystem, _solve_levels
 from .heights import HeightMap
 from .lasso import KINDS, _Record, _require_domain
 from .tree import XTree, _check_label
@@ -225,16 +228,19 @@ class Witness(_Record):
         self._set(rival, heights_t, heights_rival)
 
 
-def _witness(tree: XTree, rival: XTree, values: list, offset: int) -> Witness:
-    """Read a witness off a solved joint system: tree heights, then rival heights.
+def _witness(tree: XTree, rival: XTree, levels: list[int], offset: int) -> Witness:
+    """Read a witness off the levels of a solved joint system.
 
-    The tree's heights start at id 0 and the rival's at id ``offset``.
+    The tree's levels start at id 0 and the rival's at id ``offset``, each
+    in its tree's interior preorder.
     """
-    return Witness(
-        rival,
-        HeightMap(tree, dict(zip(tree.interior_vertices(), values))),
-        HeightMap(rival, dict(zip(rival.interior_vertices(), values[offset:]))),
-    )
+    rival_levels = levels[offset : offset + len(rival._interior)]
+    witness = Witness.__new__(Witness)
+    store_rival, store_t, store_r = Witness._setters  # _set's stores, without its loop
+    store_rival(witness, rival)
+    store_t(witness, HeightMap._from_levels(tree, levels[: len(tree._interior)]))
+    store_r(witness, HeightMap._from_levels(rival, rival_levels))
+    return witness
 
 
 class _RivalTable(_Record):
@@ -408,9 +414,9 @@ def _rival_scan(
         alive ^= low
         rival, edges, meets, _, _, _ = rows[low.bit_length() - 1]
         equal = [(t_meets[i], k + meets[i]) for i in index]
-        values = _solve_differences(2 * k, equal, t_edges + edges)
-        if values is not None:
-            return False, _witness(tree, rival, values, k)
+        levels = _solve_levels(2 * k, equal, t_edges + edges)
+        if levels is not None:
+            return False, _witness(tree, rival, levels, k)
     return True, None
 
 
@@ -470,9 +476,9 @@ def oracle_equidistant(
     for i in range(k):
         if i in met:  # x_i = x_{k+i} and x_i > x_{k+i}: a strict self-loop
             continue
-        values = _solve_differences(2 * k, equal, both + [(i, k + i)])
-        if values is not None:
-            return False, _witness(tree, tree, values, k)
+        levels = _solve_levels(2 * k, equal, both + [(i, k + i)])
+        if levels is not None:
+            return False, _witness(tree, tree, levels, k)
     return True, None
 
 

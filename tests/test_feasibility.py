@@ -19,7 +19,12 @@ from conftest import (
     reference_solve_differences,
     reference_strict_feasible,
 )
-from treelasso.feasibility import StrictLinearSystem, _solve_differences, strict_feasible
+from treelasso.feasibility import (
+    StrictLinearSystem,
+    _solve_differences,
+    _solve_levels,
+    strict_feasible,
+)
 
 
 def test_open_interval():
@@ -311,6 +316,28 @@ def test_engine_matches_the_reference_engine_on_200_random_systems():
             assert all(type(v) is Fraction for v in got), f"seed {seed}"
             assert _pairs_hold(got, *pairs), f"seed {seed}"
             feasible += 1
+    assert 0 < feasible < 200
+
+
+def test_fraction_face_maps_the_core_levels_on_200_random_systems():
+    # the systems of the test above: the core answers plain ints, or None
+    # exactly when the face does, and the face is those levels as Fractions
+    feasible = 0
+    for seed in range(200):
+        equal, greater = _random_engine_system(seed)
+        pairs = (
+            [(x, y) for x, y, c in equal if not c],
+            [(x, y) for x, y, c, strict in greater if strict and not c],
+        )
+        levels = _solve_levels(4, *pairs)
+        values = _solve_differences(4, *pairs)
+        if levels is None:
+            assert values is None, f"seed {seed}"
+            continue
+        assert all(type(a) is int for a in levels), f"seed {seed}"
+        assert values == [Fraction(a) for a in levels], f"seed {seed}"
+        assert all(type(v) is Fraction for v in values), f"seed {seed}"
+        feasible += 1
     assert 0 < feasible < 200
 
 

@@ -1,5 +1,7 @@
 """Equidistant weightings: heights, edge weights, induced distances."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -130,6 +132,68 @@ def test_height_map_names_the_first_negative_height_in_the_given_order():
         with pytest.raises(ValueError) as raised:
             HeightMap(CAT4, heights)
         assert str(raised.value) == f"height of vertex {v} is negative: {x}"
+
+
+def _outcome(build, tree, heights):
+    """What ``build`` makes of ``heights``: a map, or the ValueError's text."""
+    try:
+        return build(tree, heights)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _levels_with_fault(tree, rng):
+    """Seeded levels in interior preorder, proper or with a fault, the same
+    heights as the constructor's mapping, and the fault; past 64 at times."""
+    interior = tree.interior_vertices()
+    at = {}
+    for v in reversed(interior):  # children first
+        below = max((at[c] for c in tree.children(v) if c in at), default=-1)
+        at[v] = below + 1 + rng.choice((0, 0, 1, 5, 70))
+    fault = rng.choice(("none", "negative", "drop", "both", "short", "long"))
+    if fault in ("negative", "both") and interior:
+        at[rng.choice(interior)] = -rng.randint(1, 3)
+    if fault in ("drop", "both") and len(interior) > 1:
+        v = rng.choice(interior[1:])
+        at[v] = at[tree.parent(v)] + rng.choice((0, 1))
+    levels = [at[v] for v in interior]
+    heights = {v: Fraction(at[v]) for v in interior}  # in the levels' order
+    if fault == "short" and interior:
+        del levels[-1], heights[interior[-1]]
+    if fault == "long":
+        levels.append(rng.randint(0, 3))
+        heights[tree.leaf_vertex(min(tree.leaf_labels))] = Fraction(levels[-1])
+    return levels, heights, fault
+
+
+def test_levels_constructor_matches_the_constructor():
+    # integer levels give the map and hash, or the error text, that the
+    # constructor gives for the same heights as Fractions, with its
+    # precedence: coverage, then the first negative, then the first drop
+    rng = random.Random(31)
+    trees = [XTree("a"), STAR3, *enumerate_xtrees(LABELS4), *enumerate_xtrees(LABELS5)]
+    seen = Counter()
+    for tree in trees:
+        for _ in range(20):
+            levels, heights, fault = _levels_with_fault(tree, rng)
+            expected = _outcome(HeightMap, tree, heights)
+            got = _outcome(HeightMap._from_levels, tree, levels)
+            assert got == expected, (tree, levels)
+            if isinstance(expected, str):
+                kind = next(k for k in ("negative", "decrease", "cover") if k in expected)
+                seen[fault, kind] += 1
+                continue
+            assert hash(got) == hash(expected)
+            assert all(type(x) is Fraction for x in got.heights.values())
+            seen[fault, "large" if max(levels, default=0) >= 64 else "small"] += 1
+    for case in [
+        ("none", "large"), ("none", "small"), ("negative", "negative"), ("drop", "decrease"),
+        ("both", "negative"), ("short", "cover"), ("long", "cover"),
+    ]:
+        assert seen[case] > 20, seen
+    for levels in ([63, 62, 0], [64, 63, 0], [65, 64, 63]):  # the shared Fractions end at 63
+        heights = dict(zip(CAT4.interior_vertices(), map(Fraction, levels)))
+        assert HeightMap._from_levels(CAT4, levels) == HeightMap(CAT4, heights)
 
 
 def test_height_map_accepts_mixed_exact_input():

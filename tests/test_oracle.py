@@ -488,14 +488,14 @@ def test_refiner_masks_match_refines():
 def test_scan_calls_the_engine_only_past_the_pairwise_test(monkeypatch):
     # the engine sees, in canonical order, exactly the rivals that are neither
     # skipped nor in cord-order conflict, up to the first feasible one
-    engine = oracle._solve_differences
+    engine = oracle._solve_levels
     calls = []
 
     def counted(*args):
         calls.append(args)
         return engine(*args)
 
-    monkeypatch.setattr(oracle, "_solve_differences", counted)
+    monkeypatch.setattr(oracle, "_solve_levels", counted)
     trees = enumerate_xtrees(LABELS4)
     for t in trees[::2]:
         conflicts = {r: _order_conflicts(t, r) for r in trees}
@@ -696,14 +696,14 @@ def test_equidistant_matches_every_vertex_reference_and_skips_met_vertices(monke
     # the reference tries every interior vertex in order; the oracle's engine
     # sees only the vertices where no given cord meets, up to the first
     # feasible one, and its verdict and witness equal the reference's
-    engine = oracle._solve_differences
+    engine = oracle._solve_levels
     calls = []
 
     def counted(*args):
         calls.append(args)
         return engine(*args)
 
-    monkeypatch.setattr(oracle, "_solve_differences", counted)
+    monkeypatch.setattr(oracle, "_solve_levels", counted)
     cases = [(t, c) for t in enumerate_xtrees(LABELS4) for c in all_cord_subsets(LABELS4)]
     rng = random.Random(8)
     for t in rng.sample(enumerate_xtrees(LABELS5), 40):
@@ -731,16 +731,19 @@ def test_equidistant_matches_every_vertex_reference_and_skips_met_vertices(monke
             assert witness.rival == t
             assert witness.heights_t.heights == {v: point[("T", v)] for v in interior}
             assert witness.heights_rival.heights == {v: point[("R", v)] for v in interior}
+            for heights in (witness.heights_t.heights, witness.heights_rival.heights):
+                assert all(type(x) is Fraction for x in heights.values())
     assert skipped
 
 
 def test_every_oracle_engine_call_matches_the_reference_engine(monkeypatch):
     # every engine call of the three decisions, on all 4-leaf trees with all
     # cord subsets and on 40 seeded 5-leaf trees with a cord set of each
-    # size, returns the reference engine's list, value for value and type
-    # for type.  The masks leave the engine feasible rivals only, so the
-    # infeasible answers are compared in test_feasibility.py.
-    engine = oracle._solve_differences
+    # size, returns the reference engine's list value for value, as plain
+    # ints, and every witness built from it holds Fractions.  The masks
+    # leave the engine feasible rivals only, so the infeasible answers are
+    # compared in test_feasibility.py.
+    engine = oracle._solve_levels
     calls = []
 
     def compared(n, equal, greater):
@@ -749,26 +752,32 @@ def test_every_oracle_engine_call_matches_the_reference_engine(monkeypatch):
             n, [(x, y, 0) for x, y in equal], [(x, y, 0, True) for x, y in greater]
         )
         assert got == reference, (n, equal, greater)
-        assert got is None or all(type(v) is Fraction for v in got)
+        assert got is None or all(type(v) is int for v in got)
         calls.append(n)
         return got
 
-    monkeypatch.setattr(oracle, "_solve_differences", compared)
+    monkeypatch.setattr(oracle, "_solve_levels", compared)
     cases = [(t, c) for t in enumerate_xtrees(LABELS4) for c in all_cord_subsets(LABELS4)]
     rng = random.Random(7)
     pool = sorted(all_cords(LABELS5))
     for t in rng.sample(enumerate_xtrees(LABELS5), 40):
         cases += [(t, frozenset(rng.sample(pool, k))) for k in range(len(pool) + 1)]
+    witnesses = 0
     for t, cords in cases:
         for decide in (oracle_weak, oracle_topological, oracle_equidistant):
-            decide(t, cords)
+            _, witness = decide(t, cords)
+            if witness is not None:
+                for heights in (witness.heights_t.heights, witness.heights_rival.heights):
+                    assert all(type(x) is Fraction for x in heights.values())
+                witnesses += 1
     assert len(calls) > 4000
+    assert witnesses == len(calls)  # no engine call was infeasible
 
 
 def test_a_non_proper_engine_point_is_never_returned(monkeypatch):
     # witnesses are validated as height maps: an engine point that breaks
     # properness raises instead of coming back as a witness
-    monkeypatch.setattr(oracle, "_solve_differences", lambda n, equal, greater: [Fraction(0)] * n)
+    monkeypatch.setattr(oracle, "_solve_levels", lambda n, equal, greater: [0] * n)
     for decide in (oracle_weak, oracle_topological, oracle_equidistant):
         with pytest.raises(ValueError, match="strictly decrease"):
             decide(T4, frozenset())
