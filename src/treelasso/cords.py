@@ -13,8 +13,10 @@ Every consumer of cords checks them by the lookups that resolve them
 tree's label index, and the weak and topological decisions' pass over the
 rival table's index of normal cords.  Only when a lookup fails is the
 input handed to :func:`validate_cords`, which normalizes cords and names
-errors; of the library, only :func:`~treelasso.oracle.joint_isometry_system`
-calls it on well-formed input, for the sorted cords.  :mod:`fractions` is
+errors.  Two library callers hand it well-formed input too:
+:func:`~treelasso.oracle.joint_isometry_system`, for the sorted cords, and
+the weak and topological decisions above the oracle's six-leaf cap, so that
+a bad cord is named before the cap is.  :mod:`fractions` is
 imported inside the functions that read and write distances, so reading a
 plain cord file does not load it.
 """

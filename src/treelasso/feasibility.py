@@ -14,19 +14,18 @@ identification per cord.  So the system holds only pairs: ``x = y`` and
 * a variable's level is its class's path length, a plain ``int`` at least
   0, and the levels are the least integer point.
 
-One call returns both the verdict and the exact point.  The core,
-:func:`_solve_levels`, answers levels; :func:`_solve_differences` is its
-face over ``Fraction``s, in which a small level reuses a shared, immutable
-``Fraction``.  :class:`StrictLinearSystem` and :func:`strict_feasible`
-state the same systems over named variables and go through the face.  The
-oracles call the core on dense integer ids, and build a witness's height
-maps straight from its levels (``HeightMap._from_levels``).
+One call returns both the verdict and the exact point.  The engine,
+:func:`_solve_levels`, answers levels.  The oracles call it on dense integer
+ids and build a witness's height maps straight from its levels
+(``HeightMap._from_levels``); :class:`StrictLinearSystem` and
+:func:`strict_feasible` state the same systems over named variables and
+answer the levels as ``Fraction``s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from .lasso import _Record
 
@@ -49,11 +48,6 @@ class StrictLinearSystem(_Record):
         strict_inequalities: tuple[tuple[Hashable, Hashable], ...],
     ) -> None:
         self._set(variables, equalities, strict_inequalities)
-
-
-# Points reuse these: a Fraction is immutable, so one object per small value serves every call.
-# A list, never changed, because a list's bound __getitem__ is a fast builtin to map.
-_SMALL = list(map(Fraction, range(64)))
 
 
 def _solve_levels(
@@ -106,28 +100,6 @@ def _solve_levels(
     return list(map(value.__getitem__, parent))
 
 
-def _fractions(levels: Sequence[int], top: int) -> Iterable[Fraction]:
-    """Nonnegative levels, none above ``top``, as ``Fraction``s, each small one shared."""
-    small = len(_SMALL)
-    if top < small:
-        return map(_SMALL.__getitem__, levels)
-    return [_SMALL[a] if a < small else Fraction(a) for a in levels]
-
-
-def _solve_differences(
-    n: int,
-    equal: Sequence[tuple[int, int]],
-    greater: Sequence[tuple[int, int]],
-) -> list[Fraction] | None:
-    """Exact values for the variables ``0..n-1``, or None when there are none.
-
-    The levels of :func:`_solve_levels` as integral ``Fraction``s: the
-    least such point.
-    """
-    levels = _solve_levels(n, equal, greater)
-    return None if levels is None else list(_fractions(levels, max(levels, default=0)))
-
-
 def strict_feasible(system: StrictLinearSystem) -> dict | None:
     """An exact point meeting every constraint of the system, or None when none does.
 
@@ -139,5 +111,5 @@ def strict_feasible(system: StrictLinearSystem) -> dict | None:
         greater = [(ids[u], ids[w]) for u, w in system.strict_inequalities]
     except KeyError as exc:
         raise ValueError(f"constraint mentions unknown variable {exc.args[0]!r}") from None
-    values = _solve_differences(len(ids), equal, greater)
-    return None if values is None else dict(zip(system.variables, values))
+    levels = _solve_levels(len(ids), equal, greater)
+    return None if levels is None else dict(zip(system.variables, map(Fraction, levels)))

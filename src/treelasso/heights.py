@@ -18,7 +18,8 @@ hand the constructor a plain dict and check it again.  Cord distances are
 compared at the vertices :meth:`~treelasso.tree.XTree._cord_meets` gives.
 
 The oracles build witness maps from the engine's integer levels with
-``HeightMap._from_levels``, which runs the constructor's checks on the ints.
+``HeightMap._from_levels``, which runs the constructor's checks on the ints
+and stores each level below 64 as one shared ``Fraction`` of ``_SMALL``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .feasibility import _fractions
 from .lasso import _Record
 from .tree import XTree
 
@@ -37,6 +37,11 @@ __all__ = [
     "HeightMap",
     "WeightingError",
 ]
+
+
+# Witness heights reuse these: a Fraction is immutable, so one object per small level serves
+# every map.  A list, never changed, because a list's bound __getitem__ is a fast builtin to map.
+_SMALL = list(map(Fraction, range(64)))
 
 
 def _as_fraction(value, what: str) -> Fraction:
@@ -93,39 +98,21 @@ class HeightMap(_Record):
     __slots__ = __match_args__ = ("tree", "heights")
 
     def __init__(self, tree: XTree, heights: Mapping[int, Fraction]) -> None:
-        h = dict(heights)
-        if set(map(type, h.values())) != {Fraction}:
-            h = {v: _as_fraction(x, "edge weights and heights") for v, x in h.items()}
-        interior = tree.interior_vertices()
-        if len(h) != len(interior):
+        h = {v: _as_fraction(x, "edge weights and heights") for v, x in heights.items()}
+        interior = tree._interior
+        if len(h) != len(interior) or not all(map(h.__contains__, interior)):
             raise ValueError("heights must cover exactly the interior vertices")
-        # One preorder pass reads each ratio once (a Fraction's denominator is
-        # positive, so signs and orders read off numerators and cross-products);
-        # a negative height outranks a failed decrease, so both raise after it.
+        for v, x in h.items():  # the first negative height in the given order is named
+            if x < 0:
+                raise ValueError(f"height of vertex {v} is negative: {x}")
         parent = tree._parent
-        ratio = {}
-        negative, drop = False, None
-        try:
-            for v in interior:
-                a, b = ratio[v] = h[v].as_integer_ratio()
-                if a < 0:
-                    negative = True
-                p = parent[v]
-                if p >= 0 and drop is None:
-                    c, d = ratio[p]
-                    if a * d >= c * b:
-                        drop = p, v
-        except KeyError:
-            raise ValueError("heights must cover exactly the interior vertices") from None
-        if negative:  # the first negative height in the given order is named
-            v = next(v for v, x in h.items() if x < 0)
-            raise ValueError(f"height of vertex {v} is negative: {h[v]}")
-        if drop:
-            p, v = drop
-            raise ValueError(
-                f"heights must strictly decrease along interior edges "
-                f"({p} -> {v}: {h[p]} -> {h[v]})"
-            )
+        for v in interior[1:]:  # preorder, after the root
+            p = parent[v]
+            if h[v] >= h[p]:
+                raise ValueError(
+                    f"heights must strictly decrease along interior edges "
+                    f"({p} -> {v}: {h[p]} -> {h[v]})"
+                )
         self._set(tree, MappingProxyType(h))
 
     @classmethod
@@ -135,8 +122,8 @@ class HeightMap(_Record):
         The constructor's checks run on the ints: coverage (the list's
         length), nonnegativity and strict decrease along interior edges.  A
         fault found is raised by the constructor itself, so its message and
-        precedence are the constructor's.  The heights are the engine's
-        shared ``Fraction``s.
+        precedence are the constructor's.  A level below 64 is stored as the
+        one shared ``Fraction`` of ``_SMALL``.
         """
         interior = tree._interior
         if len(levels) != len(interior):
@@ -147,7 +134,10 @@ class HeightMap(_Record):
         for v, a in zip(interior, levels):
             if a < 0 or v and levels[bisect_left(interior, parent[v])] <= a:
                 return cls(tree, dict(zip(interior, map(Fraction, levels))))  # raises
-        fractions = _fractions(levels, levels[0] if levels else 0)  # the root's is the largest
+        if not levels or levels[0] < len(_SMALL):  # the root's level is the largest
+            fractions = map(_SMALL.__getitem__, levels)
+        else:
+            fractions = [_SMALL[a] if a < len(_SMALL) else Fraction(a) for a in levels]
         self = cls.__new__(cls)
         store_tree, store_heights = cls._setters  # _set's stores, without its loop
         store_tree(self, tree)

@@ -271,8 +271,8 @@ def reference_solve_differences(
     constants may be the true ones times ``scale``: the system is then
     solved in units of ``1/scale`` and each value divided back.
 
-    On zero-constant systems ``treelasso.feasibility._solve_differences``
-    must return equal lists of ``Fraction``s.
+    On zero-constant systems ``treelasso.feasibility._solve_levels`` must
+    return the same values as plain ``int``s.
     """
     parent = list(range(n + 1))
     edges = greater

@@ -21,7 +21,6 @@ from conftest import (
 )
 from treelasso.feasibility import (
     StrictLinearSystem,
-    _solve_differences,
     _solve_levels,
     strict_feasible,
 )
@@ -301,8 +300,9 @@ def _pairs_hold(values, equal, greater):
 
 def test_engine_matches_the_reference_engine_on_200_random_systems():
     # the identifications and strict orders with constant 0 of each system
-    # above, id 3 an ordinary variable: the library engine returns the
-    # reference's list, value for value and type for type
+    # above, id 3 an ordinary variable: the library engine returns None when
+    # the reference does, and otherwise int levels equal to the reference's
+    # Fractions, value for value
     feasible = 0
     for seed in range(200):
         equal, greater = _random_engine_system(seed)
@@ -310,18 +310,21 @@ def test_engine_matches_the_reference_engine_on_200_random_systems():
             [(x, y) for x, y, c in equal if not c],
             [(x, y) for x, y, c, strict in greater if strict and not c],
         )
-        got = _solve_differences(4, *pairs)
-        assert got == reference_solve_differences(4, *_as_reference(*pairs)), f"seed {seed}"
+        got = _solve_levels(4, *pairs)
+        reference = reference_solve_differences(4, *_as_reference(*pairs))
+        assert (got is None) == (reference is None), f"seed {seed}"
         if got is not None:
-            assert all(type(v) is Fraction for v in got), f"seed {seed}"
+            assert [Fraction(a) for a in got] == reference, f"seed {seed}"
+            assert all(type(a) is int for a in got), f"seed {seed}"
             assert _pairs_hold(got, *pairs), f"seed {seed}"
             feasible += 1
     assert 0 < feasible < 200
 
 
 def test_fraction_face_maps_the_core_levels_on_200_random_systems():
-    # the systems of the test above: the core answers plain ints, or None
-    # exactly when the face does, and the face is those levels as Fractions
+    # the systems of the test above over named variables: the core answers
+    # plain ints, or None exactly when strict_feasible does, and
+    # strict_feasible is those levels as Fractions
     feasible = 0
     for seed in range(200):
         equal, greater = _random_engine_system(seed)
@@ -330,11 +333,12 @@ def test_fraction_face_maps_the_core_levels_on_200_random_systems():
             [(x, y) for x, y, c, strict in greater if strict and not c],
         )
         levels = _solve_levels(4, *pairs)
-        values = _solve_differences(4, *pairs)
+        point = strict_feasible(StrictLinearSystem(tuple(range(4)), *map(tuple, pairs)))
         if levels is None:
-            assert values is None, f"seed {seed}"
+            assert point is None, f"seed {seed}"
             continue
         assert all(type(a) is int for a in levels), f"seed {seed}"
+        values = [point[v] for v in range(4)]
         assert values == [Fraction(a) for a in levels], f"seed {seed}"
         assert all(type(v) is Fraction for v in values), f"seed {seed}"
         feasible += 1
@@ -371,22 +375,24 @@ def _class_graph(n, equal, greater):
 
 
 def test_engine_matches_the_reference_on_random_zero_constant_systems():
-    # 400 seeded systems: equal lists of Fractions, or None on both sides,
-    # None exactly when the class graph has a cycle; every feasible point
-    # satisfies its system.  The corpus holds feasible systems, merged
-    # self-loops, cycles of three classes or more with no shorter one, and
-    # classes that only a cycle reaches.
+    # 400 seeded systems: int levels equal to the reference's Fractions, or
+    # None on both sides, None exactly when the class graph has a cycle;
+    # every feasible point satisfies its system.  The corpus holds feasible
+    # systems, merged self-loops, cycles of three classes or more with no
+    # shorter one, and classes that only a cycle reaches.
     rng = random.Random(23)
     feasible = self_loop = long_cycle = behind = 0
     for case in range(400):
         n, equal, greater = _random_strict_pair_system(rng)
-        got = _solve_differences(n, equal, greater)
-        assert got == reference_solve_differences(n, *_as_reference(equal, greater)), f"case {case}"
+        got = _solve_levels(n, equal, greater)
+        reference = reference_solve_differences(n, *_as_reference(equal, greater))
+        assert (got is None) == (reference is None), f"case {case}"
         edges, reach = _class_graph(n, equal, greater)
         on_cycle = {c for c, r in reach.items() if c in r}
         assert (got is None) == bool(on_cycle), f"case {case}"
         if got is not None:
-            assert all(type(v) is Fraction for v in got), f"case {case}"
+            assert [Fraction(a) for a in got] == reference, f"case {case}"
+            assert all(type(a) is int for a in got), f"case {case}"
             assert _pairs_hold(got, equal, greater), f"case {case}"
             feasible += 1
         loops = any(v == w for v, w in edges)
@@ -403,10 +409,10 @@ def test_engine_matches_the_reference_on_random_zero_constant_systems():
 
 def test_engine_values_cross_the_shared_fraction_boundary():
     # a chain of 64 strict steps: id 0 counts 64 edges, one past the shared
-    # Fractions 0..63, and id 64 counts none
-    values = _solve_differences(65, [], [(i, i + 1) for i in range(64)])
-    assert values == [Fraction(64 - i) for i in range(65)]
-    assert type(values[0]) is Fraction
+    # Fractions 0..63 that witness height maps reuse, and id 64 counts none
+    levels = _solve_levels(65, [], [(i, i + 1) for i in range(64)])
+    assert [Fraction(a) for a in levels] == [Fraction(64 - i) for i in range(65)]
+    assert type(levels[0]) is int
 
 
 def test_shim_solves_named_zero_constant_systems():

@@ -92,16 +92,30 @@ def test_child_edge_graph_names_load_their_module_on_first_access():
     assert out.split() == ["1", "True", "treelasso.childgraph"]
 
 
-def test_weighted_newick_still_returns_an_edge_weighting():
+def test_weighted_newick_still_returns_an_edge_weighting(tmp_path):
+    # neither weighted Newick, nor its height map, nor the distances command
+    # loads the engine
+    (tmp_path / "w.nwk").write_text("((a:1,b:1):1,c:2);\n")
+    (tmp_path / "w.txt").write_text("a b\nb c\n")
     out = run_fresh(
         """
-        from treelasso import parse_newick, print_newick
+        import contextlib, io, sys
+        from treelasso import HeightMap, cli, parse_newick, print_newick
         tree, weighting = parse_newick("((a:1,b:1):1/2,c:3/2);")
         print(type(weighting).__module__, type(weighting).__name__)
         print(print_newick(tree, weighting), parse_newick("((a,b),c);")[1])
-        """
+        print(HeightMap.from_edge_weights(weighting).heights[tree.root])
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert cli.main(["distances", "--tree", sys.argv[1], "--cords", sys.argv[2]]) == 0
+        print(stdout.getvalue(), end="")
+        print("treelasso.feasibility" in sys.modules)
+        """,
+        str(tmp_path / "w.nwk"), str(tmp_path / "w.txt"),
     )
-    assert out.split() == ["treelasso.heights", "EdgeWeighting", "((a:1,b:1):1/2,c:3/2);", "None"]
+    assert out.splitlines() == [
+        "treelasso.heights EdgeWeighting", "((a:1,b:1):1/2,c:3/2); None", "3/2",
+        "a b 2", "b c 4", "False",
+    ]
 
 
 def test_deferred_names_and_modules_load_on_first_access():
