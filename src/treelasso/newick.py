@@ -12,31 +12,43 @@ none, and the root carries no weight (it has no parent edge).  Decimals are
 converted exactly (power-of-ten denominators), so parse/print round-trips
 preserve rationals bit for bit.
 
-The parser reads the text in one pass, with no recursion, into post-order
-records (leaf label or None, child record ids, weight) and hands them to
-the tree's one construction path, which tells it each record's vertex, so
-every weight lands on its vertex directly.  A label is a maximal run of
-characters that are neither whitespace nor one of ``(),:;``, which is
-exactly what :class:`~treelasso.tree.XTree` accepts, so parsed labels are
-not checked again.
+One pattern checks the text and another reads it, without its whitespace,
+as the tiles of its leaves: each leaf with the ``(`` before it and the ``)``
+after it.  A tile's weights are taken out by record, and the tiles go
+straight into the tree's one construction path, which tells each record's
+vertex, so every weight lands on its vertex.  Text that the pattern, a
+weight or the records reject is scanned one token at a time, which names
+its first error with the position.  A label is a maximal run of characters that are
+neither whitespace nor one of ``(),:;``, exactly what
+:class:`~treelasso.tree.XTree` accepts, so parsed labels are not checked again.
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, NoReturn
 
 from .cords import _RATIONAL_RE, format_rational, parse_rational
-from .tree import _LABEL_RE, XTree
+from .tree import _LABEL_RE, XTree, _records
 
 if TYPE_CHECKING:
     from .heights import EdgeWeighting
 
 __all__ = ["NewickParseError", "parse_newick", "print_newick"]
 
-# The parser tests str.isspace() and then skips with \s+: the two agree on
-# every code point (the tests check), so a skip always advances.
-_WS_RE = re.compile(r"\s+")
+# Whitespace between tokens.  re's \s and str.isspace(), which str.split()
+# uses, agree on every code point (the tests check), so all skip the same.
+_WS_RE = re.compile(r"\s*")
+# A tree is a comma-separated run of tiles, one per leaf: the '(' before it,
+# its label, and the ')' after it with the weights among them.  The pattern
+# lets through weights that do not read (such as "1/0", "1.2.3" or two in a
+# row) and parentheses that do not balance, which reading the weights and
+# the records catch.  No two labels or weights are adjacent, so the text's
+# whitespace can go once it matches; a tile of the rest, without ';', is
+# (the '(' before, label, what follows).
+_TILE = r"[\s(]*[^\s(),:;]+[\s)]*(?::\s*[-0-9./]+[\s)]*)*"
+_TREE_RE = re.compile(rf"(?:{_TILE},)*{_TILE};\s*")
+_TILE_RE = re.compile(r"(\(*)([^(),:]+)([^,]*)")
 
 
 class NewickParseError(ValueError):
@@ -54,95 +66,74 @@ def _found(text: str, pos: int) -> str:
     return repr(text[pos] if pos < len(text) else "end of input")
 
 
-def _records(text: str) -> tuple[list[str | None], list, dict]:
-    """Reads Newick text into post-order records in one pass.
+def _weigh(tiles: list, weights: dict) -> Iterator[tuple]:
+    """The tiles without their weights, which go into ``weights`` by record."""
+    r = 0  # the next record: a tile's leaf, then one vertex per ')' after it
+    for before, label, after in tiles:
+        closes = after.split(")")  # the leaf's weight, then each closed vertex's
+        for weight in closes:
+            if weight:
+                weights[r] = parse_rational(weight[1:])
+            r += 1
+        yield before, label, closes[1:]
 
-    Returns two parallel lists, one entry per vertex, children before
-    parents: the leaf label or None, and the child record ids (``()`` for a
-    leaf).  The root comes last.  The third result maps each record that
-    carries a weight to that weight.  Whitespace may stand between any two
-    tokens; it is skipped only where some is present.
+
+def _name_error(text: str) -> NoReturn:
+    """Raises the first error in Newick text that the reader rejected.
+
+    Reads one token at a time, so the error names its position.
     """
-    labels: list[str | None] = []
-    kids: list = []
-    weights: dict = {}
-    open_ids: list[list[int]] = []  # the finished children of each open interior vertex
-    end = len(text)
-    ws, label_at, weight_at = _WS_RE.match, _LABEL_RE.match, _RATIONAL_RE.match
-    pos = 0
+    open_kids: list[int] = []  # the finished children of each open interior vertex
+    skip = _WS_RE.match
+    pos = skip(text, 0).end()
     while True:
         # A subtree: any number of '(' and then a leaf label.
-        ch = text[pos] if pos < end else ""
-        while True:
-            if ch == "(":
-                open_ids.append([])
-                pos += 1
-            elif ch.isspace():
-                pos = ws(text, pos).end()
-            else:
-                break
-            ch = text[pos] if pos < end else ""
-        m = label_at(text, pos)
+        while text.startswith("(", pos):
+            open_kids.append(0)
+            pos = skip(text, pos + 1).end()
+        m = _LABEL_RE.match(text, pos)
         if m is None:
             raise NewickParseError(
                 f"expected a leaf label or '(', found {_found(text, pos)}", text, pos
             )
-        pos = m.end()
-        labels.append(m.group())
-        kids.append(())
+        pos = skip(text, m.end()).end()
         # After a subtree: its weight, then ',' to a sibling or ')' to close
         # its parent, which is itself a finished subtree.
         while True:
-            ch = text[pos] if pos < end else ""
-            if ch.isspace():
-                pos = ws(text, pos).end()
-                ch = text[pos] if pos < end else ""
-            if ch == ":":
-                pos += 1
-                if pos < end and text[pos].isspace():
-                    pos = ws(text, pos).end()
-                m = weight_at(text, pos)
+            if text.startswith(":", pos):
+                pos = skip(text, pos + 1).end()
+                m = _RATIONAL_RE.match(text, pos)
                 if m is None:
                     raise NewickParseError(
                         "expected a decimal or p/q weight after ':'", text, pos
                     )
                 try:
-                    weights[len(labels) - 1] = parse_rational(m.group())
+                    parse_rational(m.group())
                 except ValueError as exc:  # "1.5/2", "1/0"
                     raise NewickParseError(str(exc), text, pos) from None
-                pos = m.end()
-                ch = text[pos] if pos < end else ""
-                if ch.isspace():
-                    pos = ws(text, pos).end()
-                    ch = text[pos] if pos < end else ""
-            if not open_ids:
+                pos = skip(text, m.end()).end()
+            if not open_kids:
                 break
-            siblings = open_ids[-1]
-            siblings.append(len(labels) - 1)
+            open_kids[-1] += 1
+            ch = text[pos : pos + 1]
             if ch == ",":
-                pos += 1
+                pos = skip(text, pos + 1).end()
                 break
-            if len(siblings) == 1:
+            if open_kids[-1] == 1:
                 raise NewickParseError(
                     "unary vertex: an interior vertex needs >= 2 children", text, pos
                 )
             if ch != ")":
                 raise NewickParseError(f"expected ')', found {_found(text, pos)}", text, pos)
-            pos += 1
-            open_ids.pop()
-            labels.append(None)
-            kids.append(siblings)
-        if not open_ids:
+            open_kids.pop()
+            pos = skip(text, pos + 1).end()
+        if not open_kids:
             break
 
-    if ch != ";":
+    if not text.startswith(";", pos):
         raise NewickParseError(f"expected ';', found {_found(text, pos)}", text, pos)
-    pos += 1
-    if pos < end and text[pos].isspace():
-        pos = ws(text, pos).end()
-    if pos != end:
-        raise NewickParseError("trailing characters after ';'", text, pos)
-    return labels, kids, weights
+    # a tree followed by ';' and whitespace reads, so something else follows
+    raise NewickParseError("trailing characters after ';'", text, skip(text, pos + 1).end())
 
 
 def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
@@ -154,12 +145,21 @@ def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
     """
     if not isinstance(text, str):
         raise TypeError(f"parse_newick takes str, not {type(text).__name__}")
-    labels, kids, weights = _records(text)
-    edges = len(labels) - 1  # every vertex but the root, which comes last, has a parent edge
+    records, weights = None, {}
+    if _TREE_RE.fullmatch(text):
+        tiles = _TILE_RE.findall("".join(text.split())[:-1])
+        try:
+            records = _records(_weigh(tiles, weights) if ":" in text else tiles)
+        except ValueError:  # a weight that does not read, such as "1/0" or "1:2"
+            pass
+    if records is None:
+        _name_error(text)
+    edges = len(records[0]) - 1  # every vertex but the root, which comes last, has a parent edge
     if edges in weights:
         raise NewickParseError("the root cannot carry a weight", text, 0)
+    tree = XTree.__new__(XTree)
     try:
-        tree, vertex = XTree._from_records(labels, kids)
+        vertex = tree._build(*records)
     except ValueError as exc:
         raise NewickParseError(str(exc), text, 0) from None
 

@@ -8,13 +8,14 @@ ordering, and two trees compare equal exactly when a root-preserving,
 label-fixing isomorphism exists between them.  Equal trees therefore have
 identical vertex numbering, which makes ids safe cache keys downstream.
 
-Every tree is built one way: from post-order records, one per vertex
-(leaf label or None, and child record ids).  ``XTree(shape)`` flattens its
-nested shape into records and the Newick parser emits them directly.  One
-bottom-up sweep builds canonical keys, sorting each vertex's children by
-key and dropping the children's keys once their parent's is built, so a
-deep tree holds O(n) key characters at a time; one top-down sweep numbers
-the vertices in preorder.
+Every tree is built one way: from the tiles of its leaves, each leaf with
+the ``(`` just before it and the ``)`` just after it, which the Newick
+parser reads off the text with one pattern and ``XTree(shape)`` makes from
+its nested shape.  One loop over the tiles makes post-order records and
+builds each vertex's canonical key as soon as its ``)`` closes, sorting
+its children by key and dropping their keys, so a deep tree holds O(n) key
+characters at a time; one top-down sweep then numbers the vertices in
+preorder.
 
 Every subtree is a contiguous run of preorder ids, so a tree keeps, per
 vertex, only the id of its last descendant.  Leaf sets are not stored per
@@ -22,22 +23,21 @@ vertex: :meth:`XTree.leaves_below` reads the labels off that range when
 asked, and the leaf-label set X is stored once.  A tree therefore takes
 O(n) memory at any depth.
 
-Last common vertices are found on heavy paths, which the top-down sweep
-fills: each vertex keeps its largest child and the head of the path of
-largest children through it.  Two vertices jump from path head to path
-head until they share a path, O(log n) jumps at any depth, and the jumps
-also give the child of the meeting vertex on each side, which is all a
-cord contributes to the child-edge graphs.  No table over leaf pairs is
-ever built.  Every cord consumer meets its cords in one place,
-:meth:`XTree._cord_meets`, whose label lookups are the cords' check.
-Construction and canonical keys use explicit stacks or preorder ids
-instead of recursion, so deep trees raise no ``RecursionError``.
+Last common vertices are found on heavy paths (Sleator and Tarjan, 1983),
+which the top-down sweep fills: each vertex keeps its largest child and
+the head of the path of largest children through it.  Two vertices jump
+from path head to path head until they share a path, O(log n) jumps at any
+depth, and the jumps also give the child of the meeting vertex on each
+side, which is all a cord contributes to the child-edge graphs.  One loop,
+:meth:`XTree._meets`, climbs for any number of pairs, and every cord
+consumer meets its cords there through :meth:`XTree._cord_meets`, whose
+label lookups are the cords' check.  No table over leaf pairs is ever
+built, and no recursion is used, so deep trees raise no ``RecursionError``.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from typing import Iterable
 
 from .cords import _by_lookup
@@ -64,28 +64,21 @@ def _not_a_vertex(v: object) -> ValueError:
     return ValueError(f"{v!r} is not a vertex of this tree")
 
 
-def _self_pair() -> tuple[int, int, int]:
-    """Raises for a cord of one label, from inside an expression."""
-    raise ValueError("a cord needs two distinct labels")
-
-
-def _shape_records(shape) -> tuple[list[str | None], list]:
-    """Flattens a nested tree description into post-order records.
+def _shape_tiles(shape) -> list[list]:
+    """The leaf tiles of a nested tree description, as :func:`_records` reads them.
 
     A shape is either a leaf label (str) or an iterable of two or more
-    shapes.  Record i is a leaf label and ``()``, or ``None`` and the list
-    of its children's record ids in the shape's order.  The walk is a
-    depth-first post-order over an explicit stack, checking each node when
-    it is first reached, so errors are reported in left-to-right order.
+    shapes.  The walk is depth-first over an explicit stack and checks each
+    node when it is first reached, so errors come in left-to-right order.
     """
-    labels: list[str | None] = []
-    kids: list = []
-    stack: list[tuple[tuple, list[int]]] = []  # open vertices: (entries, finished child ids)
+    tiles: list[list] = []  # [the '(' before, label, the ')' after]
+    before = ""
+    stack: list = []  # open vertices: an iterator over the entries still to walk
     node = shape
     while True:
         if isinstance(node, str):
-            labels.append(_check_label(node))
-            kids.append(())
+            tiles.append([before, _check_label(node), ""])
+            before = ""
         else:
             try:
                 entries = tuple(node)
@@ -95,20 +88,59 @@ def _shape_records(shape) -> tuple[list[str | None], list]:
                 raise ValueError("interior vertex with no children")
             if len(entries) == 1:
                 raise ValueError("unary interior vertex is not allowed")
-            stack.append((entries, []))
-            node = entries[0]
-            continue
-        while stack:
-            entries, ids = stack[-1]
-            ids.append(len(labels) - 1)
-            if len(ids) < len(entries):
-                node = entries[len(ids)]
+            before += "("
+            stack.append(iter(entries))
+        while stack:  # on to the next entry of the innermost vertex with one left
+            node = next(stack[-1], stack)  # the stack itself when none is left
+            if node is not stack:
                 break
             stack.pop()
-            labels.append(None)
-            kids.append(ids)
+            tiles[-1][2] += ")"
         else:
-            return labels, kids
+            return tiles
+
+
+def _records(tiles: Iterable) -> tuple | None:
+    """Post-order records of a tree's leaf tiles ``(before, label, after)``, or None.
+
+    ``before`` and ``after`` hold one item per ``(`` or ``)``.  Records come
+    children first, the root last, as four results: each record's leaf label
+    or None; each interior record's children, sorted by canonical key (a dict
+    in post-order); where each record's subtree, a run of records ending at
+    it, starts; and the root's key.  A leaf's key is its label, and an
+    interior vertex's is its children's keys, sorted, in parentheses.  A
+    unary or unclosed vertex, or a second root, gives None.
+    """
+    labels: list[str | None] = []
+    kids: dict[int, list[int]] = {}
+    first: list[int] = []
+    key: dict[int, str] = {}  # the keys of the subtrees whose parent is still open
+    ks: list[int] = []  # the children of the innermost open vertex, or the root
+    opens: list[list[int]] = []  # the children of each open vertex around it
+    keyof, take = key.__getitem__, key.pop
+    for before, label, after in tiles:
+        for _ in before:
+            opens.append(ks)
+            ks = []
+        r = len(labels)
+        key[r] = label
+        labels.append(label)
+        first.append(r)
+        ks.append(r)
+        for _ in after:
+            if len(ks) < 2 or not opens:
+                return None
+            r = len(labels)
+            first.append(first[ks[0]])
+            ks.sort(key=keyof)
+            key[r] = f"({','.join(map(take, ks))})"
+            kids[r] = ks
+            labels.append(None)
+            ks = opens.pop()
+            ks.append(r)
+    if opens or len(ks) > 1:
+        return None
+    return labels, kids, first, key[len(labels) - 1]
 
 
 class XTree:
@@ -124,47 +156,22 @@ class XTree:
     """
 
     def __init__(self, shape) -> None:
-        self._build(*_shape_records(shape))
+        self._build(*_records(_shape_tiles(shape)))
 
-    @classmethod
-    def _from_records(cls, labels: list[str | None], kids: list) -> tuple["XTree", list[int]]:
-        """The tree of post-order records, and the vertex id of each record.
+    def _build(self, labels: list[str | None], kids: dict, first: list[int], key: str) -> list[int]:
+        """Fills the tree from :func:`_records`' records; returns each record's vertex id.
 
-        Records are as :func:`_shape_records` makes them; labels are not
-        checked again, so the caller vouches for them.  ``kids`` is sorted in place.
+        One top-down sweep over the interior records numbers the vertices in
+        preorder: a vertex's first child takes the id after it, and each later
+        child the id after its elder sibling's subtree.
         """
-        tree = cls.__new__(cls)
-        return tree, tree._build(labels, kids)
-
-    def _build(self, labels: list[str | None], kids: list) -> list[int]:
-        """Fills the tree from post-order records; returns each record's vertex id."""
         n = len(labels)
-        # Canonical keys, children first: a leaf's key is its label, and an
-        # interior vertex's is its children's keys, sorted, in parentheses.
-        # A child's key is dropped once its parent's is built, so a deep
-        # tree never holds more than O(n) key characters at once.  A subtree
-        # is a run of records ending at its root; first[r] is where it starts.
-        key: list[str | None] = list(labels)
-        first = list(range(n))
-        for r in range(n):
-            ks = kids[r]
-            if ks:
-                first[r] = first[ks[0]]
-                ks.sort(key=key.__getitem__)
-                key[r] = f"({','.join([key[c] for c in ks])})"  # one copy of the keys
-                for c in ks:
-                    key[c] = None
-
-        # Preorder ids over the sorted children: parents come before their
-        # children in reverse post-order, and a vertex's first child takes
-        # the id after it, each later child the id after its elder
-        # sibling's subtree.
         vid = [0] * n
         parent = [-1] * n
         children: list[tuple[int, ...]] = [()] * n
-        vlabel: list[str | None] = [None] * n
+        vlabel: list[str | None] = [labels[-1]] * n  # the root's label, or None
         depth = [0] * n
-        last = [0] * n  # a vertex's descendants are the ids v .. last[v]
+        last = [n - 1] * n  # a vertex's descendants are the ids v .. last[v]
         # Heavy paths: a vertex's heavy child is its largest child (the
         # first in canonical order on ties), and head[v] is the top of the
         # path of heavy children through v.  Every other child starts a path
@@ -172,13 +179,8 @@ class XTree:
         # path crosses O(log n) paths.
         heavy = [-1] * n
         head = list(range(n))
-        for r in range(n - 1, -1, -1):
+        for r, ks in reversed(kids.items()):
             v = vid[r]
-            last[v] = v + r - first[r]
-            ks = kids[r]
-            if not ks:
-                vlabel[v] = labels[r]
-                continue
             d = depth[v] + 1
             u = v + 1
             ids = []
@@ -187,24 +189,26 @@ class XTree:
                 vid[c] = u
                 parent[u] = v
                 depth[u] = d
-                ids.append(u)
+                vlabel[u] = labels[c]
                 size = c - first[c] + 1
+                last[u] = u + size - 1
+                ids.append(u)
                 if size > big:
                     big, heavy[v] = size, u
                 u += size
             children[v] = tuple(ids)
             head[heavy[v]] = head[v]
 
-        leaf_id = {lab: v for v, lab in enumerate(vlabel) if lab is not None}
-        if len(leaf_id) < n - labels.count(None):
+        leaf_id = dict(zip(vlabel, range(n)))
+        leaf_id.pop(None, None)
+        if len(leaf_id) < n - len(kids):
             seen: set[str] = set()
-            for lab in vlabel:
-                if lab is not None:
-                    if lab in seen:
-                        raise ValueError(f"duplicate leaf label {lab!r}")
-                    seen.add(lab)
+            for lab in filter(None, vlabel):  # labels are nonempty
+                if lab in seen:
+                    raise ValueError(f"duplicate leaf label {lab!r}")
+                seen.add(lab)
 
-        self._key = key[n - 1]
+        self._key = key
         self._parent = tuple(parent)
         self._children = tuple(children)
         self._vlabel = tuple(vlabel)
@@ -214,6 +218,8 @@ class XTree:
         self._last = tuple(last)
         self._heavy = tuple(heavy)
         self._head = tuple(head)
+        self._interior = tuple(sorted(map(vid.__getitem__, kids)))  # in preorder
+        self._vertices = range(n)  # maps each vertex id to itself, as an index for _meets
         return vid
 
     # -- basic structure ------------------------------------------------------
@@ -232,7 +238,7 @@ class XTree:
         return self._leaf_labels
 
     def vertices(self) -> range:
-        return range(len(self._parent))
+        return self._vertices
 
     # The accessors below take a vertex id, an int 0 <= v < n_vertices; any
     # other id, a negative one or a bool included, raises ValueError.
@@ -272,10 +278,6 @@ class XTree:
             return self._leaf_id[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"unknown leaf label {label!r}") from None
-
-    @cached_property
-    def _interior(self) -> tuple[int, ...]:
-        return tuple([v for v, lab in enumerate(self._vlabel) if lab is None])
 
     def interior_vertices(self) -> tuple[int, ...]:
         """All non-leaf vertex ids, in canonical (preorder) order."""
@@ -324,32 +326,44 @@ class XTree:
 
     # -- ancestry queries -----------------------------------------------------
 
-    def _meet(self, u: int, w: int) -> tuple[int, int, int]:
-        """The last common vertex m of vertices u and w, by heavy-path jumps.
+    def _meets(self, pairs: Iterable, index) -> list[tuple[int, int, int]]:
+        """The last common vertex m of each pair's ends, by heavy-path jumps, in one loop.
 
-        Returns (m, child of m toward u, child of m toward w); a side whose
-        vertex is m itself gets -1.  While u and w lie on different heavy
-        paths, the side whose path starts deeper jumps from its path's head
-        to the head's parent; once both share a path, the shallower vertex
-        is m.  The child toward a side that jumped onto m's path is the head
-        it last jumped from, and toward a side below m on that path it is
-        m's heavy child.
+        ``index`` maps an end to its vertex: the label index, or the vertex
+        range.  Each pair gives (m, child of m toward its first end, child
+        toward its second), in input order; a side whose vertex is m gets -1,
+        and equal ends raise ``ValueError``.  While two vertices lie on
+        different heavy paths, the one whose path head is later in preorder
+        jumps from it to its parent: that head is no ancestor of the other
+        vertex.  On one path the earlier vertex is m; the child toward a side
+        that jumped is the head it last left, else m's heavy child.
         """
-        parent, depth, head = self._parent, self._depth, self._head
-        cu = cw = -1
-        hu, hw = head[u], head[w]
-        while hu != hw:
-            if depth[hu] > depth[hw]:
-                cu, u = hu, parent[hu]
-                hu = head[u]
+        parent, head, heavy = self._parent, self._head, self._heavy
+        out = []
+        for a, b in pairs:
+            u, w = index[a], index[b]
+            cu = cw = -1
+            hu, hw = head[u], head[w]
+            while hu != hw:
+                if hu > hw:
+                    cu, u = hu, parent[hu]
+                    hu = head[u]
+                else:
+                    cw, w = hw, parent[hw]
+                    hw = head[w]
+            if u < w:
+                out.append((u, cu, heavy[u]))
+            elif w < u:
+                out.append((w, heavy[w], cw))
+            elif cu == cw:  # neither side moved: the ends were one vertex
+                raise ValueError("a cord needs two distinct labels")
             else:
-                cw, w = hw, parent[hw]
-                hw = head[w]
-        if depth[u] < depth[w]:
-            return u, cu, self._heavy[u]
-        if depth[w] < depth[u]:
-            return w, self._heavy[w], cw
-        return u, cu, cw
+                out.append((u, cu, cw))
+        return out
+
+    def _meet(self, u: int, w: int) -> tuple[int, int, int]:
+        """The :meth:`_meets` triple of vertices u and w; (u, -1, -1) when they are one."""
+        return (u, -1, -1) if u == w else self._meets(((u, w),), self._vertices)[0]
 
     def lca(self, a: str, b: str) -> int:
         """Last common vertex of the root-to-``a`` and root-to-``b`` paths."""
@@ -358,25 +372,18 @@ class XTree:
         return self._meet(self.leaf_vertex(a), self.leaf_vertex(b))[0]
 
     def _cord_meets(self, cords: Iterable, *others: "XTree") -> list[list[tuple[int, int, int]]]:
-        """Where each cord meets: one list per tree, this one and then ``others``.
+        """Each cord's :meth:`_meets` triple, in input order, in this tree and then ``others``.
 
-        A list holds each cord's :meth:`_meet` triple in that tree, in input
-        order; ``others`` are trees on this tree's leaf set.  Each end is
-        resolved by one lookup in a label index, which is the label check, and
-        a self-pair is rejected; any failure hands the input to
+        ``others`` are trees on this tree's leaf set.  Each end is resolved
+        by one lookup in a tree's label index, which is the label check, and
+        a self-pair raises in the climb; any failure hands the input to
         :func:`~treelasso.cords._by_lookup`, which raises ``validate_cords``'
-        error or resolves the normalized set, in its order.
+        error or resolves the normalized set.
         """
         trees = (self, *others)
-
-        def resolve(given: Iterable) -> list[list[tuple[int, int, int]]]:
-            out = []
-            for tree in trees:
-                leaf, meet = tree._leaf_id, tree._meet
-                out.append([meet(leaf[a], leaf[b]) if a != b else _self_pair() for a, b in given])
-            return out
-
-        return _by_lookup(resolve, cords, self._leaf_labels)
+        return _by_lookup(
+            lambda given: [t._meets(given, t._leaf_id) for t in trees], cords, self._leaf_labels
+        )
 
     def child_toward(self, v: int, label: str) -> int:
         """The child of ``v`` whose subtree contains the leaf ``label``."""

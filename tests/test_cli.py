@@ -1,5 +1,6 @@
 """Command-line surface: outputs, determinism, exit codes."""
 
+import gc
 import json
 import os
 import random
@@ -476,3 +477,62 @@ def test_a_closed_stdout_pipe_exits_141_quietly(capsys):
     assert proc.wait(timeout=60) == 141
     assert err == b""
     assert first.decode() == out.splitlines(keepends=True)[0]
+
+
+class _ClosedPipe:
+    """A stdout whose reader is gone: every write and flush fails."""
+
+    def __init__(self, fd: int) -> None:
+        self.fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError
+
+    def flush(self) -> None:
+        raise BrokenPipeError
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(
+    capsys, monkeypatch, tmp_path, tree_file, cords_file, collecting
+):
+    # main() pauses the cyclic collector for a command; on every way out,
+    # exits 0, 2 and 141 and an option error, it is on again exactly when
+    # it was on before
+    argv = ["classify", "--tree", tree_file, "--cords", cords_file]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert run(capsys, *argv)[0] == 0
+        assert gc.isenabled() is collecting
+        missing = ["classify", "--tree", str(tmp_path / "missing"), "--cords", cords_file]
+        assert run(capsys, *missing)[0] == 2
+        assert gc.isenabled() is collecting
+        with pytest.raises(SystemExit):
+            main(["classify", "--tree", tree_file])
+        assert gc.isenabled() is collecting
+        # main() points the closed pipe's descriptor at the null device
+        with open(tmp_path / "sink", "w") as sink:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+                assert main(argv) == 141
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_a_paused_collector_defers_no_work(capsys, tmp_path):
+    # the library's structures hold no reference cycles, so a classify
+    # command leaves nothing for the collector it paused
+    tree = random_xtree(2000, 35)
+    tree_file, cords_file = tmp_path / "tree.nwk", tmp_path / "cords.txt"
+    tree_file.write_text(tree.canonical_newick() + "\n")
+    cords_file.write_text(format_cord_file(random_cords(tree, 2000, seed=35)))
+    del tree
+    gc.collect()
+    assert run(capsys, "classify", "--tree", str(tree_file), "--cords", str(cords_file))[0] == 0
+    assert gc.collect() == 0

@@ -530,17 +530,17 @@ def test_classify_meets_each_cord_once_and_never_revalidates_a_normal_set(monkey
     cords = random_cords(tree, 900, seed=11)
     report = classify(tree, cords)
     pairs = brute_child_edge_pairs(tree, cords)
-    meets = []
-    meet = XTree._meet
+    meets = []  # the pairs handed to the batched climb
+    climb = XTree._meets
 
-    def counting_meet(self, u, w):
-        meets.append((u, w))
-        return meet(self, u, w)
+    def counting_climb(self, pairs, index):
+        meets.extend(pairs)
+        return climb(self, pairs, index)
 
     def fail(*args):
         raise AssertionError("a normal cord set was checked again")
 
-    monkeypatch.setattr(XTree, "_meet", counting_meet)
+    monkeypatch.setattr(XTree, "_meets", counting_climb)
     monkeypatch.setattr(XTree, "leaf_vertex", fail)
     for module in (cords_module, lasso):  # lasso reaches it through cords
         monkeypatch.setattr(module, "validate_cords", fail, raising=False)

@@ -1,5 +1,6 @@
 """Newick parsing/printing and the cord file format."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -554,3 +555,79 @@ def test_cord_rejects_a_label_that_is_not_a_string(a, b, label):
     with pytest.raises(ValueError) as raised:
         cord(a, b)
     assert str(raised.value) == f"a cord label must be a string, got {label}"
+
+
+def _tree_fields(tree: XTree, weighting) -> tuple:
+    """Every internal array and key of a parsed tree, and its weights by vertex."""
+    weights = None if weighting is None else sorted(weighting.by_child.items())
+    return (
+        tree._key, tree._parent, tree._children, tree._vlabel, list(tree._leaf_id.items()),
+        tree._depth, sorted(tree._leaf_labels), tree._last, tree._heavy, tree._head, weights,
+    )
+
+
+def _reader_corpora() -> tuple[list[str], list[str]]:
+    """Two seeded corpora of Newick text: valid texts, and mutations of small ones.
+
+    The valid texts are random multifurcating trees, caterpillars to depth
+    2000 and bearded caterpillars, each compact, with whitespace between
+    tokens, with ratio or decimal weights, and with labels that start with
+    '!' to "'"; every child order is shuffled.
+    """
+    def ratio(rng):
+        return f"{rng.randint(1, 99)}/{rng.randint(1, 9)}"
+
+    def decimal(rng):
+        return f"{rng.randint(0, 9)}.{rng.randint(0, 99):02d}"
+
+    def punctuated(label):
+        return "!\"#$%&'"[sum(map(ord, label)) % 7] + label
+
+    shapes: list = [random_shape(n, seed) for seed, n in enumerate((3, 8, 60, 500, 500, 440))]
+    shapes += [random_shape(300, 9, binary=True)]
+    for depth, beard in ((1, 1), (2, 1), (40, 2), (225, 1), (2000, 1)):
+        shape: object = "c0"
+        for i in range(depth):
+            shape = (shape, *(f"c{i}_{j}" for j in range(beard)))
+        shapes.append(shape)
+    rng = random.Random(35)
+    valid = []
+    for shape in shapes:
+        for gaps, weigh, name in (
+            ("", None, str), (GAPS, None, str), ("", ratio, str), (" \n", decimal, punctuated),
+            ("", None, punctuated),
+        ):
+            valid.append(render(shape, rng, gaps, weigh, name))
+    alphabet = "(),:;ab1/.- \n !'"
+    mutated = []
+    for i in range(1500):
+        shape = random_shape(rng.randint(1, 9), i) if i % 5 else "a"
+        text = render(shape, rng, rng.choice(("", " \n")), rng.choice((None, ratio)))
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                text = text[:at] + text[at + 1 :]
+            elif edit == 1:
+                text = text[:at] + rng.choice(alphabet) + text[at:]
+            else:
+                text = text[:at] + rng.choice(alphabet) + text[at + 1 :]
+        mutated.append(text)
+    return valid, mutated
+
+
+# sha256 over the parsed fields of the valid corpus and the outcome of every
+# mutated text, as the reader gave them when this digest was recorded.
+READER_CORPUS_SHA256 = "3e8b346720be330d276c51030f0e2c5062b811b564fe4e3ba62a595a690566cf"
+
+
+def test_reader_keeps_every_tree_and_error_of_a_seeded_corpus():
+    valid, mutated = _reader_corpora()
+    rows: list = [_tree_fields(*parse_newick(text)) for text in valid]
+    for text in mutated:
+        try:
+            rows.append(_tree_fields(*parse_newick(text)))
+        except Exception as exc:  # the exception type and message are the contract
+            rows.append((type(exc).__name__, str(exc)))
+    assert sum(len(row) == 2 for row in rows) > 1000  # most mutations are errors
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == READER_CORPUS_SHA256

@@ -340,14 +340,14 @@ def test_cord_consumers_meet_each_cord_once_per_tree(monkeypatch):
     }
     expected = {name: call() for name, (call, _) in calls.items()}
     assert expected["mirrored"] and not expected["is_l_isometric"]
-    met = []
-    meet = XTree._meet
+    met = []  # the tree of each pair handed to the batched climb
+    climb = XTree._meets
 
-    def counting_meet(self, u, w):
-        met.append(id(self))
-        return meet(self, u, w)
+    def counting_climb(self, pairs, index):
+        met.extend(id(self) for _ in pairs)
+        return climb(self, pairs, index)
 
-    monkeypatch.setattr(XTree, "_meet", counting_meet)
+    monkeypatch.setattr(XTree, "_meets", counting_climb)
     for name, (call, trees) in calls.items():
         del met[:]
         assert call() == expected[name], name
