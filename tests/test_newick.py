@@ -3,6 +3,7 @@
 import hashlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -631,3 +632,49 @@ def test_reader_keeps_every_tree_and_error_of_a_seeded_corpus():
             rows.append((type(exc).__name__, str(exc)))
     assert sum(len(row) == 2 for row in rows) > 1000  # most mutations are errors
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == READER_CORPUS_SHA256
+
+
+def _whitespace_texts(w: str) -> list[str]:
+    """Valid and rejected Newick texts with ``w`` between tokens, around
+    ':' weights, after ';', and where a missing token is the error."""
+    return [
+        f"{w}({w}({w}a{w},{w}b{w}){w},{w}c{w}){w};{w}",
+        f"((a{w}:{w}1/3{w},b:{w}1/3){w}:{w}0.5{w},{w}c{w}:5/6);",
+        f"(a,b);{w}{w}",
+        f"{w}a{w};",
+        f"(a,\n{w}b{w}\n{w}c);",
+        f"(a,b);{w}x",
+        f"(a,b);{w};",
+        f"(a,{w});",
+        f"(a,b{w};",
+        f"(a,b){w}",
+        f"(a:{w},b:1);",
+        f"(a{w}b);",
+        f"(a,b{w}c);",
+        f"{w}",
+        f"(a:1{w}/2,b:1);",
+        f"(a:1/{w}2,b:1);",
+        f"((a,b){w}:{w}1{w}:{w}2,c:1);",
+        f"(a{w}:{w}1/0,b:1);",
+    ]
+
+
+# sha256 over the outcome of every text of _whitespace_texts, for every code
+# point where str.isspace() is true and a few that look blank but are not,
+# as the reader gave them when this digest was recorded.
+WHITESPACE_SHA256 = "b2ebb02e4755f741363dc099d58c23d6b79695ac7d0a8b0c8b2b60bb043c497b"
+
+
+def test_reader_skips_exactly_the_whitespace_that_str_isspace_names():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    blanks = ["\x00", "\xad", "\u180e", "\u200b", "\u2060", "\ufeff"]  # not whitespace
+    assert not any(ch.isspace() for ch in blanks)
+    rows = []
+    for w in spaces + blanks:
+        for text in _whitespace_texts(w):
+            try:
+                rows.append(print_newick(*parse_newick(text)))
+            except Exception as exc:  # the exception type and message are the contract
+                rows.append((type(exc).__name__, str(exc)))
+    assert len(spaces) == 29
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == WHITESPACE_SHA256
