@@ -157,9 +157,11 @@ def cmd_distances(args) -> int:
     tree, weighting = _load_tree(args.tree)
     if weighting is None:
         raise ValueError("distances needs a weighted tree (every edge ':weight')")
-    heights = HeightMap.from_edge_weights(weighting)
+    heights = HeightMap.from_edge_weights(weighting).heights
     cords = _load_cords(args.cords)
-    sys.stdout.write(format_cord_file(cords, {c: heights.leaf_distance(*c) for c in cords}))
+    (meets,) = tree._cord_meets(cords)  # one climb over all cords, which checks them
+    distances = {c: 2 * heights[m] for c, (m, _, _) in zip(cords, meets)}
+    sys.stdout.write(format_cord_file(cords, distances))
     return 0
 
 

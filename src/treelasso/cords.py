@@ -45,8 +45,8 @@ _T = TypeVar("_T")
 
 # An exact rational as both input formats write it: an integer, a decimal,
 # or p/q, in ASCII digits (``\d`` would take every Unicode decimal digit).
-# The Newick parser matches edge weights with this pattern too.
-_RATIONAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:/[0-9]+)?")
+# The Newick tile pattern holds it too; empty alternatives run faster than '?'.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+(?:/[0-9]+|)|)")
 
 
 class CordFileError(ValueError):

@@ -12,21 +12,22 @@ none, and the root carries no weight (it has no parent edge).  Decimals are
 converted exactly (power-of-ten denominators), so parse/print round-trips
 preserve rationals bit for bit.
 
-One pattern checks the text and another reads it, without its whitespace,
-as the tiles of its leaves: each leaf with the ``(`` before it and the ``)``
-after it.  A tile's weights are taken out by record, and the tiles go
-straight into the tree's one construction path, which tells each record's
-vertex, so every weight lands on its vertex.  Text that the pattern, a
-weight or the records reject is scanned one token at a time, which names
-its first error with the position.  A label is a maximal run of characters that are
-neither whitespace nor one of ``(),:;``, exactly what
-:class:`~treelasso.tree.XTree` accepts, so parsed labels are not checked again.
+One pattern reads the text, whitespace and all, as the tiles of its leaves:
+each leaf with the ``(`` before it and the ``)`` and weights after it.  The
+tiles, without their whitespace and weights, go straight into the tree's one
+construction path, which tells each record's vertex, so every weight lands on
+its vertex.  Rejected text is read again with the same pattern and the
+reader's state, which names its first error with the position.  A label is a
+maximal run of characters that are neither whitespace nor one of ``(),:;``,
+exactly what :class:`~treelasso.tree.XTree` accepts, so parsed labels are not
+checked again.
 """
 
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Iterator, NoReturn
+from collections import defaultdict
+from typing import TYPE_CHECKING, NoReturn
 
 from .cords import _RATIONAL_RE, format_rational, parse_rational
 from .tree import _LABEL_RE, XTree, _records
@@ -36,19 +37,20 @@ if TYPE_CHECKING:
 
 __all__ = ["NewickParseError", "parse_newick", "print_newick"]
 
-# Whitespace between tokens.  re's \s and str.isspace(), which str.split()
-# uses, agree on every code point (the tests check), so all skip the same.
-_WS_RE = re.compile(r"\s*")
-# A tree is a comma-separated run of tiles, one per leaf: the '(' before it,
-# its label, and the ')' after it with the weights among them.  The pattern
-# lets through weights that do not read (such as "1/0", "1.2.3" or two in a
-# row) and parentheses that do not balance, which reading the weights and
-# the records catch.  No two labels or weights are adjacent, so the text's
-# whitespace can go once it matches; a tile of the rest, without ';', is
-# (the '(' before, label, what follows).
-_TILE = r"[\s(]*[^\s(),:;]+[\s)]*(?::\s*[-0-9./]+[\s)]*)*"
-_TREE_RE = re.compile(rf"(?:{_TILE},)*{_TILE};\s*")
-_TILE_RE = re.compile(r"(\(*)([^(),:]+)([^,]*)")
+# A tree is a comma-separated run of tiles, one per leaf: the '(' before its
+# label, the ')' and weights after it, the whitespace among them, and ',' or,
+# in the last tile, ';'.  A tile starts only at the start or after ',' and
+# ends where the grammar does, so a gap between matches, or text that does not
+# end in ';', is a syntax error at the end of a match.  re's \s is
+# str.isspace(), which str.split() uses (the tests check).
+_TILE_RE = re.compile(
+    rf"(?<![^,])\s*([\s(]*)({_LABEL_RE.pattern})"
+    rf"([\s)]*(?::\s*{_RATIONAL_RE.pattern}[\s)]*)*)(?:,|;\s*\Z|)"
+)
+
+# A str.translate table that keeps '(', ')' and ',': every other character,
+# such as whitespace or a weight's, maps to None, which drops it.
+_PARENS = defaultdict(type(None), {ord(c): c for c in "(),"})
 
 
 class NewickParseError(ValueError):
@@ -62,78 +64,59 @@ class NewickParseError(ValueError):
         self.column = column
 
 
-def _found(text: str, pos: int) -> str:
-    return repr(text[pos] if pos < len(text) else "end of input")
-
-
-def _weigh(tiles: list, weights: dict) -> Iterator[tuple]:
-    """The tiles without their weights, which go into ``weights`` by record."""
-    r = 0  # the next record: a tile's leaf, then one vertex per ')' after it
-    for before, label, after in tiles:
-        closes = after.split(")")  # the leaf's weight, then each closed vertex's
-        for weight in closes:
-            if weight:
-                weights[r] = parse_rational(weight[1:])
-            r += 1
-        yield before, label, closes[1:]
-
-
-def _name_error(text: str) -> NoReturn:
+def _name_first_error(text: str) -> NoReturn:
     """Raises the first error in Newick text that the reader rejected.
 
-    Reads one token at a time, so the error names its position.
+    Reads the pattern's matches again, keeping the finished children of each
+    open vertex, up to the first gap between them or the first ``)``, ``,``,
+    ``;`` or weight in them that this state rejects.
     """
-    open_kids: list[int] = []  # the finished children of each open interior vertex
-    skip = _WS_RE.match
-    pos = skip(text, 0).end()
-    while True:
-        # A subtree: any number of '(' and then a leaf label.
-        while text.startswith("(", pos):
-            open_kids.append(0)
-            pos = skip(text, pos + 1).end()
-        m = _LABEL_RE.match(text, pos)
-        if m is None:
-            raise NewickParseError(
-                f"expected a leaf label or '(', found {_found(text, pos)}", text, pos
-            )
-        pos = skip(text, m.end()).end()
-        # After a subtree: its weight, then ',' to a sibling or ')' to close
-        # its parent, which is itself a finished subtree.
-        while True:
-            if text.startswith(":", pos):
-                pos = skip(text, pos + 1).end()
-                m = _RATIONAL_RE.match(text, pos)
-                if m is None:
-                    raise NewickParseError(
-                        "expected a decimal or p/q weight after ':'", text, pos
-                    )
-                try:
-                    parse_rational(m.group())
-                except ValueError as exc:  # "1.5/2", "1/0"
-                    raise NewickParseError(str(exc), text, pos) from None
-                pos = skip(text, m.end()).end()
-            if not open_kids:
-                break
-            open_kids[-1] += 1
-            ch = text[pos : pos + 1]
-            if ch == ",":
-                pos = skip(text, pos + 1).end()
-                break
-            if open_kids[-1] == 1:
-                raise NewickParseError(
-                    "unary vertex: an interior vertex needs >= 2 children", text, pos
-                )
-            if ch != ")":
-                raise NewickParseError(f"expected ')', found {_found(text, pos)}", text, pos)
-            open_kids.pop()
-            pos = skip(text, pos + 1).end()
-        if not open_kids:
-            break
+    kids: list[int] = []  # the finished children of each open vertex
 
-    if not text.startswith(";", pos):
-        raise NewickParseError(f"expected ';', found {_found(text, pos)}", text, pos)
-    # a tree followed by ';' and whitespace reads, so something else follows
-    raise NewickParseError("trailing characters after ';'", text, skip(text, pos + 1).end())
+    def fail(pos: int, weighed: bool = True) -> NoReturn:  # pos follows a finished subtree
+        ch, after = text[pos : pos + 1], len(text) - len(text[pos + 1 :].lstrip())
+        if ch == ":" and not weighed:
+            raise NewickParseError("expected a decimal or p/q weight after ':'", text, after)
+        if ch == ";" and not kids:
+            raise NewickParseError("trailing characters after ';'", text, after)
+        if kids and kids[-1] == 1:
+            raise NewickParseError(
+                "unary vertex: an interior vertex needs >= 2 children", text, pos
+            )
+        found = repr(ch or "end of input")
+        raise NewickParseError(f"expected {')' if kids else ';'!r}, found {found}", text, pos)
+
+    end = 0
+    for m in _TILE_RE.finditer(text):
+        if m.start() != end:
+            break
+        kids += [0] * m[1].count("(")
+        pos = m.start(3)
+        for i, piece in enumerate(m[3].split(")")):  # the leaf's weight, then each vertex's
+            if i:  # a ')' closes the innermost open vertex
+                if not kids or kids[-1] == 1:
+                    fail(pos)
+                kids.pop()
+                pos += 1
+            if kids:  # the subtree before the piece is a finished child
+                kids[-1] += 1
+            if ":" in piece:
+                lead, weight, *more = piece.split(":")
+                at = pos + len(lead) + 1 + len(weight)  # where the weight ends
+                try:
+                    parse_rational(weight)
+                except ValueError as exc:  # "1.5/2", "1/0"
+                    raise NewickParseError(str(exc), text, at - len(weight.lstrip())) from None
+                if more:  # a second weight
+                    fail(at)
+            pos += len(piece)
+        end = m.end()
+        if end == pos or (text[pos] == ",") != bool(kids):  # no ',' or ';', or the wrong one
+            fail(pos, ":" in piece)
+    while text[end : end + 1] == "(" or text[end : end + 1].isspace():
+        end += 1
+    found = repr(text[end : end + 1] or "end of input")
+    raise NewickParseError(f"expected a leaf label or '(', found {found}", text, end)
 
 
 def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
@@ -146,14 +129,26 @@ def parse_newick(text: str) -> tuple[XTree, EdgeWeighting | None]:
     if not isinstance(text, str):
         raise TypeError(f"parse_newick takes str, not {type(text).__name__}")
     records, weights = None, {}
-    if _TREE_RE.fullmatch(text):
-        tiles = _TILE_RE.findall("".join(text.split())[:-1])
+    parts = _TILE_RE.split(text)  # each gap before a tile, then its three groups
+    if not any(parts[::4]) and text.rstrip().endswith(";"):
+        befores, labels, afters = parts[1::4], parts[2::4], parts[3::4]
         try:
-            records = _records(_weigh(tiles, weights) if ":" in text else tiles)
+            if ":" in text:  # joined by ')', the after groups split into one slot per record
+                slots = ")".join(afters).split(")")
+                weights = {
+                    r: parse_rational(w.lstrip()[1:]) for r, w in enumerate(slots) if w.strip()
+                }
+            if ":" in text or len(text.split(None, 1)) > 1:
+                # the records take the parentheses alone: a column at a time, joined
+                # by ',', which no group holds
+                befores, afters = (
+                    ",".join(g).translate(_PARENS).split(",") for g in (befores, afters)
+                )
+            records = _records(zip(befores, labels, afters))
         except ValueError:  # a weight that does not read, such as "1/0" or "1:2"
             pass
     if records is None:
-        _name_error(text)
+        _name_first_error(text)
     edges = len(records[0]) - 1  # every vertex but the root, which comes last, has a parent edge
     if edges in weights:
         raise NewickParseError("the root cannot carry a weight", text, 0)

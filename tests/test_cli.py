@@ -12,7 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bearded_caterpillar, clade_by_sorting, random_cords, random_xtree
+from conftest import (
+    bearded_caterpillar,
+    clade_by_sorting,
+    random_cords,
+    random_proper_heights,
+    random_shape,
+    random_xtree,
+)
 from treelasso import (
     HeightMap,
     XTree,
@@ -223,6 +230,23 @@ def test_distances(capsys, tmp_path):
     code, out, _ = run(capsys, "distances", "--tree", str(tree), "--cords", str(cords))
     assert code == 0
     assert out.splitlines() == ["a b 2", "a c 6"]
+
+
+def test_distances_of_many_cords_match_leaf_distance(capsys, tmp_path):
+    # one climb over all cords prints what one lca per cord gives
+    tree = XTree(random_shape(3000, 36))
+    heights = random_proper_heights(tree, 36)
+    newick = tmp_path / "big.nwk"
+    newick.write_text(print_newick(tree, heights.to_edge_weights()) + "\n")
+    rng = random.Random(36)
+    labels = sorted(tree.leaf_labels)
+    cords = cord_set(rng.sample(labels, 2) for _ in range(2000))
+    path = tmp_path / "cords.txt"
+    path.write_text(format_cord_file(cords))
+    code, out, err = run(capsys, "distances", "--tree", str(newick), "--cords", str(path))
+    assert code == 0 and err == ""
+    assert out == format_cord_file(cords, {c: heights.leaf_distance(*c) for c in cords})
+    assert len(out.splitlines()) == len(cords) > 1900
 
 
 def test_input_errors_exit_2(capsys, tree_file, cords_file, tmp_path):
