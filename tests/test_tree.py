@@ -38,10 +38,18 @@ def test_lca_cherry_and_outermost():
 
 
 def test_lca_errors():
-    with pytest.raises(ValueError):
-        CAT.lca("a", "z")
-    with pytest.raises(ValueError):
-        CAT.lca("a", "a")
+    # the equal-labels check comes first, then the labels in argument order
+    cases = {
+        ("a", "z"): "unknown leaf label 'z'",
+        ("z", "a"): "unknown leaf label 'z'",
+        ("y", "z"): "unknown leaf label 'y'",
+        ("z", "z"): "lca requires two distinct leaf labels",
+        ("a", "a"): "lca requires two distinct leaf labels",
+    }
+    for (a, b), message in cases.items():
+        with pytest.raises(ValueError) as raised:
+            CAT.lca(a, b)
+        assert str(raised.value) == message
 
 
 def test_leaves_below():
@@ -397,8 +405,11 @@ def test_child_toward():
     v = CAT.lca("a", "c")
     assert CAT.leaves_below(CAT.child_toward(v, "a")) == frozenset("ab")
     assert CAT.child_toward(v, "c") == CAT.leaf_vertex("c")
-    with pytest.raises(ValueError):
-        CAT.child_toward(v, "d")  # d is not below this vertex
+    # d is not below v; a leaf vertex has no child, not even toward itself
+    for u in (v, CAT.leaf_vertex("a"), CAT.leaf_vertex("d")):
+        with pytest.raises(ValueError) as raised:
+            CAT.child_toward(u, "d")
+        assert str(raised.value) == f"leaf 'd' is not below vertex {u}"
 
 
 def test_enumerations_are_canonical_and_distinct():
