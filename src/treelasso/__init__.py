@@ -11,12 +11,12 @@ strict inequalities.
 
 Importing the package loads what ``classify`` runs: ``tree``, ``cords``,
 ``lasso`` and ``newick``, whose names are imported here.  The other modules
-(``childgraph``, ``feasibility``, ``heights``, ``oracle`` and ``builders``)
-load on first access (PEP 562), through one index from each name to its
-module: a submodule by its name, a public name by the module whose
-``__all__`` lists it, so a name loads only that module and what it imports.
-``__all__``, ``dir()`` and ``from treelasso import *`` load them all;
-``cli`` loads on first access too, and any other name raises
+(``childgraph``, ``heights``, ``oracle``, which holds the exact engine, and
+``builders``) load on first access (PEP 562), through one index from each
+name to its module: a submodule by its name, a public name by the module
+whose ``__all__`` lists it, so a name loads only that module and what it
+imports.  ``__all__``, ``dir()`` and ``from treelasso import *`` load them
+all; ``cli`` loads on first access too, and any other name raises
 ``AttributeError`` without loading anything.
 """
 
@@ -32,10 +32,9 @@ from .tree import *
 # tests/test_public_surface.py checks against the modules themselves.
 _DEFERRED = {
     "childgraph": "ChildEdgeGraph build_child_edge_graph child_edge_graphs",
-    "feasibility": "StrictLinearSystem strict_feasible",
     "heights": "EdgeWeighting HeightMap WeightingError",
-    "oracle": "Witness enumerate_xtrees joint_isometry_system oracle_equidistant"
-    " oracle_topological oracle_weak verify_witness",
+    "oracle": "StrictLinearSystem Witness enumerate_xtrees joint_isometry_system"
+    " oracle_equidistant oracle_topological oracle_weak strict_feasible verify_witness",
     "builders": "Bipartition CircularOrdering bipartition_lasso circular_lasso circular_order"
     " min_equidistant_lasso min_topological_lasso min_weak_lasso",
 }

@@ -18,10 +18,12 @@ which rivals it skips, and which covers every rival on each leaf set the
 enumeration accepts: up to 6 leaves, or 2752 trees.  The weak decision
 alone takes an explicit ``rival_sample``, which scans a seeded subset
 instead.  Each joint system, one identification per cord and a strict order
-along every edge, goes straight to the integer core of the engine,
-:func:`~treelasso.feasibility._solve_levels`, as pairs of dense integer
-ids; its verdict and exact point, as integer levels, come from one call,
-and the levels of the first feasible rival are the witness.
+along every edge, goes straight to the exact engine, :func:`_solve_levels`,
+as pairs of dense integer ids; its verdict and exact point, as integer
+levels, come from one call, and the levels of the first feasible rival are
+the witness.  :class:`StrictLinearSystem` and :func:`strict_feasible` state
+the same systems over named variables and answer the levels as
+``Fraction``s.
 
 The scan reads its rivals from one table per leaf set, built on first use,
 with a row per enumerated tree in canonical order; bit r of every mask below
@@ -96,24 +98,26 @@ constructor checks heights.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .cords import Cord, _by_lookup, validate_cords
-from .feasibility import StrictLinearSystem, _solve_levels
 from .heights import HeightMap
 from .lasso import KINDS, _Record, _require_domain
 from .tree import XTree, _check_label
 
 __all__ = [
+    "StrictLinearSystem",
     "Witness",
     "enumerate_xtrees",
     "joint_isometry_system",
     "oracle_equidistant",
     "oracle_topological",
     "oracle_weak",
+    "strict_feasible",
     "verify_witness",
 ]
 
@@ -179,6 +183,106 @@ def _enumerate(labels: tuple[str, ...]) -> tuple[XTree, ...]:
 def enumerate_xtrees(labels: Iterable[str]) -> tuple[XTree, ...]:
     """Every tree on the label set, one per equivalence class, canonical order."""
     return _enumerate(_check_enumeration_domain(tuple(labels)))
+
+
+# --------------------------------------------------------------------------
+# the exact engine: identifications and strict orders
+# --------------------------------------------------------------------------
+
+
+def _solve_levels(
+    n: int,
+    equal: Sequence[tuple[int, int]],
+    greater: Sequence[tuple[int, int]],
+) -> list[int] | None:
+    """The least integer point of the variables ``0..n-1``, or None when there is none.
+
+    ``equal`` holds ``(x, y)`` meaning ``x = y`` and ``greater`` holds
+    ``(x, y)`` meaning ``x > y``.  Every definition-level question is such a
+    system: the heights of two trees, strictly decreasing along each tree's
+    edges, tied by one identification per cord.  It is solved exactly as a
+    longest-path problem on a digraph:
+
+    * identifications are merged with a union-find first;
+    * ``x > y`` is an edge from ``y``'s class to ``x``'s, and a merged
+      self-loop ``x > x`` makes the system infeasible;
+    * one topological pass (Kahn) gives each class the number of edges on
+      its longest incoming path; a class the pass never reaches lies on or
+      behind a cycle, and every cycle is strict, so the system is then
+      infeasible;
+    * a variable's level is its class's path length, a plain ``int`` at
+      least 0, and the levels are the least integer point.
+    """
+    parent = list(range(n))
+    for x, y in equal:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        parent[x] = y
+    if equal:
+        for v in range(n):
+            r = parent[v]
+            while parent[r] != r:
+                r = parent[r]
+            parent[v] = r
+
+    out = [[] for _ in range(n)]  # lower class -> higher classes
+    indeg = [0] * n
+    for x, y in greater:
+        x = parent[x]
+        y = parent[y]
+        if x == y:
+            return None  # x > x
+        out[y].append(x)
+        indeg[x] += 1
+
+    value = [0] * n
+    order = [u for u in range(n) if not indeg[u]]
+    for u in order:  # grows as classes lose their last incoming edge
+        a = value[u] + 1
+        for w in out[u]:
+            if a > value[w]:
+                value[w] = a
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    if len(order) < n:
+        return None  # a class on or behind a cycle
+    return list(map(value.__getitem__, parent))
+
+
+class StrictLinearSystem(_Record):
+    """A system of identifications and strict orders.
+
+    ``equalities`` holds pairs ``(u, w)`` meaning ``u == w`` and
+    ``strict_inequalities`` pairs meaning ``u > w``.
+    """
+
+    __slots__ = __match_args__ = ("variables", "equalities", "strict_inequalities")
+
+    def __init__(
+        self,
+        variables: tuple[Hashable, ...],
+        equalities: tuple[tuple[Hashable, Hashable], ...],
+        strict_inequalities: tuple[tuple[Hashable, Hashable], ...],
+    ) -> None:
+        self._set(variables, equalities, strict_inequalities)
+
+
+def strict_feasible(system: StrictLinearSystem) -> dict | None:
+    """An exact point meeting every constraint of the system, or None when none does.
+
+    A constraint on a variable outside ``system.variables`` raises ``ValueError``.
+    """
+    ids = {v: i for i, v in enumerate(system.variables)}
+    try:
+        equal = [(ids[u], ids[w]) for u, w in system.equalities]
+        greater = [(ids[u], ids[w]) for u, w in system.strict_inequalities]
+    except KeyError as exc:
+        raise ValueError(f"constraint mentions unknown variable {exc.args[0]!r}") from None
+    levels = _solve_levels(len(ids), equal, greater)
+    return None if levels is None else dict(zip(system.variables, map(Fraction, levels)))
 
 
 # --------------------------------------------------------------------------

@@ -31,13 +31,15 @@ depth, and the jumps also give the child of the meeting vertex on each
 side, which is all a cord contributes to the child-edge graphs.  One loop,
 :meth:`XTree._meets`, climbs for any number of pairs, and every cord
 consumer meets its cords there through :meth:`XTree._cord_meets`, whose
-label lookups are the cords' check.  No table over leaf pairs is ever
-built, and no recursion is used, so deep trees raise no ``RecursionError``.
+label lookups are the cords' check, as :meth:`XTree.lca`'s are for its one
+pair.  No table over leaf pairs is ever built, and no recursion is used,
+so deep trees raise no ``RecursionError``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from typing import Iterable
 
 from .cords import _by_lookup
@@ -286,14 +288,10 @@ class XTree:
     def leaves_below(self, v: int) -> frozenset[str]:
         """Labels of the leaves that are descendants of ``v`` (itself, for a leaf)."""
         if type(v) is int and 0 <= v < len(self._parent):
-            return frozenset(self._leaves(v))
+            # Labels are nonempty strings, so filtering on truth drops the
+            # interior vertices' None.
+            return frozenset(filter(None, self._vlabel[v : self._last[v] + 1]))
         raise _not_a_vertex(v)
-
-    def _leaves(self, v: int) -> list[str]:
-        """The leaf labels in ``v``'s preorder range, in preorder."""
-        # Labels are nonempty strings, so filtering on truth drops the
-        # interior vertices' None.
-        return list(filter(None, self._vlabel[v : self._last[v] + 1]))
 
     def _clade_names(self, vertices: Iterable[int]) -> dict[int, str]:
         """``{a,b,...}``, the sorted leaf labels below each vertex, for a batch of vertices.
@@ -361,15 +359,16 @@ class XTree:
                 out.append((u, cu, cw))
         return out
 
-    def _meet(self, u: int, w: int) -> tuple[int, int, int]:
-        """The :meth:`_meets` triple of vertices u and w; (u, -1, -1) when they are one."""
-        return (u, -1, -1) if u == w else self._meets(((u, w),), self._vertices)[0]
-
     def lca(self, a: str, b: str) -> int:
         """Last common vertex of the root-to-``a`` and root-to-``b`` paths."""
         if a == b:
             raise ValueError("lca requires two distinct leaf labels")
-        return self._meet(self.leaf_vertex(a), self.leaf_vertex(b))[0]
+        try:  # the label index is the check, as in _cord_meets
+            return self._meets(((a, b),), self._leaf_id)[0][0]
+        except (KeyError, TypeError):
+            self.leaf_vertex(a)
+            self.leaf_vertex(b)
+            raise
 
     def _cord_meets(self, cords: Iterable, *others: "XTree") -> list[list[tuple[int, int, int]]]:
         """Each cord's :meth:`_meets` triple, in input order, in this tree and then ``others``.
@@ -389,11 +388,12 @@ class XTree:
         """The child of ``v`` whose subtree contains the leaf ``label``."""
         if not (type(v) is int and 0 <= v < len(self._parent)):
             raise _not_a_vertex(v)
-        leaf = self._leaf_id.get(label) if isinstance(label, str) else None
-        if leaf is not None:
-            meet, child, _ = self._meet(leaf, v)
-            if meet == v and child >= 0:
-                return child
+        # The leaf lies strictly inside v's preorder range, in the range of the
+        # last child that starts at or before it.
+        x = self._leaf_id.get(label, -1) if isinstance(label, str) else -1
+        if v < x <= self._last[v]:
+            kids = self._children[v]
+            return kids[bisect_right(kids, x) - 1]
         raise ValueError(f"leaf {label!r} is not below vertex {v}")
 
     # -- comparisons ------------------------------------------------------------

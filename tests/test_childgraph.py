@@ -16,6 +16,7 @@ from conftest import (
     pseudo_cherries,
     random_cords,
     random_xtree,
+    vertex_meet,
     walk_meet,
     walked_child_pairs,
 )
@@ -215,7 +216,7 @@ def test_meets_match_the_parent_walk_on_every_small_tree():
         labels = sorted(t.leaf_labels)
         for u in t.vertices():
             for w in t.vertices():
-                assert t._meet(u, w) == walk_meet(t, u, w)
+                assert vertex_meet(t, u, w) == walk_meet(t, u, w)
         for a, b in combinations(labels, 2):
             expected = walk_meet(t, t.leaf_vertex(a), t.leaf_vertex(b))[0]
             assert t.lca(a, b) == t.lca(b, a) == expected
@@ -251,8 +252,8 @@ def test_meets_match_the_parent_walk_at_scale(kind, size, arg):
     for a, b in cords:
         u, w = tree.leaf_vertex(a), tree.leaf_vertex(b)
         expected = walk_meet(tree, u, w)
-        assert tree._meet(u, w) == expected
-        assert tree._meet(w, u) == (expected[0], expected[2], expected[1])
+        assert vertex_meet(tree, u, w) == expected
+        assert vertex_meet(tree, w, u) == (expected[0], expected[2], expected[1])
         assert tree.lca(a, b) == tree.lca(b, a) == expected[0]
     assert _child_pairs(tree, cords) == walked_child_pairs(tree, cords)
 
@@ -261,7 +262,7 @@ def test_meets_match_the_parent_walk_at_scale(kind, size, arg):
     n = tree.n_vertices
     for _ in range(500):
         u, w = rng.randrange(n), rng.randrange(n)
-        assert tree._meet(u, w) == walk_meet(tree, u, w)
+        assert vertex_meet(tree, u, w) == walk_meet(tree, u, w)
 
     # child_toward: sampled leaves against every proper ancestor, by walking up
     for a in rng.sample(labels, min(len(labels), 40)):

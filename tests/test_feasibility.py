@@ -19,7 +19,7 @@ from conftest import (
     reference_solve_differences,
     reference_strict_feasible,
 )
-from treelasso.feasibility import (
+from treelasso.oracle import (
     StrictLinearSystem,
     _solve_levels,
     strict_feasible,

@@ -14,7 +14,7 @@ from pathlib import Path
 from test_public_surface import PUBLIC
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFERRED = ["treelasso.builders", "treelasso.feasibility", "treelasso.heights", "treelasso.oracle"]
+DEFERRED = ["treelasso.builders", "treelasso.heights", "treelasso.oracle"]
 # Off the classify path as well: ``dataclasses`` (which loads ``inspect``),
 # ``fractions`` (which loads ``decimal``) and the child-edge graph views.
 OFF_CLASSIFY_PATH = [
@@ -108,7 +108,7 @@ def test_weighted_newick_still_returns_an_edge_weighting(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             assert cli.main(["distances", "--tree", sys.argv[1], "--cords", sys.argv[2]]) == 0
         print(stdout.getvalue(), end="")
-        print("treelasso.feasibility" in sys.modules)
+        print("treelasso.oracle" in sys.modules)
         """,
         str(tmp_path / "w.nwk"), str(tmp_path / "w.txt"),
     )
@@ -152,7 +152,7 @@ def test_star_import_in_a_fresh_process_loads_every_public_name():
         print(oracle_weak.__module__, min_weak_lasso.__module__, HeightMap.__module__, strict_feasible.__module__)
         """
     )
-    assert out.split() == ["treelasso.oracle", "treelasso.builders", "treelasso.heights", "treelasso.feasibility"]
+    assert out.split() == ["treelasso.oracle", "treelasso.builders", "treelasso.heights", "treelasso.oracle"]
 
 
 def test_an_oracle_decision_loads_neither_dataclasses_nor_the_graph_views():

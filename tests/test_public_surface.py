@@ -7,7 +7,6 @@ from treelasso import (
     builders,
     childgraph,
     cords,
-    feasibility,
     heights,
     lasso,
     newick,
@@ -15,7 +14,7 @@ from treelasso import (
     tree,
 )
 
-MODULES = (builders, childgraph, cords, feasibility, heights, lasso, newick, oracle, tree)
+MODULES = (builders, childgraph, cords, heights, lasso, newick, oracle, tree)
 
 PUBLIC = {
     # trees, cords and their text forms
