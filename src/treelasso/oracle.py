@@ -21,8 +21,9 @@ instead.  Each joint system, one identification per cord and a strict order
 along every edge, goes straight to the exact engine, :func:`_solve_levels`,
 as pairs of dense integer ids; its verdict and exact point, as integer
 levels, come from one call, and the levels of the first feasible rival are
-the witness.  :class:`StrictLinearSystem` and :func:`strict_feasible` state
-the same systems over named variables and answer the levels as
+the witness.  A rival whose least levels already fit the cords needs no
+call (see below).  :class:`StrictLinearSystem` and :func:`strict_feasible`
+state the same systems over named variables and answer the levels as
 ``Fraction``s.
 
 The scan reads its rivals from one table per leaf set, built on first use,
@@ -31,9 +32,16 @@ stands for row r.  A row holds the tree's properness edges twice: with its
 heights placed at ids ``K..``, ``K`` = (number of leaves) - 1, so any
 reference tree fits below them, and at ids ``0..``, for when the tree is
 the reference; the interior index of each cord's meeting vertex, in
-:func:`all_cords` order; one relation byte per cord pair; and the cord
-masks of its clusters, the leaf sets below its non-root interior vertices.
-The table holds two kinds of mask, shared by all rows.
+:func:`all_cords` order; one relation byte per cord pair; the cord masks of
+its clusters, the leaf sets below its non-root interior vertices; and its
+least levels, with their height view.  The least levels put a vertex whose
+children are all leaves at 0 and every other interior vertex one above its
+highest interior child: the least proper weighting of the tree, which every
+proper integer weighting dominates.  The view is a read-only height mapping
+of them, built and checked by ``HeightMap._from_levels`` once per distinct
+interior ids and levels (8 views at five leaves, 17 at six) and shared by
+the rows, as rows share edge tuples.  The table holds two kinds of mask,
+shared by all rows.
 
 * Conflict masks.  A tree puts the meeting vertices of two cords in one of
   four relations: the first strictly above the second, strictly below it,
@@ -55,9 +63,15 @@ The table holds two kinds of mask, shared by all rows.
 
 A decision starts from every row, removes the refiners (weak) or the
 tree's own bit (topological), removes the OR of the tree's conflict masks
-over the pairs of given cords, keeps only the sampled rows if asked, and
-hands the surviving rows, lowest bit first, to the engine.  The tree's
-own row is looked up in the table, so nothing is remembered per tree.
+over the pairs of given cords, stopping that sweep as soon as no row is
+left, and keeps only the sampled rows if asked.  It then tries the
+surviving rows, lowest bit first.  When a rival's least levels equal the
+tree's at every given cord's meeting vertices, the two floors are proper
+and fit every cord, and any fitting pair dominates them, so they are
+exactly the engine's least point: the scan returns them as the witness, two
+new height maps over the rows' shared views (a floor witness), with no
+engine call.  Any other rival goes to the engine.  The tree's own row is
+looked up in the table, so nothing is remembered per tree.
 
 Every decision checks its cords by the lookups that resolve them
 (:func:`~treelasso.cords._by_lookup`): the scan looks each up in the
@@ -89,10 +103,11 @@ tree.
 :class:`Witness` and the rival table are frozen ``__slots__`` records on
 the package's one record base, as are the height maps a witness carries, so
 an oracle process loads neither :mod:`dataclasses` nor :mod:`inspect`, and
-the heights of a witness cannot be edited after it is built.  Both maps are
-built from the one list of levels, each from its tree's slice of it, by
-``HeightMap._from_levels``, which checks the levels as ints as the
-constructor checks heights.
+the heights of a witness cannot be edited after it is built.  An engine
+witness's maps are built from the one list of levels, each from its tree's
+slice of it, by ``HeightMap._from_levels``, which checks the levels as ints
+as the constructor checks heights; a floor witness's maps are new records
+over views that the same function checked when the table was built.
 """
 
 from __future__ import annotations
@@ -102,7 +117,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .cords import Cord, _by_lookup, validate_cords
 from .heights import HeightMap
@@ -332,6 +347,15 @@ class Witness(_Record):
         self._set(rival, heights_t, heights_rival)
 
 
+def _new_witness(rival: XTree, heights_t: HeightMap, heights_rival: HeightMap) -> Witness:
+    witness = Witness.__new__(Witness)
+    store_rival, store_t, store_r = Witness._setters  # _set's stores, without its loop
+    store_rival(witness, rival)
+    store_t(witness, heights_t)
+    store_r(witness, heights_rival)
+    return witness
+
+
 def _witness(tree: XTree, rival: XTree, levels: list[int], offset: int) -> Witness:
     """Read a witness off the levels of a solved joint system.
 
@@ -339,24 +363,34 @@ def _witness(tree: XTree, rival: XTree, levels: list[int], offset: int) -> Witne
     in its tree's interior preorder.
     """
     rival_levels = levels[offset : offset + len(rival._interior)]
-    witness = Witness.__new__(Witness)
-    store_rival, store_t, store_r = Witness._setters  # _set's stores, without its loop
-    store_rival(witness, rival)
-    store_t(witness, HeightMap._from_levels(tree, levels[: len(tree._interior)]))
-    store_r(witness, HeightMap._from_levels(rival, rival_levels))
-    return witness
+    return _new_witness(
+        rival,
+        HeightMap._from_levels(tree, levels[: len(tree._interior)]),
+        HeightMap._from_levels(rival, rival_levels),
+    )
+
+
+def _floor_map(tree: XTree, view: Mapping[int, Fraction]) -> HeightMap:
+    """A new height map of ``tree`` over the rival table's checked view of its least levels."""
+    heights = HeightMap.__new__(HeightMap)
+    store_tree, store_heights = HeightMap._setters  # the view is read-only, so maps share it
+    store_tree(heights, tree)
+    store_heights(heights, view)
+    return heights
 
 
 class _RivalTable(_Record):
     """Every tree on one leaf set, as rows the rival scan reads without rebuilding.
 
-    ``rows`` lists ``(tree, edges, meets, relation, clusters, own_edges)``
-    per enumerated tree in canonical order, as the module docstring
-    describes: ``edges`` on ids shifted by ``offset``, ``own_edges`` on ids
-    ``0..``.  Cord pair (i, j), i < j, is entry ``pair_base[i] + j`` of
-    ``relation`` and of ``conflicts``, whose entry, indexed by a relation,
-    is the mask of rows in conflict with it.  ``containing`` maps a
-    cluster's cord mask to the mask of rows whose trees have that cluster.
+    ``rows`` lists ``(tree, edges, meets, relation, clusters, own_edges,
+    least, view)`` per enumerated tree in canonical order, as the module
+    docstring describes: ``edges`` on ids shifted by ``offset``,
+    ``own_edges`` on ids ``0..``, ``least`` the tree's least levels in
+    interior preorder and ``view`` their checked read-only height mapping.
+    Cord pair (i, j), i < j, is entry ``pair_base[i] + j`` of ``relation``
+    and of ``conflicts``, whose entry, indexed by a relation, is the mask of
+    rows in conflict with it.  ``containing`` maps a cluster's cord mask to
+    the mask of rows whose trees have that cluster.
     """
 
     __slots__ = __match_args__ = (
@@ -368,7 +402,7 @@ class _RivalTable(_Record):
     pair_base: tuple[int, ...]
     conflicts: tuple[tuple[int, int, int, int], ...]
     containing: dict[int, int]
-    rows: tuple[tuple[XTree, tuple, tuple[int, ...], bytes, tuple[int, ...], tuple], ...]
+    rows: tuple[tuple, ...]  # (tree, edges, meets, relation, clusters, own_edges, least, view)
     row_of: dict[XTree, int]
 
     def __init__(self, offset, cord_index, pair_base, conflicts, containing, rows, row_of) -> None:
@@ -401,7 +435,8 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
     for p, (i, j) in enumerate(combinations(range(m), 2)):
         weight[i] += 8 << 8 * p
         weight[j] += 1 << 8 * p
-    shared = {}  # properness edges -> the same at ids offset.. and 0.., and relations
+    shared = {}  # properness edges -> the same at ids offset.. and 0.., relations, least levels
+    views = {}  # interior ids and least levels -> their checked height view
     interned = {}  # one int per distinct cluster mask, shared by the rows
     rows = []
     containing = {}  # cord mask of a cluster -> rows whose trees have that cluster
@@ -432,8 +467,19 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
                     else _APART
                 )
             own = tuple((a - offset, b - offset) for a, b in edges)
-            shared[edges] = edges, own, bytes(between)
-        edges, own_edges, between = shared[edges]
+            # The least levels: 0 at a vertex with leaf children only, else
+            # one above the highest interior child.  Reversed preorder puts a
+            # vertex's edges to its children after theirs to their own, so
+            # each child's level is final when it is read.
+            least = [0] * len(interior)
+            for a, b in reversed(own):
+                if least[a] <= least[b]:
+                    least[a] = least[b] + 1
+            shared[edges] = edges, own, bytes(between), tuple(least)
+        edges, own_edges, between, least = shared[edges]
+        if (interior, least) not in views:
+            views[interior, least] = HeightMap._from_levels(tree, least).heights
+        view = views[interior, least]
         relation = sum(map(mul, meets, weight)).to_bytes(n_pairs, "little").translate(between)
         cords_at = [0] * tree.n_vertices  # the cord mask of each meeting vertex
         for i, k in enumerate(meets):
@@ -443,7 +489,7 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
             mask = sum(cords_at[v : last[v] + 1])  # masks of distinct vertices share no bit
             clusters.append(interned.setdefault(mask, mask))
             containing[mask] = containing.get(mask, 0) | 1 << r
-        rows.append((tree, edges, meets, relation, tuple(clusters), own_edges))
+        rows.append((tree, edges, meets, relation, tuple(clusters), own_edges, least, view))
     # Column p of the relation bytes holds pair p's relation in every row;
     # it gives the rows in conflict with each relation of that pair.
     flat = b"".join(row[3] for row in rows)
@@ -477,9 +523,12 @@ def _rival_scan(
     The weak scan skips the rivals that refine the tree, the rows in every
     one of its cluster masks; the topological one only the tree itself.  Of
     the remaining rivals, those in conflict with the tree on a pair of given
-    cords are dropped as a whole mask; the rest are handed to the engine in
-    canonical order, and the first feasible one is the witness.  The verdict
-    is that there is none.
+    cords are dropped as a whole mask, and the sweep over cord pairs stops
+    once no row is left.  The rest are tried in canonical order, and the
+    first feasible one is the witness: a floor witness when the two trees'
+    least levels agree at every given cord's meeting vertices, as the
+    module docstring explains, and otherwise the engine's point.  The
+    verdict is that there is no witness.
     """
     _require_domain(tree)
     labels = tree.leaf_labels
@@ -495,7 +544,7 @@ def _rival_scan(
     rows = table.rows
     everyone = (1 << len(rows)) - 1
     r = table.row_of[tree]
-    _, _, t_meets, relation, clusters, t_edges = rows[r]
+    _, _, t_meets, relation, clusters, t_edges, t_least, t_view = rows[r]
     if weak:
         bad = everyone
         for cluster in clusters:
@@ -504,6 +553,8 @@ def _rival_scan(
         bad = 1 << r
     pair_base, conflicts = table.pair_base, table.conflicts
     for a, i in enumerate(index):
+        if bad == everyone:
+            return True, None
         base = pair_base[i]
         for p in index[a + 1 :]:
             p += base
@@ -513,10 +564,13 @@ def _rival_scan(
         picked = random.Random(seed).sample(range(len(rows)), rival_sample)
         alive &= sum(1 << p for p in picked)
     k = table.offset
+    floor = [t_least[t_meets[i]] for i in index]
     while alive:
         low = alive & -alive
         alive ^= low
-        rival, edges, meets, _, _, _ = rows[low.bit_length() - 1]
+        rival, edges, meets, _, _, _, least, view = rows[low.bit_length() - 1]
+        if [least[meets[i]] for i in index] == floor:
+            return False, _new_witness(rival, _floor_map(tree, t_view), _floor_map(rival, view))
         equal = [(t_meets[i], k + meets[i]) for i in index]
         levels = _solve_levels(2 * k, equal, t_edges + edges)
         if levels is not None:
@@ -525,7 +579,11 @@ def _rival_scan(
 
 
 def _check_sample(rival_sample: int | None) -> None:
-    if rival_sample is not None and rival_sample < 1:
+    if rival_sample is None:
+        return
+    if not isinstance(rival_sample, int) or isinstance(rival_sample, bool):
+        raise TypeError(f"rival_sample must be an int, got {rival_sample!r}")
+    if rival_sample < 1:
         raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
 
 
@@ -539,7 +597,7 @@ def oracle_weak(
     """Does every tree fitting the cord distances refine this one?  By definition.
 
     Exhaustive over all rivals, up to 6 leaves.  With ``rival_sample`` set,
-    a seeded random subset of ``rival_sample`` rivals (at least 1) is
+    a seeded random subset of ``rival_sample`` rivals (an int, at least 1) is
     scanned instead: a False answer is still certain, a True answer is not.
     """
     return _rival_scan(tree, cords, True, rival_sample, seed)

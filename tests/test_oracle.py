@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
@@ -28,6 +29,7 @@ from conftest import (
     random_xtree,
     reference_solve_differences,
     reference_strict_feasible,
+    seeded_cord_sets,
 )
 from treelasso import (
     HeightMap,
@@ -221,6 +223,21 @@ def test_rival_sample_below_one_rejected():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="rival_sample must be at least 1"):
             oracle_weak(T4, frozenset(), rival_sample=bad)
+    # anything but an int, a bool included, is named in the error; it once
+    # escaped from random.sample or from a raw comparison.  Its check keeps
+    # its place: after the cords, before the leaf cap
+    seven = XTree(tuple("abcdefg"))
+    for bad, shown in (
+        (1.5, "1.5"), ("5", "'5'"), (True, "True"), (False, "False"), (2.0, "2.0"), ([3], r"\[3\]"),
+    ):
+        for tree in (T4, seven):
+            with pytest.raises(TypeError, match=f"^rival_sample must be an int, got {shown}$"):
+                oracle_weak(tree, frozenset(), rival_sample=bad)
+            error = outcome(validate_cords, [("a", "z")], tree.leaf_labels)
+            assert outcome(partial(oracle_weak, rival_sample=bad), tree, [("a", "z")]) == error
+    with pytest.raises(ValueError, match="lasso questions need at least 3 leaves"):
+        oracle_weak(XTree(("a", "b")), frozenset(), rival_sample=1.5)
+    assert oracle_weak(T4, frozenset(), rival_sample=None) == oracle_weak(T4, frozenset())
 
 
 def _height_pairs(tree):
@@ -485,9 +502,26 @@ def test_refiner_masks_match_refines():
     assert refining > 12
 
 
+def _least_levels(t):
+    """The least levels of ``t`` by vertex: 0 at a vertex whose children are
+    all leaves, else one above its highest interior child."""
+    level = {}
+    for v in reversed(t.interior_vertices()):
+        level[v] = max((level[c] + 1 for c in t.children(v) if not t.is_leaf(c)), default=0)
+    return level
+
+
+def _floors_agree(t, r, cords):
+    """Do the least levels of ``t`` and ``r`` agree at every cord's meeting vertices?"""
+    mine, theirs = _least_levels(t), _least_levels(r)
+    return all(mine[t.lca(a, b)] == theirs[r.lca(a, b)] for a, b in cords)
+
+
 def test_scan_calls_the_engine_only_past_the_pairwise_test(monkeypatch):
     # the engine sees, in canonical order, exactly the rivals that are neither
-    # skipped nor in cord-order conflict, up to the first feasible one
+    # skipped nor in cord-order conflict, up to the first feasible one; a
+    # rival whose least levels agree with the tree's on every cord is
+    # feasible and ends the scan with no call
     engine = oracle._solve_levels
     calls = []
 
@@ -497,6 +531,7 @@ def test_scan_calls_the_engine_only_past_the_pairwise_test(monkeypatch):
 
     monkeypatch.setattr(oracle, "_solve_levels", counted)
     trees = enumerate_xtrees(LABELS4)
+    floors = engine_calls = 0
     for t in trees[::2]:
         conflicts = {r: _order_conflicts(t, r) for r in trees}
         for cords in all_cord_subsets(LABELS4)[::5]:
@@ -508,12 +543,96 @@ def test_scan_calls_the_engine_only_past_the_pairwise_test(monkeypatch):
                 for r in trees:
                     if skip(r) or any(c in cords and d in cords for c, d in conflicts[r]):
                         continue
+                    feasible = strict_feasible(joint_isometry_system(t, r, cords)) is not None
+                    if _floors_agree(t, r, cords):
+                        assert feasible
+                        floors += 1
+                        break
                     expected += 1
-                    if strict_feasible(joint_isometry_system(t, r, cords)) is not None:
+                    if feasible:
                         break
                 calls.clear()
                 decide(t, cords)
                 assert len(calls) == expected
+                engine_calls += expected
+    assert floors and engine_calls
+
+
+def _scan_witnesses(cases):
+    """(tree, cords, skip, witness, floor) of each weak and topological
+    decision; ``floor`` says the witness shares the rows' height views."""
+    for t, cords in cases:
+        table = _rival_table(t.leaf_labels)
+        for decide, skip in (
+            (oracle_weak, lambda r: r.refines(t)),
+            (oracle_topological, lambda r: r == t),
+        ):
+            _, witness = decide(t, cords)
+            floor = witness is not None and (
+                witness.heights_t.heights is table.rows[table.row_of[t]][7]
+            )
+            if floor:
+                rival_row = table.rows[table.row_of[witness.rival]]
+                assert witness.heights_rival.heights is rival_row[7]
+            yield t, cords, skip, witness, floor
+
+
+def _six_leaf_corpus():
+    """Every six-leaf tree with the seeded cord set of the six-leaf sweep."""
+    for index, t in enumerate(enumerate_xtrees(LABELS6)):
+        yield t, next(seeded_cord_sets(LABELS6, 1, index))
+
+
+def test_every_floor_witness_is_the_engine_point():
+    # a floor witness is exactly the engine's least point of its joint
+    # system, on all 4-leaf trees with all cord subsets, the five-leaf
+    # sweep and the six-leaf corpus
+    four = [(t, c) for t in enumerate_xtrees(LABELS4) for c in all_cord_subsets(LABELS4)]
+    for cases in (four, _five_leaf_sweep(), _six_leaf_corpus()):
+        floors = 0
+        for t, cords, _, witness, floor in _scan_witnesses(cases):
+            if floor:
+                point = strict_feasible(joint_isometry_system(t, witness.rival, cords))
+                assert witness.heights_t.heights == {v: point["T", v] for v in t._interior}
+                rival = witness.rival
+                assert witness.heights_rival.heights == {v: point["R", v] for v in rival._interior}
+                floors += 1
+        assert floors
+
+
+def test_the_floor_path_fires_exactly_when_the_least_levels_agree():
+    # a witness is a floor witness exactly when the two trees' least levels
+    # agree on every cord; with no witness, no rival the scan may try has
+    # agreeing least levels
+    four = [(t, c) for t in enumerate_xtrees(LABELS4) for c in all_cord_subsets(LABELS4)]
+    trees4 = enumerate_xtrees(LABELS4)
+    seen = set()
+    for cases in (four, _five_leaf_sweep()):
+        for t, cords, skip, witness, floor in _scan_witnesses(cases):
+            if witness is not None:
+                assert floor == _floors_agree(t, witness.rival, cords)
+                seen.add(floor)
+            elif len(t.leaf_labels) == 4:
+                assert not any(_floors_agree(t, r, cords) for r in trees4 if not skip(r))
+    assert seen == {False, True}
+
+
+def test_an_edited_floor_witness_leaves_the_next_one_intact():
+    # floor witnesses share the rows' views, but each gets its own height
+    # maps: replacing one map's heights changes no later witness
+    t = XTree(((("a", "b"), "c"), ("d", "e")))
+    ok, first = oracle_topological(t, frozenset())
+    table = _rival_table(t.leaf_labels)
+    assert not ok and first.heights_t.heights is table.rows[table.row_of[t]][7]
+    before = dict(first.heights_t.heights), dict(first.heights_rival.heights)
+    for heights in (first.heights_t, first.heights_rival):
+        object.__setattr__(heights, "heights", {v: Fraction(-1) for v in heights.heights})
+    assert not verify_witness(t, frozenset(), first, "topological")
+    ok, second = oracle_topological(t, frozenset())
+    assert not ok and second.rival == first.rival
+    assert second.heights_t is not first.heights_t
+    assert (dict(second.heights_t.heights), dict(second.heights_rival.heights)) == before
+    assert verify_witness(t, frozenset(), second, "topological")
 
 
 def test_every_four_leaf_witness_verifies():
@@ -657,7 +776,7 @@ def _rival_table_fields(labels):
         table.pair_base,
         table.conflicts,
         sorted(table.containing.items()),
-        [(row[0].canonical_newick(),) + row[1:] for row in table.rows],
+        [(row[0].canonical_newick(),) + row[1:6] for row in table.rows],
         sorted((t.canonical_newick(), r) for t, r in table.row_of.items()),
     )
 
@@ -669,8 +788,24 @@ RIVAL_TABLE_SHA256 = "27241f75b02940b653f2f9a1c420f48eeec61e5c22131f19926fe52e07
 
 
 def test_rival_tables_match_the_recorded_digest():
+    # the digest covers each row's first six fields; its least levels and
+    # their height view are checked against the engine and the map builder
     fields = [_rival_table_fields(labels) for labels in (LABELS4, LABELS5, LABELS6)]
     assert hashlib.sha256(repr(fields).encode()).hexdigest() == RIVAL_TABLE_SHA256
+    for labels in (LABELS4, LABELS5, LABELS6):
+        for row in _rival_table(frozenset(labels)).rows:
+            tree, own_edges, least, view = row[0], row[5], row[6], row[7]
+            assert list(least) == oracle._solve_levels(len(tree._interior), (), own_edges)
+            assert all(type(a) is int for a in least)
+            assert view == HeightMap._from_levels(tree, least).heights
+            assert type(view) is MappingProxyType
+
+
+def test_rows_share_few_height_views():
+    # one view per distinct interior ids and least levels, shared by the rows
+    for labels, most in ((LABELS5, 8), (LABELS6, 17)):
+        rows = _rival_table(frozenset(labels)).rows
+        assert len({id(row[7]) for row in rows}) <= most
 
 
 def _equidistant_reference(t, cords, i):
@@ -736,6 +871,14 @@ def test_equidistant_matches_every_vertex_reference_and_skips_met_vertices(monke
     assert skipped
 
 
+def _reference_levels(system):
+    """The reference engine's least point of a joint system, in its variables' order."""
+    ids = {v: i for i, v in enumerate(system.variables)}
+    equal = [(ids[x], ids[y], 0) for x, y in system.equalities]
+    greater = [(ids[x], ids[y], 0, True) for x, y in system.strict_inequalities]
+    return reference_solve_differences(len(ids), equal, greater)
+
+
 def test_every_oracle_engine_call_matches_the_reference_engine(monkeypatch):
     # every engine call of the three decisions, on all 4-leaf trees with all
     # cord subsets and on 40 seeded 5-leaf trees with a cord set of each
@@ -762,25 +905,39 @@ def test_every_oracle_engine_call_matches_the_reference_engine(monkeypatch):
     pool = sorted(all_cords(LABELS5))
     for t in rng.sample(enumerate_xtrees(LABELS5), 40):
         cases += [(t, frozenset(rng.sample(pool, k))) for k in range(len(pool) + 1)]
-    witnesses = 0
+    witnesses = floors = 0
     for t, cords in cases:
         for decide in (oracle_weak, oracle_topological, oracle_equidistant):
+            before = len(calls)
             _, witness = decide(t, cords)
             if witness is not None:
                 for heights in (witness.heights_t.heights, witness.heights_rival.heights):
                     assert all(type(x) is Fraction for x in heights.values())
                 witnesses += 1
-    assert len(calls) > 4000
-    assert witnesses == len(calls)  # no engine call was infeasible
+                if len(calls) == before:  # a floor witness: the reference solves its system
+                    assert decide is not oracle_equidistant
+                    levels = _reference_levels(joint_isometry_system(t, witness.rival, cords))
+                    maps = (witness.heights_t, witness.heights_rival)
+                    assert [h for m in maps for h in m.heights.values()] == levels
+                    floors += 1
+    assert len(calls) + floors > 4000
+    assert floors and witnesses == len(calls) + floors  # no engine call was infeasible
 
 
 def test_a_non_proper_engine_point_is_never_returned(monkeypatch):
     # witnesses are validated as height maps: an engine point that breaks
-    # properness raises instead of coming back as a witness
+    # properness raises instead of coming back as a witness.  With no cords
+    # the rival scans end at a floor witness, so they get a cord meeting
+    # where the least levels of T4 and of the first rival tried differ, and
+    # the engine runs
     monkeypatch.setattr(oracle, "_solve_levels", lambda n, equal, greater: [0] * n)
-    for decide in (oracle_weak, oracle_topological, oracle_equidistant):
+    for decide, cords in (
+        (oracle_weak, cord_set([("c", "d")])),
+        (oracle_topological, cord_set([("c", "d")])),
+        (oracle_equidistant, frozenset()),
+    ):
         with pytest.raises(ValueError, match="strictly decrease"):
-            decide(T4, frozenset())
+            decide(T4, cords)
 
 
 @pytest.mark.parametrize(
