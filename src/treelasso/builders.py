@@ -2,15 +2,18 @@
 
 Minimum-size builders pick, under every child edge, the lexicographically
 smallest leaf as the representative of that edge, so outputs are
-deterministic.  The circular and bipartition constructions build the two
-classical families: consecutive pairs of a planar leaf ordering, and all
-pairs crossing a 2-coloring of the leaves.
+deterministic.  The three share one pass over the interior vertices,
+:func:`_min_lasso`, which hands each vertex's sorted leaf labels and
+sorted representatives to the builder's own pair rule.  The circular and
+bipartition constructions build the two classical families: consecutive
+pairs of a planar leaf ordering, and all pairs crossing a 2-coloring of the
+leaves.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import chain, combinations, product, starmap
 from .cords import Cord, cord
 from .lasso import _Record, _require_domain
 from .tree import XTree
@@ -55,10 +58,28 @@ class Bipartition(_Record):
 
 def _representatives(tree: XTree) -> list[str]:
     """The smallest leaf label below each vertex, in one reverse-preorder sweep."""
-    low = list(tree._vlabel)  # each leaf is its own representative
+    low, children = list(tree._vlabel), tree._children  # each leaf is its own representative
     for v in reversed(tree.interior_vertices()):
-        low[v] = min([low[c] for c in tree.children(v)])
+        low[v] = min([low[c] for c in children[v]])
     return low
+
+
+def _min_lasso(tree: XTree, pairs_at) -> frozenset[Cord]:
+    """The cords that ``pairs_at`` picks at each interior vertex, as one set.
+
+    At each vertex, ``pairs_at(leaves, subs)`` gets the labels of its leaf
+    children and the representatives of its interior children, each list
+    sorted, and returns label pairs.
+    """
+    _require_domain(tree)
+    low, vlabel, children = _representatives(tree), tree._vlabel, tree._children
+    out = set()
+    for v in tree.interior_vertices():
+        kids = children[v]
+        leaves = sorted([vlabel[c] for c in kids if vlabel[c] is not None])
+        subs = sorted([low[c] for c in kids if vlabel[c] is None])
+        out.update(starmap(cord, pairs_at(leaves, subs)))
+    return frozenset(out)
 
 
 def min_equidistant_lasso(tree: XTree) -> frozenset[Cord]:
@@ -68,13 +89,7 @@ def min_equidistant_lasso(tree: XTree) -> frozenset[Cord]:
     lexicographically smallest child representatives), which is the minimum
     possible size for an equidistant lasso.
     """
-    _require_domain(tree)
-    low = _representatives(tree)
-    out = set()
-    for v in tree.interior_vertices():
-        reps = sorted(low[c] for c in tree.children(v))
-        out.add(cord(reps[0], reps[1]))
-    return frozenset(out)
+    return _min_lasso(tree, lambda leaves, subs: [sorted(leaves + subs)[:2]])
 
 
 def min_topological_lasso(tree: XTree) -> frozenset[Cord]:
@@ -83,14 +98,14 @@ def min_topological_lasso(tree: XTree) -> frozenset[Cord]:
     Realizes the clique condition at every vertex with the fewest cords:
     the size is the sum over interior vertices of (children choose 2).
     """
-    _require_domain(tree)
-    low = _representatives(tree)
-    out = set()
-    for v in tree.interior_vertices():
-        reps = sorted(low[c] for c in tree.children(v))
-        for a, b in combinations(reps, 2):
-            out.add(cord(a, b))
-    return frozenset(out)
+    return _min_lasso(tree, lambda leaves, subs: combinations(leaves + subs, 2))
+
+
+def _corral_pairs(leaves: list[str], subs: list[str]):
+    """The weak rule at one vertex: see :func:`min_weak_lasso`."""
+    if not subs:  # all children are leaves, off a star: a pseudo-cherry parent
+        return zip(leaves, leaves[1:])
+    return chain(combinations(subs, 2), product(leaves, subs))
 
 
 def min_weak_lasso(tree: XTree) -> frozenset[Cord]:
@@ -100,26 +115,8 @@ def min_weak_lasso(tree: XTree) -> frozenset[Cord]:
     minus one cords); every other interior vertex gets the representative
     cords realizing the subtree-edge clique plus all leaf-to-subtree pairs.
     """
-    _require_domain(tree)
-    if tree.is_star():
-        return frozenset()
-    low = _representatives(tree)
-    out = set()
-    for v in tree.interior_vertices():
-        leaf_reps = sorted(
-            tree.label(c) for c in tree.children(v) if tree.is_leaf(c)
-        )
-        sub_reps = sorted(low[c] for c in tree.children(v) if not tree.is_leaf(c))
-        if not sub_reps:  # all children are leaves, off a star: a pseudo-cherry parent
-            for a, b in zip(leaf_reps, leaf_reps[1:]):
-                out.add(cord(a, b))
-            continue
-        for a, b in combinations(sub_reps, 2):
-            out.add(cord(a, b))
-        for a in leaf_reps:
-            for b in sub_reps:
-                out.add(cord(a, b))
-    return frozenset(out)
+    # every cord set corrals the star, the empty set included
+    return _min_lasso(tree, (lambda leaves, subs: ()) if tree.is_star() else _corral_pairs)
 
 
 def circular_order(tree: XTree, seed: int | None = None) -> CircularOrdering:

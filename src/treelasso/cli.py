@@ -97,12 +97,8 @@ def cmd_build(args) -> int:
     if args.partition is not None and args.kind != "bipartition":
         raise ValueError("--partition applies only to --kind bipartition")
     tree, _ = _load_tree(args.tree)
-    if args.kind == "equidistant":
-        cords = builders.min_equidistant_lasso(tree)
-    elif args.kind == "weak":
-        cords = builders.min_weak_lasso(tree)
-    elif args.kind == "topological":
-        cords = builders.min_topological_lasso(tree)
+    if args.kind in lasso.KINDS:
+        cords = getattr(builders, f"min_{args.kind}_lasso")(tree)
     elif args.kind == "circular":
         cords = builders.circular_lasso(builders.circular_order(tree, seed=args.seed))
     else:  # bipartition

@@ -3,9 +3,10 @@
 A cord stands for one known pairwise distance.  Cords are normalized to
 sorted 2-tuples; cord sets are frozensets of those.  The text format is one
 cord per line, ``labelA labelB``, with an optional third column holding a
-positive rational distance and ``#`` starting a comment.  A distance is
+nonnegative rational distance and ``#`` starting a comment.  A distance is
 written as a Newick edge weight is: an integer, a decimal, or ``p/q``, in
-ASCII digits.
+ASCII digits.  Zero is a distance: a pendant edge may weigh zero, so two
+leaves of a cherry can be at distance 0, as a weak witness often puts them.
 
 Every consumer of cords checks them by the lookups that resolve them
 (:func:`_by_lookup`), which has two callers: the one cord resolver,
@@ -202,8 +203,8 @@ def _read_cord_lines(lines: list[str]) -> tuple[frozenset[Cord], dict[Cord, Frac
                 d = parse_rational(fields[2])
             except ValueError as exc:
                 raise CordFileError(f"line {lineno}: {exc}") from None
-            if d <= 0:
-                raise CordFileError(f"line {lineno}: distance must be positive, got {d}")
+            if d < 0:
+                raise CordFileError(f"line {lineno}: distance must be nonnegative, got {d}")
             distances[c] = d
         else:
             saw_bare = True
@@ -218,7 +219,7 @@ def format_cord_file(
     """Render a cord set (optionally with distances) in the text format.
 
     ``distances`` is keyed by normalized cords and gives each cord a
-    positive exact distance, anything ``Fraction`` reads but a float, so
+    nonnegative exact distance, anything ``Fraction`` reads but a float, so
     that :func:`read_cord_file` reads the text back; a ``TypeError`` or
     ``ValueError`` names a cord whose distance is not one.  A label holding
     ``#`` or whitespace would be read back as a comment or as more columns,
@@ -243,7 +244,7 @@ def format_cord_file(
             d = fractions.Fraction(d)
         except (TypeError, ValueError) as exc:
             raise type(exc)(f"the distance of cord {a} {b} is not a rational: {d!r}") from None
-        if d <= 0:
-            raise ValueError(f"the distance of cord {a} {b} must be positive, got {d}")
+        if d < 0:
+            raise ValueError(f"the distance of cord {a} {b} must be nonnegative, got {d}")
         lines.append(f"{a} {b} {d}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -13,9 +13,11 @@ All values are exact rationals; strict inequalities are never approximated.
 :class:`EdgeWeighting` and :class:`HeightMap` are frozen records whose
 mapping, ``by_child`` or ``heights``, is a read-only view
 (:class:`types.MappingProxyType`) of the copy their constructor checked, so
-no edit can skip the checks or change the hash; copy, deepcopy and pickle
-hand the constructor a plain dict and check it again.  Cord distances are
-compared at the vertices :meth:`~treelasso.tree.XTree._cord_meets` gives.
+no edit can skip the checks or change the hash.  The record base,
+:class:`~treelasso.lasso._Record`, hashes such a view as its sorted items,
+and copy, deepcopy and pickle hand the constructor a plain dict copy of it,
+which is checked again.  Cord distances are compared at the vertices
+:meth:`~treelasso.tree.XTree._cord_meets` gives.
 
 The oracles build witness maps from the engine's integer levels with
 ``HeightMap._from_levels``, which runs the constructor's checks on the ints
@@ -78,12 +80,6 @@ class EdgeWeighting(_Record):
             raise ValueError("weighting must cover exactly the non-root vertices")
         self._set(tree, MappingProxyType(weights))
 
-    def __hash__(self) -> int:
-        return hash((self.tree, tuple(sorted(self.by_child.items()))))
-
-    def __reduce__(self) -> tuple:
-        return (type(self), (self.tree, dict(self.by_child)))  # a view does not pickle
-
 
 class HeightMap(_Record):
     """Nonnegative rational heights on the interior vertices of a tree.
@@ -143,12 +139,6 @@ class HeightMap(_Record):
         store_tree(self, tree)
         store_heights(self, MappingProxyType(dict(zip(interior, fractions))))
         return self
-
-    def __hash__(self) -> int:
-        return hash((self.tree, tuple(sorted(self.heights.items()))))
-
-    def __reduce__(self) -> tuple:
-        return (type(self), (self.tree, dict(self.heights)))  # a view does not pickle
 
     def height(self, v: int) -> Fraction:
         """Height of a vertex; leaves are at height zero.

@@ -39,6 +39,7 @@ is not stored; the report derives it from the other two flags.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .cords import Cord
@@ -63,6 +64,12 @@ class _Record:
     constructor, so the checks run again.  Every record of the package is
     one, so no module imports :mod:`dataclasses`, which loads
     :mod:`inspect`, ``ast`` and ``dis``.
+
+    A field may hold a read-only view (:class:`types.MappingProxyType`) of
+    a dict the constructor checked, as the weighting records' mappings do.
+    The hash takes such a field as its sorted items, and copy, deepcopy and
+    pickle hand the constructor a plain dict copy of it, since a view
+    neither hashes nor pickles.
     """
 
     __slots__ = ()
@@ -86,7 +93,8 @@ class _Record:
         return self._values() == other._values()
 
     def __hash__(self) -> int:
-        return hash(self._values())  # a TypeError when a field is unhashable
+        values = self._values()  # a TypeError when a field other than a view is unhashable
+        return hash(tuple([tuple(sorted(x.items())) if type(x) is MappingProxyType else x for x in values]))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values()))
@@ -101,7 +109,8 @@ class _Record:
     def __reduce__(self) -> tuple:
         # Rebuilt through the constructor: the default slot-state path would
         # restore the fields with ``setattr``, which a frozen record refuses.
-        return (type(self), self._values())
+        values = self._values()
+        return (type(self), tuple([dict(x) if type(x) is MappingProxyType else x for x in values]))
 
 
 class LassoReport(_Record):

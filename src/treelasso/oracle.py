@@ -79,7 +79,7 @@ table's cord index, whose keys are exactly the leaf set's normal cords,
 and the equidistant decision, like the joint system, meets them through
 the one cord resolver, :meth:`~treelasso.tree.XTree._cord_meets`.  A
 repeated cord counts once, and the checks keep one order: the domain, the
-cords, ``rival_sample``, then the leaf cap.
+cords, ``rival_sample`` and then a sample's ``seed``, then the leaf cap.
 
 The enumerated trees and the rival tables of the last four leaf sets asked
 for (``_KEPT_LEAF_SETS``) are kept, a six-leaf set taking about 7 MB.  An
@@ -534,13 +534,13 @@ def _rival_scan(
     labels = tree.leaf_labels
     if len(labels) > _MAX_LEAVES:  # the leaf cap is checked last
         validate_cords(cords, labels)
-        _check_sample(rival_sample)
+        _check_sample(rival_sample, seed)
     table = _rival_table(labels)
     # the table's cord index holds exactly the normal cords
     index = _by_lookup(
         lambda given: sorted(set(map(table.cord_index.__getitem__, given))), cords, labels
     )
-    _check_sample(rival_sample)
+    _check_sample(rival_sample, seed)
     rows = table.rows
     everyone = (1 << len(rows)) - 1
     r = table.row_of[tree]
@@ -578,13 +578,15 @@ def _rival_scan(
     return True, None
 
 
-def _check_sample(rival_sample: int | None) -> None:
+def _check_sample(rival_sample: int | None, seed: int) -> None:
     if rival_sample is None:
         return
     if not isinstance(rival_sample, int) or isinstance(rival_sample, bool):
         raise TypeError(f"rival_sample must be an int, got {rival_sample!r}")
     if rival_sample < 1:
         raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
+    if not isinstance(seed, int) or isinstance(seed, bool):  # None would draw an unrepeatable sample
+        raise TypeError(f"seed must be an int, got {seed!r}")
 
 
 def oracle_weak(
@@ -599,6 +601,7 @@ def oracle_weak(
     Exhaustive over all rivals, up to 6 leaves.  With ``rival_sample`` set,
     a seeded random subset of ``rival_sample`` rivals (an int, at least 1) is
     scanned instead: a False answer is still certain, a True answer is not.
+    The ``seed`` of a sample must then be an int; it is not read otherwise.
     """
     return _rival_scan(tree, cords, True, rival_sample, seed)
 

@@ -21,7 +21,8 @@ Every subtree is a contiguous run of preorder ids, so a tree keeps, per
 vertex, only the id of its last descendant.  Leaf sets are not stored per
 vertex: :meth:`XTree.leaves_below` reads the labels off that range when
 asked, and the leaf-label set X is stored once.  A tree therefore takes
-O(n) memory at any depth.
+O(n) memory at any depth.  Every accessor that takes a vertex id checks it
+in one place, ``XTree._vertex``, which names an id that is not a vertex.
 
 Last common vertices are found on heavy paths (Sleator and Tarjan, 1983),
 which the top-down sweep fills: each vertex keeps its largest child and
@@ -60,10 +61,6 @@ def _check_label(label: object) -> str:
             f"invalid leaf label {label!r}: whitespace and '(),:;' are reserved"
         )
     return label
-
-
-def _not_a_vertex(v: object) -> ValueError:
-    return ValueError(f"{v!r} is not a vertex of this tree")
 
 
 def _shape_tiles(shape) -> list[list]:
@@ -242,38 +239,34 @@ class XTree:
     def vertices(self) -> range:
         return self._vertices
 
-    # The accessors below take a vertex id, an int 0 <= v < n_vertices; any
-    # other id, a negative one or a bool included, raises ValueError.
+    def _vertex(self, v: int) -> int:
+        """``v`` itself when it is a vertex id, an int 0 <= v < n_vertices.
+
+        Any other id, a negative one or a bool included, raises ValueError.
+        """
+        if type(v) is int and 0 <= v < len(self._parent):
+            return v
+        raise ValueError(f"{v!r} is not a vertex of this tree")
 
     def children(self, v: int) -> tuple[int, ...]:
-        if type(v) is int and 0 <= v < len(self._parent):
-            return self._children[v]
-        raise _not_a_vertex(v)
+        return self._children[self._vertex(v)]
 
     def parent(self, v: int) -> int | None:
         """Parent id of ``v``, or None for the root."""
-        if type(v) is int and 0 <= v < len(self._parent):
-            p = self._parent[v]
-            return None if p < 0 else p
-        raise _not_a_vertex(v)
+        p = self._parent[self._vertex(v)]
+        return None if p < 0 else p
 
     def depth(self, v: int) -> int:
-        if type(v) is int and 0 <= v < len(self._parent):
-            return self._depth[v]
-        raise _not_a_vertex(v)
+        return self._depth[self._vertex(v)]
 
     def is_leaf(self, v: int) -> bool:
-        if type(v) is int and 0 <= v < len(self._parent):
-            return self._vlabel[v] is not None
-        raise _not_a_vertex(v)
+        return self._vlabel[self._vertex(v)] is not None
 
     def label(self, v: int) -> str:
-        if type(v) is int and 0 <= v < len(self._parent):
-            lab = self._vlabel[v]
-            if lab is not None:
-                return lab
+        lab = self._vlabel[self._vertex(v)]
+        if lab is None:
             raise ValueError(f"vertex {v} is interior and has no leaf label")
-        raise _not_a_vertex(v)
+        return lab
 
     def leaf_vertex(self, label: str) -> int:
         try:
@@ -287,11 +280,10 @@ class XTree:
 
     def leaves_below(self, v: int) -> frozenset[str]:
         """Labels of the leaves that are descendants of ``v`` (itself, for a leaf)."""
-        if type(v) is int and 0 <= v < len(self._parent):
-            # Labels are nonempty strings, so filtering on truth drops the
-            # interior vertices' None.
-            return frozenset(filter(None, self._vlabel[v : self._last[v] + 1]))
-        raise _not_a_vertex(v)
+        end = self._last[self._vertex(v)]
+        # Labels are nonempty strings, so filtering on truth drops the
+        # interior vertices' None.
+        return frozenset(filter(None, self._vlabel[v : end + 1]))
 
     def _clade_names(self, vertices: Iterable[int]) -> dict[int, str]:
         """``{a,b,...}``, the sorted leaf labels below each vertex, for a batch of vertices.
@@ -386,12 +378,11 @@ class XTree:
 
     def child_toward(self, v: int, label: str) -> int:
         """The child of ``v`` whose subtree contains the leaf ``label``."""
-        if not (type(v) is int and 0 <= v < len(self._parent)):
-            raise _not_a_vertex(v)
         # The leaf lies strictly inside v's preorder range, in the range of the
         # last child that starts at or before it.
+        end = self._last[self._vertex(v)]
         x = self._leaf_id.get(label, -1) if isinstance(label, str) else -1
-        if v < x <= self._last[v]:
+        if v < x <= end:
             kids = self._children[v]
             return kids[bisect_right(kids, x) - 1]
         raise ValueError(f"leaf {label!r} is not below vertex {v}")

@@ -772,8 +772,8 @@ def reference_read_cord_file(text: str):
                 d = parse_rational(fields[2])
             except ValueError as exc:
                 raise CordFileError(f"line {lineno}: {exc}") from None
-            if d <= 0:
-                raise CordFileError(f"line {lineno}: distance must be positive, got {d}")
+            if d < 0:
+                raise CordFileError(f"line {lineno}: distance must be nonnegative, got {d}")
             distances[c] = d
         else:
             saw_bare = True

@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     bearded_caterpillar,
     clade_by_sorting,
+    random_cord_set,
     random_cords,
     random_proper_heights,
     random_shape,
@@ -25,6 +26,7 @@ from treelasso import (
     XTree,
     cli,
     cord_set,
+    enumerate_xtrees,
     format_cord_file,
     parse_newick,
     print_newick,
@@ -161,6 +163,40 @@ def test_witness_round_trip(capsys, tmp_path):
     h1, h2 = HeightMap.from_edge_weights(w1), HeightMap.from_edge_weights(w2)
     assert h1.is_l_isometric(h2, cord_set([("a", "b"), ("a", "d")]))
     assert not t2.refines(t1)
+
+
+def _witness_cases():
+    """The CI step's tree and cords, and every four-leaf tree with seeded cord sets."""
+    cases = [("((a,b),c,(d,e));", cord_set([("a", "b"), ("a", "c"), ("d", "e"), ("b", "d")]))]
+    for i, tree in enumerate(enumerate_xtrees("abcd")):
+        cases += [(tree.canonical_newick(), random_cord_set("abcd", k, i)) for k in (0, 1, 2, 3)]
+    return cases
+
+
+def test_distances_agree_on_both_trees_of_every_witness(capsys, tmp_path):
+    # the witness claim through the CLI: its two weighted trees give each
+    # given cord one distance.  A weak witness often puts a cherry at
+    # height 0, so two leaves at distance 0, which the cord writer prints
+    tree, cords, weighted = (tmp_path / name for name in ("t.nwk", "c.txt", "w.nwk"))
+    witnessed = set()
+    for newick, given in _witness_cases():
+        tree.write_text(newick + "\n")
+        cords.write_text(format_cord_file(given))
+        for kind in ("equidistant", "weak", "topological"):
+            code, out, err = run(capsys, "witness", "--tree", str(tree), "--cords", str(cords), "--kind", kind)
+            assert (code, err) == (0, "")
+            if out == "none\n":
+                continue
+            printed = []
+            for line in out.splitlines():
+                weighted.write_text(line + "\n")
+                printed.append(run(capsys, "distances", "--tree", str(weighted), "--cords", str(cords)))
+            assert printed[0] == printed[1] and printed[0][0] == 0
+            assert len(printed[0][1].splitlines()) == len(given)
+            witnessed.add((kind, any(line.endswith(" 0") for line in printed[0][1].splitlines())))
+    # every kind has a witness, and some witness has a cord at distance 0
+    assert {kind for kind, _ in witnessed} == {"equidistant", "weak", "topological"}
+    assert ("weak", True) in witnessed
 
 
 def test_witness_none(capsys, tree_file, cords_file):

@@ -1,5 +1,7 @@
 """Equidistant weightings: heights, edge weights, induced distances."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -218,6 +220,48 @@ def test_height_map_keeps_its_own_copy_of_the_heights():
     # a Fraction subclass is stored as a plain Fraction, as any exact input is
     hm = HeightMap(CAT4, {0: Fraction(3), 1: Fraction(2), 2: Rational(1, 2)})
     assert all(type(x) is Fraction for x in hm.heights.values())
+
+
+def _weighting_records():
+    """Both records with a read-only view, on a few trees and heights."""
+    records = []
+    for tree in (CHERRY3, STAR3, CAT4, *enumerate_xtrees(LABELS4)[:5]):
+        h = random_proper_heights(tree, len(records))
+        records += [h, h.to_edge_weights()]
+    return records
+
+
+def test_weighting_records_hash_their_view_as_its_sorted_items():
+    # the formula each record spelled out before the record base took it over
+    for record in _weighting_records():
+        view = record.heights if isinstance(record, HeightMap) else record.by_child
+        assert hash(record) == hash((record.tree, tuple(sorted(view.items()))))
+        assert hash(record) == hash(type(record)(record.tree, dict(reversed(view.items()))))
+
+
+def test_weighting_records_rebuild_through_their_constructors(monkeypatch):
+    # copy, deepcopy and every pickle protocol hand the constructor the tree
+    # and a plain dict copy of the view, so the checks run on the copy
+    calls = []
+    for cls in (HeightMap, EdgeWeighting):
+        init = cls.__init__
+
+        def counted(self, *args, init=init):
+            calls.append((type(self), args))
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    rebuilds = [copy.copy, copy.deepcopy]
+    rebuilds += [lambda r, p=p: pickle.loads(pickle.dumps(r, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for record in _weighting_records():
+        view = record.heights if isinstance(record, HeightMap) else record.by_child
+        for rebuild in rebuilds:
+            calls.clear()
+            twin = rebuild(record)
+            assert twin == record and hash(twin) == hash(record)
+            [(cls, (tree, mapping))] = calls
+            assert cls is type(record) and tree == record.tree
+            assert type(mapping) is dict and mapping == view
 
 
 @pytest.mark.parametrize("v", [-1, -3, -5, 7, 100, 1.0, "0", None, True, False])

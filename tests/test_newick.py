@@ -361,11 +361,12 @@ def test_cord_file_with_distances():
 
 
 def test_cord_file_distances_round_trip_or_raise():
-    # every distance the writer accepts reads back unchanged; a float, a
-    # missing distance or a nonpositive one raises, naming the cord, rather
-    # than writing a file the reader rejects or an inexact value
+    # every distance the writer accepts, zero included, reads back
+    # unchanged; a float, a missing distance or a negative one raises,
+    # naming the cord, rather than writing a file the reader rejects or an
+    # inexact value
     cords = cord_set([("a", "b"), ("c", "d")])
-    for d in (Fraction(1, 10), 3, Fraction(7), "1/2"):
+    for d in (Fraction(1, 10), 3, Fraction(7), "1/2", 0, Fraction(0), "0/3"):
         distances = {("a", "b"): d, ("c", "d"): Fraction(5, 2)}
         read = {("a", "b"): Fraction(d), ("c", "d"): Fraction(5, 2)}
         assert read_cord_file(format_cord_file(cords, distances)) == (cords, read)
@@ -377,9 +378,9 @@ def test_cord_file_distances_round_trip_or_raise():
             format_cord_file(cords, bad)
     for bad, message in (
         ({("a", "b"): 1}, "cord c d has no distance"),
-        ({("a", "b"): 1, ("c", "d"): 0}, "cord c d must be positive, got 0"),
-        ({("a", "b"): Fraction(-1, 2), ("c", "d"): 1}, "cord a b must be positive, got -1/2"),
-        ({("a", "b"): "-1/2", ("c", "d"): 1}, "cord a b must be positive, got -1/2"),
+        ({("a", "b"): 1, ("c", "d"): -1}, "cord c d must be nonnegative, got -1"),
+        ({("a", "b"): Fraction(-1, 2), ("c", "d"): 1}, "cord a b must be nonnegative, got -1/2"),
+        ({("a", "b"): "-1/2", ("c", "d"): 1}, "cord a b must be nonnegative, got -1/2"),
         ({("a", "b"): "x", ("c", "d"): 1}, "cord a b is not a rational: 'x'"),
     ):
         with pytest.raises(ValueError, match=message):
@@ -407,8 +408,9 @@ def test_cord_file_errors():
         read_cord_file("a a\n")  # not a cord
     with pytest.raises(CordFileError):
         read_cord_file("a b x\n")  # bad rational
-    with pytest.raises(CordFileError):
-        read_cord_file("a b 0\n")  # distance must be positive
+    with pytest.raises(CordFileError, match="^line 2: distance must be nonnegative, got -1/2$"):
+        read_cord_file("a b 0\nc d -1/2\n")  # zero is a distance, a negative one is not
+    assert read_cord_file("a b 0\n") == (cord_set([("a", "b")]), {("a", "b"): 0})
     with pytest.raises(CordFileError):
         read_cord_file("a b 1\nc d\n")  # mixed distance columns
 

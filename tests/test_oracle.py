@@ -238,6 +238,24 @@ def test_rival_sample_below_one_rejected():
     with pytest.raises(ValueError, match="lasso questions need at least 3 leaves"):
         oracle_weak(XTree(("a", "b")), frozenset(), rival_sample=1.5)
     assert oracle_weak(T4, frozenset(), rival_sample=None) == oracle_weak(T4, frozenset())
+    # a sample's seed is an int: None would draw an unrepeatable sample, and
+    # a list once escaped as random.Random's own TypeError.  It is checked
+    # right after rival_sample, and only when a sample is asked for
+    for bad, shown in ((None, "None"), (True, "True"), (1.5, "1.5"), ("7", "'7'"), ([1], r"\[1\]")):
+        for tree in (T4, seven):
+            for size in (3, 30):  # fewer rivals than the 26 rows of T4, and more
+                with pytest.raises(TypeError, match=f"^seed must be an int, got {shown}$"):
+                    oracle_weak(tree, frozenset(), rival_sample=size, seed=bad)
+            error = outcome(validate_cords, [("a", "z")], tree.leaf_labels)
+            assert outcome(partial(oracle_weak, rival_sample=3, seed=bad), tree, [("a", "z")]) == error
+            assert outcome(partial(oracle_weak, rival_sample=0, seed=bad), tree, []) == (
+                ValueError, "rival_sample must be at least 1, got 0"
+            )
+        assert oracle_weak(T4, frozenset(), seed=bad) == oracle_weak(T4, frozenset())
+    with pytest.raises(ValueError, match="lasso questions need at least 3 leaves"):
+        oracle_weak(XTree(("a", "b")), frozenset(), rival_sample=3, seed=None)
+    sampled = partial(oracle_weak, T4, frozenset(), rival_sample=3)
+    assert sampled(seed=-5) == sampled(seed=-5)  # any int seeds a repeatable sample
 
 
 def _height_pairs(tree):
