@@ -2,12 +2,16 @@
 
 Minimum-size builders pick, under every child edge, the lexicographically
 smallest leaf as the representative of that edge, so outputs are
-deterministic.  The three share one pass over the interior vertices,
-:func:`_min_lasso`, which hands each vertex's sorted leaf labels and
-sorted representatives to the builder's own pair rule.  The circular and
-bipartition constructions build the two classical families: consecutive
-pairs of a planar leaf ordering, and all pairs crossing a 2-coloring of the
-leaves.
+deterministic.  The three share one reverse-preorder walk over the
+interior vertices, :func:`_min_lasso`, which finds each vertex's
+representative as it goes and hands its leaf labels, already in label
+order, and its interior children's representatives to the builder's own
+pair rule; only the equidistant rule sorts, to find the two smallest.  The
+circular and bipartition constructions build the two classical families:
+consecutive pairs of a planar leaf ordering, and all pairs crossing a
+2-coloring of the leaves.  The minimum-lasso pass and
+:func:`circular_order` read the tree's arrays, as every walk in the
+package does: the ids they visit come from the tree, so none is checked.
 """
 
 from __future__ import annotations
@@ -56,28 +60,26 @@ class Bipartition(_Record):
             raise ValueError("the two sides of a bipartition must be disjoint")
 
 
-def _representatives(tree: XTree) -> list[str]:
-    """The smallest leaf label below each vertex, in one reverse-preorder sweep."""
-    low, children = list(tree._vlabel), tree._children  # each leaf is its own representative
-    for v in reversed(tree.interior_vertices()):
-        low[v] = min([low[c] for c in children[v]])
-    return low
-
-
 def _min_lasso(tree: XTree, pairs_at) -> frozenset[Cord]:
     """The cords that ``pairs_at`` picks at each interior vertex, as one set.
 
-    At each vertex, ``pairs_at(leaves, subs)`` gets the labels of its leaf
-    children and the representatives of its interior children, each list
-    sorted, and returns label pairs.
+    One reverse-preorder walk, children before parents, sets each vertex's
+    representative, the smallest leaf label below it, as it goes.  At each
+    vertex, ``pairs_at(leaves, subs)`` gets the labels of its leaf children
+    and the representatives of its interior children, and returns label
+    pairs, which :func:`~treelasso.cords.cord` normalizes.  Children are in
+    canonical order, in which a leaf's key is its label, so ``leaves`` is in
+    label order; ``subs`` is in no useful order.
     """
     _require_domain(tree)
-    low, vlabel, children = _representatives(tree), tree._vlabel, tree._children
+    vlabel, children = tree._vlabel, tree._children
+    low = list(vlabel)  # each leaf is its own representative
     out = set()
-    for v in tree.interior_vertices():
+    for v in reversed(tree._interior):
         kids = children[v]
-        leaves = sorted([vlabel[c] for c in kids if vlabel[c] is not None])
-        subs = sorted([low[c] for c in kids if vlabel[c] is None])
+        leaves = [vlabel[c] for c in kids if vlabel[c] is not None]
+        subs = [low[c] for c in kids if vlabel[c] is None]
+        low[v] = min(leaves + subs)
         out.update(starmap(cord, pairs_at(leaves, subs)))
     return frozenset(out)
 
@@ -104,7 +106,7 @@ def min_topological_lasso(tree: XTree) -> frozenset[Cord]:
 def _corral_pairs(leaves: list[str], subs: list[str]):
     """The weak rule at one vertex: see :func:`min_weak_lasso`."""
     if not subs:  # all children are leaves, off a star: a pseudo-cherry parent
-        return zip(leaves, leaves[1:])
+        return zip(leaves, leaves[1:])  # in label order, so the path is the sorted one
     return chain(combinations(subs, 2), product(leaves, subs))
 
 
@@ -127,14 +129,15 @@ def circular_order(tree: XTree, seed: int | None = None) -> CircularOrdering:
     different embedding.
     """
     rng = random.Random(seed) if seed is not None else None
+    vlabel, children = tree._vlabel, tree._children
     order: list[str] = []
     stack = [tree.root]
     while stack:
         v = stack.pop()
-        if tree.is_leaf(v):
-            order.append(tree.label(v))
+        if vlabel[v] is not None:
+            order.append(vlabel[v])
             continue
-        kids = list(tree.children(v))
+        kids = list(children[v])
         if rng is not None:
             rng.shuffle(kids)
         stack.extend(reversed(kids))

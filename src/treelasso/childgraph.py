@@ -96,7 +96,7 @@ class ChildEdgeGraph(_Record):
 
     def to_dot(self) -> str:
         """DOT text for diagnostics; leaf edges are boxes, subtree edges ellipses."""
-        tree = self.tree
+        tree = self.tree  # a caller may build the record, so its nodes go through the checks
         clades = tree._clade_names(c for c in self.nodes if not tree.is_leaf(c))
 
         def name(child: int) -> str:
@@ -128,22 +128,27 @@ def child_edge_graphs(
 def _child_edge_graphs(
     tree: XTree, pairs: set[tuple[int, int, int]], vertices: Iterable[int]
 ) -> dict[int, ChildEdgeGraph]:
-    """The graphs of the given interior vertices, from the cords' ``_child_pairs``."""
-    adj = {v: {c: set() for c in tree.children(v)} for v in vertices}
+    """The graphs of the given interior vertices, from the cords' ``_child_pairs``.
+
+    The vertices come from the tree or were checked by the caller, so the
+    walk reads the tree's arrays.
+    """
+    children, vlabel = tree._children, tree._vlabel
+    adj = {v: {c: set() for c in children[v]} for v in vertices}
     for v, u, w in pairs:
         if v in adj:
             adj[v][u].add(w)
             adj[v][w].add(u)
     out: dict[int, ChildEdgeGraph] = {}
     for v, linked in adj.items():
-        kids = tree.children(v)
+        kids = children[v]
         out[v] = ChildEdgeGraph(
             tree=tree,
             owner=v,
             nodes=kids,
             adjacency={c: frozenset(linked[c]) for c in kids},
-            leaf_edges=frozenset(c for c in kids if tree.is_leaf(c)),
-            subtree_edges=frozenset(c for c in kids if not tree.is_leaf(c)),
+            leaf_edges=frozenset(c for c in kids if vlabel[c] is not None),
+            subtree_edges=frozenset(c for c in kids if vlabel[c] is None),
         )
     return out
 
@@ -152,6 +157,6 @@ def build_child_edge_graph(
     tree: XTree, cords: Iterable[Cord], vertex: int
 ) -> ChildEdgeGraph:
     """The child-edge graph of one interior vertex for the given cord set."""
-    if tree.is_leaf(vertex):
+    if tree.is_leaf(vertex):  # raises for an id that is not a vertex
         raise ValueError(f"vertex {vertex} is a leaf; child-edge graphs need an interior vertex")
     return _child_edge_graphs(tree, _child_pairs(tree, cords), (vertex,))[vertex]

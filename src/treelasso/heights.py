@@ -22,6 +22,12 @@ which is checked again.  Cord distances are compared at the vertices
 The oracles build witness maps from the engine's integer levels with
 ``HeightMap._from_levels``, which runs the constructor's checks on the ints
 and stores each level below 64 as one shared ``Fraction`` of ``_SMALL``.
+It ends in ``HeightMap._over``, the one wrapper that makes a new map over a
+read-only view already checked for its tree, with no copy; the rival scan's
+floor witnesses call it too.  A key of either mapping must be an ``int``
+vertex id: ``True`` or ``1.0`` equals the vertex 1 but is not its id.
+Conversions between the two records walk the tree's arrays, whose ids need
+no check; :meth:`HeightMap.height` checks the id its caller gives.
 """
 
 from __future__ import annotations
@@ -75,8 +81,10 @@ class EdgeWeighting(_Record):
         weights = {
             v: _as_fraction(w, "edge weights and heights") for v, w in by_child.items()
         }
-        expected = set(tree.vertices()) - {tree.root}
-        if set(weights) != expected:
+        n = tree.n_vertices
+        # n - 1 distinct ids, each an int vertex id other than the root (a bool
+        # or a float that equals one is not), are exactly the non-root vertices
+        if len(weights) != n - 1 or not all(type(v) is int and 0 < v < n for v in weights):
             raise ValueError("weighting must cover exactly the non-root vertices")
         self._set(tree, MappingProxyType(weights))
 
@@ -96,7 +104,8 @@ class HeightMap(_Record):
     def __init__(self, tree: XTree, heights: Mapping[int, Fraction]) -> None:
         h = {v: _as_fraction(x, "edge weights and heights") for v, x in heights.items()}
         interior = tree._interior
-        if len(h) != len(interior) or not all(map(h.__contains__, interior)):
+        covered = len(h) == len(interior) and all(map(h.__contains__, interior))
+        if not covered or not all(type(v) is int for v in h):  # True or 1.0 would pass for 1
             raise ValueError("heights must cover exactly the interior vertices")
         for v, x in h.items():  # the first negative height in the given order is named
             if x < 0:
@@ -134,10 +143,18 @@ class HeightMap(_Record):
             fractions = map(_SMALL.__getitem__, levels)
         else:
             fractions = [_SMALL[a] if a < len(_SMALL) else Fraction(a) for a in levels]
+        return cls._over(tree, MappingProxyType(dict(zip(interior, fractions))))
+
+    @classmethod
+    def _over(cls, tree: XTree, view: Mapping[int, Fraction]) -> "HeightMap":
+        """A new map of ``tree`` over ``view``, a read-only height view already checked for it.
+
+        Nothing is checked or copied: the view is read-only, so maps share it.
+        """
         self = cls.__new__(cls)
         store_tree, store_heights = cls._setters  # _set's stores, without its loop
         store_tree(self, tree)
-        store_heights(self, MappingProxyType(dict(zip(interior, fractions))))
+        store_heights(self, view)
         return self
 
     def height(self, v: int) -> Fraction:
@@ -151,13 +168,10 @@ class HeightMap(_Record):
 
     def to_edge_weights(self) -> EdgeWeighting:
         """The per-edge weights: weight of an edge = height drop across it."""
-        t = self.tree
-        weights = {
-            v: self.height(t.parent(v)) - self.height(v)
-            for v in t.vertices()
-            if v != t.root
-        }
-        return EdgeWeighting(t, weights)
+        h, parent = self.heights, self.tree._parent
+        # leaves have no height in the map: they sit at 0
+        weights = {v: h[parent[v]] - h.get(v, 0) for v in range(1, len(parent))}
+        return EdgeWeighting(self.tree, weights)
 
     @classmethod
     def from_edge_weights(cls, weighting: EdgeWeighting) -> "HeightMap":
@@ -172,15 +186,13 @@ class HeightMap(_Record):
         for v, value in w.items():
             if value < 0:
                 raise WeightingError(f"edge into vertex {v} has weight {value}")
-        for v in t.interior_vertices():
-            if v != t.root and w[v] <= 0:
+        interior, children = t._interior, t._children
+        for v in interior[1:]:  # preorder: the root, which has no edge, comes first
+            if w[v] <= 0:
                 raise WeightingError(f"interior edge into vertex {v} has weight {w[v]}")
         heights: dict[int, Fraction] = {}
-        for v in reversed(t.interior_vertices()):
-            candidates = set()
-            for c in t.children(v):
-                below = Fraction(0) if t.is_leaf(c) else heights[c]
-                candidates.add(w[c] + below)
+        for v in reversed(interior):  # children before parents; leaves sit at 0
+            candidates = {w[c] + heights.get(c, 0) for c in children[v]}
             if len(candidates) > 1:
                 raise WeightingError(
                     f"leaves below vertex {v} are at distances {sorted(candidates)} from it"

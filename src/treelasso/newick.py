@@ -174,6 +174,7 @@ def print_newick(tree: XTree, weighting: EdgeWeighting | None = None) -> str:
     if weighting is not None and weighting.tree != tree:
         raise ValueError("weighting belongs to a different tree")
 
+    vlabel, children = tree._vlabel, tree._children
     parts: list[str] = []
     stack: list[int | str] = [tree.root]  # vertices still to print, and closing text
     while stack:
@@ -184,12 +185,12 @@ def print_newick(tree: XTree, weighting: EdgeWeighting | None = None) -> str:
         suffix = ""
         if weighting is not None and item != tree.root:
             suffix = ":" + format_rational(weighting.by_child[item])
-        if tree.is_leaf(item):
-            parts.append(tree.label(item) + suffix)
+        if vlabel[item] is not None:
+            parts.append(vlabel[item] + suffix)
             continue
         parts.append("(")
         stack.append(")" + suffix)
-        kids = tree.children(item)
+        kids = children[item]
         for child in reversed(kids[1:]):
             stack += (child, ",")
         stack.append(kids[0])

@@ -106,8 +106,10 @@ an oracle process loads neither :mod:`dataclasses` nor :mod:`inspect`, and
 the heights of a witness cannot be edited after it is built.  An engine
 witness's maps are built from the one list of levels, each from its tree's
 slice of it, by ``HeightMap._from_levels``, which checks the levels as ints
-as the constructor checks heights; a floor witness's maps are new records
-over views that the same function checked when the table was built.
+as the constructor checks heights; a floor witness's maps are made by
+``HeightMap._over``, the wrapper that function ends in, as new records over
+views that it checked when the table was built.  The joint system reads
+both trees' arrays, which hold only the trees' own ids.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .cords import Cord, _by_lookup, validate_cords
 from .heights import HeightMap
@@ -320,10 +322,9 @@ def joint_isometry_system(
         raise ValueError("trees are on different leaf sets")
     mine, theirs = tree._cord_meets(sorted(validate_cords(cords, tree.leaf_labels)), rival)
     both = (("T", tree), ("R", rival))
-    variables = tuple((tag, v) for tag, t in both for v in t.interior_vertices())
-    strict = tuple(  # interior_vertices() is in preorder: the root comes first
-        ((tag, t.parent(v)), (tag, v)) for tag, t in both for v in t.interior_vertices()[1:]
-    )
+    variables = tuple((tag, v) for tag, t in both for v in t._interior)
+    # _interior is in preorder: the root, which has no parent, comes first
+    strict = tuple(((tag, t._parent[v]), (tag, v)) for tag, t in both for v in t._interior[1:])
     equalities = tuple((("T", m[0]), ("R", r[0])) for m, r in zip(mine, theirs))
     return StrictLinearSystem(variables, equalities, strict)
 
@@ -368,15 +369,6 @@ def _witness(tree: XTree, rival: XTree, levels: list[int], offset: int) -> Witne
         HeightMap._from_levels(tree, levels[: len(tree._interior)]),
         HeightMap._from_levels(rival, rival_levels),
     )
-
-
-def _floor_map(tree: XTree, view: Mapping[int, Fraction]) -> HeightMap:
-    """A new height map of ``tree`` over the rival table's checked view of its least levels."""
-    heights = HeightMap.__new__(HeightMap)
-    store_tree, store_heights = HeightMap._setters  # the view is read-only, so maps share it
-    store_tree(heights, tree)
-    store_heights(heights, view)
-    return heights
 
 
 class _RivalTable(_Record):
@@ -570,7 +562,8 @@ def _rival_scan(
         alive ^= low
         rival, edges, meets, _, _, _, least, view = rows[low.bit_length() - 1]
         if [least[meets[i]] for i in index] == floor:
-            return False, _new_witness(rival, _floor_map(tree, t_view), _floor_map(rival, view))
+            over = HeightMap._over
+            return False, _new_witness(rival, over(tree, t_view), over(rival, view))
         equal = [(t_meets[i], k + meets[i]) for i in index]
         levels = _solve_levels(2 * k, equal, t_edges + edges)
         if levels is not None:

@@ -23,6 +23,10 @@ vertex: :meth:`XTree.leaves_below` reads the labels off that range when
 asked, and the leaf-label set X is stored once.  A tree therefore takes
 O(n) memory at any depth.  Every accessor that takes a vertex id checks it
 in one place, ``XTree._vertex``, which names an id that is not a vertex.
+That check is for ids a caller gives.  Code in the package that walks a
+tree reads the arrays ``_children``, ``_parent``, ``_vlabel`` and
+``_interior`` directly: every id it visits came from those arrays, so it
+checks none.
 
 Last common vertices are found on heavy paths (Sleator and Tarjan, 1983),
 which the top-down sweep fills: each vertex keeps its largest child and
@@ -218,7 +222,7 @@ class XTree:
         self._heavy = tuple(heavy)
         self._head = tuple(head)
         self._interior = tuple(sorted(map(vid.__getitem__, kids)))  # in preorder
-        self._vertices = range(n)  # maps each vertex id to itself, as an index for _meets
+        self._vertices = range(n)  # vertex_meet in tests/conftest.py indexes _meets with it
         return vid
 
     # -- basic structure ------------------------------------------------------
@@ -243,6 +247,8 @@ class XTree:
         """``v`` itself when it is a vertex id, an int 0 <= v < n_vertices.
 
         Any other id, a negative one or a bool included, raises ValueError.
+        It guards the ids a caller hands an accessor; the package's own walks
+        read the arrays, whose ids are the tree's, and do not call it.
         """
         if type(v) is int and 0 <= v < len(self._parent):
             return v

@@ -1,6 +1,7 @@
 """Cord-set constructions: minimum lassos, circular orderings, bipartitions."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
 from math import comb
@@ -25,13 +26,13 @@ from treelasso import (
     circular_lasso,
     circular_order,
     classify,
+    cord,
     cord_set,
     enumerate_xtrees,
     min_equidistant_lasso,
     min_topological_lasso,
     min_weak_lasso,
 )
-from treelasso.builders import _representatives
 
 CAT = XTree(((("a", "b"), "c"), "d"))
 T4 = XTree((("a", "b", "c"), "d"))
@@ -116,8 +117,27 @@ def test_min_lassos_match_their_recorded_digest():
 
 
 def test_representatives_are_the_smallest_leaf_below():
+    # Every non-root vertex is a child of some vertex, so the topological
+    # lasso's pairs over every child pair show the representative of each.
     for t in (random_xtree(300, 5), random_xtree(300, 6, binary=True), bearded_caterpillar(3, 40)):
-        assert _representatives(t) == [min(t.leaves_below(v)) for v in t.vertices()]
+        low = {c: min(t.leaves_below(c)) for c in t.vertices() if c != t.root}
+        expected = {
+            cord(low[c1], low[c2])
+            for v in t.interior_vertices()
+            for c1, c2 in combinations(t.children(v), 2)
+        }
+        assert min_topological_lasso(t) == expected
+
+
+def test_leaf_children_come_in_label_order():
+    # the weak rule's spanning path over a pseudo-cherry relies on it
+    shapes = [("c", "a", ("e", "d"), "b"), (("z", "y", "x"), "w", ("q", ("p", "o")))]
+    trees = [XTree(shape) for shape in shapes]
+    trees += [random_xtree(300, 7), bearded_caterpillar(4, 20), *enumerate_xtrees(LABELS5)]
+    for t in trees:
+        for v in t.interior_vertices():
+            leaves = [t.label(c) for c in t.children(v) if t.is_leaf(c)]
+            assert leaves == sorted(leaves)
 
 
 def test_circular_order_examples():
@@ -193,8 +213,6 @@ def test_bipartition_examples():
 
 
 def test_bipartition_meeting_every_pseudo_cherry_corrals():
-    from itertools import combinations
-
     for labels in (LABELS4, LABELS5):
         universe = set(labels)
         for t in enumerate_xtrees(labels):

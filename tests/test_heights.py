@@ -222,6 +222,24 @@ def test_height_map_keeps_its_own_copy_of_the_heights():
     assert all(type(x) is Fraction for x in hm.heights.values())
 
 
+@pytest.mark.parametrize("key", [True, 1.0, Fraction(1)])
+def test_weighting_records_reject_keys_that_are_not_int_vertex_ids(key):
+    # CHERRY3: the root 0, its interior child 1, and the leaves 2, 3 and 4.
+    # Each key equals the vertex id 1 and would have been kept in its place.
+    assert key == 1 and hash(key) == hash(1)
+    for heights in ({0: 2, key: 1}, {key: 1, 0: 2}, {0: 2, key: -1}):
+        with pytest.raises(ValueError) as raised:
+            HeightMap(CHERRY3, heights)
+        assert str(raised.value) == "heights must cover exactly the interior vertices"
+    for weights in ({key: 1, 2: 1, 3: 1, 4: 2}, {2: 1, 3: 1, 4: 2, key: -1}):
+        with pytest.raises(ValueError) as raised:
+            EdgeWeighting(CHERRY3, weights)
+        assert str(raised.value) == "weighting must cover exactly the non-root vertices"
+    # the same maps with the int key are accepted, and keep it
+    assert list(HeightMap(CHERRY3, {0: 2, 1: 1}).heights) == [0, 1]
+    assert list(EdgeWeighting(CHERRY3, {1: 1, 2: 1, 3: 1, 4: 2}).by_child) == [1, 2, 3, 4]
+
+
 def _weighting_records():
     """Both records with a read-only view, on a few trees and heights."""
     records = []
