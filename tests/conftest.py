@@ -806,6 +806,14 @@ def bearded_caterpillar(k: int, length: int, prefix: str = "x") -> XTree:
     return XTree(shape)
 
 
+def caterpillar(depth: int) -> XTree:
+    """The rooted caterpillar with leaves c0 .. c{depth}, ``depth`` interior vertices deep."""
+    shape = "c0"
+    for i in range(1, depth + 1):
+        shape = (shape, f"c{i}")
+    return XTree(shape)
+
+
 def random_shape(n: int, seed: int, prefix: str = "t", binary: bool = False):
     """A seeded random multifurcating shape on labels prefix0 .. prefix{n-1}:
     runs of two to four adjacent nodes (always two if ``binary``) are

@@ -12,6 +12,7 @@ from conftest import (
     bearded_caterpillar,
     brute_child_edge_pairs,
     brute_linked_child_edges,
+    caterpillar,
     leaf_path_edges,
     pseudo_cherries,
     random_cords,
@@ -230,13 +231,6 @@ def test_meets_match_the_parent_walk_on_every_small_tree():
                         t.child_toward(v, a)
         every = frozenset(combinations(labels, 2))
         assert _child_pairs(t, every) == walked_child_pairs(t, every)
-
-
-def caterpillar(depth: int) -> XTree:
-    shape = "c0"
-    for i in range(1, depth + 1):
-        shape = (shape, f"c{i}")
-    return XTree(shape)
 
 
 @pytest.mark.parametrize("kind, size, arg", SCALE_TREES + [("caterpillar", 2000, 0)])

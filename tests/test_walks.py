@@ -11,7 +11,7 @@ tree's arrays instead of its checked accessors.
 
 import hashlib
 
-from conftest import LABELS4, random_cords, random_proper_heights, random_xtree
+from conftest import LABELS4, caterpillar, random_cords, random_proper_heights, random_xtree
 from treelasso import (
     HeightMap,
     XTree,
@@ -23,13 +23,6 @@ from treelasso import (
 )
 
 WALKS_SHA256 = "0f789f13a3ed5dc1608bc2b69bc97d8ce67b79377af2e4a3f648502ce3e32853"
-
-
-def _caterpillar(depth: int) -> XTree:
-    shape = "c0"
-    for i in range(1, depth + 1):
-        shape = (shape, f"c{i}")
-    return XTree(shape)
 
 
 def _walks(tree: XTree, rival: XTree, seed: int) -> tuple:
@@ -58,7 +51,7 @@ def test_walks_match_their_recorded_digest():
             cases.append((random_xtree(n, n, binary=binary), random_xtree(n, n + 1), n))
     star = XTree(tuple(f"t{i}" for i in range(40)))
     cases.append((star, random_xtree(40, 3), 40))
-    cases.append((_caterpillar(2000), random_xtree(2001, 5, prefix="c"), 2000))
+    cases.append((caterpillar(2000), random_xtree(2001, 5, prefix="c"), 2000))
     digest = hashlib.sha256()
     for tree, rival, seed in cases:
         digest.update(repr((tree.canonical_newick(), _walks(tree, rival, seed))).encode())
