@@ -81,10 +81,8 @@ class EdgeWeighting(_Record):
         weights = {
             v: _as_fraction(w, "edge weights and heights") for v, w in by_child.items()
         }
-        n = tree.n_vertices
-        # n - 1 distinct ids, each an int vertex id other than the root (a bool
-        # or a float that equals one is not), are exactly the non-root vertices
-        if len(weights) != n - 1 or not all(type(v) is int and 0 < v < n for v in weights):
+        covered = set(weights) == set(tree.vertices()) - {tree.root}
+        if not covered or not all(type(v) is int for v in weights):  # True or 1.0 would pass for 1
             raise ValueError("weighting must cover exactly the non-root vertices")
         self._set(tree, MappingProxyType(weights))
 
