@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from itertools import chain, combinations, product, starmap
 from .cords import Cord, cord
-from .lasso import _Record, _require_domain
+from .lasso import _Record, _check_seed, _require_domain
 from .tree import XTree
 
 __all__ = [
@@ -126,9 +126,9 @@ def circular_order(tree: XTree, seed: int | None = None) -> CircularOrdering:
 
     With ``seed=None`` the canonical child order is used; an integer seed
     deterministically shuffles the child order at every vertex, choosing a
-    different embedding.
+    different embedding.  Any other seed, a bool included, raises ``TypeError``.
     """
-    rng = random.Random(seed) if seed is not None else None
+    rng = random.Random(_check_seed(seed)) if seed is not None else None
     vlabel, children = tree._vlabel, tree._children
     order: list[str] = []
     stack = [tree.root]

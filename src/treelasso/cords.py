@@ -121,8 +121,8 @@ def parse_rational(text: str) -> Fraction:
     read the same numbers: ``1_0``, ``1e3``, ``+1`` and ``.5`` are rejected.
     """
     # Not ``from fractions import Fraction``: that looks up
-    # ``fractions.__path__`` and builds an error on every call, ten times
-    # the cost of this statement.
+    # ``fractions.__path__`` and builds an error on every call, 1.6-2.0 us
+    # against 0.14 us by timeit (CHANGES.md, the BENCH_19.json entry).
     import fractions
 
     text = text.strip()
@@ -135,13 +135,6 @@ def parse_rational(text: str) -> Fraction:
         return fractions.Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:  # "1.5/2", "1/0"
         raise ValueError(f"not a rational number: {text!r}") from exc
-
-
-def format_rational(value: Fraction) -> str:
-    """Exact text form of a rational: ``p`` or ``p/q``."""
-    import fractions
-
-    return str(fractions.Fraction(value))
 
 
 def read_cord_file(text: str) -> tuple[frozenset[Cord], dict[Cord, Fraction] | None]:

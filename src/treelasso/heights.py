@@ -10,6 +10,8 @@ heights along interior edges.  Heights make distance queries trivial: the
 distance between two leaves is twice the height of their last common vertex.
 
 All values are exact rationals; strict inequalities are never approximated.
+A float is refused with ``TypeError`` by the one helper that converts every
+value, ``_as_fraction``.
 :class:`EdgeWeighting` and :class:`HeightMap` are frozen records whose
 mapping, ``by_child`` or ``heights``, is a read-only view
 (:class:`types.MappingProxyType`) of the copy their constructor checked, so

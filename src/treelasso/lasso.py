@@ -146,6 +146,16 @@ def _require_domain(tree: XTree) -> None:
         raise ValueError("lasso questions need at least 3 leaves")
 
 
+def _check_seed(seed: object) -> int:
+    """``seed`` itself when it is an ``int``, the rule of the rival sample and the circular order.
+
+    Any other seed, a bool included, raises ``TypeError``.
+    """
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an int, got {seed!r}")
+    return seed
+
+
 def _child_pairs(tree: XTree, cords: Iterable[Cord]) -> set[tuple[int, int, int]]:
     """The distinct graph edges a cord set makes, as ``(v, u, w)``.
 

@@ -29,7 +29,7 @@ import re
 from collections import defaultdict
 from typing import TYPE_CHECKING, NoReturn
 
-from .cords import _RATIONAL_RE, format_rational, parse_rational
+from .cords import _RATIONAL_RE, parse_rational
 from .tree import _LABEL_RE, XTree, _records
 
 if TYPE_CHECKING:
@@ -184,7 +184,7 @@ def print_newick(tree: XTree, weighting: EdgeWeighting | None = None) -> str:
             continue
         suffix = ""
         if weighting is not None and item != tree.root:
-            suffix = ":" + format_rational(weighting.by_child[item])
+            suffix = ":" + str(weighting.by_child[item])
         if vlabel[item] is not None:
             parts.append(vlabel[item] + suffix)
             continue

@@ -24,7 +24,9 @@ levels, come from one call, and the levels of the first feasible rival are
 the witness.  A rival whose least levels already fit the cords needs no
 call (see below).  :class:`StrictLinearSystem` and :func:`strict_feasible`
 state the same systems over named variables and answer the levels as
-``Fraction``s.
+``Fraction``s.  Pins, rational constants and non-strict orders have no
+caller in the library: the tests keep that general route in
+``tests/conftest.py``, as the reference the engine is checked against.
 
 The scan reads its rivals from one table per leaf set, built on first use,
 with a row per enumerated tree in canonical order; bit r of every mask below
@@ -37,7 +39,9 @@ its clusters, the leaf sets below its non-root interior vertices; and its
 least levels, with their height view.  The least levels put a vertex whose
 children are all leaves at 0 and every other interior vertex one above its
 highest interior child: the least proper weighting of the tree, which every
-proper integer weighting dominates.  The view is a read-only height mapping
+proper integer weighting dominates.  They are the engine's least point of
+the tree's own properness edges, so :func:`_solve_levels` stays the
+library's one longest-path loop.  The view is a read-only height mapping
 of them, built and checked by ``HeightMap._from_levels`` once per distinct
 interior ids and levels (8 views at five leaves, 17 at six) and shared by
 the rows, as rows share edge tuples.  The table holds two kinds of mask,
@@ -61,17 +65,18 @@ shared by all rows.
   other's clusters, so the AND of a row's cluster masks is the mask of
   rows whose trees refine it.
 
-A decision starts from every row, removes the refiners (weak) or the
-tree's own bit (topological), removes the OR of the tree's conflict masks
-over the pairs of given cords, stopping that sweep as soon as no row is
-left, and keeps only the sampled rows if asked.  It then tries the
-surviving rows, lowest bit first.  When a rival's least levels equal the
-tree's at every given cord's meeting vertices, the two floors are proper
-and fit every cord, and any fitting pair dominates them, so they are
-exactly the engine's least point: the scan returns them as the witness, two
-new height maps over the rows' shared views (a floor witness), with no
-engine call.  Any other rival goes to the engine.  The tree's own row is
-looked up in the table, so nothing is remembered per tree.
+A decision starts from every row, removes the refiners (weak) or the tree's
+own bit (topological), removes the OR of the tree's conflict masks over the
+pairs of given cords, stopping that sweep as soon as no row is left, and
+keeps only the sampled rows if asked.  It then tries the surviving rows,
+lowest bit first; no row is visited in Python until it is tried.  When a
+rival's least levels equal the tree's at every given cord's meeting
+vertices, the two floors are proper and fit every cord, and any fitting
+pair dominates them, so they are exactly the engine's least point: the scan
+returns them as the witness, two new height maps over the rows' shared
+views (a floor witness), with no engine call.  Any other rival goes to the
+engine.  The tree's own row is looked up in the table, so nothing is
+remembered per tree.
 
 Every decision checks its cords by the lookups that resolve them
 (:func:`~treelasso.cords._by_lookup`): the scan looks each up in the
@@ -82,10 +87,11 @@ repeated cord counts once, and the checks keep one order: the domain, the
 cords, ``rival_sample`` and then a sample's ``seed``, then the leaf cap.
 
 The enumerated trees and the rival tables of the last four leaf sets asked
-for (``_KEPT_LEAF_SETS``) are kept, a six-leaf set taking about 7 MB.  An
-older set is dropped and rebuilt if it is asked for again, so a process
-that decides trees on many leaf sets holds the tables of a few only.  The
-shape memo behind an enumeration lives for that enumeration alone.
+for (``_KEPT_LEAF_SETS``) are kept; a fifth set's are built before the
+oldest set's are dropped.  An older set is rebuilt if it is asked for
+again, so a process that decides trees on many leaf sets holds the tables
+of a few only.  The shape memo behind an enumeration lives for that
+enumeration alone.
 
 The equidistant decision needs no rivals, so it keeps nothing and works
 on trees of any size.  It puts two copies of the tree's heights side by
@@ -123,7 +129,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 from .cords import Cord, _by_lookup, validate_cords
 from .heights import HeightMap
-from .lasso import KINDS, _Record, _require_domain
+from .lasso import KINDS, _Record, _check_seed, _require_domain
 from .tree import XTree, _check_label
 
 __all__ = [
@@ -437,9 +443,9 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
         # Bit k of above[u]: u lies in interior vertex k's preorder range.  The
         # deepest such vertex has the largest k, so a cord meets at the largest
         # k its two ends share, and a vertex's parent is the largest k set
-        # before the vertex's own.  The keys are normal cords, and meeting them
-        # by XTree._cord_meets instead took a build from 5.8 to 8.3 ms at five
-        # leaves and from 87 to 133 ms at six (a 2-vCPU host).
+        # before the vertex's own.  The keys are normal cords, and this one
+        # bitmask pass meets them all at less cost than XTree._cord_meets,
+        # which climbs once per cord and tree.
         above = [0] * tree.n_vertices
         edges = []
         for k, v in enumerate(interior):  # preorder: parents first
@@ -459,15 +465,8 @@ def _rival_table(leaf_labels: frozenset[str]) -> _RivalTable:
                     else _APART
                 )
             own = tuple((a - offset, b - offset) for a, b in edges)
-            # The least levels: 0 at a vertex with leaf children only, else
-            # one above the highest interior child.  Reversed preorder puts a
-            # vertex's edges to its children after theirs to their own, so
-            # each child's level is final when it is read.
-            least = [0] * len(interior)
-            for a, b in reversed(own):
-                if least[a] <= least[b]:
-                    least[a] = least[b] + 1
-            shared[edges] = edges, own, bytes(between), tuple(least)
+            least = tuple(_solve_levels(len(interior), (), own))
+            shared[edges] = edges, own, bytes(between), least
         edges, own_edges, between, least = shared[edges]
         if (interior, least) not in views:
             views[interior, least] = HeightMap._from_levels(tree, least).heights
@@ -578,8 +577,7 @@ def _check_sample(rival_sample: int | None, seed: int) -> None:
         raise TypeError(f"rival_sample must be an int, got {rival_sample!r}")
     if rival_sample < 1:
         raise ValueError(f"rival_sample must be at least 1, got {rival_sample}")
-    if not isinstance(seed, int) or isinstance(seed, bool):  # None would draw an unrepeatable sample
-        raise TypeError(f"seed must be an int, got {seed!r}")
+    _check_seed(seed)  # None would draw an unrepeatable sample
 
 
 def oracle_weak(

@@ -145,6 +145,18 @@ def test_circular_order_examples():
     assert circular_order(STAR3).order == ("a", "b", "c")
     assert circular_order(CAT, seed=3) == circular_order(CAT, seed=3)
     assert sorted(circular_order(CAT, seed=3).order) == ["a", "b", "c", "d"]
+    assert circular_order(CAT, seed=None) == circular_order(CAT)
+    assert circular_order(CAT, seed=-5) == circular_order(CAT, seed=-5)
+
+
+@pytest.mark.parametrize(
+    "seed, shown", [([1], r"\[1\]"), (True, "True"), (False, "False"), (1.5, "1.5"), ("x", "'x'")]
+)
+def test_circular_order_rejects_a_seed_that_is_not_an_int(seed, shown):
+    # the rival sample's rule: a list once escaped as random's own TypeError,
+    # and a bool, a float or a string drew an embedding
+    with pytest.raises(TypeError, match=f"^seed must be an int, got {shown}$"):
+        circular_order(CAT, seed=seed)
 
 
 def test_every_interior_vertex_sits_on_a_consecutive_path():

@@ -28,6 +28,7 @@ from treelasso import (
     cord_set,
     enumerate_xtrees,
     format_cord_file,
+    oracle,
     parse_newick,
     print_newick,
 )
@@ -64,6 +65,26 @@ def test_classify_with_oracle_agreement(capsys, tree_file, cords_file):
     assert payload["strong"] is True
     assert payload["oracle"]["agree"] is True
     assert "equidistant" in out
+
+
+def test_classify_oracle_disagreement_exits_1(capsys, monkeypatch, tree_file, cords_file):
+    # one definition-level decision turned around: the report is still
+    # printed, then one stderr line, and the JSON line records the disagreement
+    decide = oracle.oracle_equidistant
+    monkeypatch.setattr(
+        oracle, "oracle_equidistant", lambda t, c: (not decide(t, c)[0], None)
+    )
+    code, out, err = run(
+        capsys, "classify", "--tree", tree_file, "--cords", cords_file, "--oracle"
+    )
+    assert code == 1
+    assert err == "definition-level check disagrees with the classification\n"
+    assert out.splitlines()[0] == "equidistant  yes"
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert payload["equidistant"] is True
+    assert payload["oracle"] == {
+        "equidistant": False, "weak": True, "topological": True, "agree": False
+    }
 
 
 def test_classify_reports_failing_clades(capsys, tree_file, tmp_path):
@@ -335,6 +356,25 @@ def test_input_errors_exit_2(capsys, tree_file, cords_file, tmp_path):
         code, out, err = run(capsys, "build", "--tree", tree_file, *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a b c d\n", "partition file must hold exactly two label lines"),
+        ("a\nb\nc d\n", "partition file must hold exactly two label lines"),
+        ("# two sides\na b\n\nc  # and no d\n", "partition sides must cover the leaf set exactly"),
+        ("a b\nc d e\n", "partition sides must cover the leaf set exactly"),
+    ],
+)
+def test_bad_partition_files_exit_2(capsys, tree_file, tmp_path, text, message):
+    # one label line, three, a side that leaves out a leaf, and one that adds one
+    partition = tmp_path / "p.txt"
+    partition.write_text(text)
+    code, out, err = run(
+        capsys, "build", "--tree", tree_file, "--kind", "bipartition", "--partition", str(partition)
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_deep_caterpillar_classifies(capsys, tmp_path):

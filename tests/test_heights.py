@@ -297,6 +297,9 @@ def test_leaf_distance_examples():
     hm = HeightMap(CHERRY3, {CHERRY3.root: Fraction(3), CHERRY3.lca("a", "b"): Fraction(1)})
     assert hm.leaf_distance("a", "b") == 2
     assert hm.leaf_distance("a", "c") == 6
+    # a leaf is not in the map: it sits at height 0
+    assert [hm.height(CHERRY3.leaf_vertex(a)) for a in "abc"] == [0, 0, 0]
+    assert hm.height(CHERRY3.root) == 3
 
 
 def test_three_point_condition_on_random_heights():

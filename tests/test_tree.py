@@ -52,6 +52,13 @@ def test_lca_errors():
         assert str(raised.value) == message
 
 
+def test_label_is_for_leaves_only():
+    assert CAT.label(CAT.leaf_vertex("c")) == "c"
+    for v in CAT.interior_vertices():
+        with pytest.raises(ValueError, match=f"^vertex {v} is interior and has no leaf label$"):
+            CAT.label(v)
+
+
 def test_leaves_below():
     assert CAT.leaves_below(CAT.lca("a", "b")) == frozenset("ab")
     assert CAT.leaves_below(CAT.root) == frozenset("abcd")
@@ -247,6 +254,8 @@ def test_refines_examples():
     assert tri.refines(tri)
     assert tri.refines(STAR3)
     assert not STAR3.refines(tri)
+    with pytest.raises(ValueError, match="^trees are on different leaf sets$"):
+        CAT.refines(STAR3)
 
 
 def test_refines_is_a_partial_order_on_four_leaves():
