@@ -95,12 +95,21 @@ class ChildEdgeGraph(_Record):
         return True
 
     def to_dot(self) -> str:
-        """DOT text for diagnostics; leaf edges are boxes, subtree edges ellipses."""
+        """DOT text for diagnostics; leaf edges are boxes, subtree edges ellipses.
+
+        Each node's ID is its leaf label or clade name in double quotes, with
+        each ``"`` written as ``\\"``.  A leaf label that ends in ``\\`` would
+        escape the closing quote, and DOT has no way to quote it, so it
+        raises ``ValueError`` naming the label.
+        """
         tree = self.tree  # a caller may build the record, so its nodes go through the checks
         clades = tree._clade_names(c for c in self.nodes if not tree.is_leaf(c))
 
         def name(child: int) -> str:
-            return tree.label(child) if tree.is_leaf(child) else clades[child]
+            text = tree.label(child) if tree.is_leaf(child) else clades[child]
+            if text.endswith("\\"):  # a clade name ends in "}", so this is a leaf label
+                raise ValueError(f"label {text!r} cannot be written to DOT: it ends in a backslash")
+            return text.replace('"', '\\"')
 
         lines = ["graph child_edges {"]
         for u in self.nodes:

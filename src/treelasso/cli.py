@@ -59,8 +59,9 @@ def cmd_classify(args) -> int:
     report = lasso.classify(tree, cords)
     if args.oracle:  # decided before any output, so an oracle error prints no partial report
         checks = {kind: _oracle(kind)(tree, cords)[0] for kind in lasso.KINDS}
-    for kind in ("equidistant", "weak", "topological", "strong"):
-        print(f"{kind:12s} {'yes' if getattr(report, kind) else 'no'}")
+    flags = {kind: getattr(report, kind) for kind in (*lasso.KINDS, "strong")}
+    for kind, flag in flags.items():
+        print(f"{kind:12s} {'yes' if flag else 'no'}")
     names = tree._clade_names(v for vs in report.failing_vertices.values() for v in vs)
     failing = {kind: [names[v] for v in vs] for kind, vs in report.failing_vertices.items()}
     for kind, clades in failing.items():
@@ -71,16 +72,13 @@ def cmd_classify(args) -> int:
         "v": _SCHEMA_VERSION,
         "tree": tree.canonical_newick(),
         "cords": len(cords),
-        "equidistant": report.equidistant,
-        "weak": report.weak,
-        "topological": report.topological,
-        "strong": report.strong,
+        **flags,
         "failing": failing,
     }
 
     status = 0
     if args.oracle:
-        agree = all(checks[k] == getattr(report, k) for k in checks)
+        agree = all(checks[k] == flags[k] for k in checks)
         payload["oracle"] = {**checks, "agree": agree}
         if not agree:
             print("definition-level check disagrees with the classification", file=sys.stderr)
@@ -105,10 +103,14 @@ def cmd_build(args) -> int:
         if not args.partition:
             raise ValueError("--kind bipartition requires --partition FILE")
         sides = []
-        for raw in _read(args.partition).splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                sides.append(frozenset(line.split()))
+        for lineno, raw in enumerate(_read(args.partition).splitlines(), 1):
+            side = set()
+            for label in raw.split("#", 1)[0].split():
+                if label in side:
+                    raise ValueError(f"line {lineno}: duplicate label {label}")
+                side.add(label)
+            if side:
+                sides.append(frozenset(side))
         if len(sides) != 2:
             raise ValueError("partition file must hold exactly two label lines")
         if sides[0] | sides[1] != tree.leaf_labels:
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         required=True,
-        choices=["equidistant", "weak", "topological", "circular", "bipartition"],
+        choices=[*lasso.KINDS, "circular", "bipartition"],
     )
     p.add_argument("--partition", help="two-line label file for --kind bipartition")
     p.add_argument("--seed", type=int, default=None, help="embedding seed for --kind circular")

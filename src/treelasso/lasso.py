@@ -56,7 +56,8 @@ class _Record:
     A subclass lists its fields as ``__slots__ = __match_args__ = (...)``,
     and its ``__init__`` sets them with :meth:`_set` after its checks;
     :meth:`_set` stores through the fields' slot descriptors, bound once
-    when the class is defined.  The record then behaves as a frozen
+    when the class is defined, in ``_setters``, whose stores a constructor
+    on a timed path calls one by one.  The record then behaves as a frozen
     dataclass of those fields would: ``==`` between records of one class
     compares the field tuples, the hash is the field tuple's, the repr is
     ``Name(field=value, ...)``, assignment and deletion raise

@@ -109,7 +109,9 @@ tree.
 :class:`Witness` and the rival table are frozen ``__slots__`` records on
 the package's one record base, as are the height maps a witness carries, so
 an oracle process loads neither :mod:`dataclasses` nor :mod:`inspect`, and
-the heights of a witness cannot be edited after it is built.  An engine
+the heights of a witness cannot be edited after it is built.  Every
+witness, floor or engine, is built by the ``Witness`` constructor, which
+stores its three fields through their slot stores with no loop.  An engine
 witness's maps are built from the one list of levels, each from its tree's
 slice of it, by ``HeightMap._from_levels``, which checks the levels as ints
 as the constructor checks heights; a floor witness's maps are made by
@@ -351,16 +353,10 @@ class Witness(_Record):
     __slots__ = __match_args__ = ("rival", "heights_t", "heights_rival")
 
     def __init__(self, rival: XTree, heights_t: HeightMap, heights_rival: HeightMap) -> None:
-        self._set(rival, heights_t, heights_rival)
-
-
-def _new_witness(rival: XTree, heights_t: HeightMap, heights_rival: HeightMap) -> Witness:
-    witness = Witness.__new__(Witness)
-    store_rival, store_t, store_r = Witness._setters  # _set's stores, without its loop
-    store_rival(witness, rival)
-    store_t(witness, heights_t)
-    store_r(witness, heights_rival)
-    return witness
+        store_rival, store_t, store_r = self._setters  # _set's stores, without its loop
+        store_rival(self, rival)
+        store_t(self, heights_t)
+        store_r(self, heights_rival)
 
 
 def _witness(tree: XTree, rival: XTree, levels: list[int], offset: int) -> Witness:
@@ -369,12 +365,9 @@ def _witness(tree: XTree, rival: XTree, levels: list[int], offset: int) -> Witne
     The tree's levels start at id 0 and the rival's at id ``offset``, each
     in its tree's interior preorder.
     """
-    rival_levels = levels[offset : offset + len(rival._interior)]
-    return _new_witness(
-        rival,
-        HeightMap._from_levels(tree, levels[: len(tree._interior)]),
-        HeightMap._from_levels(rival, rival_levels),
-    )
+    build = HeightMap._from_levels
+    mine, theirs = levels[: len(tree._interior)], levels[offset : offset + len(rival._interior)]
+    return Witness(rival, build(tree, mine), build(rival, theirs))
 
 
 class _RivalTable(_Record):
@@ -562,7 +555,7 @@ def _rival_scan(
         rival, edges, meets, _, _, _, least, view = rows[low.bit_length() - 1]
         if [least[meets[i]] for i in index] == floor:
             over = HeightMap._over
-            return False, _new_witness(rival, over(tree, t_view), over(rival, view))
+            return False, Witness(rival, over(tree, t_view), over(rival, view))
         equal = [(t_meets[i], k + meets[i]) for i in index]
         levels = _solve_levels(2 * k, equal, t_edges + edges)
         if levels is not None:

@@ -34,7 +34,7 @@ the head of the path of largest children through it.  Two vertices jump
 from path head to path head until they share a path, O(log n) jumps at any
 depth, and the jumps also give the child of the meeting vertex on each
 side, which is all a cord contributes to the child-edge graphs.  One loop,
-:meth:`XTree._meets`, climbs for any number of pairs, and every cord
+:meth:`XTree._meets`, climbs for any number of leaf pairs, and every cord
 consumer meets its cords there through :meth:`XTree._cord_meets`, whose
 label lookups are the cords' check, as :meth:`XTree.lca`'s are for its one
 pair.  No table over leaf pairs is ever built, and no recursion is used,
@@ -222,7 +222,6 @@ class XTree:
         self._heavy = tuple(heavy)
         self._head = tuple(head)
         self._interior = tuple(sorted(map(vid.__getitem__, kids)))  # in preorder
-        self._vertices = range(n)  # vertex_meet in tests/conftest.py indexes _meets with it
         return vid
 
     # -- basic structure ------------------------------------------------------
@@ -241,7 +240,7 @@ class XTree:
         return self._leaf_labels
 
     def vertices(self) -> range:
-        return self._vertices
+        return range(self.n_vertices)
 
     def _vertex(self, v: int) -> int:
         """``v`` itself when it is a vertex id, an int 0 <= v < n_vertices.
@@ -322,22 +321,23 @@ class XTree:
 
     # -- ancestry queries -----------------------------------------------------
 
-    def _meets(self, pairs: Iterable, index) -> list[tuple[int, int, int]]:
-        """The last common vertex m of each pair's ends, by heavy-path jumps, in one loop.
+    def _meets(self, pairs: Iterable) -> list[tuple[int, int, int]]:
+        """Each leaf pair's last common vertex m, by heavy-path jumps, in one loop.
 
-        ``index`` maps an end to its vertex: the label index, or the vertex
-        range.  Each pair gives (m, child of m toward its first end, child
-        toward its second), in input order; a side whose vertex is m gets -1,
-        and equal ends raise ``ValueError``.  While two vertices lie on
-        different heavy paths, the one whose path head is later in preorder
-        jumps from it to its parent: that head is no ancestor of the other
-        vertex.  On one path the earlier vertex is m; the child toward a side
-        that jumped is the head it last left, else m's heavy child.
+        Each end is looked up in the label index, unchecked: an unknown label
+        raises ``KeyError`` and an unhashable one ``TypeError``.  Each pair
+        gives (m, child of m toward its first leaf, child toward its second),
+        in input order, and equal labels raise ``ValueError``.  While the two
+        vertices lie on different heavy paths, the one whose path head is
+        later in preorder jumps from it to its parent: that head is no
+        ancestor of the other vertex.  On one path the earlier vertex is m;
+        the child toward a side that jumped is the head it last left, else
+        m's heavy child.
         """
-        parent, head, heavy = self._parent, self._head, self._heavy
+        parent, head, heavy, leaf_id = self._parent, self._head, self._heavy, self._leaf_id
         out = []
         for a, b in pairs:
-            u, w = index[a], index[b]
+            u, w = leaf_id[a], leaf_id[b]
             cu = cw = -1
             hu, hw = head[u], head[w]
             while hu != hw:
@@ -362,7 +362,7 @@ class XTree:
         if a == b:
             raise ValueError("lca requires two distinct leaf labels")
         try:  # the label index is the check, as in _cord_meets
-            return self._meets(((a, b),), self._leaf_id)[0][0]
+            return self._meets(((a, b),))[0][0]
         except (KeyError, TypeError):
             self.leaf_vertex(a)
             self.leaf_vertex(b)
@@ -379,7 +379,7 @@ class XTree:
         """
         trees = (self, *others)
         return _by_lookup(
-            lambda given: [t._meets(given, t._leaf_id) for t in trees], cords, self._leaf_labels
+            lambda given: [t._meets(given) for t in trees], cords, self._leaf_labels
         )
 
     def child_toward(self, v: int, label: str) -> int:

@@ -96,7 +96,7 @@ def walk_meet(tree: XTree, u: int, w: int) -> tuple[int, int, int]:
     """The last common vertex m of vertices u and w by walking parent
     pointers: the deeper side climbs to the other's depth, then both climb
     together.  Returns (m, child of m toward u, child of m toward w), with
-    -1 for a side that is m itself.  The reference for :func:`vertex_meet`."""
+    -1 for a side that is m itself.  The reference for ``XTree._meets``."""
     parent, depth = tree._parent, tree._depth
     cu = cw = -1
     du, dw = depth[u], depth[w]
@@ -110,11 +110,6 @@ def walk_meet(tree: XTree, u: int, w: int) -> tuple[int, int, int]:
         cu, u = u, parent[u]
         cw, w = w, parent[w]
     return u, cu, cw
-
-
-def vertex_meet(tree: XTree, u: int, w: int) -> tuple[int, int, int]:
-    """``XTree._meets`` on one pair of vertex ids; (u, -1, -1) when they are one."""
-    return (u, -1, -1) if u == w else tree._meets(((u, w),), tree._vertices)[0]
 
 
 def walked_child_pairs(tree: XTree, cords) -> set[tuple[int, int, int]]:

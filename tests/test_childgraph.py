@@ -1,6 +1,7 @@
 """Child-edge graphs: construction against a path-walking oracle, predicates."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -17,7 +18,6 @@ from conftest import (
     pseudo_cherries,
     random_cords,
     random_xtree,
-    vertex_meet,
     walk_meet,
     walked_child_pairs,
 )
@@ -27,6 +27,7 @@ from treelasso import (
     child_edge_graphs,
     cord_set,
     enumerate_xtrees,
+    parse_newick,
 )
 from treelasso.childgraph import _child_pairs
 
@@ -170,6 +171,53 @@ def test_dot_export_mentions_every_node_and_edge():
     assert '"{a,b,c,d,e,f,g,h}" -- "i";' in dot  # the a-i cord meets at the root
 
 
+def _dot_ids(dot: str) -> list[str]:
+    """The double-quoted IDs of DOT text, in order, read by DOT's quoting rule:
+    inside quotes, ``\\"`` stands for a quote and every other character,
+    a backslash included, stands for itself."""
+    ids = []
+    start = dot.find('"')
+    while start >= 0:
+        text, i = [], start + 1
+        while dot[i] != '"':
+            step = 2 if dot.startswith('\\"', i) else 1
+            text.append(dot[i + step - 1])
+            i += step
+        ids.append("".join(text))
+        start = dot.find('"', i + 1)
+    return ids
+
+
+@pytest.mark.parametrize(
+    "newick, cords",
+    [
+        ('((a"x,b),c\\d,e);', [('a"x', "b"), ('a"x', "e")]),
+        ('(("q,x\\"y),(\\"z,w\\z),\\");', [('"q', 'x\\"y'), ('\\"z', '\\"'), ('"q', "w\\z")]),
+    ],
+)
+def test_dot_ids_read_back_as_the_names(newick, cords):
+    # every ID, a label holding '"' or '\\' or a clade of such labels, reads
+    # back under DOT's quoting rule as the name it stands for
+    tree, _ = parse_newick(newick)
+
+    def name(v):
+        return tree.label(v) if tree.is_leaf(v) else "{" + ",".join(sorted(tree.leaves_below(v))) + "}"
+
+    for g in child_edge_graphs(tree, cords).values():
+        expected = [name(u) for u in g.nodes] + [name(x) for e in sorted(g.edges()) for x in e]
+        assert _dot_ids(g.to_dot()) == expected
+
+
+def test_dot_refuses_a_leaf_label_ending_in_a_backslash():
+    tree, _ = parse_newick("((a\\,b),c);")
+    cherry = tree.parent(tree.leaf_vertex("a\\"))
+    with pytest.raises(ValueError, match=re.escape(repr("a\\"))):
+        build_child_edge_graph(tree, [("a\\", "b")], cherry).to_dot()
+    # inside a clade name the label is followed by ',' or '}', and is written
+    root = build_child_edge_graph(tree, [("a\\", "c")], tree.root).to_dot()
+    assert _dot_ids(root) == ["{a\\,b}", "c", "{a\\,b}", "c"]
+
+
 # Random multifurcating trees of 300 leaves, and bearded caterpillars up to
 # depth 99, where each cord's walk is long.
 SCALE_TREES = [("random", 300, seed) for seed in range(3)] + [
@@ -213,11 +261,16 @@ def test_meet_walk_matches_path_walking_oracle_at_scale(kind, size, arg):
 
 
 def test_meets_match_the_parent_walk_on_every_small_tree():
+    ends = set()  # per meet, whether the child toward each side is m's heavy child
     for t in enumerate_xtrees(LABELS4) + enumerate_xtrees(LABELS5):
         labels = sorted(t.leaf_labels)
-        for u in t.vertices():
-            for w in t.vertices():
-                assert vertex_meet(t, u, w) == walk_meet(t, u, w)
+        pairs = [(a, b) for a in labels for b in labels if a != b]
+        expected = [walk_meet(t, t.leaf_vertex(a), t.leaf_vertex(b)) for a, b in pairs]
+        assert t._meets(pairs) == expected
+        ends |= {(cu == t._heavy[m], cw == t._heavy[m]) for m, cu, cw in expected}
+        for a in labels:
+            with pytest.raises(ValueError, match="two distinct labels"):
+                t._meets([pairs[0], (a, a)])
         for a, b in combinations(labels, 2):
             expected = walk_meet(t, t.leaf_vertex(a), t.leaf_vertex(b))[0]
             assert t.lca(a, b) == t.lca(b, a) == expected
@@ -231,6 +284,10 @@ def test_meets_match_the_parent_walk_on_every_small_tree():
                         t.child_toward(v, a)
         every = frozenset(combinations(labels, 2))
         assert _child_pairs(t, every) == walked_child_pairs(t, every)
+    # Every branch of the climb's end: both sides jumped onto m from light
+    # children on different heavy paths, or one side reached m along one
+    # path, as the first end or as the second.
+    assert ends == {(False, False), (False, True), (True, False)}
 
 
 @pytest.mark.parametrize("kind, size, arg", SCALE_TREES + [("caterpillar", 2000, 0)])
@@ -243,20 +300,21 @@ def test_meets_match_the_parent_walk_at_scale(kind, size, arg):
         tree = caterpillar(size)
     labels = sorted(tree.leaf_labels)
     cords = random_cords(tree, min(len(labels), 500), seed=len(labels))
-    for a, b in cords:
-        u, w = tree.leaf_vertex(a), tree.leaf_vertex(b)
-        expected = walk_meet(tree, u, w)
-        assert vertex_meet(tree, u, w) == expected
-        assert vertex_meet(tree, w, u) == (expected[0], expected[2], expected[1])
-        assert tree.lca(a, b) == tree.lca(b, a) == expected[0]
+    pairs = sorted(cords)
+    expected = [walk_meet(tree, tree.leaf_vertex(a), tree.leaf_vertex(b)) for a, b in pairs]
+    assert tree._meets(pairs) == expected
+    assert tree._meets([(b, a) for a, b in pairs]) == [(m, cw, cu) for m, cu, cw in expected]
+    for (a, b), (m, _, _) in zip(pairs, expected):
+        assert tree.lca(a, b) == tree.lca(b, a) == m
     assert _child_pairs(tree, cords) == walked_child_pairs(tree, cords)
 
-    # any two vertices, ancestor pairs and equal pairs included
+    # any two leaves, in one climb; equal ends raise
     rng = random.Random(size)
-    n = tree.n_vertices
-    for _ in range(500):
-        u, w = rng.randrange(n), rng.randrange(n)
-        assert vertex_meet(tree, u, w) == walk_meet(tree, u, w)
+    pairs = [(a, b) for a, b in zip(rng.choices(labels, k=500), rng.choices(labels, k=500)) if a != b]
+    expected = [walk_meet(tree, tree.leaf_vertex(a), tree.leaf_vertex(b)) for a, b in pairs]
+    assert tree._meets(pairs) == expected
+    with pytest.raises(ValueError, match="two distinct labels"):
+        tree._meets([*pairs, (labels[0], labels[0])])
 
     # child_toward: sampled leaves against every proper ancestor, by walking up
     for a in rng.sample(labels, min(len(labels), 40)):

@@ -365,10 +365,13 @@ def test_input_errors_exit_2(capsys, tree_file, cords_file, tmp_path):
         ("a\nb\nc d\n", "partition file must hold exactly two label lines"),
         ("# two sides\na b\n\nc  # and no d\n", "partition sides must cover the leaf set exactly"),
         ("a b\nc d e\n", "partition sides must cover the leaf set exactly"),
+        ("a b a\nc d\n", "line 1: duplicate label a"),
+        ("# two sides\na b\nc d c  # c twice\n", "line 3: duplicate label c"),
     ],
 )
 def test_bad_partition_files_exit_2(capsys, tree_file, tmp_path, text, message):
-    # one label line, three, a side that leaves out a leaf, and one that adds one
+    # one label line, three, a side that leaves out a leaf, one that adds
+    # one, and a label repeated on one line, which is not merged away
     partition = tmp_path / "p.txt"
     partition.write_text(text)
     code, out, err = run(

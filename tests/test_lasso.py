@@ -533,9 +533,9 @@ def test_classify_meets_each_cord_once_and_never_revalidates_a_normal_set(monkey
     meets = []  # the pairs handed to the batched climb
     climb = XTree._meets
 
-    def counting_climb(self, pairs, index):
+    def counting_climb(self, pairs):
         meets.extend(pairs)
-        return climb(self, pairs, index)
+        return climb(self, pairs)
 
     def fail(*args):
         raise AssertionError("a normal cord set was checked again")

@@ -378,9 +378,9 @@ def test_cord_consumers_meet_each_cord_once_per_tree(monkeypatch):
     met = []  # the tree of each pair handed to the batched climb
     climb = XTree._meets
 
-    def counting_climb(self, pairs, index):
+    def counting_climb(self, pairs):
         met.extend(id(self) for _ in pairs)
-        return climb(self, pairs, index)
+        return climb(self, pairs)
 
     monkeypatch.setattr(XTree, "_meets", counting_climb)
     for name, (call, trees) in calls.items():
@@ -633,6 +633,31 @@ def test_the_floor_path_fires_exactly_when_the_least_levels_agree():
             elif len(t.leaf_labels) == 4:
                 assert not any(_floors_agree(t, r, cords) for r in trees4 if not skip(r))
     assert seen == {False, True}
+
+
+def test_every_witness_is_built_by_its_constructor(monkeypatch):
+    # the floor and engine witnesses of the rival scan and the equidistant
+    # decision's witnesses all pass through Witness.__init__
+    built = {}  # id -> witness; holding each keeps its id from being reused
+    init = Witness.__init__
+
+    def recorded(self, *fields):
+        init(self, *fields)
+        built[id(self)] = self
+
+    monkeypatch.setattr(Witness, "__init__", recorded)
+    four = [(t, c) for t in enumerate_xtrees(LABELS4) for c in all_cord_subsets(LABELS4)]
+    seen = set()
+    for t, cords, _, witness, floor in _scan_witnesses(four):
+        if witness is not None:
+            assert built.get(id(witness)) is witness
+            seen.add("floor" if floor else "engine")
+    for t, cords in four:
+        _, witness = oracle_equidistant(t, cords)
+        if witness is not None:
+            assert built.get(id(witness)) is witness
+            seen.add("equidistant")
+    assert seen == {"floor", "engine", "equidistant"}
 
 
 def test_an_edited_floor_witness_leaves_the_next_one_intact():
